@@ -225,17 +225,8 @@ class Delegate:
                     else:
                         ctx.note_settled(delegate_id, slot_id)
 
-    def _true_pairs(self, slot) -> list[tuple[int, int]]:
-        view = self.ctx.view
-        pairs = []
-        for pay_index in range(slot.start_pay_index + 1, slot.end_pay_index + 1):
-            due = view.entry_due(pay_index, slot.recipient_id)
-            if due:
-                pairs.append((pay_index, due))
-        return pairs
-
     def _respond(self, slot_id: int, slot) -> None:
-        pairs = self._true_pairs(slot)
+        pairs = self.ctx.view.dues(slot.recipient_id, slot.start_pay_index, slot.end_pay_index)
         delta = slot.amount - sum(due for _, due in pairs)
         if delta < 0:
             raise InvalidParameter(
@@ -266,12 +257,6 @@ class Delegate:
 
     # -- opening new collects -------------------------------------------------
 
-    def _has_pending_normal_slot(self, recipient_id: int) -> bool:
-        return any(
-            slot.recipient_id == recipient_id and not slot.instant
-            for slot in self.ctx.state.slots.values()
-        )
-
     def _alloc_slot_id(self, instant: bool) -> int:
         state = self.ctx.state
         if instant:
@@ -296,23 +281,17 @@ class Delegate:
         view = ctx.view
         state = ctx.state
         threshold = 1 if ctx.draining else cfg.accumulation_threshold
+        # Built once: each seller is visited once and the loop only adds
+        # slots, so a seller skipped here stays skipped.
+        pending = {slot.recipient_id for slot in state.slots.values() if not slot.instant}
+        mature = view.mature_end()
         for seller_id in self.sellers:
-            if self._has_pending_normal_slot(seller_id):
+            if seller_id in pending:
                 continue
-            prefix = view.prefixes.get(seller_id, 0)
-            mature = view.mature_end()
-            if mature <= prefix:
+            owed = view.dues(seller_id, view.prefixes.get(seller_id, 0), mature)
+            if len(owed) < threshold:       # threshold >= 1: nothing owed, no collect
                 continue
-            entitlement = view.entitlement(seller_id, prefix, mature)
-            if entitlement == 0:
-                continue
-            owed_payments = sum(
-                1
-                for pay_index in range(prefix + 1, mature + 1)
-                if view.entry_due(pay_index, seller_id)
-            )
-            if owed_payments < threshold:
-                continue
+            entitlement = sum(due for _, due in owed)
             cheat = self.cheating and not ctx.draining
             delta = ctx.rng.randint(cfg.overstatement_min, cfg.overstatement_max) if cheat else 0
             amount = entitlement + delta
@@ -359,8 +338,7 @@ class Monitor:
         self.account_id = account_id
         self.address = address
         self.lazy = lazy
-        self._watching: dict[int, bool] = {}      # open_seq -> decision
-        self._flagged: set[int] = set()           # understated slots, by open_seq
+        self._verdicts: dict[int, str | None] = {}   # open_seq -> verdict, None if unwatched
         self.games: dict[tuple[int, int], int] = {}
 
     def step(self) -> None:
@@ -401,17 +379,14 @@ class Monitor:
             if key[0] == self.account_id:
                 continue
             seq = ctx.view.slots[key].open_seq
-            if seq not in self._watching:
-                self._watching[seq] = (not self.lazy) or ctx.rng.random() < 0.25
-            if not self._watching[seq]:
-                continue
-            verdict = monitor_verdict(ctx.view, slot)
-            if verdict == "understated":
-                if seq not in self._flagged:
-                    self._flagged.add(seq)
+            if seq not in self._verdicts:
+                watch = (not self.lazy) or ctx.rng.random() < 0.25
+                # An open slot's verdict never changes (see monitor_verdict).
+                verdict = monitor_verdict(ctx.view, slot) if watch else None
+                self._verdicts[seq] = verdict
+                if verdict == "understated":
                     ctx.note_understatement()
-                continue
-            if verdict != "overstated":
+            if self._verdicts[seq] != "overstated":
                 continue
             if state.accounts[self.account_id].balance < stake:
                 continue

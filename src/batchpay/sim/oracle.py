@@ -5,9 +5,20 @@ the engine's state objects. It exists to double-check the engine: settled
 balances reconstructed here must match the ledger at every block boundary,
 and the entitlement computation is what honest monitors trust when
 deciding whether a collect claim is inflated.
+
+Entitlement queries read a posting index instead of scanning payments:
+for every account, the ascending pay indices of the payments that name it,
+with the number of times each names it in a parallel list. Feeding a
+``PaymentRegistered`` record appends one posting per distinct payee, so a
+query over (start, end] costs a bisection plus one step per payment in
+the range that names the account, not one ``list.count`` per payment in
+the range.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from collections import Counter
 
 from ..chainlog import (
     Advanced,
@@ -38,10 +49,12 @@ from ..wire import Reader
 
 
 class _ViewPayment:
-    __slots__ = ("ids", "per_destination", "status", "collectable_from", "total_escrow", "from_id")
+    __slots__ = (
+        "payee_count", "per_destination", "status", "collectable_from", "total_escrow", "from_id",
+    )
 
-    def __init__(self, ids, per_destination, status, collectable_from, total_escrow, from_id):
-        self.ids = ids
+    def __init__(self, payee_count, per_destination, status, collectable_from, total_escrow, from_id):
+        self.payee_count = payee_count
         self.per_destination = per_destination
         self.status = status                  # "committed" | "locked" | "refunded"
         self.collectable_from = collectable_from
@@ -67,6 +80,9 @@ class _ViewSlot:
         self.challenger_id = None
 
 
+_NO_POSTINGS: tuple[list[int], list[int]] = ([], [])
+
+
 class LogView:
     """Incrementally consumable shadow ledger built from log records only."""
 
@@ -74,6 +90,8 @@ class LogView:
         self.block = 0
         self.balances: dict[int, int] = {}
         self.payments: list[_ViewPayment] = []
+        # account -> (pay indices naming it, ascending; occurrences in each)
+        self._postings: dict[int, tuple[list[int], list[int]]] = {}
         self.prefixes: dict[int, int] = {}
         self.slots: dict[tuple[int, int], _ViewSlot] = {}
         self.collect_stake = 0
@@ -124,7 +142,7 @@ class LogView:
             self._credit(rec.from_id, -escrow)
             self.payments.append(
                 _ViewPayment(
-                    ids,
+                    len(ids),
                     rec.per_destination,
                     "locked" if rec.locking_key_hash is not None else "committed",
                     self.block + self.unlock_period,
@@ -132,10 +150,17 @@ class LogView:
                     rec.from_id,
                 )
             )
+            pay_index = len(self.payments)
+            for account_id, count in Counter(ids).items():
+                posting = self._postings.get(account_id)
+                if posting is None:
+                    posting = self._postings[account_id] = ([], [])
+                posting[0].append(pay_index)
+                posting[1].append(count)
         elif isinstance(rec, Unlocked):
             p = self.payments[rec.pay_index - 1]
             p.status = "committed"
-            fee = p.total_escrow - p.per_destination * len(p.ids)
+            fee = p.total_escrow - p.per_destination * p.payee_count
             self._credit(rec.unlocker_id, fee)
         elif isinstance(rec, Refunded):
             p = self.payments[rec.pay_index - 1]
@@ -185,25 +210,50 @@ class LogView:
     # -- queries ---------------------------------------------------------------
 
     def occurrences(self, pay_index: int, account_id: int) -> int:
-        return self.payments[pay_index - 1].ids.count(account_id)
+        """How many times one payment names an account.
+
+        One bisection over the account's postings.
+        """
+        indices, counts = self._postings.get(account_id, _NO_POSTINGS)
+        k = bisect_left(indices, pay_index)
+        return counts[k] if k < len(indices) and indices[k] == pay_index else 0
+
+    def dues(self, account_id: int, start: int, end: int) -> list[tuple[int, int]]:
+        """``(pay_index, due)`` for each committed payment in (start, end]
+        that names the account, in pay-index order.
+
+        Every due is positive, since per-destination amounts are at least 1.
+        Two bisections, then one step per payment in the range that names
+        the account.
+        """
+        indices, counts = self._postings.get(account_id, _NO_POSTINGS)
+        payments = self.payments
+        out = []
+        for k in range(bisect_right(indices, start), bisect_right(indices, end)):
+            p = payments[indices[k] - 1]
+            if p.status == "committed":
+                out.append((indices[k], counts[k] * p.per_destination))
+        return out
 
     def entitlement(self, account_id: int, start: int, end: int) -> int:
-        """Committed-payment entitlement over (start, end], log-derived."""
-        total = 0
-        for pay_index in range(start + 1, end + 1):
-            p = self.payments[pay_index - 1]
-            if p.status == "committed":
-                total += p.ids.count(account_id) * p.per_destination
-        return total
+        """Committed-payment entitlement over (start, end], log-derived.
+
+        The sum of ``dues`` over the same range, at the same cost.
+        """
+        return sum(due for _, due in self.dues(account_id, start, end))
 
     def entry_due(self, pay_index: int, account_id: int) -> int:
-        """What one payment actually owes an account (0 unless committed)."""
+        """What one payment actually owes an account (0 unless committed).
+
+        One bisection over the account's postings.
+        """
         p = self.payments[pay_index - 1]
         if p.status != "committed":
             return 0
-        return p.ids.count(account_id) * p.per_destination
+        return self.occurrences(pay_index, account_id) * p.per_destination
 
     def mature_end(self) -> int:
+        """Highest pay index whose unlock window has closed; amortized O(1)."""
         # collectable_from is non-decreasing in pay index (fixed unlock
         # period, blocks only move forward), so a cursor suffices.
         while (
@@ -217,6 +267,7 @@ class LogView:
         return self.balances.get(account_id, 0)
 
     def collectable(self, account_id: int) -> int:
+        """Matured entitlement past the account's settled prefix."""
         return self.entitlement(
             account_id, self.prefixes.get(account_id, 0), self.mature_end()
         )
@@ -245,6 +296,13 @@ def monitor_verdict(view: LogView, slot) -> str:
     Returns "overstated" when the claim exceeds the true entitlement over
     the slot's range (the winnable case), "understated" when it falls short
     (protocol-legal but seller-harming, flagged only), and "ok" otherwise.
+    Costs one ``entitlement`` query.
+
+    The verdict on an open slot never changes, so a monitor may judge each
+    slot once. The claimed amount and the range are fixed at open, and
+    every payment in the range had matured by then. An unlock is legal only
+    strictly before its payment matures, so no due in the range can grow;
+    a refund turns a locked payment's due of 0 into 0.
     """
     true = view.entitlement(slot.recipient_id, slot.start_pay_index, slot.end_pay_index)
     if slot.amount > true:
@@ -259,7 +317,8 @@ def find_inflated_entry(view: LogView, slot) -> tuple[int, int]:
 
     When the disclosed list sums to more than the true entitlement, some
     entry must exceed its payment's true share (pigeonhole), so this cannot
-    miss against an overstated claim.
+    miss against an overstated claim. Costs one ``entry_due`` query per
+    disclosed entry.
     """
     for pay_index, amount in slot.challenge_list:
         if amount > view.entry_due(pay_index, slot.recipient_id):

@@ -449,13 +449,9 @@ class SimRun:
         }
 
         report.oracle_diffs = [
-            {
-                "account": acct.account_id,
-                "ledger": acct.balance,
-                "oracle": self.view.oracle_balance(acct.account_id),
-            }
+            {"account": acct.account_id, "ledger": acct.balance, "oracle": oracle}
             for acct in state.accounts
-            if acct.balance != self.view.oracle_balance(acct.account_id)
+            if acct.balance != (oracle := self.view.oracle_balance(acct.account_id))
         ]
         report.monitor_net = {
             str(account_id): net for account_id, net in sorted(self.monitor_net.items())

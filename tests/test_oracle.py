@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from batchpay.codec import encode_pay_data
+from batchpay.chainlog import PaymentRegistered, Refunded, Unlocked
+from batchpay.codec import decode_pay_data, encode_pay_data
 from batchpay.collect import (
     challenge,
     challenge_success,
@@ -14,9 +17,13 @@ from batchpay.collect import (
 from batchpay.errors import InvalidParameter
 from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from batchpay.registration import register
-from batchpay.sim import view_of
+from batchpay.sim import SimRun, view_of
+from batchpay.sim.config import load_scenario_config
 from batchpay.sim.oracle import find_inflated_entry, monitor_verdict, oracle_balance
+from batchpay.state import GameState
 from tests.conftest import World
+
+ADVERSARIAL_CFG = __file__.rsplit("/", 2)[0] + "/configs/adversarial.cfg"
 
 
 def test_hand_traced_single_payment():
@@ -145,6 +152,86 @@ def test_oracle_balance_one_shot_helper(world):
     assert oracle_balance(world.state.log, world.seller) == 4
 
 
+# -- posting-index queries against a reference read straight off the log -------
+
+# One payment: payee picks from a pool of four sellers (repeats allowed), its
+# per-destination amount, what happens to it, and blocks to advance after it.
+_payment = st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    st.integers(1, 20),
+    st.sampled_from(("plain", "unlocked", "refunded", "locked")),
+    st.integers(0, 3),
+)
+
+
+def _reference(log):
+    """Per pay index: (ids, per_destination, committed), from records alone."""
+    payments = {}
+    for rec in log.records:
+        if isinstance(rec, PaymentRegistered):
+            ids = decode_pay_data(rec.pay_data)
+            payments[rec.pay_index] = [ids, rec.per_destination, rec.locking_key_hash is None]
+        elif isinstance(rec, Unlocked):
+            payments[rec.pay_index][2] = True
+        elif isinstance(rec, Refunded):
+            payments[rec.pay_index][2] = False
+    return payments
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    specs=st.lists(_payment, min_size=1, max_size=12),
+    matured=st.booleans(),
+    bounds=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+)
+def test_queries_match_a_count_over_the_log(specs, matured, bounds):
+    world = World()
+    unlocker = register(world.state, "unlocker")
+    pool = [world.seller] + [register(world.state, f"seller-{i}") for i in range(3)]
+    to_refund = []
+    for n, (picks, per_destination, fate, blocks) in enumerate(specs):
+        payees = [pool[i] for i in picks]
+        if fate == "plain":
+            world.pay(payees, per_destination)
+        else:
+            key = n.to_bytes(2, "big")
+            idx = world.pay(
+                payees, per_destination, unlocker_fee=1,
+                locking_key_hash=locking_key_hash(unlocker, key),
+            )
+            if fate == "unlocked":
+                unlock(world.state, idx, unlocker, key)
+            elif fate == "refunded":
+                to_refund.append(idx)
+        if blocks:
+            world.advance(blocks)
+    if matured or to_refund:
+        world.mature()
+    for idx in to_refund:
+        refund_locked_payment(world.state, idx)
+
+    view = view_of(world.state.log)
+    ref = _reference(world.state.log)
+    count = len(ref)
+    ranges = [(0, count), (count, count), (count, 0)]
+    ranges += [(min(a, count), min(b, count)) for a, b in bounds]
+    for account in pool + [world.delegate]:
+        for pay_index, (ids, per_destination, committed) in ref.items():
+            occurs = ids.count(account)
+            assert view.occurrences(pay_index, account) == occurs
+            assert view.entry_due(pay_index, account) == (
+                occurs * per_destination if committed else 0
+            )
+        for start, end in ranges + [(0, view.mature_end())]:
+            expected = []
+            for pay_index in range(start + 1, end + 1):
+                ids, per_destination, committed = ref[pay_index]
+                if committed and account in ids:
+                    expected.append((pay_index, ids.count(account) * per_destination))
+            assert view.dues(account, start, end) == expected
+            assert view.entitlement(account, start, end) == sum(d for _, d in expected)
+
+
 # -- monitor decision helpers -------------------------------------------------
 
 
@@ -190,3 +277,40 @@ def test_find_inflated_entry_rejects_honest_list(world):
     slot = world.state.slots[(world.delegate, 1)]
     with pytest.raises(InvalidParameter):
         find_inflated_entry(view, slot)
+
+
+@pytest.mark.parametrize("all_lazy", [False, True])
+def test_verdict_of_an_open_slot_never_changes(all_lazy):
+    # Monitors judge each slot once, when they first see it; that is exact
+    # only if re-judging the slot later could never give another answer.
+    # The attentive monitor challenges an overstated slot in the block that
+    # opens it, so only the all-lazy variant leaves such slots waiting.
+    config = load_scenario_config(ADVERSARIAL_CFG)
+    if all_lazy:
+        config.lazy_monitor_fraction = 1.0
+    run = SimRun(config)
+    first: dict[int, str] = {}
+    rejudged = 0
+
+    def check_waiting_slots():
+        nonlocal rejudged
+        for key, slot in run.state.slots.items():
+            if slot.game_state != GameState.WAITING_CHALLENGE:
+                continue
+            seq = run.view.slots[key].open_seq
+            verdict = monitor_verdict(run.view, slot)
+            if seq in first:
+                rejudged += 1
+            assert first.setdefault(seq, verdict) == verdict, (key, seq)
+
+    for _ in range(config.blocks):
+        run.run_block()
+        check_waiting_slots()
+    run.draining = True
+    for _ in range(config.params.challenge_period + 1):
+        run.run_block()
+        check_waiting_slots()
+    assert rejudged > 0
+    assert "ok" in first.values()
+    if all_lazy:
+        assert "overstated" in first.values()
