@@ -14,11 +14,19 @@ after the advertised count has been consumed.
 
 A list of n consecutive ids therefore costs 8 + (n - 1) bytes, one byte
 per additional payee.
+
+Both directions take a fast path when every gap fits in one byte (0..127):
+the body is then the gaps themselves, and decoding is a running sum over
+it. The wire format and its acceptance rules are the same on both paths:
+any input the fast path cannot settle, including every malformed one, goes
+through the general loop and meets its checks and error messages.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
+from operator import sub
 
 from .errors import CodecError
 
@@ -36,7 +44,14 @@ def encode_pay_data(ids: list[int]) -> bytes:
     prev = ids[0]
     if prev < 0 or prev > MAX_ID:
         raise CodecError(f"id {prev} outside 32-bit range")
-    out = bytearray(_HEADER.pack(len(ids), prev))
+    header = _HEADER.pack(len(ids), prev)
+    try:
+        body = bytes(map(sub, ids[1:], ids))
+    except (TypeError, ValueError):     # a gap below 0 or above 255, or a non-int
+        body = None
+    if body is not None and body.isascii() and ids[-1] <= MAX_ID:
+        return header + body
+    out = bytearray(header)
     append = out.append
     for cur in ids[1:]:
         if cur < prev:
@@ -70,6 +85,13 @@ def decode_pay_data(data: bytes, max_id: int = MAX_ID) -> list[int]:
     first = int.from_bytes(data[4:8], "little")
     if first > max_id:
         raise CodecError(f"first id {first} exceeds bound {max_id}")
+    body = data[8:]
+    if len(body) == count - 1 and isinstance(body, (bytes, bytearray)) and body.isascii():
+        # No byte has the continuation bit, so each delta is one canonical byte.
+        ids = list(accumulate(body, initial=first))
+        if ids[-1] <= max_id:
+            return ids
+        # Past the bound: the loop below names the first id that overflows.
     ids = [first]
     pos = 8
     end = len(data)

@@ -64,21 +64,25 @@ def _slot(state: ProtocolState, delegate_id: int, slot_id: int) -> CollectSlot:
     return slot
 
 
-def _pay_out(state: ProtocolState, account_id: int, amount: int, destination: str | None) -> None:
-    """Credit an account, or route the credit straight to an external address."""
-    if destination is None:
-        state.credit(account_id, amount)
-    elif amount:
-        state.adapter.withdraw(destination, amount)
+def _settle(state: ProtocolState, moves: list[tuple[int, int, str | None]]) -> None:
+    """Apply ``(account_id, amount, destination)`` moves, all checked first.
 
-
-def _drain_pool(state: ProtocolState, amount: int) -> None:
-    if state.escrow_pool < amount:
-        raise InvariantViolation(
-            "conservation",
-            f"escrow pool {state.escrow_pool} cannot cover settlement of {amount}",
-        )
-    state.escrow_pool -= amount
+    A move credits the account (a negative amount debits it), or pays the
+    amount out to ``destination`` when one is set. Every move is checked in
+    order before any is applied, so a rejected operation writes nothing.
+    """
+    balances: dict[int, int] = {}
+    for account_id, amount, destination in moves:
+        if destination is None:
+            balance = balances.get(account_id, state.accounts[account_id].balance)
+            balances[account_id] = ensure_u64(balance + amount, f"balance of account {account_id}")
+        elif amount:
+            state.adapter.check_withdraw(destination, amount)
+    for account_id, balance in balances.items():
+        state.accounts[account_id].balance = balance
+    for _, amount, destination in moves:
+        if destination is not None and amount:
+            state.adapter.withdraw(destination, amount)
 
 
 def collect(
@@ -121,12 +125,12 @@ def collect(
         )
     # One pending non-instant collect per recipient: its range is not
     # consumed until settlement, so a second claim would overlap it.
-    for other in state.slots.values():
-        if other.recipient_id == recipient_id and not other.instant:
-            raise IllegalMove(
-                f"recipient {recipient_id} already has a pending collect "
-                f"(slot ({other.delegate_id}, {other.slot_id}))"
-            )
+    pending = state.pending_collects.get(recipient_id)
+    if pending is not None:
+        raise IllegalMove(
+            f"recipient {recipient_id} already has a pending collect "
+            f"(slot ({pending[0]}, {pending[1]}))"
+        )
     message = collect_auth_message(
         state.instance_id,
         delegate_id,
@@ -150,10 +154,15 @@ def collect(
             f"stake {stake} + advance {advance}"
         )
     start_pay_index = recipient.last_collected_pay_index
-    state.debit(delegate_id, stake + advance)
     if instant:
-        _pay_out(state, recipient_id, advance, destination_address)
+        _settle(state, [
+            (delegate_id, -(stake + advance), None),
+            (recipient_id, advance, destination_address),
+        ])
         recipient.last_collected_pay_index = last_payment_index
+    else:
+        state.debit(delegate_id, stake)
+        state.pending_collects[recipient_id] = (delegate_id, slot_id)
     state.slots[(delegate_id, slot_id)] = CollectSlot(
         delegate_id=delegate_id,
         slot_id=slot_id,
@@ -191,17 +200,25 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
         raise IllegalMove(
             f"challenge window open until block {slot.deadline_block}"
         )
-    _drain_pool(state, slot.amount)
+    if state.escrow_pool < slot.amount:
+        raise InvariantViolation(
+            "conservation",
+            f"escrow pool {state.escrow_pool} cannot cover settlement of {slot.amount}",
+        )
     if slot.instant:
         # Reimburse the advance and pay the fee; the recipient was paid at open.
         state.credit(delegate_id, slot.amount + slot.held_funds)
     else:
-        _pay_out(state, slot.recipient_id, slot.amount - slot.fee, slot.destination_address)
-        state.credit(delegate_id, slot.fee + slot.held_funds)
+        _settle(state, [
+            (slot.recipient_id, slot.amount - slot.fee, slot.destination_address),
+            (delegate_id, slot.fee + slot.held_funds, None),
+        ])
         recipient = state.accounts[slot.recipient_id]
         recipient.last_collected_pay_index = max(
             recipient.last_collected_pay_index, slot.end_pay_index
         )
+        del state.pending_collects[slot.recipient_id]
+    state.escrow_pool -= slot.amount
     del state.slots[(delegate_id, slot_id)]
     state.log.append(SlotFreed(delegate_id, slot_id))
 
@@ -334,6 +351,8 @@ def challenge_success(state: ProtocolState, delegate_id: int, slot_id: int) -> N
     if state.current_block < slot.deadline_block:
         raise IllegalMove(f"delegate has until block {slot.deadline_block}")
     state.credit(slot.challenger_id, slot.held_funds)
+    if not slot.instant:
+        del state.pending_collects[slot.recipient_id]
     del state.slots[(delegate_id, slot_id)]
     state.log.append(ChallengeSucceeded(delegate_id, slot_id))
 

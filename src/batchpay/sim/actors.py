@@ -281,12 +281,9 @@ class Delegate:
         view = ctx.view
         state = ctx.state
         threshold = 1 if ctx.draining else cfg.accumulation_threshold
-        # Built once: each seller is visited once and the loop only adds
-        # slots, so a seller skipped here stays skipped.
-        pending = {slot.recipient_id for slot in state.slots.values() if not slot.instant}
         mature = view.mature_end()
         for seller_id in self.sellers:
-            if seller_id in pending:
+            if seller_id in state.pending_collects:
                 continue
             owed = view.dues(seller_id, view.prefixes.get(seller_id, 0), mature)
             if len(owed) < threshold:       # threshold >= 1: nothing owed, no collect

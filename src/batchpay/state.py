@@ -146,13 +146,16 @@ class TokenAdapter:
         self.external[from_address] = held - amount
         self.reserve = ensure_u64(self.reserve + amount, "reserve")
 
-    def withdraw(self, to_address: str, amount: int) -> None:
+    def check_withdraw(self, to_address: str, amount: int) -> int:
+        """Raise what withdraw() would raise; return the address's new balance."""
         if self.reserve < amount:
             raise InvariantViolation("conservation", "reserve underflow on withdraw")
+        return ensure_u64(self.external.get(to_address, 0) + amount, "external balance")
+
+    def withdraw(self, to_address: str, amount: int) -> None:
+        held = self.check_withdraw(to_address, amount)
         self.reserve -= amount
-        self.external[to_address] = ensure_u64(
-            self.external.get(to_address, 0) + amount, "external balance"
-        )
+        self.external[to_address] = held
 
     def total(self) -> int:
         return self.reserve + sum(self.external.values())
@@ -260,6 +263,9 @@ class ProtocolState:
         self.payments: list[Payment] = []
         self.bulks: list[BulkRegistration] = []
         self.slots: dict[tuple[int, int], CollectSlot] = {}
+        # recipient id -> key of its one non-instant slot. Derived from
+        # ``slots``, so it stays out of canonical_bytes() and the digest.
+        self.pending_collects: dict[int, tuple[int, int]] = {}
         self.escrow_pool = 0
         self.log = ChainLog()
         params_blob = params.canonical_bytes()
@@ -375,7 +381,7 @@ class ProtocolState:
             raise InsufficientFunds(
                 f"account {account_id} balance {acct.balance} < {amount}"
             )
-        ensure_u64(self.adapter.external.get(to_address, 0) + amount, "external balance")
+        self.adapter.check_withdraw(to_address, amount)
         acct.balance -= amount
         self.adapter.withdraw(to_address, amount)
         self.log.append(Withdrawn(account_id, amount, to_address, sender))
@@ -401,6 +407,7 @@ class ProtocolState:
         if self.escrow_pool < 0:
             raise InvariantViolation("conservation", "escrow pool negative")
         held = 0
+        pending = 0
         for (did, sid), slot in self.slots.items():
             if (did, sid) != (slot.delegate_id, slot.slot_id):
                 raise InvariantViolation("slot-key", f"slot {(did, sid)} mislabeled")
@@ -425,7 +432,16 @@ class ProtocolState:
                 slot.game_state >= GameState.WAITING_PROOF
             ):
                 raise InvariantViolation("slot-challenged-entry", f"slot {(did, sid)}")
+            if not slot.instant:
+                pending += 1
+                if self.pending_collects.get(slot.recipient_id) != (did, sid):
+                    raise InvariantViolation("pending-collects", f"slot {(did, sid)} not indexed")
             held += slot.held_funds
+        if len(self.pending_collects) != pending:
+            raise InvariantViolation(
+                "pending-collects",
+                f"{len(self.pending_collects)} indexed, {pending} non-instant slots",
+            )
         for p in self.payments:
             if p.status == PaymentStatus.LOCKED and p.locking_key_hash is None:
                 raise InvariantViolation("payment-lock", f"payment {p.pay_index}")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batchpay.codec import MAX_ID, decode_pay_data, encode_pay_data
@@ -116,3 +118,113 @@ def test_decode_total(blob):
     except CodecError:
         return
     assert encode_pay_data(ids) == blob
+
+
+# -- against a reference decoder ---------------------------------------------
+
+
+def _header(count: int, first: int) -> bytes:
+    return count.to_bytes(4, "little") + first.to_bytes(4, "little")
+
+
+def reference_decode(blob: bytes, max_id: int) -> list[int]:
+    """The wire format read one varint at a time, kept apart from the codec."""
+    if len(blob) < 4:
+        raise CodecError("short header")
+    count = int.from_bytes(blob[:4], "little")
+    if count == 0:
+        if len(blob) != 4:
+            raise CodecError("empty list with trailing bytes")
+        return []
+    if len(blob) < 8:
+        raise CodecError("short header")
+    ids = [int.from_bytes(blob[4:8], "little")]
+    pos = 8
+    while len(ids) < count:
+        delta = 0
+        for shift in range(0, 35, 7):
+            if pos == len(blob):
+                raise CodecError("truncated")
+            byte = blob[pos]
+            pos += 1
+            delta |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+        else:
+            raise CodecError("varint longer than 5 bytes")
+        if byte == 0 and shift:
+            raise CodecError("zero padding byte")
+        ids.append(ids[-1] + delta)
+    if pos != len(blob) or ids[-1] > max_id:
+        raise CodecError("trailing bytes or id past bound")
+    return ids
+
+
+@st.composite
+def near_canonical_blobs(draw):
+    """Blobs whose body length is often exactly count - 1, as the fast path needs."""
+    body = draw(st.binary(max_size=40) | st.lists(st.integers(0, 0x7F), max_size=40).map(bytes))
+    near = st.integers(-2, 2).map(lambda d: max(0, len(body) + 1 + d))
+    count = draw(st.integers(0, 2**32 - 1) | near)
+    first = draw(st.integers(0, MAX_ID) | st.integers(MAX_ID - 300, MAX_ID))
+    blob = count.to_bytes(4, "little") + first.to_bytes(4, "little") + body
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@given(
+    near_canonical_blobs() | st.binary(max_size=48),
+    st.just(MAX_ID) | st.integers(0, MAX_ID) | st.integers(0, 300),
+)
+@example(bytes(4), MAX_ID)
+@example(bytes(8), MAX_ID)
+@example(_header(2, MAX_ID) + b"\x01", MAX_ID)
+@settings(max_examples=500, deadline=None)
+def test_decode_matches_reference(blob, max_id):
+    try:
+        expected = reference_decode(blob, max_id)
+    except CodecError:
+        with pytest.raises(CodecError):
+            decode_pay_data(blob, max_id)
+    else:
+        assert decode_pay_data(blob, max_id) == expected
+
+
+def test_one_byte_delta_edge():
+    assert encode_pay_data([0, 127]) == _header(2, 0) + b"\x7f"
+    assert encode_pay_data([0, 128]) == _header(2, 0) + b"\x80\x01"
+    assert decode_pay_data(_header(2, 0) + b"\x7f") == [0, 127]
+    assert decode_pay_data(_header(2, 0) + b"\x80\x01") == [0, 128]
+
+
+def test_continuation_byte_in_a_count_minus_one_body_is_truncation():
+    with pytest.raises(CodecError, match="^truncated inside varint$"):
+        decode_pay_data(_header(3, 5) + b"\x01\x81")
+
+
+def test_one_byte_deltas_past_the_bound_name_the_first_overflowing_id():
+    message = f"delta overflow: id {MAX_ID + 1} exceeds bound {MAX_ID}"
+    with pytest.raises(CodecError, match=f"^{re.escape(message)}$"):
+        decode_pay_data(_header(3, MAX_ID) + b"\x01\x01")
+    with pytest.raises(CodecError, match="^delta overflow: id 12 exceeds bound 10$"):
+        decode_pay_data(_header(4, 5) + b"\x07\x00\x05", max_id=10)
+
+
+def test_count_zero_and_one():
+    assert decode_pay_data(_header(0, 0)[:4]) == []
+    with pytest.raises(CodecError, match="^trailing bytes after empty list$"):
+        decode_pay_data(_header(0, 0))
+    assert decode_pay_data(_header(1, 9)) == [9]
+    with pytest.raises(CodecError, match="^trailing bytes after last delta$"):
+        decode_pay_data(_header(1, 9) + b"\x00")
+
+
+def test_bytearray_input():
+    for data in (encode_pay_data(list(range(10, 20))), encode_pay_data([10, 300])):
+        assert decode_pay_data(bytearray(data)) == decode_pay_data(data)
+
+
+def test_encode_error_messages():
+    with pytest.raises(CodecError, match="^payee ids must be non-decreasing$"):
+        encode_pay_data([3, 4, 2])
+    with pytest.raises(CodecError, match=f"^id {MAX_ID + 1} outside 32-bit range$"):
+        encode_pay_data([MAX_ID - 1, MAX_ID, MAX_ID + 1])

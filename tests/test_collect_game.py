@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from batchpay.codec import encode_pay_data
@@ -16,6 +18,7 @@ from batchpay.collect import (
     select_payment,
 )
 from batchpay.errors import (
+    AmountOutOfRange,
     BadProof,
     BadSignature,
     IllegalMove,
@@ -25,6 +28,7 @@ from batchpay.errors import (
 )
 from batchpay.registration import register
 from batchpay.state import NEW_ACCOUNT, GameState
+from batchpay.wire import U64_MAX
 from tests.conftest import small_params
 
 STAKE = small_params().collect_stake
@@ -436,6 +440,91 @@ def test_instant_advance_routes_to_destination_address(world):
     world.open_collect(40000, end=1, amount=10, fee=3, destination="payout-box")
     assert world.state.adapter.balance_of("payout-box") == 7
     assert world.balance(world.seller) == 0
+    world.state.check_invariants()
+
+
+def _assert_rejected_untouched(world, move):
+    before = (world.state.digest(), len(world.state.log), world.state.adapter.reserve)
+    with pytest.raises(AmountOutOfRange):
+        move()
+    assert (world.state.digest(), len(world.state.log), world.state.adapter.reserve) == before
+    world.state.check_invariants()
+
+
+def test_instant_collect_overflowing_destination_changes_nothing(world):
+    world.pay([world.seller], per_destination=100)
+    world.mature()
+    world.state.adapter.mint("full-box", U64_MAX - 10)
+    _assert_rejected_untouched(
+        world, lambda: world.open_collect(40000, end=1, amount=100, destination="full-box")
+    )
+    assert world.balance(world.delegate) == 100_000
+
+
+def test_settlement_overflowing_destination_changes_nothing(world):
+    world.pay([world.seller], per_destination=100)
+    world.mature()
+    world.open_collect(1, end=1, amount=100, destination="full-box")
+    world.state.adapter.mint("full-box", U64_MAX - 10)
+    world.advance(world.params.challenge_period)
+    pool = world.state.escrow_pool
+    _assert_rejected_untouched(world, lambda: free_slot(world.state, world.delegate, 1))
+    assert world.state.escrow_pool == pool
+    assert (world.delegate, 1) in world.state.slots
+
+
+# -- the pending-collect index -------------------------------------------------
+
+
+def test_pending_index_follows_the_normal_slot(world):
+    world.pay([world.seller], per_destination=10)
+    world.pay([world.seller], per_destination=10)
+    world.mature()
+    world.open_collect(40000, end=1, amount=10)
+    world.open_collect(3, end=2, amount=10)
+    assert world.state.pending_collects == {world.seller: (world.delegate, 3)}
+    message = f"already has a pending collect (slot ({world.delegate}, 3))"
+    with pytest.raises(IllegalMove, match=re.escape(message)):
+        world.open_collect(4, end=2, amount=10)
+    # losing the instant slot leaves the normal one indexed
+    challenge(world.state, world.delegate, 40000, world.monitor)
+    world.advance(world.params.response_period)
+    challenge_success(world.state, world.delegate, 40000)
+    assert world.state.pending_collects == {world.seller: (world.delegate, 3)}
+    world.state.check_invariants()
+    world.advance(world.params.challenge_period)
+    free_slot(world.state, world.delegate, 3)
+    assert world.state.pending_collects == {}
+    world.state.check_invariants()
+
+
+def test_lost_normal_slot_leaves_the_index(world):
+    world.pay([world.seller], per_destination=10)
+    world.mature()
+    world.open_collect(3, end=1, amount=30)
+    challenge(world.state, world.delegate, 3, world.monitor)
+    world.advance(world.params.response_period)
+    challenge_success(world.state, world.delegate, 3)
+    assert world.state.pending_collects == {}
+    world.state.check_invariants()
+    world.open_collect(4, end=1, amount=10)
+
+
+def test_check_invariants_verifies_the_pending_index(world):
+    world.pay([world.seller], per_destination=10)
+    world.mature()
+    world.open_collect(3, end=1, amount=10)
+    pending = world.state.pending_collects
+    for tampered in (
+        {},                                         # slot not indexed
+        {world.seller: (world.delegate, 4)},        # indexed under another key
+        {world.seller: (world.delegate, 3), world.buyer: (world.delegate, 3)},  # extra entry
+    ):
+        world.state.pending_collects = tampered
+        with pytest.raises(InvariantViolation) as caught:
+            world.state.check_invariants()
+        assert caught.value.invariant == "pending-collects"
+    world.state.pending_collects = pending
     world.state.check_invariants()
 
 
