@@ -16,7 +16,7 @@ from .costmodel import (
     tx_cost,
     usd_cost,
 )
-from .merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
+from .merkle import MerkleProof, merkle_prove, merkle_proofs, merkle_root, merkle_verify
 from .state import NEW_ACCOUNT, Params, ProtocolState, TokenAdapter, instantiate
 
 __version__ = "0.1.0"
@@ -36,6 +36,7 @@ __all__ = [
     "encode_pay_data",
     "instantiate",
     "merkle_prove",
+    "merkle_proofs",
     "merkle_root",
     "merkle_verify",
     "register_payment_gas",

@@ -79,11 +79,7 @@ class MerkleProof:
         return cls(leaf_index, sibs)
 
 
-def merkle_prove(addresses: list[str], leaf_index: int) -> MerkleProof:
-    """Produce the sibling path for one leaf of the given list."""
-    if not 0 <= leaf_index < len(addresses):
-        raise InvalidParameter(f"leaf index {leaf_index} out of range")
-    levels = _levels(addresses)
+def _path(levels: list[list[bytes]], leaf_index: int) -> MerkleProof:
     siblings = []
     idx = leaf_index
     for level in levels[:-1]:
@@ -92,6 +88,23 @@ def merkle_prove(addresses: list[str], leaf_index: int) -> MerkleProof:
         siblings.append(level[sib] if sib < len(level) else level[idx])
         idx >>= 1
     return MerkleProof(leaf_index, tuple(siblings))
+
+
+def merkle_prove(addresses: list[str], leaf_index: int) -> MerkleProof:
+    """Produce the sibling path for one leaf of the given list."""
+    if not 0 <= leaf_index < len(addresses):
+        raise InvalidParameter(f"leaf index {leaf_index} out of range")
+    return _path(_levels(addresses), leaf_index)
+
+
+def merkle_proofs(addresses: list[str]) -> list[MerkleProof]:
+    """Every leaf's proof, in leaf order, from one build of the tree.
+
+    ``merkle_proofs(a)[i] == merkle_prove(a, i)``; proving all n leaves
+    one by one would hash the whole tree n times.
+    """
+    levels = _levels(addresses)
+    return [_path(levels, i) for i in range(len(addresses))]
 
 
 def merkle_verify(root: bytes, address: str, proof: MerkleProof) -> bool:

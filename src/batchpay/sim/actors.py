@@ -21,11 +21,29 @@ Byzantine variants implemented here:
 Sellers trust their delegate's bookkeeping and sign whatever it proposes;
 the challenge game exists precisely so that a signed-but-wrong claim
 cannot settle against an attentive monitor.
+
+A block costs each actor its own traffic, not a rescan of every open slot
+and seller; the order of visits, and with it every generator draw, is what
+a full scan in key order would give.
+
+  * buyer: its own pending locked payments, then one possible batch.
+  * unlocker: the jobs in its inbox.
+  * delegate: its slots whose deadline has come (a heap of deadlines) and
+    its slots in a challenge game (an active set fed by the view's
+    ``challenged`` list), in key order; then its dirty sellers in id
+    order. A seller is dirty when a newly matured payment names it (the
+    view's ``payees``), its slot was freed or lost, its last examination
+    found the delegate short of funds, or draining has just begun.
+  * monitor: its own games, then its candidates in key order: slots opened
+    since it last looked (the view's ``opened`` list) and slots it judged
+    overstated, until they are gone or their window closes. Each slot is
+    judged once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from ..auth import collect_auth_message, sign_collect
 from ..codec import encode_pay_data
@@ -169,6 +187,14 @@ class Unlocker:
 
 
 class Delegate:
+    """Settles and defends its own slots, opens collects for its sellers.
+
+    Settlement visits only the slots that can move this block: those whose
+    deadline has come (a heap of ``(deadline, key)``) and those in a
+    challenge game (the active set, fed from ``LogView.challenged``).
+    Collects re-examine only dirty sellers (see ``_open_collects``).
+    """
+
     role = "delegate"
 
     def __init__(self, ctx, account_id: int, address: str, cheating: bool, sellers: list[int]):
@@ -179,6 +205,14 @@ class Delegate:
         self.sellers = sorted(sellers)
         self._next_normal = 0
         self._next_instant = 0
+        self._seller_set = frozenset(self.sellers)
+        self._dirty: set[int] = set(self.sellers)    # sellers to re-examine
+        self._matured = 0                            # payments seen matured
+        self._drain_seen = False
+        self._recipients: dict[tuple[int, int], int] = {}   # own open slot -> recipient
+        self._deadlines: list[tuple[int, tuple[int, int]]] = []   # heap of waiting slots
+        self._active: set[tuple[int, int]] = set()   # challenged or due slots
+        self._challenged_seen = 0                    # cursor into view.challenged
 
     def step(self) -> None:
         self.ctx.sync()
@@ -188,42 +222,60 @@ class Delegate:
 
     # -- game moves on slots this delegate owns -----------------------------
 
-    def _my_slots(self):
-        return sorted(
-            (key, slot)
-            for key, slot in self.ctx.state.slots.items()
-            if key[0] == self.account_id
-        )
-
     def _settle_and_defend(self) -> None:
         ctx = self.ctx
         state = ctx.state
         now = state.current_block
-        for (delegate_id, slot_id), slot in self._my_slots():
-            if slot.game_state == GameState.PROOF_ACCEPTED:
+        active = self._active
+        heap = self._deadlines
+        challenged = ctx.view.challenged
+        for i in range(self._challenged_seen, len(challenged)):
+            if challenged[i][0] == self.account_id:
+                active.add(challenged[i])
+        self._challenged_seen = len(challenged)
+        while heap and heap[0][0] <= now:
+            active.add(heappop(heap)[1])
+        for key in sorted(active):
+            slot = state.slots.get(key)
+            if slot is None:                      # lost, or a freed slot's stale entry
+                active.discard(key)
+                recipient = self._recipients.pop(key, None)
+                if recipient is not None:
+                    self._dirty.add(recipient)
+                continue
+            delegate_id, slot_id = key
+            game_state = slot.game_state
+            if game_state == GameState.WAITING_CHALLENGE:
+                if now < slot.deadline_block:     # stale entry: the current
+                    active.discard(key)           # deadline is queued already
+                    continue
+                try:
+                    free_slot(state, delegate_id, slot_id)
+                except InvariantViolation as exc:
+                    if exc.invariant != "conservation":
+                        raise
+                    # An earlier inflated settlement looted the shared
+                    # pool; this payout can no longer be covered. Leave
+                    # the slot standing (and active) and let the run
+                    # report it.
+                    ctx.note_insolvency("settlement")
+                else:
+                    ctx.note_settled(delegate_id, slot_id)
+                    active.discard(key)
+                    self._recipients.pop(key, None)
+                    self._dirty.add(slot.recipient_id)
+            elif game_state == GameState.PROOF_ACCEPTED or (
+                game_state == GameState.WAITING_PAYMENT_SELECTION and now >= slot.deadline_block
+            ):
                 challenge_failed(state, delegate_id, slot_id)
-            elif slot.game_state == GameState.WAITING_PAYMENT_SELECTION:
-                if now >= slot.deadline_block:
-                    challenge_failed(state, delegate_id, slot_id)
-            elif slot.game_state == GameState.CHALLENGE_STARTED:
+                active.discard(key)
+                heappush(heap, (slot.deadline_block, key))
+            elif game_state == GameState.CHALLENGE_STARTED:
                 if now < slot.deadline_block:
                     self._respond(slot_id, slot)
-            elif slot.game_state == GameState.WAITING_PROOF:
+            elif game_state == GameState.WAITING_PROOF:
                 if now < slot.deadline_block:
                     self._try_prove(slot_id, slot)
-            elif slot.game_state == GameState.WAITING_CHALLENGE:
-                if now >= slot.deadline_block:
-                    try:
-                        free_slot(state, delegate_id, slot_id)
-                    except InvariantViolation as exc:
-                        if exc.invariant != "conservation":
-                            raise
-                        # An earlier inflated settlement looted the shared
-                        # pool; this payout can no longer be covered. Leave
-                        # the slot standing and let the run report it.
-                        ctx.note_insolvency("settlement")
-                    else:
-                        ctx.note_settled(delegate_id, slot_id)
 
     def _respond(self, slot_id: int, slot) -> None:
         pairs = self.ctx.view.dues(slot.recipient_id, slot.start_pay_index, slot.end_pay_index)
@@ -276,19 +328,40 @@ class Delegate:
         raise InvalidParameter("no free slot id for this delegate")
 
     def _open_collects(self) -> None:
+        """Open a collect for every seller that owes enough, in id order.
+
+        Only dirty sellers are examined. A seller turns clean when an
+        examination finds it pending or owed fewer than ``threshold``
+        committed payments, and dirty again when something could change
+        that: a newly matured payment names it, its slot is freed or lost,
+        or draining lowers the threshold. A seller skipped for this
+        delegate's balance stays dirty. Matured dues are frozen, so a clean
+        seller would give the same answer if examined, and skipping it draws
+        nothing from the generator.
+        """
         ctx = self.ctx
         cfg = ctx.config
         view = ctx.view
         state = ctx.state
-        threshold = 1 if ctx.draining else cfg.accumulation_threshold
+        dirty = self._dirty
         mature = view.mature_end()
-        for seller_id in self.sellers:
+        if self._matured < mature:
+            mine = self._seller_set
+            for payees in view.payees[self._matured:mature]:
+                dirty.update(mine.intersection(payees))
+            self._matured = mature
+        if ctx.draining and not self._drain_seen:
+            self._drain_seen = True
+            dirty.update(self.sellers)
+        threshold = 1 if ctx.draining else cfg.accumulation_threshold
+        for seller_id in sorted(dirty):
             if seller_id in state.pending_collects:
+                dirty.discard(seller_id)
                 continue
-            owed = view.dues(seller_id, view.prefixes.get(seller_id, 0), mature)
-            if len(owed) < threshold:       # threshold >= 1: nothing owed, no collect
+            count, entitlement = view.owed(seller_id, view.prefixes.get(seller_id, 0), mature)
+            if count < threshold:           # threshold >= 1: nothing owed, no collect
+                dirty.discard(seller_id)
                 continue
-            entitlement = sum(due for _, due in owed)
             cheat = self.cheating and not ctx.draining
             delta = ctx.rng.randint(cfg.overstatement_min, cfg.overstatement_max) if cheat else 0
             amount = entitlement + delta
@@ -323,11 +396,24 @@ class Delegate:
                 authorization,
                 destination_address=destination,
             )
+            # Pending now, or (instant) its prefix moved up to ``mature``.
+            dirty.discard(seller_id)
+            key = (self.account_id, slot_id)
+            self._recipients[key] = seller_id
+            heappush(self._deadlines, (state.slots[key].deadline_block, key))
             if cheat:
                 ctx.note_cheat(self.account_id, slot_id, delta)
 
 
 class Monitor:
+    """Challenges overstated collects and plays out its games.
+
+    Each step visits only its candidates: slots opened since it last
+    looked (read from ``LogView.opened``), plus judged-overstated slots it
+    may still challenge. A candidate is dropped once judged not overstated,
+    once gone, or once its window has closed unchallenged.
+    """
+
     role = "monitor"
 
     def __init__(self, ctx, account_id: int, address: str, lazy: bool):
@@ -336,6 +422,8 @@ class Monitor:
         self.address = address
         self.lazy = lazy
         self._verdicts: dict[int, str | None] = {}   # open_seq -> verdict, None if unwatched
+        self._candidates: dict[tuple[int, int], int] = {}   # slot key -> open_seq
+        self._opened_seen = 0                        # cursor into view.opened
         self.games: dict[tuple[int, int], int] = {}
 
     def step(self) -> None:
@@ -366,16 +454,26 @@ class Monitor:
     def _scan_for_new(self) -> None:
         ctx = self.ctx
         state = ctx.state
+        candidates = self._candidates
+        opened = ctx.view.opened
+        for seq in range(self._opened_seen, len(opened)):
+            if opened[seq][0] != self.account_id:
+                candidates[opened[seq]] = seq     # a reopened key takes its new seq
+        self._opened_seen = len(opened)
         stake = state.params.challenge_stake
-        for key in sorted(state.slots):
-            slot = state.slots[key]
+        now = state.current_block
+        for key in sorted(candidates):
+            # The view lags the engine inside a step: read the slot itself.
+            slot = state.slots.get(key)
+            if slot is None:
+                del candidates[key]
+                continue
             if slot.game_state != GameState.WAITING_CHALLENGE:
+                continue                          # in someone's game; may reopen
+            if now >= slot.deadline_block:
+                del candidates[key]               # window closed for good
                 continue
-            if state.current_block >= slot.deadline_block:
-                continue
-            if key[0] == self.account_id:
-                continue
-            seq = ctx.view.slots[key].open_seq
+            seq = candidates[key]
             if seq not in self._verdicts:
                 watch = (not self.lazy) or ctx.rng.random() < 0.25
                 # An open slot's verdict never changes (see monitor_verdict).
@@ -384,6 +482,7 @@ class Monitor:
                 if verdict == "understated":
                     ctx.note_understatement()
             if self._verdicts[seq] != "overstated":
+                del candidates[key]
                 continue
             if state.accounts[self.account_id].balance < stake:
                 continue

@@ -13,6 +13,20 @@ with the number of times each names it in a parallel list. Feeding a
 query over (start, end] costs a bisection plus one step per payment in
 the range that names the account, not one ``list.count`` per payment in
 the range.
+
+Matured postings also carry running totals: how many of the account's
+payments up to each posting are committed, and what they owe it in sum.
+A matured payment's due is frozen (an unlock is legal only before
+maturity, and a refund turns a due of 0 into 0), so the totals are
+appended once, when ``mature_end()`` passes the payment, and ``owed``
+answers any matured range with two bisections.
+
+For the simulator's actors, which react to changes instead of rescanning,
+the view also keeps three append-only lists: ``opened`` (the slot key of
+every ``CollectOpened``, so a slot's ``open_seq`` is its position there),
+``challenged`` (the slot key of every ``Challenged``) and ``payees`` (the
+distinct payee ids of every payment, by pay index - 1). An actor holds a
+cursor into each list it follows and reads only what was appended since.
 """
 
 from __future__ import annotations
@@ -80,7 +94,9 @@ class _ViewSlot:
         self.challenger_id = None
 
 
-_NO_POSTINGS: tuple[list[int], list[int]] = ([], [])
+# (pay indices, occurrences, committed count and due total before each
+# matured posting, with a leading 0: entry k covers the first k postings)
+_NO_POSTINGS: tuple[list[int], list[int], list[int], list[int]] = ([], [], [0], [0])
 
 
 class LogView:
@@ -90,17 +106,20 @@ class LogView:
         self.block = 0
         self.balances: dict[int, int] = {}
         self.payments: list[_ViewPayment] = []
-        # account -> (pay indices naming it, ascending; occurrences in each)
-        self._postings: dict[int, tuple[list[int], list[int]]] = {}
+        # account -> (pay indices naming it, ascending; occurrences in each;
+        # running committed counts and dues over its matured postings)
+        self._postings: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+        self.payees: list[tuple[int, ...]] = []      # distinct payee ids, by pay index - 1
         self.prefixes: dict[int, int] = {}
         self.slots: dict[tuple[int, int], _ViewSlot] = {}
+        self.opened: list[tuple[int, int]] = []      # slot key per CollectOpened, by open_seq
+        self.challenged: list[tuple[int, int]] = []  # slot key per Challenged
         self.collect_stake = 0
         self.challenge_stake = 0
         self.unlock_period = 0
         self.instant_slot_threshold = 32768
         self._consumed = 0
         self._mature = 0
-        self._open_seq = 0
 
     # -- feeding -------------------------------------------------------------
 
@@ -151,10 +170,12 @@ class LogView:
                 )
             )
             pay_index = len(self.payments)
-            for account_id, count in Counter(ids).items():
+            counted = Counter(ids)
+            self.payees.append(tuple(counted))
+            for account_id, count in counted.items():
                 posting = self._postings.get(account_id)
                 if posting is None:
-                    posting = self._postings[account_id] = ([], [])
+                    posting = self._postings[account_id] = ([], [], [0], [0])
                 posting[0].append(pay_index)
                 posting[1].append(count)
         elif isinstance(rec, Unlocked):
@@ -177,15 +198,18 @@ class LogView:
                     self._credit(rec.recipient_id, advance)
                 self.prefixes[rec.recipient_id] = rec.last_payment_index
             self._credit(rec.delegate_id, -debit)
-            self.slots[(rec.delegate_id, rec.slot_id)] = _ViewSlot(
+            key = (rec.delegate_id, rec.slot_id)
+            self.slots[key] = _ViewSlot(
                 rec.recipient_id, start, rec.last_payment_index,
                 rec.amount, rec.fee, rec.destination_address, instant,
-                self._open_seq,
+                len(self.opened),
             )
-            self._open_seq += 1
+            self.opened.append(key)
         elif isinstance(rec, Challenged):
             self._credit(rec.challenger_id, -self.challenge_stake)
-            self.slots[(rec.delegate_id, rec.slot_id)].challenger_id = rec.challenger_id
+            key = (rec.delegate_id, rec.slot_id)
+            self.slots[key].challenger_id = rec.challenger_id
+            self.challenged.append(key)
         elif isinstance(rec, ChallengeSucceeded):
             slot = self.slots.pop((rec.delegate_id, rec.slot_id))
             self._credit(slot.challenger_id, self.collect_stake + self.challenge_stake)
@@ -214,9 +238,25 @@ class LogView:
 
         One bisection over the account's postings.
         """
-        indices, counts = self._postings.get(account_id, _NO_POSTINGS)
+        indices, counts, _, _ = self._postings.get(account_id, _NO_POSTINGS)
         k = bisect_left(indices, pay_index)
         return counts[k] if k < len(indices) and indices[k] == pay_index else 0
+
+    def owed(self, account_id: int, start: int, end: int) -> tuple[int, int]:
+        """``(count, total)`` of the committed payments in (start, end] that
+        name the account: ``len`` and due sum of ``dues`` over the range.
+
+        Valid only for ``end <= mature_end()``, where the running totals
+        reach. Two bisections, whatever the range's length.
+        """
+        if end > self._mature:
+            raise InvalidParameter(f"owed range ends at {end}, past matured {self._mature}")
+        indices, _, committed, due = self._postings.get(account_id, _NO_POSTINGS)
+        lo = bisect_right(indices, start)
+        hi = bisect_right(indices, end)
+        if hi <= lo:
+            return (0, 0)
+        return (committed[hi] - committed[lo], due[hi] - due[lo])
 
     def dues(self, account_id: int, start: int, end: int) -> list[tuple[int, int]]:
         """``(pay_index, due)`` for each committed payment in (start, end]
@@ -226,7 +266,7 @@ class LogView:
         Two bisections, then one step per payment in the range that names
         the account.
         """
-        indices, counts = self._postings.get(account_id, _NO_POSTINGS)
+        indices, counts, _, _ = self._postings.get(account_id, _NO_POSTINGS)
         payments = self.payments
         out = []
         for k in range(bisect_right(indices, start), bisect_right(indices, end)):
@@ -253,13 +293,30 @@ class LogView:
         return self.occurrences(pay_index, account_id) * p.per_destination
 
     def mature_end(self) -> int:
-        """Highest pay index whose unlock window has closed; amortized O(1)."""
+        """Highest pay index whose unlock window has closed; amortized O(1)
+        per payee of each payment it passes.
+
+        Passing a payment appends its committed flag and due to the running
+        totals of every account it names.
+        """
         # collectable_from is non-decreasing in pay index (fixed unlock
-        # period, blocks only move forward), so a cursor suffices.
-        while (
-            self._mature < len(self.payments)
-            and self.payments[self._mature].collectable_from <= self.block
-        ):
+        # period, blocks only move forward), so a cursor suffices. Postings
+        # are appended in pay-index order, so in each payee's list this
+        # payment's posting is the first the running totals do not cover.
+        payments = self.payments
+        postings = self._postings
+        while self._mature < len(payments) and payments[self._mature].collectable_from <= self.block:
+            p = payments[self._mature]
+            committed = p.status == "committed"
+            for account_id in self.payees[self._mature]:
+                _, counts, n, due = postings[account_id]
+                k = len(n) - 1                    # this payment's posting
+                if committed:
+                    n.append(n[k] + 1)
+                    due.append(due[k] + counts[k] * p.per_destination)
+                else:
+                    n.append(n[k])
+                    due.append(due[k])
             self._mature += 1
         return self._mature
 

@@ -40,7 +40,7 @@ from ..chainlog import (
 )
 from ..costmodel import tx_cost, usd_cost
 from ..errors import InvariantViolation
-from ..merkle import merkle_prove, merkle_root
+from ..merkle import merkle_proofs, merkle_root
 from ..registration import bulk_register, claim_bulk_registration_id, register
 from ..state import (
     NEW_ACCOUNT,
@@ -141,9 +141,9 @@ class SimRun:
             root = merkle_root(seller_addresses)
             bulk_id = bulk_register(state, cfg.sellers, root)
             first_id = state.bulks[bulk_id].first_id
+            proofs = merkle_proofs(seller_addresses)
             for i, address in enumerate(seller_addresses):
-                proof = merkle_prove(seller_addresses, i)
-                claim_bulk_registration_id(state, bulk_id, first_id + i, address, proof)
+                claim_bulk_registration_id(state, bulk_id, first_id + i, address, proofs[i])
                 self.seller_actors.append(Seller(self, first_id + i, address))
                 self.address_of[first_id + i] = address
         else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 
 from .chainlog import (
     NEW_ACCOUNT_WIRE,
@@ -394,56 +395,71 @@ class ProtocolState:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full re-summation conservation check plus per-type invariants."""
-        balances = 0
-        for acct in self.accounts:
-            if acct.balance < 0 or acct.balance > U64_MAX:
-                raise InvariantViolation("balance-range", f"account {acct.account_id}")
-            if acct.last_collected_pay_index > len(self.payments):
-                raise InvariantViolation(
-                    "collected-prefix", f"account {acct.account_id} past log end"
-                )
-            balances += acct.balance
+        """Full re-summation conservation check plus per-type invariants.
+
+        Runs after every simulated block, so the loops read enum members
+        and parameters from locals and sum balances in C; a failing account
+        is then named by the per-account loop, in the same order.
+        """
+        accounts = self.accounts
+        payment_count = len(self.payments)
+        balance_of = list(map(attrgetter("balance"), accounts))
+        if accounts and (
+            min(balance_of) < 0
+            or max(balance_of) > U64_MAX
+            or max(map(attrgetter("last_collected_pay_index"), accounts)) > payment_count
+        ):
+            for acct in accounts:
+                if acct.balance < 0 or acct.balance > U64_MAX:
+                    raise InvariantViolation("balance-range", f"account {acct.account_id}")
+                if acct.last_collected_pay_index > payment_count:
+                    raise InvariantViolation(
+                        "collected-prefix", f"account {acct.account_id} past log end"
+                    )
+        balances = sum(balance_of)
         if self.escrow_pool < 0:
             raise InvariantViolation("conservation", "escrow pool negative")
+        EMPTY = GameState.EMPTY
+        CHALLENGE_STARTED = GameState.CHALLENGE_STARTED
+        WAITING_PAYMENT_SELECTION = GameState.WAITING_PAYMENT_SELECTION
+        WAITING_PROOF = GameState.WAITING_PROOF
+        collect_stake = self.params.collect_stake
+        challenged_stake = collect_stake + self.params.challenge_stake
+        pending_collects = self.pending_collects
         held = 0
         pending = 0
-        for (did, sid), slot in self.slots.items():
-            if (did, sid) != (slot.delegate_id, slot.slot_id):
-                raise InvariantViolation("slot-key", f"slot {(did, sid)} mislabeled")
-            if slot.game_state == GameState.EMPTY:
+        for key, slot in self.slots.items():
+            if key != (slot.delegate_id, slot.slot_id):
+                raise InvariantViolation("slot-key", f"slot {key} mislabeled")
+            game_state = slot.game_state
+            if game_state == EMPTY:
                 raise InvariantViolation("slot-state", "empty slot present in map")
-            expected = self.params.collect_stake + (
-                self.params.challenge_stake if slot.challenger_id is not None else 0
-            )
+            has_challenger = slot.challenger_id is not None
+            expected = challenged_stake if has_challenger else collect_stake
             if slot.held_funds != expected:
                 raise InvariantViolation(
                     "slot-held-funds",
-                    f"slot {(did, sid)} holds {slot.held_funds}, expected {expected}",
+                    f"slot {key} holds {slot.held_funds}, expected {expected}",
                 )
-            has_challenger = slot.challenger_id is not None
-            if has_challenger != (slot.game_state >= GameState.CHALLENGE_STARTED):
-                raise InvariantViolation("slot-challenger", f"slot {(did, sid)}")
-            if (slot.challenge_list is not None) != (
-                slot.game_state >= GameState.WAITING_PAYMENT_SELECTION
-            ):
-                raise InvariantViolation("slot-challenge-list", f"slot {(did, sid)}")
-            if (slot.challenged_entry is not None) != (
-                slot.game_state >= GameState.WAITING_PROOF
-            ):
-                raise InvariantViolation("slot-challenged-entry", f"slot {(did, sid)}")
+            if has_challenger != (game_state >= CHALLENGE_STARTED):
+                raise InvariantViolation("slot-challenger", f"slot {key}")
+            if (slot.challenge_list is not None) != (game_state >= WAITING_PAYMENT_SELECTION):
+                raise InvariantViolation("slot-challenge-list", f"slot {key}")
+            if (slot.challenged_entry is not None) != (game_state >= WAITING_PROOF):
+                raise InvariantViolation("slot-challenged-entry", f"slot {key}")
             if not slot.instant:
                 pending += 1
-                if self.pending_collects.get(slot.recipient_id) != (did, sid):
-                    raise InvariantViolation("pending-collects", f"slot {(did, sid)} not indexed")
+                if pending_collects.get(slot.recipient_id) != key:
+                    raise InvariantViolation("pending-collects", f"slot {key} not indexed")
             held += slot.held_funds
-        if len(self.pending_collects) != pending:
+        if len(pending_collects) != pending:
             raise InvariantViolation(
                 "pending-collects",
-                f"{len(self.pending_collects)} indexed, {pending} non-instant slots",
+                f"{len(pending_collects)} indexed, {pending} non-instant slots",
             )
+        LOCKED = PaymentStatus.LOCKED
         for p in self.payments:
-            if p.status == PaymentStatus.LOCKED and p.locking_key_hash is None:
+            if p.status == LOCKED and p.locking_key_hash is None:
                 raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
         if self.adapter.reserve != balances + self.escrow_pool + held:
             raise InvariantViolation(

@@ -13,6 +13,7 @@ from batchpay.merkle import (
     MerkleProof,
     leaf_hash,
     merkle_prove,
+    merkle_proofs,
     merkle_root,
     merkle_verify,
     node_hash,
@@ -57,6 +58,22 @@ def test_prove_and_verify_all_positions():
         proof = merkle_prove(leaves, i)
         assert proof.leaf_index == i
         assert merkle_verify(root, leaf, proof)
+
+
+def test_proofs_of_every_leaf_match_one_by_one_proofs():
+    for n in range(1, 71):
+        leaves = addresses(n)
+        root = merkle_root(leaves)
+        proofs = merkle_proofs(leaves)
+        assert len(proofs) == n
+        for i, proof in enumerate(proofs):
+            assert proof == merkle_prove(leaves, i), (n, i)
+            assert merkle_verify(root, leaves[i], proof), (n, i)
+
+
+def test_proofs_of_an_empty_list_rejected():
+    with pytest.raises(InvalidParameter):
+        merkle_proofs([])
 
 
 def test_proof_bound_to_position():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchpay.chainlog import PaymentRegistered, Refunded, Unlocked
+from batchpay.chainlog import ChainLog, PaymentRegistered, Refunded, Unlocked
 from batchpay.codec import decode_pay_data, encode_pay_data
 from batchpay.collect import (
     challenge,
@@ -19,7 +19,7 @@ from batchpay.payments import locking_key_hash, refund_locked_payment, register_
 from batchpay.registration import register
 from batchpay.sim import SimRun, view_of
 from batchpay.sim.config import load_scenario_config
-from batchpay.sim.oracle import find_inflated_entry, monitor_verdict, oracle_balance
+from batchpay.sim.oracle import LogView, find_inflated_entry, monitor_verdict, oracle_balance
 from batchpay.state import GameState
 from tests.conftest import World
 
@@ -211,6 +211,13 @@ def test_queries_match_a_count_over_the_log(specs, matured, bounds):
         refund_locked_payment(world.state, idx)
 
     view = view_of(world.state.log)
+    # A second view whose running totals are taken the moment each payment
+    # matures, before any later unlock or refund record is fed.
+    live, partial = LogView(), ChainLog()
+    for rec in world.state.log.records:
+        partial.append(rec)
+        live.feed(partial)
+        live.mature_end()
     ref = _reference(world.state.log)
     count = len(ref)
     ranges = [(0, count), (count, count), (count, 0)]
@@ -230,6 +237,13 @@ def test_queries_match_a_count_over_the_log(specs, matured, bounds):
                     expected.append((pay_index, ids.count(account) * per_destination))
             assert view.dues(account, start, end) == expected
             assert view.entitlement(account, start, end) == sum(d for _, d in expected)
+            if end <= view.mature_end():
+                owed = (len(expected), sum(d for _, d in expected))
+                assert view.owed(account, start, end) == owed
+                assert live.owed(account, start, end) == owed
+            else:
+                with pytest.raises(InvalidParameter):
+                    view.owed(account, start, end)
 
 
 # -- monitor decision helpers -------------------------------------------------

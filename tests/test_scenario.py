@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from batchpay.sim import ScenarioConfig, run_scenario, run_scenario_full
+from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import _headcount
 from batchpay.state import Params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def quick_params(**overrides) -> Params:
@@ -249,3 +255,29 @@ def test_headcount_rounds_to_nearest():
     assert _headcount(0.26, 4) == 1
     assert _headcount(0.9, 1) == 1
     assert _headcount(1.0, 0) == 0
+
+
+def _golden_chain_logs() -> dict[str, str]:
+    golden = {}
+    for line in (ROOT / "tests/golden/chain_log_sha256.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.split()
+            golden[name] = value
+    return golden
+
+
+@pytest.mark.parametrize("name", ["honest", "adversarial", "adversarial_all_lazy"])
+def test_chain_log_matches_golden(name):
+    # Byte-for-byte pin of the public log: any change to what the actors do,
+    # in what order, or to how records are encoded moves this hash.
+    all_lazy = name.endswith("_all_lazy")
+    config = load_scenario_config(str(ROOT / "configs" / f"{name.removesuffix('_all_lazy')}.cfg"))
+    config.seed = 42
+    if all_lazy:
+        config.lazy_monitor_fraction = 1.0
+    report, run = run_scenario_full(config)
+    assert hashlib.sha256(run.log.dump()).hexdigest() == _golden_chain_logs()[name]
+    if name == "adversarial":
+        assert report.games["won_by_monitor"] == 24
+    if all_lazy:
+        assert run.insolvency_events == 165

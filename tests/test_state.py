@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,16 +18,21 @@ from batchpay.errors import (
     Unauthorized,
     UnknownAccount,
 )
+from batchpay.collect import challenge, respond_with_payment_list, select_payment
+from batchpay.registration import register
 from batchpay.state import (
     MAX_ACCOUNT_ID_SPACE,
     NEW_ACCOUNT,
     U64_MAX,
+    GameState,
     Params,
+    PaymentStatus,
+    ProtocolState,
     TokenAdapter,
     ensure_u64,
     instantiate,
 )
-from tests.conftest import small_params
+from tests.conftest import World, small_params
 
 
 def fresh(params=None, funding=()):
@@ -253,3 +261,132 @@ def test_deposit_withdraw_conserves_supply(amounts):
         state.withdraw(acct, half, "out", sender="a")
     state.check_invariants()
     assert adapter.total() == total
+
+
+# -- check_invariants against a plain reference ----------------------------
+
+
+def _reference_check(state) -> None:
+    """check_invariants as a plain loop over accounts, slots and payments."""
+    balances = 0
+    for acct in state.accounts:
+        if acct.balance < 0 or acct.balance > U64_MAX:
+            raise InvariantViolation("balance-range", f"account {acct.account_id}")
+        if acct.last_collected_pay_index > len(state.payments):
+            raise InvariantViolation(
+                "collected-prefix", f"account {acct.account_id} past log end"
+            )
+        balances += acct.balance
+    if state.escrow_pool < 0:
+        raise InvariantViolation("conservation", "escrow pool negative")
+    held = 0
+    pending = 0
+    for (did, sid), slot in state.slots.items():
+        if (did, sid) != (slot.delegate_id, slot.slot_id):
+            raise InvariantViolation("slot-key", f"slot {(did, sid)} mislabeled")
+        if slot.game_state == GameState.EMPTY:
+            raise InvariantViolation("slot-state", "empty slot present in map")
+        expected = state.params.collect_stake + (
+            state.params.challenge_stake if slot.challenger_id is not None else 0
+        )
+        if slot.held_funds != expected:
+            raise InvariantViolation(
+                "slot-held-funds",
+                f"slot {(did, sid)} holds {slot.held_funds}, expected {expected}",
+            )
+        has_challenger = slot.challenger_id is not None
+        if has_challenger != (slot.game_state >= GameState.CHALLENGE_STARTED):
+            raise InvariantViolation("slot-challenger", f"slot {(did, sid)}")
+        if (slot.challenge_list is not None) != (
+            slot.game_state >= GameState.WAITING_PAYMENT_SELECTION
+        ):
+            raise InvariantViolation("slot-challenge-list", f"slot {(did, sid)}")
+        if (slot.challenged_entry is not None) != (slot.game_state >= GameState.WAITING_PROOF):
+            raise InvariantViolation("slot-challenged-entry", f"slot {(did, sid)}")
+        if not slot.instant:
+            pending += 1
+            if state.pending_collects.get(slot.recipient_id) != (did, sid):
+                raise InvariantViolation("pending-collects", f"slot {(did, sid)} not indexed")
+        held += slot.held_funds
+    if len(state.pending_collects) != pending:
+        raise InvariantViolation(
+            "pending-collects",
+            f"{len(state.pending_collects)} indexed, {pending} non-instant slots",
+        )
+    for p in state.payments:
+        if p.status == PaymentStatus.LOCKED and p.locking_key_hash is None:
+            raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
+    if state.adapter.reserve != balances + state.escrow_pool + held:
+        raise InvariantViolation(
+            "conservation",
+            f"reserve {state.adapter.reserve} != balances {balances} "
+            f"+ pool {state.escrow_pool} + held {held}",
+        )
+
+
+def _game_world() -> World:
+    """Slots in four game states, an instant slot, and a locked payment."""
+    world = World()
+    sellers = [world.seller] + [register(world.state, f"s{i}") for i in range(4)]
+    for seller in sellers:
+        world.pay([seller], per_destination=10)
+    world.pay([world.seller], per_destination=3, unlocker_fee=1, locking_key_hash=b"\x07" * 32)
+    world.mature()
+    for slot_id, seller in enumerate(sellers[:4]):
+        world.open_collect(slot_id, end=4, amount=10, recipient=seller)
+    world.open_collect(40000, end=5, amount=10, recipient=sellers[4])
+    state, d = world.state, world.delegate
+    for slot_id in (1, 2, 3):
+        challenge(state, d, slot_id, world.monitor)
+    for slot_id in (2, 3):
+        respond_with_payment_list(state, d, slot_id, [(slot_id + 1, 10)])
+    select_payment(state, d, 3, 4, 10)
+    return world
+
+
+def _tamperings(world: World) -> list:
+    d = world.delegate
+    return [
+        lambda s: setattr(s.accounts[1], "balance", -1),
+        lambda s: setattr(s.accounts[2], "balance", U64_MAX + 1),
+        lambda s: setattr(s.accounts[3], "last_collected_pay_index", len(s.payments) + 1),
+        lambda s: setattr(s.accounts[0], "balance", s.accounts[0].balance + 1),
+        lambda s: setattr(s, "escrow_pool", -1),
+        lambda s: setattr(s.slots[(d, 1)], "slot_id", 9),
+        lambda s: setattr(s.slots[(d, 0)], "game_state", GameState.EMPTY),
+        lambda s: setattr(s.slots[(d, 2)], "held_funds", 1),
+        lambda s: setattr(s.slots[(d, 1)], "game_state", GameState.WAITING_CHALLENGE),
+        lambda s: setattr(s.slots[(d, 2)], "challenge_list", None),
+        lambda s: setattr(s.slots[(d, 3)], "challenged_entry", None),
+        lambda s: s.pending_collects.pop(world.seller),
+        lambda s: s.pending_collects.__setitem__(world.buyer, (d, 0)),
+        lambda s: setattr(s.payments[-1], "locking_key_hash", None),
+        lambda s: setattr(s.adapter, "reserve", s.adapter.reserve - 1),
+    ]
+
+
+def _failure(check, state):
+    try:
+        check(state)
+    except InvariantViolation as exc:
+        return exc.invariant, str(exc)
+    return None
+
+
+def test_check_invariants_fails_like_the_reference_loop():
+    # Same checks, same messages, and the first failure found is the same
+    # one, for every single tampering and every pair of them.
+    world = _game_world()
+    world.state.check_invariants()
+    tamperings = _tamperings(world)
+    cases = [(t,) for t in tamperings] + list(itertools.combinations(tamperings, 2))
+    found = set()
+    for case in cases:
+        state = copy.deepcopy(world.state)
+        for tamper in case:
+            tamper(state)
+        expected = _failure(_reference_check, state)
+        assert expected is not None
+        assert _failure(ProtocolState.check_invariants, state) == expected
+        found.add(expected[0])
+    assert len(found) == 11, found
