@@ -5,16 +5,30 @@ face of a run: balance oracles reconstruct account state from it alone,
 the replay tool re-executes it against a fresh state, and the gas model
 prices each record's scaling payload. Rejected operations never log.
 
+Each record class declares its wire format once, and one generic codec
+is compiled from those declarations when the module loads:
+
+* ``TAG``: the record's type byte;
+* ``WIRE``: the kind of each field (see ``_KINDS``), in dataclass order
+  with the subject (``pay_index``) skipped;
+* ``OP``: the gas-model operation kind the record is priced as, or None;
+* ``SCALING``: the field whose wire bytes, less any length prefix, are
+  the record's gas payload, or None.
+
 Record wire format: tag (u8), subject (u64, the payment index for
-payment-scoped records and zero otherwise), then a type-specific body.
+payment-scoped records and zero otherwise), then the WIRE fields in order.
 Integers little-endian; strings u16-length-prefixed utf-8; blobs
-u32-length-prefixed. A log file is the magic header followed by
-u32-length-prefixed records.
+u32-length-prefixed; an optional field is a flag byte, 0x00 (absent) or
+0x01 (value follows), and any other flag is rejected. A log file is the
+magic header followed by u32-length-prefixed records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import io
+import struct
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import CodecError
 from .wire import Reader, pack_bytes, pack_str, u16, u32, u64
@@ -29,129 +43,96 @@ NEW_ACCOUNT_WIRE = 2**32 - 1
 
 @dataclass(frozen=True)
 class Record:
-    """Base record; concrete types define TAG and their body codec."""
+    """Base record; concrete types declare TAG, WIRE, OP and SCALING."""
 
     TAG = 0
+    WIRE = ()
+    OP = None
+    SCALING = None
 
     @property
     def subject(self) -> int:
         return getattr(self, "pay_index", 0)
 
-    def encode_body(self) -> bytes:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def encode(self) -> bytes:
-        return bytes([self.TAG]) + u64(self.subject) + self.encode_body()
+        return self._codec.encode(self)
 
 
 @dataclass(frozen=True)
 class Instantiated(Record):
     TAG = 0x01
+    WIRE = ("bytes", "bytes")
     params_blob: bytes           # canonical params serialization
     externals_blob: bytes        # canonical initial adapter snapshot
-
-    def encode_body(self) -> bytes:
-        return pack_bytes(self.params_blob) + pack_bytes(self.externals_blob)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Instantiated":
-        return cls(r.bytes_(), r.bytes_())
 
 
 @dataclass(frozen=True)
 class Registered(Record):
     TAG = 0x02
+    WIRE = ("u32", "str")
+    OP = "register"
     account_id: int
     address: str
-
-    def encode_body(self) -> bytes:
-        return u32(self.account_id) + pack_str(self.address)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Registered":
-        return cls(r.u32(), r.str_())
 
 
 @dataclass(frozen=True)
 class BulkRegistered(Record):
     TAG = 0x03
+    WIRE = ("u32", "u32", "u32", "b32")
+    OP = "bulk_register"
     bulk_id: int
     first_id: int
     count: int
     root: bytes
 
-    def encode_body(self) -> bytes:
-        return u32(self.bulk_id) + u32(self.first_id) + u32(self.count) + self.root
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "BulkRegistered":
-        return cls(r.u32(), r.u32(), r.u32(), bytes(r.take(32)))
-
 
 @dataclass(frozen=True)
 class Claimed(Record):
     TAG = 0x04
+    WIRE = ("u32", "u32", "str", "bytes")
+    OP = "claim"
+    SCALING = "proof_blob"
     bulk_id: int
     account_id: int
     address: str
     proof_blob: bytes
 
-    def encode_body(self) -> bytes:
-        return u32(self.bulk_id) + u32(self.account_id) + pack_str(self.address) + pack_bytes(self.proof_blob)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Claimed":
-        return cls(r.u32(), r.u32(), r.str_(), r.bytes_())
-
 
 @dataclass(frozen=True)
 class Deposited(Record):
     TAG = 0x05
+    WIRE = ("u32", "u32", "u64", "str")
+    OP = "deposit"
     account_ref: int             # NEW_ACCOUNT_WIRE when the deposit opened the account
     account_id: int              # the id actually credited
     amount: int
     from_address: str
 
-    def encode_body(self) -> bytes:
-        return u32(self.account_ref) + u32(self.account_id) + u64(self.amount) + pack_str(self.from_address)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Deposited":
-        return cls(r.u32(), r.u32(), r.u64(), r.str_())
-
 
 @dataclass(frozen=True)
 class Withdrawn(Record):
     TAG = 0x06
+    WIRE = ("u32", "u64", "str", "str")
+    OP = "withdraw"
     account_id: int
     amount: int
     to_address: str
     sender: str
 
-    def encode_body(self) -> bytes:
-        return u32(self.account_id) + u64(self.amount) + pack_str(self.to_address) + pack_str(self.sender)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Withdrawn":
-        return cls(r.u32(), r.u64(), r.str_(), r.str_())
-
 
 @dataclass(frozen=True)
 class Advanced(Record):
     TAG = 0x07
+    WIRE = ("u64",)
     blocks: int
-
-    def encode_body(self) -> bytes:
-        return u64(self.blocks)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Advanced":
-        return cls(r.u64())
 
 
 @dataclass(frozen=True)
 class PaymentRegistered(Record):
     TAG = 0x08
+    WIRE = ("u32", "u64", "u64", "b32?", "str", "bytes")
+    OP = "register_payment"
+    SCALING = "pay_data"
     pay_index: int
     from_id: int
     per_destination: int
@@ -160,57 +141,30 @@ class PaymentRegistered(Record):
     sender: str
     pay_data: bytes              # exact codec wire bytes
 
-    def encode_body(self) -> bytes:
-        lock = b"\x01" + self.locking_key_hash if self.locking_key_hash else b"\x00"
-        return (
-            u32(self.from_id)
-            + u64(self.per_destination)
-            + u64(self.unlocker_fee)
-            + lock
-            + pack_str(self.sender)
-            + pack_bytes(self.pay_data)
-        )
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "PaymentRegistered":
-        from_id = r.u32()
-        per_destination = r.u64()
-        unlocker_fee = r.u64()
-        lock = bytes(r.take(32)) if r.u8() else None
-        return cls(subject, from_id, per_destination, unlocker_fee, lock, r.str_(), r.bytes_())
-
 
 @dataclass(frozen=True)
 class Unlocked(Record):
     TAG = 0x09
+    WIRE = ("u32", "bytes")
+    OP = "unlock"
+    SCALING = "key"
     pay_index: int
     unlocker_id: int
     key: bytes
-
-    def encode_body(self) -> bytes:
-        return u32(self.unlocker_id) + pack_bytes(self.key)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Unlocked":
-        return cls(subject, r.u32(), r.bytes_())
 
 
 @dataclass(frozen=True)
 class Refunded(Record):
     TAG = 0x0A
+    OP = "refund"
     pay_index: int
-
-    def encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Refunded":
-        return cls(subject)
 
 
 @dataclass(frozen=True)
 class CollectOpened(Record):
     TAG = 0x0B
+    WIRE = ("u32", "u16", "u32", "u64", "u64", "u64", "str?", "b32")
+    OP = "collect"
     delegate_id: int
     slot_id: int
     recipient_id: int
@@ -220,142 +174,75 @@ class CollectOpened(Record):
     destination_address: str | None
     authorization: bytes
 
-    def encode_body(self) -> bytes:
-        dest = b"\x01" + pack_str(self.destination_address) if self.destination_address is not None else b"\x00"
-        return (
-            u32(self.delegate_id)
-            + u16(self.slot_id)
-            + u32(self.recipient_id)
-            + u64(self.last_payment_index)
-            + u64(self.amount)
-            + u64(self.fee)
-            + dest
-            + self.authorization
-        )
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "CollectOpened":
-        delegate_id = r.u32()
-        slot_id = r.u16()
-        recipient_id = r.u32()
-        last = r.u64()
-        amount = r.u64()
-        fee = r.u64()
-        dest = r.str_() if r.u8() else None
-        return cls(delegate_id, slot_id, recipient_id, last, amount, fee, dest, bytes(r.take(32)))
-
 
 @dataclass(frozen=True)
 class Challenged(Record):
     TAG = 0x0C
+    WIRE = ("u32", "u16", "u32")
+    OP = "challenge"
     delegate_id: int
     slot_id: int
     challenger_id: int
-
-    def encode_body(self) -> bytes:
-        return u32(self.delegate_id) + u16(self.slot_id) + u32(self.challenger_id)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "Challenged":
-        return cls(r.u32(), r.u16(), r.u32())
 
 
 @dataclass(frozen=True)
 class ListResponded(Record):
     TAG = 0x0D
+    WIRE = ("u32", "u16", "pairs")
+    OP = "respond"
+    SCALING = "pairs"
     delegate_id: int
     slot_id: int
     pairs: tuple[tuple[int, int], ...]   # (pay index, claimed amount)
-
-    def encode_body(self) -> bytes:
-        out = bytearray(u32(self.delegate_id) + u16(self.slot_id) + u32(len(self.pairs)))
-        for idx, amount in self.pairs:
-            out += u64(idx) + u64(amount)
-        return bytes(out)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "ListResponded":
-        delegate_id = r.u32()
-        slot_id = r.u16()
-        pairs = tuple((r.u64(), r.u64()) for _ in range(r.u32()))
-        return cls(delegate_id, slot_id, pairs)
 
 
 @dataclass(frozen=True)
 class PaymentSelected(Record):
     TAG = 0x0E
+    WIRE = ("u32", "u16", "u64")
+    OP = "select"
     delegate_id: int
     slot_id: int
     pay_index: int
     amount: int
 
-    @property
-    def subject(self) -> int:
-        return self.pay_index
-
-    def encode_body(self) -> bytes:
-        return u32(self.delegate_id) + u16(self.slot_id) + u64(self.amount)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "PaymentSelected":
-        return cls(r.u32(), r.u16(), subject, r.u64())
-
 
 @dataclass(frozen=True)
 class InclusionProved(Record):
     TAG = 0x0F
+    WIRE = ("u32", "u16", "bytes")
+    OP = "prove"
+    SCALING = "pay_data"
     delegate_id: int
     slot_id: int
     pay_data: bytes
-
-    def encode_body(self) -> bytes:
-        return u32(self.delegate_id) + u16(self.slot_id) + pack_bytes(self.pay_data)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "InclusionProved":
-        return cls(r.u32(), r.u16(), r.bytes_())
 
 
 @dataclass(frozen=True)
 class ChallengeSucceeded(Record):
     TAG = 0x10
+    WIRE = ("u32", "u16")
+    OP = "challenge_success"
     delegate_id: int
     slot_id: int
-
-    def encode_body(self) -> bytes:
-        return u32(self.delegate_id) + u16(self.slot_id)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "ChallengeSucceeded":
-        return cls(r.u32(), r.u16())
 
 
 @dataclass(frozen=True)
 class ChallengeFailed(Record):
     TAG = 0x11
+    WIRE = ("u32", "u16")
+    OP = "challenge_failed"
     delegate_id: int
     slot_id: int
-
-    def encode_body(self) -> bytes:
-        return u32(self.delegate_id) + u16(self.slot_id)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "ChallengeFailed":
-        return cls(r.u32(), r.u16())
 
 
 @dataclass(frozen=True)
 class SlotFreed(Record):
     TAG = 0x12
+    WIRE = ("u32", "u16")
+    OP = "free_slot"
     delegate_id: int
     slot_id: int
-
-    def encode_body(self) -> bytes:
-        return u32(self.delegate_id) + u16(self.slot_id)
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "SlotFreed":
-        return cls(r.u32(), r.u16())
 
 
 @dataclass(frozen=True)
@@ -363,14 +250,8 @@ class FinalDigest(Record):
     """File trailer written by the run tools; never part of live state."""
 
     TAG = 0x7F
+    WIRE = ("b32",)
     digest: bytes
-
-    def encode_body(self) -> bytes:
-        return self.digest
-
-    @classmethod
-    def decode_body(cls, r: Reader, subject: int) -> "FinalDigest":
-        return cls(bytes(r.take(32)))
 
 
 RECORD_TYPES: dict[int, type[Record]] = {
@@ -383,19 +264,122 @@ RECORD_TYPES: dict[int, type[Record]] = {
     )
 }
 
+# -- the codec compiled from the declarations ---------------------------------
 
-def decode_record(data: bytes) -> Record:
-    r = Reader(data)
-    tag = r.u8()
-    subject = r.u64()
-    cls = RECORD_TYPES.get(tag)
+# Integer kinds. A record's leading integers share one struct with its tag and
+# subject; 32-byte values stay out of it, as ``32s`` would pad or cut a
+# wrong-length value.
+_INT_CODES = {"u16": "H", "u32": "I", "u64": "Q"}
+_PAIR = struct.Struct("<QQ")
+
+
+def _pack_b32(value: bytes) -> bytes:
+    if len(value) != 32:
+        raise CodecError(f"expected a 32-byte value, got {len(value)} bytes")
+    return value
+
+
+def _read_b32(r: Reader) -> bytes:
+    return bytes(r.take(32))
+
+
+def _read_pairs(r: Reader) -> tuple[tuple[int, int], ...]:
+    return tuple(_PAIR.iter_unpack(r.take(_PAIR.size * r.u32())))
+
+
+def _pack_pairs(pairs) -> bytes:
+    return u32(len(pairs)) + b"".join(_PAIR.pack(idx, amount) for idx, amount in pairs)
+
+
+def _optional(read, pack):
+    """A flag byte, then the value when the flag is 0x01."""
+    return (
+        lambda r: read(r) if r.flag() else None,
+        lambda v: b"\x00" if v is None else b"\x01" + pack(v),
+        0,
+    )
+
+
+# kind -> (read, pack, length-prefix size). ``b32`` is a raw 32-byte value,
+# ``pairs`` a u32 count of (u64, u64) pairs, and ``?`` marks an optional field.
+_KINDS = {
+    "u16": (Reader.u16, u16, 0),
+    "u32": (Reader.u32, u32, 0),
+    "u64": (Reader.u64, u64, 0),
+    "b32": (_read_b32, _pack_b32, 0),
+    "str": (Reader.str_, pack_str, 2),
+    "bytes": (Reader.bytes_, pack_bytes, 4),
+    "pairs": (_read_pairs, _pack_pairs, 4),
+    "str?": _optional(Reader.str_, pack_str),
+    "b32?": _optional(_read_b32, _pack_b32),
+}
+
+
+class _Codec:
+    """Encoder, decoder and gas payload compiled from one record's WIRE."""
+
+    def __init__(self, cls: type[Record]):
+        names = [f.name for f in fields(cls)]
+        self.cls = cls
+        self.subject_at = names.index("pay_index") if "pay_index" in names else None
+        if self.subject_at is not None:
+            del names[self.subject_at]
+        if len(names) != len(cls.WIRE):
+            raise TypeError(f"{cls.__name__}.WIRE does not match its fields")
+        lead = 0
+        while lead < len(cls.WIRE) and cls.WIRE[lead] in _INT_CODES:
+            lead += 1
+        # tag, subject and the leading integers in one struct
+        self.head = struct.Struct("<BQ" + "".join(_INT_CODES[k] for k in cls.WIRE[:lead]))
+        self.split = 2 + lead
+        self.values = attrgetter("TAG", "subject", *names)
+        self.tail = tuple(_KINDS[k] for k in cls.WIRE[lead:])
+        if cls.SCALING is None:
+            self.scaling = lambda rec: b""
+        else:
+            _, pack, prefix = _KINDS[cls.WIRE[names.index(cls.SCALING)]]
+            get = attrgetter(cls.SCALING)
+            self.scaling = lambda rec: pack(get(rec))[prefix:]
+
+    def encode(self, rec: Record) -> bytes:
+        vals = self.values(rec)
+        out = self.head.pack(*vals[: self.split])
+        for (_, pack, _), value in zip(self.tail, vals[self.split:]):
+            out += pack(value)
+        return out
+
+    def decode(self, r: Reader) -> Record:
+        head = r.unpack(self.head)
+        args = [*head[2:], *[read(r) for read, _, _ in self.tail]]
+        r.expect_end()
+        if self.subject_at is not None:
+            args.insert(self.subject_at, head[1])
+        elif head[1]:
+            raise CodecError("subject field does not match record body")
+        return self.cls(*args)
+
+
+for _cls in RECORD_TYPES.values():
+    _cls._codec = _Codec(_cls)
+
+
+def decode_record(data: bytes | memoryview) -> Record:
+    """Decode one record from bytes or a memoryview over them."""
+    if not data:
+        raise CodecError("truncated record")
+    cls = RECORD_TYPES.get(data[0])
     if cls is None:
-        raise CodecError(f"unknown record tag 0x{tag:02x}")
-    rec = cls.decode_body(r, subject)
-    r.expect_end()
-    if rec.subject != subject:
-        raise CodecError("subject field does not match record body")
-    return rec
+        raise CodecError(f"unknown record tag 0x{data[0]:02x}")
+    return cls._codec.decode(Reader(data))
+
+
+def scaling_payload(record: Record) -> bytes:
+    """The part of a record that grows with input size, for gas pricing.
+
+    Fixed-size arguments are absorbed into the per-operation fixed gas
+    constants, so only genuinely size-dependent payloads count here.
+    """
+    return record._codec.scaling(record)
 
 
 class ChainLog:
@@ -421,37 +405,19 @@ class ChainLog:
         return self._pay_data[pay_index]
 
     def dump(self) -> bytes:
-        out = bytearray(FILE_MAGIC)
+        out = io.BytesIO()
+        out.write(FILE_MAGIC)
         for rec in self.records:
             blob = rec.encode()
-            out += u32(len(blob)) + blob
-        return bytes(out)
+            out.write(u32(len(blob)) + blob)
+        return out.getvalue()
 
     @classmethod
     def load(cls, data: bytes) -> "ChainLog":
         if data[: len(FILE_MAGIC)] != FILE_MAGIC:
             raise CodecError("bad log file magic")
         log = cls()
-        r = Reader(data[len(FILE_MAGIC):])
+        r = Reader(memoryview(data)[len(FILE_MAGIC):])
         while not r.done():
-            log.append(decode_record(bytes(r.take(r.u32()))))
+            log.append(decode_record(r.take(r.u32())))
         return log
-
-
-def scaling_payload(record: Record) -> bytes:
-    """The part of a record that grows with input size, for gas pricing.
-
-    Fixed-size arguments are absorbed into the per-operation fixed gas
-    constants, so only genuinely size-dependent payloads count here.
-    """
-    if isinstance(record, PaymentRegistered):
-        return record.pay_data
-    if isinstance(record, InclusionProved):
-        return record.pay_data
-    if isinstance(record, ListResponded):
-        return record.encode_body()[10:]
-    if isinstance(record, Claimed):
-        return record.proof_blob
-    if isinstance(record, Unlocked):
-        return record.key
-    return b""

@@ -18,26 +18,7 @@ from __future__ import annotations
 
 import random
 
-from ..chainlog import (
-    BulkRegistered,
-    ChainLog,
-    Challenged,
-    ChallengeFailed,
-    ChallengeSucceeded,
-    Claimed,
-    CollectOpened,
-    Deposited,
-    InclusionProved,
-    ListResponded,
-    PaymentRegistered,
-    PaymentSelected,
-    Refunded,
-    Registered,
-    SlotFreed,
-    Unlocked,
-    Withdrawn,
-    scaling_payload,
-)
+from ..chainlog import ChainLog, PaymentRegistered, scaling_payload
 from ..costmodel import tx_cost, usd_cost
 from ..errors import InvariantViolation
 from ..merkle import merkle_proofs, merkle_root
@@ -54,25 +35,6 @@ from .actors import Buyer, Delegate, Monitor, Seller, Unlocker
 from .config import ScenarioConfig
 from .oracle import LogView
 from .report import ScenarioReport
-
-_OP_OF_RECORD = {
-    Registered: "register",
-    BulkRegistered: "bulk_register",
-    Claimed: "claim",
-    Deposited: "deposit",
-    Withdrawn: "withdraw",
-    PaymentRegistered: "register_payment",
-    Unlocked: "unlock",
-    Refunded: "refund",
-    CollectOpened: "collect",
-    Challenged: "challenge",
-    ListResponded: "respond",
-    PaymentSelected: "select",
-    InclusionProved: "prove",
-    ChallengeSucceeded: "challenge_success",
-    ChallengeFailed: "challenge_failed",
-    SlotFreed: "free_slot",
-}
 
 _DRAIN_HARD_CAP = 100_000
 
@@ -364,7 +326,7 @@ class SimRun:
         rows: dict[str, dict] = {}
         total = 0
         for rec in self.log.records:
-            op = _OP_OF_RECORD.get(type(rec))
+            op = rec.OP
             if op is None:
                 continue
             gas = tx_cost(self.config.costs, op, scaling_payload(rec))

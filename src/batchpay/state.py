@@ -144,8 +144,9 @@ class TokenAdapter:
         held = self.external.get(from_address, 0)
         if held < amount:
             raise InsufficientFunds(f"address {from_address!r} holds {held} < {amount}")
+        reserve = ensure_u64(self.reserve + amount, "reserve")
         self.external[from_address] = held - amount
-        self.reserve = ensure_u64(self.reserve + amount, "reserve")
+        self.reserve = reserve
 
     def check_withdraw(self, to_address: str, amount: int) -> int:
         """Raise what withdraw() would raise; return the address's new balance."""

@@ -7,11 +7,15 @@ top inherits strict bounds checking.
 
 from __future__ import annotations
 
+import struct
+
 from .errors import CodecError
 
 U16_MAX = 2**16 - 1
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
+
+_U16, _U32, _U64 = struct.Struct("<H"), struct.Struct("<I"), struct.Struct("<Q")
 
 
 def u16(value: int) -> bytes:
@@ -40,33 +44,55 @@ def pack_bytes(blob: bytes) -> bytes:
 
 
 class Reader:
-    """Sequential reader over immutable bytes with hard bounds checks."""
+    """Sequential reader over bytes or a memoryview, with hard bounds checks.
 
-    def __init__(self, data: bytes):
+    Over a memoryview, ``take`` returns views and nothing is copied until a
+    field is turned into bytes or str.
+    """
+
+    def __init__(self, data: bytes | memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> bytes | memoryview:
         if self.pos + n > len(self.data):
             raise CodecError("truncated record")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        """Read one precompiled struct at the current position."""
+        pos = self.pos
+        if pos + fmt.size > len(self.data):
+            raise CodecError("truncated record")
+        self.pos = pos + fmt.size
+        return fmt.unpack_from(self.data, pos)
+
     def u8(self) -> int:
         return self.take(1)[0]
 
     def u16(self) -> int:
-        return int.from_bytes(self.take(2), "little")
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return int.from_bytes(self.take(8), "little")
+        return self.unpack(_U64)[0]
+
+    def flag(self) -> bool:
+        """An optional field's presence byte: 0x00 or 0x01, nothing else."""
+        flag = self.u8()
+        if flag > 1:
+            raise CodecError(f"optional-field flag 0x{flag:02x} is not 0x00 or 0x01")
+        return flag == 1
 
     def str_(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        try:
+            return str(self.take(self.u16()), "utf-8")
+        except UnicodeDecodeError:
+            raise CodecError("string is not valid utf-8") from None
 
     def bytes_(self) -> bytes:
         return bytes(self.take(self.u32()))

@@ -33,6 +33,7 @@ from batchpay.chainlog import (
 )
 from batchpay.codec import encode_pay_data
 from batchpay.errors import CodecError
+from batchpay.wire import Reader
 
 SAMPLE_RECORDS = [
     Instantiated(b"p" * 64, b"x" * 12),
@@ -95,6 +96,43 @@ def test_decode_rejects_trailing_bytes():
     blob = Advanced(3).encode()
     with pytest.raises(CodecError):
         decode_record(blob + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "record, flag_at",
+    [
+        # tag, subject, from_id, per_destination, unlocker_fee, then the lock flag
+        (PaymentRegistered(2, 2, 5, 3, b"\xcd" * 32, "buyer", encode_pay_data([7])), 29),
+        (PaymentRegistered(1, 2, 9, 0, None, "buyer", encode_pay_data([1])), 29),
+        # tag, subject, delegate, slot, recipient, end, amount, fee, then the destination flag
+        (CollectOpened(8, 2, 3, 12, 500, 20, "payout-3", b"\x22" * 32), 43),
+        (CollectOpened(8, 2, 3, 12, 500, 20, None, b"\x22" * 32), 43),
+    ],
+    ids=["lock-present", "lock-absent", "destination-present", "destination-absent"],
+)
+def test_decode_rejects_noncanonical_optional_flag(record, flag_at):
+    blob = bytearray(record.encode())
+    assert blob[flag_at] in (0, 1)
+    for flag in (0x02, 0x80 | blob[flag_at], 0xFF):
+        blob[flag_at] = flag
+        with pytest.raises(CodecError, match="flag"):
+            decode_record(bytes(blob))
+
+
+def test_decode_rejects_invalid_utf8_as_codec_error():
+    blob = bytearray(Registered(3, "ab").encode())
+    blob[-1] = 0xFF
+    with pytest.raises(CodecError, match="utf-8"):
+        decode_record(bytes(blob))
+    with pytest.raises(CodecError, match="utf-8"):
+        Reader(b"\x02\x00a\xff").str_()
+
+
+def test_encode_rejects_wrong_length_fixed_field():
+    with pytest.raises(CodecError):
+        BulkRegistered(0, 4, 10, b"\xab" * 31).encode()
+    with pytest.raises(CodecError):
+        CollectOpened(8, 2, 3, 12, 500, 20, None, b"\x22" * 33).encode()
 
 
 def test_file_dump_load_round_trip():

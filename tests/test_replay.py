@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchpay.chainlog import (
     Advanced,
@@ -10,6 +16,7 @@ from batchpay.chainlog import (
     CollectOpened,
     FinalDigest,
     Instantiated,
+    PaymentRegistered,
     Registered,
 )
 from batchpay.codec import encode_pay_data
@@ -23,10 +30,12 @@ from batchpay.collect import (
     respond_with_payment_list,
     select_payment,
 )
-from batchpay.errors import CodecError, InvariantViolation
+from batchpay.errors import CodecError, InvariantViolation, ProtocolError
 from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from batchpay.registration import register
 from batchpay.replay import replay, verify_log
+from batchpay.sim.config import load_scenario_config
+from batchpay.sim.scenario import run_scenario_full
 from tests.conftest import World
 
 
@@ -160,3 +169,43 @@ def test_replay_rejects_second_instantiation():
     log = ChainLog.load(world.state.log.dump())
     with pytest.raises(CodecError):
         replay(log)
+
+
+@lru_cache(maxsize=1)
+def golden_honest_log() -> bytes:
+    """honest.cfg at seed 42 (the pinned golden run) with its digest trailer."""
+    config = load_scenario_config(str(Path(__file__).resolve().parent.parent / "configs" / "honest.cfg"))
+    config.seed = 42
+    _, run = run_scenario_full(config)
+    run.log.append(FinalDigest(run.state.digest()))
+    return run.log.dump()
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(Registered, "account_id"), (PaymentRegistered, "pay_index")]
+)
+def test_verify_log_rejects_flipped_engine_derived_field(kind, field):
+    # The engine derives these fields, so the op replays the same with the
+    # flipped value; only comparing the emitted record catches the change.
+    log = ChainLog.load(golden_honest_log())
+    index = next(i for i, rec in enumerate(log.records) if isinstance(rec, kind))
+    rec = log.records[index]
+    log.records[index] = dataclasses.replace(rec, **{field: getattr(rec, field) ^ 0x40})
+    tampered = ChainLog.load(log.dump())
+    with pytest.raises(CodecError, match=f"^record {index} \\({kind.__name__}\\)"):
+        verify_log(tampered)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_bit_flipped_log_never_verifies_while_different(bits):
+    blob = golden_honest_log()
+    tampered = bytearray(blob)
+    for bit in bits:
+        bit %= len(blob) * 8
+        tampered[bit // 8] ^= 1 << (bit % 8)
+    try:
+        verify_log(ChainLog.load(bytes(tampered)))
+    except (ProtocolError, InvariantViolation):
+        return
+    assert tampered == blob

@@ -148,6 +148,16 @@ def test_deposit_zero_or_negative_rejected():
         state.deposit(NEW_ACCOUNT, -5, "a")
 
 
+def test_deposit_reserve_overflow_leaves_state_untouched():
+    state = fresh(funding=[("w0", U64_MAX - 10), ("w1", 100)])
+    state.deposit(NEW_ACCOUNT, U64_MAX - 10, "w0")
+    digest, logged = state.digest(), len(state.log)
+    with pytest.raises(AmountOutOfRange):
+        state.deposit(NEW_ACCOUNT, 100, "w1")
+    assert state.adapter.balance_of("w1") == 100
+    assert (state.digest(), len(state.log)) == (digest, logged)
+
+
 def test_deposit_unknown_account_rejected():
     state = fresh(funding=[("a", 100)])
     with pytest.raises(UnknownAccount):
