@@ -343,9 +343,12 @@ class _Codec:
 
     def encode(self, rec: Record) -> bytes:
         vals = self.values(rec)
-        out = self.head.pack(*vals[: self.split])
-        for (_, pack, _), value in zip(self.tail, vals[self.split:]):
-            out += pack(value)
+        try:
+            out = self.head.pack(*vals[: self.split])
+            for (_, pack, _), value in zip(self.tail, vals[self.split:]):
+                out += pack(value)
+        except (struct.error, OverflowError) as exc:
+            raise CodecError(f"{self.cls.__name__}: field not encodable: {exc}") from None
         return out
 
     def decode(self, r: Reader) -> Record:

@@ -20,6 +20,12 @@ the body is then the gaps themselves, and decoding is a running sum over
 it. The wire format and its acceptance rules are the same on both paths:
 any input the fast path cannot settle, including every malformed one, goes
 through the general loop and meets its checks and error messages.
+
+``pay_data_extent`` gives what the engine checks a batch by, its payee
+count and last id, without building the list: on the one-byte-gap layout
+the last id is the first id plus the sum of the body bytes. Every other
+input goes to ``decode_pay_data``, so both accept and reject the same
+blobs with the same errors.
 """
 
 from __future__ import annotations
@@ -122,3 +128,20 @@ def decode_pay_data(data: bytes, max_id: int = MAX_ID) -> list[int]:
     if pos != end:
         raise CodecError("trailing bytes after last delta")
     return ids
+
+
+def pay_data_extent(data: bytes) -> tuple[int, int | None]:
+    """``(len(ids), ids[-1])`` of ``decode_pay_data(data)``, unexpanded.
+
+    The last id of an empty list is None. Malformed input raises exactly
+    what ``decode_pay_data`` raises.
+    """
+    if len(data) >= 8 and isinstance(data, (bytes, bytearray)):
+        count, first = _HEADER.unpack_from(data)
+        body = data[8:]
+        if count >= 1 and len(body) == count - 1 and body.isascii():
+            last = first + sum(body)
+            if last <= MAX_ID:
+                return count, last
+    ids = decode_pay_data(data)
+    return len(ids), (ids[-1] if ids else None)

@@ -191,6 +191,11 @@ def collect(
     )
 
 
+def settlement_covered(state: ProtocolState, slot: CollectSlot) -> bool:
+    """Whether the escrow pool can pay out ``slot``; free_slot refuses if not."""
+    return state.escrow_pool >= slot.amount
+
+
 def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     """Settle an unchallenged collect after its window and empty the slot."""
     slot = _slot(state, delegate_id, slot_id)
@@ -200,7 +205,7 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
         raise IllegalMove(
             f"challenge window open until block {slot.deadline_block}"
         )
-    if state.escrow_pool < slot.amount:
+    if not settlement_covered(state, slot):
         raise InvariantViolation(
             "conservation",
             f"escrow pool {state.escrow_pool} cannot cover settlement of {slot.amount}",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 
 from .chainlog import PaymentRegistered, Refunded, Unlocked
-from .codec import decode_pay_data
+from .codec import decode_pay_data, pay_data_extent
 from .errors import IllegalMove, InvalidParameter, Unauthorized
 from .state import Payment, PaymentStatus, ProtocolState, ensure_u64
 from .wire import u32
@@ -53,19 +53,19 @@ def register_payment(
             raise InvalidParameter("unlocker fee requires a locking key hash")
     elif len(locking_key_hash) != 32:
         raise InvalidParameter("locking key hash must be 32 bytes")
-    ids = decode_pay_data(pay_data)
-    if not ids:
+    count, last = pay_data_extent(pay_data)
+    if not count:
         raise InvalidParameter("empty payee list")
-    if len(ids) > state.params.max_payments_per_batch:
+    if count > state.params.max_payments_per_batch:
         raise InvalidParameter(
-            f"{len(ids)} payees exceeds batch limit {state.params.max_payments_per_batch}"
+            f"{count} payees exceeds batch limit {state.params.max_payments_per_batch}"
         )
-    if ids[-1] >= len(state.accounts):
+    if last >= len(state.accounts):
         raise InvalidParameter(
-            f"payee id {ids[-1]} >= allocated account count {len(state.accounts)}"
+            f"payee id {last} >= allocated account count {len(state.accounts)}"
         )
     total_escrow = ensure_u64(
-        per_destination * len(ids) + unlocker_fee, "payment escrow"
+        per_destination * count + unlocker_fee, "payment escrow"
     )
     state.debit(from_id, total_escrow)
     state.escrow_pool = ensure_u64(state.escrow_pool + total_escrow, "escrow pool")
@@ -73,7 +73,7 @@ def register_payment(
         pay_index=state.latest_pay_index + 1,
         from_id=from_id,
         per_destination=per_destination,
-        payee_count=len(ids),
+        payee_count=count,
         pay_data_digest=hashlib.sha256(pay_data).digest(),
         total_escrow=total_escrow,
         unlocker_fee=unlocker_fee,

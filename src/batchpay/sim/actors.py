@@ -56,8 +56,9 @@ from ..collect import (
     prove_payment_inclusion,
     respond_with_payment_list,
     select_payment,
+    settlement_covered,
 )
-from ..errors import IllegalMove, InvalidParameter, InvariantViolation
+from ..errors import IllegalMove, InvalidParameter
 from ..payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from ..state import INSTANT_SLOT_THRESHOLD, SLOT_ID_MAX, GameState, PaymentStatus
 from .oracle import find_inflated_entry, monitor_verdict
@@ -249,21 +250,19 @@ class Delegate:
                 if now < slot.deadline_block:     # stale entry: the current
                     active.discard(key)           # deadline is queued already
                     continue
-                try:
-                    free_slot(state, delegate_id, slot_id)
-                except InvariantViolation as exc:
-                    if exc.invariant != "conservation":
-                        raise
+                if not settlement_covered(state, slot):
                     # An earlier inflated settlement looted the shared
-                    # pool; this payout can no longer be covered. Leave
-                    # the slot standing (and active) and let the run
-                    # report it.
+                    # pool; this payout can no longer be covered, and
+                    # free_slot would refuse it before writing anything.
+                    # Leave the slot standing (and active), retry next
+                    # block, and let the run report it.
                     ctx.note_insolvency("settlement")
-                else:
-                    ctx.note_settled(delegate_id, slot_id)
-                    active.discard(key)
-                    self._recipients.pop(key, None)
-                    self._dirty.add(slot.recipient_id)
+                    continue
+                free_slot(state, delegate_id, slot_id)
+                ctx.note_settled(delegate_id, slot_id)
+                active.discard(key)
+                self._recipients.pop(key, None)
+                self._dirty.add(slot.recipient_id)
             elif game_state == GameState.PROOF_ACCEPTED or (
                 game_state == GameState.WAITING_PAYMENT_SELECTION and now >= slot.deadline_block
             ):
@@ -500,6 +499,3 @@ class Seller:
         self.ctx = ctx
         self.account_id = account_id
         self.address = address
-
-    def step(self) -> None:
-        return

@@ -202,12 +202,12 @@ class SimRun:
     # -- the loop ----------------------------------------------------------------
 
     def run_block(self) -> None:
+        # Sellers have no moves of their own, so they are not stepped.
         for group in (
             self.buyers,
             self.unlockers,
             self.delegate_actors,
             self.monitor_actors,
-            self.seller_actors,
         ):
             for actor in group:
                 actor.step()

@@ -22,6 +22,7 @@ signal and trips the invariant.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import attrgetter
@@ -311,15 +312,9 @@ class ProtocolState:
         Registration blocks are non-decreasing in the index, so maturity is
         a prefix; binary search over collectable_from_block.
         """
-        lo, hi = 0, len(self.payments)
-        now = self.clock.block
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.payments[mid - 1].collectable_from_block <= now:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(
+            self.payments, self.clock.block, key=attrgetter("collectable_from_block")
+        )
 
     # -- account table -----------------------------------------------------
 

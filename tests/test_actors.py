@@ -9,6 +9,7 @@ import pytest
 
 from batchpay.chainlog import ChallengeFailed, FinalDigest, InclusionProved, SlotFreed
 from batchpay.collect import challenge, select_payment
+from batchpay.errors import InvariantViolation
 from batchpay.replay import verify_log
 from batchpay.sim import SimRun
 from batchpay.sim.config import load_scenario_config
@@ -148,3 +149,22 @@ def test_sim_delegate_wins_a_challenge_of_an_honest_slot():
     run.run()
     run.log.append(FinalDigest(state.digest()))
     assert verify_log(run.log) == state.digest()
+
+
+def test_mirror_check_names_the_first_account_that_differs():
+    run = SimRun(load_scenario_config(str(CONFIGS / "honest.cfg")))
+    for _ in range(5):
+        run.run_block()
+    run._assert_mirror()
+    accounts = run.state.accounts
+    # The last account first, then one before it, which the message must name.
+    for tampered in (len(accounts) - 1, 2):
+        accounts[tampered].balance += 1
+        message = (
+            f"account {tampered}: log-derived balance {run.view.settled_balance(tampered)} "
+            f"!= ledger {accounts[tampered].balance} at block {run.state.current_block}"
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            run._assert_mirror()
+        assert excinfo.value.invariant == "oracle-mirror"
+        assert message in str(excinfo.value)

@@ -135,6 +135,26 @@ def test_encode_rejects_wrong_length_fixed_field():
         CollectOpened(8, 2, 3, 12, 500, 20, None, b"\x22" * 33).encode()
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        Registered(2**32, "a"),                 # a head integer past its u32
+        Advanced(2**64),                        # a head u64
+        Refunded(-1),                           # a negative subject
+        Withdrawn(-5, 70, "out", "funder"),     # a negative head integer
+        ListResponded(8, 2, ((3, 2**64),)),     # a pairs entry past its u64
+        ListResponded(8, 2, ((-1, 400),)),      # a negative pairs entry
+        Registered("3", "a"),                   # a non-integer head field
+        ListResponded(8, 2, ((3, "400"),)),     # a non-integer pairs entry
+    ],
+    ids=["head-u32", "head-u64", "subject-negative", "head-negative",
+         "pairs-u64", "pairs-negative", "head-not-int", "pairs-not-int"],
+)
+def test_encode_rejects_unencodable_field_as_codec_error(record):
+    with pytest.raises(CodecError, match="field not encodable"):
+        record.encode()
+
+
 def test_file_dump_load_round_trip():
     log = ChainLog()
     for record in SAMPLE_RECORDS:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from batchpay.codec import MAX_ID, decode_pay_data, encode_pay_data
+from batchpay.codec import MAX_ID, decode_pay_data, encode_pay_data, pay_data_extent
 from batchpay.errors import CodecError
 
 
@@ -228,3 +228,65 @@ def test_encode_error_messages():
         encode_pay_data([3, 4, 2])
     with pytest.raises(CodecError, match=f"^id {MAX_ID + 1} outside 32-bit range$"):
         encode_pay_data([MAX_ID - 1, MAX_ID, MAX_ID + 1])
+
+
+# -- pay_data_extent against decode_pay_data ----------------------------------
+
+
+@st.composite
+def valid_pay_data(draw):
+    """An encoded list of one-byte gaps and repeats, some with wide gaps mixed in."""
+    gap = st.integers(0, 0x7F)
+    if draw(st.booleans()):
+        gap = gap | st.integers(0x80, 2**21) | st.just(0)
+    first = draw(st.integers(0, 2000) | st.integers(MAX_ID - 2000, MAX_ID))
+    ids = [first]
+    for step in draw(st.lists(gap, max_size=60)):
+        if ids[-1] + step > MAX_ID:
+            break
+        ids.append(ids[-1] + step)
+    return encode_pay_data(ids)
+
+
+@st.composite
+def tampered_pay_data(draw):
+    """A valid blob truncated, extended or with its count or first id bumped."""
+    blob = bytearray(draw(valid_pay_data()))
+    how = draw(st.sampled_from(["truncate", "extend", "count", "first"]))
+    if how == "truncate":
+        del blob[draw(st.integers(0, len(blob))):]
+    elif how == "extend":
+        blob += draw(st.binary(min_size=1, max_size=4))
+    elif len(blob) >= 8:
+        at = 0 if how == "count" else 4
+        value = int.from_bytes(blob[at:at + 4], "little") + draw(st.integers(-3, 3))
+        blob[at:at + 4] = (value % 2**32).to_bytes(4, "little")
+    return bytes(blob)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:        # compared by class and message
+        return type(exc), str(exc)
+
+
+def _decoded_extent(data):
+    ids = decode_pay_data(data)
+    return len(ids), (ids[-1] if ids else None)
+
+
+@given(
+    valid_pay_data() | tampered_pay_data() | near_canonical_blobs(),
+    st.sampled_from([bytes, bytearray, memoryview]),
+)
+@example(bytes(4), bytes)
+@example(_header(0, 0), bytes)
+@example(_header(2, 5) + b"\x01\x01", bytes)
+@example(_header(3, MAX_ID) + b"\x01\x01", bytes)
+@example(_header(3, 5) + b"\x01\x81", bytearray)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_extent_matches_decode(blob, kind):
+    data = kind(blob)
+    expected = _outcome(lambda: _decoded_extent(data))
+    assert _outcome(lambda: pay_data_extent(data)) == expected

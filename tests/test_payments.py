@@ -66,6 +66,33 @@ def test_register_payment_respects_batch_limit():
         world.pay(sellers)
 
 
+def test_register_payment_rejections_keep_their_errors_and_write_nothing():
+    world = World(small_params(max_payments_per_batch=3))
+    sellers = [register(world.state, f"s{i}") for i in range(4)]
+    accounts = len(world.state.accounts)
+    header = (3).to_bytes(4, "little") + sellers[0].to_bytes(4, "little")
+    cases = [
+        (encode_pay_data([]), InvalidParameter, "empty payee list"),
+        (encode_pay_data(sellers), InvalidParameter, "4 payees exceeds batch limit 3"),
+        (encode_pay_data([sellers[0], accounts]), InvalidParameter,
+         f"payee id {accounts} >= allocated account count {accounts}"),
+        (encode_pay_data([sellers[0], sellers[0] + 200]), InvalidParameter,
+         f"payee id {sellers[0] + 200} >= allocated account count {accounts}"),
+        (b"", CodecError, "truncated: count header missing"),
+        (header + b"\x01\x81", CodecError, "truncated inside varint"),
+        (header + b"\x01\x01\x01", CodecError, "trailing bytes after last delta"),
+        (header + b"\x01", CodecError, "truncated inside varint"),
+        (encode_pay_data([7]) + b"\x00", CodecError, "trailing bytes after last delta"),
+    ]
+    for pay_data, error, message in cases:
+        before = (world.state.digest(), len(world.state.log))
+        with pytest.raises(error) as excinfo:
+            register_payment(world.state, world.buyer, 1, pay_data, "buyer")
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+        assert (world.state.digest(), len(world.state.log)) == before
+
+
 def test_register_payment_needs_funds(world):
     poor = register(world.state, "poor")
     with pytest.raises(InsufficientFunds):
