@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Five subcommands: run (scenarios), cost (the two-transaction gas
-breakdown), codec (payee bytes encode/decode), merkle (proofs over
-address lists), replay (re-execute a chain log and check its digest).
+Five subcommands: run (scenarios, one or a sweep of consecutive seeds),
+cost (the two-transaction gas breakdown, with the ratio to a plain
+transfer and the payments per second, for one or more batch sizes),
+codec (payee bytes encode/decode), merkle (proofs over address lists),
+replay (re-execute a chain log and check its digest). Everything runs in
+this one process.
 
 Machine-readable output goes to stdout, diagnostics to stderr. Exit
 codes: 0 success, 2 usage (argparse), 3 unparseable input, 4 protocol or
@@ -13,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from .chainlog import ChainLog, FinalDigest
 from .codec import decode_pay_data, encode_pay_data
-from .costmodel import cost_summary, default_cost_params
+from .costmodel import check_price, cost_summary, default_cost_params
 from .errors import CodecError, InvalidParameter, InvariantViolation, ProtocolError
 from .merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 from .replay import verify_log
@@ -44,7 +46,10 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def _read_text(path: str) -> str:
-    return _read_bytes(path).decode("utf-8")
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _timestamp() -> str:
@@ -54,27 +59,23 @@ def _timestamp() -> str:
 # -- run ------------------------------------------------------------------------
 
 
-def _scenario_worker(config_text: str, seed: int, fmt: str) -> tuple[int, str, str, bytes]:
-    config = parse_scenario_config(config_text)
-    config.seed = seed
-    report, _ = run_scenario_full(config)
-    return seed, report.state_digest, report_digest(report), emit_report(report, fmt)
-
-
 def cmd_run(args) -> int:
-    config_text = _read_text(args.config)
-    config = parse_scenario_config(config_text)     # fail early on bad config
+    if args.runs < 1:
+        raise InvalidParameter("--runs must be >= 1")
+    if args.chainlog and args.runs > 1:
+        raise InvalidParameter("--chainlog applies to single runs only")
+    config = parse_scenario_config(_read_text(args.config))
     base_seed = args.seed if args.seed is not None else config.seed
-
-    if args.runs == 1:
-        config.seed = base_seed
+    for seed in range(base_seed, base_seed + args.runs):
+        config.seed = seed
         report, run = run_scenario_full(config)
         report.generated_at = _timestamp()
         blob = emit_report(report, args.format)
         if args.out:
-            _write_bytes(args.out, blob)
+            _write_bytes(args.out if args.runs == 1 else f"{args.out}.{seed}", blob)
+        if args.out or args.runs > 1:
             print(
-                f"seed {report.seed} state_digest {report.state_digest} "
+                f"seed {seed} state_digest {report.state_digest} "
                 f"report_digest {report_digest(report)}"
             )
         else:
@@ -83,22 +84,6 @@ def cmd_run(args) -> int:
         if args.chainlog:
             run.log.append(FinalDigest(run.state.digest()))
             _write_bytes(args.chainlog, run.log.dump())
-        return 0
-
-    if args.chainlog:
-        raise InvalidParameter("--chainlog applies to single runs only")
-    seeds = [base_seed + i for i in range(args.runs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(_scenario_worker, [config_text] * len(seeds), seeds, [args.format] * len(seeds))
-            )
-    else:
-        results = [_scenario_worker(config_text, seed, args.format) for seed in seeds]
-    for seed, state_digest, rep_digest, blob in results:
-        if args.out:
-            _write_bytes(f"{args.out}.{seed}", blob)
-        print(f"seed {seed} state_digest {state_digest} report_digest {rep_digest}")
     return 0
 
 
@@ -106,14 +91,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    summary = cost_summary(default_cost_params(), args.n, args.gwei, args.ethusd)
-    print(f"n {summary['n']}")
-    print(f"register_payment_gas {summary['register_gas']}")
-    print(f"collect_gas {summary['collect_gas']}")
-    print(f"amortized_gas_per_payment {summary['amortized_gas_per_payment']}")
-    print(f"gas_price_gwei {args.gwei}")
-    print(f"eth_usd {args.ethusd}")
-    print(f"usd_per_payment {summary['usd_per_payment']}")
+    check_price("--gwei", args.gwei)
+    check_price("--ethusd", args.ethusd)
+    params = default_cost_params()
+    # Every size is checked before the first block prints.
+    for summary in [cost_summary(params, n, args.gwei, args.ethusd) for n in args.n]:
+        print(f"n {summary['n']}")
+        print(f"register_payment_gas {summary['register_gas']}")
+        print(f"collect_gas {summary['collect_gas']}")
+        print(f"amortized_gas_per_payment {summary['amortized_gas_per_payment']}")
+        print(f"gas_price_gwei {args.gwei}")
+        print(f"eth_usd {args.ethusd}")
+        print(f"usd_per_payment {summary['usd_per_payment']}")
+        print(f"ratio_to_transfer {summary['ratio_to_transfer']:.1f}")
+        print(f"payments_per_second {summary['payments_per_second']}")
     return 0
 
 
@@ -190,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario config path")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="report output path (default stdout)")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel workers for --runs")
     p_run.add_argument("--runs", type=int, default=1, help="consecutive seeds to run")
     p_run.add_argument(
         "--format", choices=("json", "lines"), default="json", help="report format"
@@ -199,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cost = sub.add_parser("cost", help="two-transaction gas and USD breakdown")
-    p_cost.add_argument("--n", type=int, required=True, help="payments per batch")
+    p_cost.add_argument(
+        "--n", type=int, nargs="+", required=True, help="payments per batch, one or more"
+    )
     p_cost.add_argument("--gwei", type=float, required=True, help="gas price in gwei")
     p_cost.add_argument("--ethusd", type=float, required=True, help="token price in USD")
     p_cost.set_defaults(func=cmd_cost)

@@ -35,11 +35,17 @@ aggregates only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .codec import encode_pay_data
 from .errors import InvalidParameter
+
+# Assumed chain limits for the payments-per-second figure, not figures
+# from the paper: a 10M-gas block limit and one block every 15 s.
+BLOCK_GAS = 10_000_000
+BLOCK_SECONDS = 15
 
 OP_KINDS = (
     "register",
@@ -168,6 +174,12 @@ def amortized_per_payment(register_gas: int, collect_gas_: int, n: int) -> int:
     return -(-register_gas // n) + (-(-collect_gas_ // n))
 
 
+def check_price(name: str, value: float) -> None:
+    """Refuse a gas or token price that is not a positive, finite number."""
+    if not 0 < value < math.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+
+
 def usd_cost(gas: int, gas_price_gwei, eth_usd) -> Decimal:
     """Dollar cost of ``gas`` at the given gas price and token price.
 
@@ -183,7 +195,12 @@ def usd_cost(gas: int, gas_price_gwei, eth_usd) -> Decimal:
 
 
 def cost_summary(params: CostParams, n: int, gas_price_gwei, eth_usd) -> dict:
-    """The canonical two-transaction cost breakdown used by the CLI."""
+    """The canonical two-transaction cost breakdown used by the CLI.
+
+    ``ratio_to_transfer`` is how many times cheaper a payment is than a
+    plain transfer (``base_tx``), to one decimal; ``payments_per_second``
+    is how many fit the assumed BLOCK_GAS every BLOCK_SECONDS.
+    """
     reg = register_payment_gas(params, n)
     col = collect_gas(params)
     amortized = amortized_per_payment(reg, col, n)
@@ -193,4 +210,6 @@ def cost_summary(params: CostParams, n: int, gas_price_gwei, eth_usd) -> dict:
         "collect_gas": col,
         "amortized_gas_per_payment": amortized,
         "usd_per_payment": usd_cost(amortized, gas_price_gwei, eth_usd),
+        "ratio_to_transfer": round(params.base_tx / amortized, 1),
+        "payments_per_second": BLOCK_GAS // amortized // BLOCK_SECONDS,
     }

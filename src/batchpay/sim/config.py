@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-from ..costmodel import CostParams, default_cost_params
+from ..costmodel import CostParams, check_price, default_cost_params
 from ..errors import InvalidParameter
 from ..state import Params
 
@@ -105,8 +105,8 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < 0:
                 raise InvalidParameter(f"{name} must be >= 0")
-        if self.gas_price_gwei <= 0 or self.eth_usd <= 0:
-            raise InvalidParameter("gas_price_gwei and eth_usd must be positive")
+        check_price("gas_price_gwei", self.gas_price_gwei)
+        check_price("eth_usd", self.eth_usd)
         if self.locked_fraction > 0 and self.unlockers == 0:
             raise InvalidParameter("locked payments configured but no unlockers")
         self.params.validate()

@@ -10,7 +10,7 @@ import pytest
 
 from batchpay.chainlog import ChainLog
 from batchpay.cli import main
-from batchpay.sim.report import parse_report
+from batchpay.sim.report import parse_report, report_digest
 
 HONEST_CFG = """\
 [scenario]
@@ -47,7 +47,40 @@ def test_cost_prints_the_breakdown(capsys):
         "gas_price_gwei 1.0",
         "eth_usd 1125.0",
         "usd_per_payment 0.00045",
+        "ratio_to_transfer 52.9",
+        "payments_per_second 1679",
     ]
+
+
+def test_cost_pins_the_paper_claim_rows(capsys):
+    # The abstract's "around 1700 transactions per second" at n = 1000 and
+    # "three orders of magnitude" only at n = 100,000, under the assumed
+    # 10M-gas, 15 s blocks.
+    argv = ["cost", "--n", "1000", "10000", "100000", "--gwei", "5", "--ethusd", "225"]
+    assert main(argv) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        key, value = line.split()
+        if key == "n":
+            n = int(value)
+        elif key in ("amortized_gas_per_payment", "ratio_to_transfer", "payments_per_second"):
+            rows.setdefault(n, []).append(value)
+    assert rows == {
+        1000: ["397", "52.9", "1679"],
+        10000: ["55", "381.8", "12121"],
+        100000: ["21", "1000.0", "31746"],
+    }
+
+
+@pytest.mark.parametrize("flag", ["--gwei", "--ethusd"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_cost_rejects_prices_that_are_not_positive_and_finite(flag, value, capsys):
+    argv = ["cost", "--n", "1000", "--gwei", "5", "--ethusd", "225"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be positive and finite" in captured.err
 
 
 def test_cost_rejects_zero_batch(capsys):
@@ -114,17 +147,21 @@ def test_run_multi_seeds(cfg_path, tmp_path, capsys):
         assert line.startswith(f"seed {seed} ")
         report = parse_report((tmp_path / f"rep.{seed}").read_bytes())
         assert report.seed == seed
+        assert report.generated_at
         digests[seed] = line.split()[3]
+        # Each swept report is the report a single run of that seed gives.
+        assert main(["run", "--config", cfg_path, "--seed", str(seed)]) == 0
+        single = parse_report(capsys.readouterr().out.encode())
+        assert report_digest(report) == report_digest(single) == line.split()[5]
     assert len(set(digests.values())) == 3
 
 
-def test_run_parallel_matches_serial(cfg_path, tmp_path, capsys):
-    args = ["run", "--config", cfg_path, "--runs", "2", "--seed", "5"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_run_rejects_fewer_than_one_run(cfg_path, runs, capsys):
+    assert main(["run", "--config", cfg_path, "--runs", runs]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--runs must be >= 1" in captured.err
 
 
 def test_run_chainlog_needs_single_run(cfg_path, tmp_path, capsys):
@@ -153,6 +190,18 @@ def test_run_bad_config_is_a_usage_error(tmp_path, capsys):
 def test_run_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/path.cfg"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_non_utf8_text_input_is_unparseable(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe[scenario]\n")
+    for argv in (
+        ["run", "--config", str(bad)],
+        ["codec", "encode", "--in", str(bad), "--out", "-"],
+        ["merkle", "prove", "--addresses", str(bad), "--index", "0", "--out", "-"],
+    ):
+        assert main(argv) == 3, argv
+        assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_replay_rejects_garbage(tmp_path, capsys):

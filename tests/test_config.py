@@ -167,6 +167,13 @@ def test_seed_range_enforced():
         ScenarioConfig(seed=2**64).validate()
 
 
+@pytest.mark.parametrize("key", ["gas_price_gwei", "eth_usd"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_prices_must_be_positive_and_finite(key, value):
+    with pytest.raises(InvalidParameter, match=f"{key} must be positive and finite"):
+        parse_scenario_config(f"[costs]\n{key} = {value}\n")
+
+
 def test_protocol_params_validated_at_parse_time():
     with pytest.raises(InvalidParameter):
         parse_scenario_config("[params]\nunlock_period = 0\n")

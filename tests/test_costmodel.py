@@ -108,6 +108,8 @@ def test_cost_summary_shape():
     assert summary["collect_gas"] == 167_440
     assert summary["amortized_gas_per_payment"] == 397
     assert summary["usd_per_payment"] == Decimal("0.00045")
+    assert summary["ratio_to_transfer"] == 52.9
+    assert summary["payments_per_second"] == 1679
 
 
 def test_validate_rejects_negative_prices():

@@ -1,0 +1,78 @@
+"""README examples: every `$ batchpay ...` line runs and prints what README shows.
+
+Every `$` line in a fenced block must be a `batchpay` command, so an
+example that points at some other program fails here. Each block runs in
+its own temporary directory, its commands in order, so a later command
+can read what an earlier one wrote. Config paths are relative to the
+repository root. A command may end in `| grep -E PATTERN`, which keeps
+the output lines the pattern matches. In the expected output, a token
+ending in `...` is truncated: it matches any token that starts with what
+precedes the ellipsis.
+"""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from batchpay.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _examples() -> list[list[tuple[str, list[str]]]]:
+    """The README's fenced blocks as lists of (command, expected lines)."""
+    text = (REPO / "README.md").read_text()
+    blocks = []
+    for body in re.findall(r"^```\n(.*?)^```$", text, re.M | re.S):
+        steps = []
+        for line in body.splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            elif steps:
+                steps[-1][1].append(line)
+        if steps:
+            blocks.append(steps)
+    return blocks
+
+
+EXAMPLES = _examples()
+
+
+def _run(command: str, capsys) -> list[str]:
+    command, _, pipe = command.partition(" | ")
+    program, *args = shlex.split(command)
+    assert program == "batchpay", f"not a batchpay command: {command}"
+    argv = [str(REPO / arg) if arg.startswith("configs/") else arg for arg in args]
+    assert main(argv) == 0, command
+    lines = capsys.readouterr().out.splitlines()
+    if pipe:
+        grep, flag, pattern = shlex.split(pipe)
+        assert (grep, flag) == ("grep", "-E"), f"unsupported pipe: {pipe}"
+        lines = [line for line in lines if re.search(pattern, line)]
+    return lines
+
+
+def _matches(expected: str, actual: str) -> bool:
+    pattern = re.escape(expected).replace(re.escape("..."), r"\S*")
+    return re.fullmatch(pattern, actual) is not None
+
+
+def test_readme_has_examples():
+    commands = [command for block in EXAMPLES for command, _ in block]
+    assert any(command.startswith("batchpay cost ") for command in commands)
+    assert any(command.startswith("batchpay run ") for command in commands)
+    assert any(command.startswith("batchpay replay ") for command in commands)
+
+
+@pytest.mark.parametrize("block", EXAMPLES, ids=[block[0][0][:60] for block in EXAMPLES])
+def test_readme_example(block, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command, expected in block:
+        actual = _run(command, capsys)
+        assert len(actual) == len(expected), (command, actual)
+        for want, got in zip(expected, actual):
+            assert _matches(want, got), (command, want, got)
