@@ -15,7 +15,6 @@ another instance, slot, range, or amount.
 from __future__ import annotations
 
 import hmac
-import hashlib
 
 from .wire import pack_str, u16, u32, u64
 
@@ -47,7 +46,7 @@ def collect_auth_message(
 
 
 def sign_collect(address: str, message: bytes) -> bytes:
-    return hmac.new(address.encode("utf-8"), message, hashlib.sha256).digest()
+    return hmac.digest(address.encode("utf-8"), message, "sha256")
 
 
 def verify_collect(address: str, message: bytes, mac: bytes) -> bool:

@@ -15,6 +15,12 @@ is compiled from those declarations when the module loads:
 * ``SCALING``: the field whose wire bytes, less any length prefix, are
   the record's gas payload, or None.
 
+Records are frozen, slotted dataclasses. Replay builds two of every
+record (decoded, then re-emitted by the engine), so each class gets an
+``__init__`` compiled from its field list that stores every field through
+its slot's descriptor instead of the frozen ``object.__setattr__`` path;
+assignment after construction still raises ``FrozenInstanceError``.
+
 Record wire format: tag (u8), subject (u64, the payment index for
 payment-scoped records and zero otherwise), then the WIRE fields in order.
 Integers little-endian; strings u16-length-prefixed utf-8; blobs
@@ -41,7 +47,7 @@ FILE_MAGIC = b"BPLOG\x01"
 NEW_ACCOUNT_WIRE = 2**32 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """Base record; concrete types declare TAG, WIRE, OP and SCALING."""
 
@@ -58,7 +64,7 @@ class Record:
         return self._codec.encode(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instantiated(Record):
     TAG = 0x01
     WIRE = ("bytes", "bytes")
@@ -66,7 +72,7 @@ class Instantiated(Record):
     externals_blob: bytes        # canonical initial adapter snapshot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Registered(Record):
     TAG = 0x02
     WIRE = ("u32", "str")
@@ -75,7 +81,7 @@ class Registered(Record):
     address: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BulkRegistered(Record):
     TAG = 0x03
     WIRE = ("u32", "u32", "u32", "b32")
@@ -86,7 +92,7 @@ class BulkRegistered(Record):
     root: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claimed(Record):
     TAG = 0x04
     WIRE = ("u32", "u32", "str", "bytes")
@@ -98,7 +104,7 @@ class Claimed(Record):
     proof_blob: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deposited(Record):
     TAG = 0x05
     WIRE = ("u32", "u32", "u64", "str")
@@ -109,7 +115,7 @@ class Deposited(Record):
     from_address: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Withdrawn(Record):
     TAG = 0x06
     WIRE = ("u32", "u64", "str", "str")
@@ -120,14 +126,14 @@ class Withdrawn(Record):
     sender: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Advanced(Record):
     TAG = 0x07
     WIRE = ("u64",)
     blocks: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaymentRegistered(Record):
     TAG = 0x08
     WIRE = ("u32", "u64", "u64", "b32?", "str", "bytes")
@@ -142,7 +148,7 @@ class PaymentRegistered(Record):
     pay_data: bytes              # exact codec wire bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unlocked(Record):
     TAG = 0x09
     WIRE = ("u32", "bytes")
@@ -153,14 +159,14 @@ class Unlocked(Record):
     key: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refunded(Record):
     TAG = 0x0A
     OP = "refund"
     pay_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectOpened(Record):
     TAG = 0x0B
     WIRE = ("u32", "u16", "u32", "u64", "u64", "u64", "str?", "b32")
@@ -175,7 +181,7 @@ class CollectOpened(Record):
     authorization: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenged(Record):
     TAG = 0x0C
     WIRE = ("u32", "u16", "u32")
@@ -185,7 +191,7 @@ class Challenged(Record):
     challenger_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListResponded(Record):
     TAG = 0x0D
     WIRE = ("u32", "u16", "pairs")
@@ -196,7 +202,7 @@ class ListResponded(Record):
     pairs: tuple[tuple[int, int], ...]   # (pay index, claimed amount)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaymentSelected(Record):
     TAG = 0x0E
     WIRE = ("u32", "u16", "u64")
@@ -207,7 +213,7 @@ class PaymentSelected(Record):
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InclusionProved(Record):
     TAG = 0x0F
     WIRE = ("u32", "u16", "bytes")
@@ -218,7 +224,7 @@ class InclusionProved(Record):
     pay_data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeSucceeded(Record):
     TAG = 0x10
     WIRE = ("u32", "u16")
@@ -227,7 +233,7 @@ class ChallengeSucceeded(Record):
     slot_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeFailed(Record):
     TAG = 0x11
     WIRE = ("u32", "u16")
@@ -236,7 +242,7 @@ class ChallengeFailed(Record):
     slot_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotFreed(Record):
     TAG = 0x12
     WIRE = ("u32", "u16")
@@ -245,7 +251,7 @@ class SlotFreed(Record):
     slot_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinalDigest(Record):
     """File trailer written by the run tools; never part of live state."""
 
@@ -271,6 +277,7 @@ RECORD_TYPES: dict[int, type[Record]] = {
 # wrong-length value.
 _INT_CODES = {"u16": "H", "u32": "I", "u64": "Q"}
 _PAIR = struct.Struct("<QQ")
+_LENGTH = struct.Struct("<I")     # a log file's per-record length prefix
 
 
 def _pack_b32(value: bytes) -> bytes:
@@ -351,10 +358,18 @@ class _Codec:
             raise CodecError(f"{self.cls.__name__}: field not encodable: {exc}") from None
         return out
 
-    def decode(self, r: Reader) -> Record:
-        head = r.unpack(self.head)
-        args = [*head[2:], *[read(r) for read, _, _ in self.tail]]
-        r.expect_end()
+    def decode(self, data: bytes | memoryview) -> Record:
+        size = self.head.size
+        if len(data) < size:
+            raise CodecError("truncated record")
+        head = self.head.unpack_from(data)
+        args = list(head[2:])
+        if self.tail:
+            r = Reader(data, size)
+            args += [read(r) for read, _, _ in self.tail]
+            r.expect_end()
+        elif len(data) != size:
+            raise CodecError("trailing bytes in record")
         if self.subject_at is not None:
             args.insert(self.subject_at, head[1])
         elif head[1]:
@@ -362,8 +377,25 @@ class _Codec:
         return self.cls(*args)
 
 
+def _slot_init(cls: type[Record]):
+    """An ``__init__`` that sets each field through its slot's ``__set__``.
+
+    The frozen dataclass ``__init__`` routes every field through
+    ``object.__setattr__``; the member descriptor stores it directly. The
+    class keeps its frozen ``__setattr__``, so later assignment still raises.
+    """
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 for _cls in RECORD_TYPES.values():
     _cls._codec = _Codec(_cls)
+    _cls.__init__ = _slot_init(_cls)
 
 
 def decode_record(data: bytes | memoryview) -> Record:
@@ -373,7 +405,7 @@ def decode_record(data: bytes | memoryview) -> Record:
     cls = RECORD_TYPES.get(data[0])
     if cls is None:
         raise CodecError(f"unknown record tag 0x{data[0]:02x}")
-    return cls._codec.decode(Reader(data))
+    return cls._codec.decode(data)
 
 
 def scaling_payload(record: Record) -> bytes:
@@ -420,7 +452,16 @@ class ChainLog:
         if data[: len(FILE_MAGIC)] != FILE_MAGIC:
             raise CodecError("bad log file magic")
         log = cls()
-        r = Reader(memoryview(data)[len(FILE_MAGIC):])
-        while not r.done():
-            log.append(decode_record(r.take(r.u32())))
+        append = log.append
+        view = memoryview(data)
+        end = len(view)
+        pos = len(FILE_MAGIC)
+        while pos < end:
+            if pos + 4 > end:
+                raise CodecError("truncated record")
+            start = pos + 4
+            pos = start + _LENGTH.unpack_from(view, pos)[0]
+            if pos > end:
+                raise CodecError("truncated record")
+            append(decode_record(view[start:pos]))
         return log

@@ -23,14 +23,16 @@ through the general loop and meets its checks and error messages.
 
 ``pay_data_extent`` gives what the engine checks a batch by, its payee
 count and last id, without building the list: on the one-byte-gap layout
-the last id is the first id plus the sum of the body bytes. Every other
-input goes to ``decode_pay_data``, so both accept and reject the same
+the last id is the first id plus the sum of the body bytes, which it takes
+in C with ``zlib.adler32`` over chunks too short for the sum to wrap. Every
+other input goes to ``decode_pay_data``, so both accept and reject the same
 blobs with the same errors.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from itertools import accumulate
 from operator import sub
 
@@ -39,6 +41,10 @@ from .errors import CodecError
 # Ids are 32-bit; deltas can never legitimately need more than 5 varint bytes.
 MAX_ID = 2**32 - 1
 _HEADER = struct.Struct("<II")
+# Adler-32 started from 0 keeps the running byte sum mod 65,521 in its low
+# 16 bits. 515 bytes of at most 0x7F sum to at most 65,405, below the
+# modulus, so on an ASCII chunk that low half is the exact sum.
+_ASCII_SUM_CHUNK = 515
 
 
 def encode_pay_data(ids: list[int]) -> bytes:
@@ -140,7 +146,10 @@ def pay_data_extent(data: bytes) -> tuple[int, int | None]:
         count, first = _HEADER.unpack_from(data)
         body = data[8:]
         if count >= 1 and len(body) == count - 1 and body.isascii():
-            last = first + sum(body)
+            last = first + sum([
+                zlib.adler32(body[at:at + _ASCII_SUM_CHUNK], 0) & 0xFFFF
+                for at in range(0, len(body), _ASCII_SUM_CHUNK)
+            ])
             if last <= MAX_ID:
                 return count, last
     ids = decode_pay_data(data)

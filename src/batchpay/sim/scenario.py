@@ -230,7 +230,7 @@ class SimRun:
     def _drained(self) -> bool:
         if self.state.slots:
             return False
-        if any(p.status == PaymentStatus.LOCKED for p in self.state.payments):
+        if self.view.locked:
             return False
         if self.view.mature_end() < len(self.view.payments):
             return False

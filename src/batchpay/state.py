@@ -123,12 +123,14 @@ class TokenAdapter:
 
     mint() is provisioning plumbing for tests and scenario setup; inside a
     run the only flows are deposit and withdraw, which preserve the
-    adapter's total.
+    adapter's total. ``minted`` is everything ever minted, so
+    ``check_invariants`` can tell a flow that created or lost tokens.
     """
 
     def __init__(self, balances: dict[str, int] | None = None):
         self.external: dict[str, int] = {}
         self.reserve = 0
+        self.minted = 0
         for addr, amount in (balances or {}).items():
             self.mint(addr, amount)
 
@@ -137,6 +139,7 @@ class TokenAdapter:
         self.external[address] = ensure_u64(
             self.external.get(address, 0) + amount, "external balance"
         )
+        self.minted += amount
 
     def balance_of(self, address: str) -> int:
         return self.external.get(address, 0)
@@ -462,6 +465,11 @@ class ProtocolState:
                 "conservation",
                 f"reserve {self.adapter.reserve} != balances {balances} "
                 f"+ pool {self.escrow_pool} + held {held}",
+            )
+        if self.adapter.total() != self.adapter.minted:
+            raise InvariantViolation(
+                "supply",
+                f"adapter holds {self.adapter.total()} != minted {self.adapter.minted}",
             )
 
     # -- canonical serialization / digest -------------------------------------

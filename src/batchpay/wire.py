@@ -50,9 +50,9 @@ class Reader:
     field is turned into bytes or str.
     """
 
-    def __init__(self, data: bytes | memoryview):
+    def __init__(self, data: bytes | memoryview, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def take(self, n: int) -> bytes | memoryview:
         if self.pos + n > len(self.data):

@@ -730,9 +730,12 @@ class FuzzDriver:
 
     # -- the loop ----------------------------------------------------------
 
+    def pick(self):
+        return self.rng.choices(self._ops, weights=self._weights)[0][0]
+
     def run(self, ops: int) -> None:
         for _ in range(ops):
-            op = self.rng.choices(self._ops, weights=self._weights)[0][0]
+            op = self.pick()
             try:
                 kind = op()
             except ProtocolError:
@@ -767,6 +770,34 @@ def test_6_conservation_fuzz(check):
         return f"{total_ops} ops, {successes} accepted, every op kind exercised"
 
     check(6, "conservation fuzz", 120.0, body)
+
+
+def test_rejected_fuzz_ops_leave_state_and_log_untouched():
+    # errors.py: a rejected operation leaves state untouched. Checked on
+    # every rejection that FuzzDriver provokes, by the state digest and the
+    # log length before and after.
+    rejected: dict[str, int] = {}
+    for seed in range(1, 9):
+        fuzz = FuzzDriver(7000 + seed)
+        state = fuzz.state
+        for _ in range(600):
+            op = fuzz.pick()
+            before = state.digest(), len(state.log)
+            try:
+                op()
+            except ProtocolError as exc:
+                after = state.digest(), len(state.log)
+                assert after == before, f"seed {7000 + seed}: {op.__name__} raised {exc!r} after writing"
+                rejected[op.__name__] = rejected.get(op.__name__, 0) + 1
+            state.check_invariants()
+    # Every kind FuzzDriver gets refused is covered; it never has an
+    # advance, deposit, register or prove refused.
+    refusable = {
+        "withdraw", "register_payment", "unlock", "refund", "collect", "challenge",
+        "respond", "select", "challenge_success", "challenge_failed", "free_slot",
+    }
+    assert refusable <= {name.removeprefix("op_") for name in rejected}, rejected
+    assert sum(rejected.values()) >= 1000, rejected
 
 
 # -- 7: honest worlds agree with the log oracle ---------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from batchpay.chainlog import (
@@ -72,6 +74,34 @@ def test_record_round_trip(record):
     assert decode_record(record.encode()) == record
 
 
+@pytest.mark.parametrize("record", SAMPLE_RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_slotted_and_frozen(record):
+    cls = type(record)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert not hasattr(record, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    values = {name: getattr(record, name) for name in names}
+    again = cls(**values)
+    assert again == record and hash(again) == hash(record)
+    assert repr(again) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in values.items()) + ")"
+    assert dataclasses.replace(record) == record
+    changed = dataclasses.replace(record, **{names[0]: None})
+    assert getattr(changed, names[0]) is None
+    assert changed != record and getattr(record, names[0]) == values[names[0]]
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+
+
+def test_records_of_different_types_never_compare_equal():
+    assert ChallengeSucceeded(1, 2) != SlotFreed(1, 2)
+    assert ChallengeFailed(1, 2) != ChallengeSucceeded(1, 2)
+    assert len({ChallengeSucceeded(1, 2), SlotFreed(1, 2), SlotFreed(1, 2)}) == 2
+
+
 def test_payment_records_carry_their_index_as_subject():
     assert PaymentRegistered(9, 2, 1, 0, None, "b", encode_pay_data([1])).subject == 9
     assert Unlocked(9, 6, b"k").subject == 9
@@ -96,6 +126,17 @@ def test_decode_rejects_trailing_bytes():
     blob = Advanced(3).encode()
     with pytest.raises(CodecError):
         decode_record(blob + b"\x00")
+
+
+@pytest.mark.parametrize("record", SAMPLE_RECORDS, ids=lambda r: type(r).__name__)
+def test_decode_error_messages(record):
+    blob = record.encode()
+    for cut in range(len(blob)):
+        with pytest.raises(CodecError, match="^truncated record$"):
+            decode_record(blob[:cut])
+    for extra in (b"\x00", b"\x01\x02\x03"):
+        with pytest.raises(CodecError, match="^trailing bytes in record$"):
+            decode_record(memoryview(blob + extra))
 
 
 @pytest.mark.parametrize(
@@ -180,6 +221,61 @@ def test_load_rejects_truncated_tail():
     blob = log.dump()
     with pytest.raises(CodecError):
         ChainLog.load(blob[:-3])
+
+
+def _load_by_reader(data: bytes) -> list:
+    """``ChainLog.load`` as a walk of ``Reader`` calls, the loop it replaced."""
+    if data[: len(FILE_MAGIC)] != FILE_MAGIC:
+        raise CodecError("bad log file magic")
+    r = Reader(memoryview(data)[len(FILE_MAGIC):])
+    records = []
+    while not r.done():
+        records.append(decode_record(r.take(r.u32())))
+    return records
+
+
+def _outcome(load, data):
+    try:
+        return load(data)
+    except CodecError as exc:
+        return str(exc)
+
+
+def test_load_errors_match_the_reader_walk():
+    log = ChainLog()
+    for record in SAMPLE_RECORDS:
+        log.append(record)
+    blob = log.dump()
+    advanced = Advanced(2).encode()
+    tails = [
+        b"\x00", b"\x00\x00\x00", b"\x00\x00\x00\x00", b"\x05\x00\x00\x00",
+        len(advanced).to_bytes(4, "little") + advanced[:-1],
+        (len(advanced) - 1).to_bytes(4, "little") + advanced,
+        (len(advanced) + 1).to_bytes(4, "little") + advanced + b"\x00",
+        b"\x01\x00\x00\x00\x70",
+        b"\xff\xff\xff\xff" + advanced,
+    ]
+    cases = [blob[:cut] for cut in range(len(blob) + 1)] + [blob + tail for tail in tails]
+    for data in cases:
+        assert _outcome(lambda d: ChainLog.load(d).records, data) == _outcome(_load_by_reader, data)
+
+
+def test_load_error_messages():
+    log = ChainLog()
+    log.append(Registered(0, "alice"))
+    blob = log.dump()
+    body_at = len(FILE_MAGIC) + 4
+    for data, message in [
+        (blob[: len(FILE_MAGIC) + 2], "truncated record"),      # length prefix cut
+        (blob[:-1], "truncated record"),                        # body cut
+        (blob[:body_at], "truncated record"),                   # empty body
+        (blob + b"\x07", "truncated record"),                   # trailing bytes
+        (blob + b"\x01\x00\x00\x00\x70", "unknown record tag 0x70"),
+        (b"BPLOG\x02" + blob[len(FILE_MAGIC):], "bad log file magic"),
+    ]:
+        with pytest.raises(CodecError) as caught:
+            ChainLog.load(data)
+        assert str(caught.value) == message
 
 
 def test_pay_data_index_tracks_registrations():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -290,3 +291,18 @@ def test_extent_matches_decode(blob, kind):
     data = kind(blob)
     expected = _outcome(lambda: _decoded_extent(data))
     assert _outcome(lambda: pay_data_extent(data)) == expected
+
+
+@pytest.mark.parametrize("gaps", [0, 1, 514, 515, 516, 1030, 9999])
+@pytest.mark.parametrize("fill", ["max", "random"])
+def test_extent_sum_is_exact_across_chunk_edges(gaps, fill):
+    # The fast path sums the gap bytes in chunks; all-0x7F bodies are the
+    # largest sums a chunk can take, and a chunk edge falls every 515 bytes.
+    rng = random.Random(gaps)
+    body = bytes([0x7F] * gaps if fill == "max" else [rng.randrange(0x80) for _ in range(gaps)])
+    first = rng.randrange(1000)
+    for kind in (bytes, bytearray):
+        blob = kind(_header(gaps + 1, first) + body)
+        ids = decode_pay_data(blob)
+        assert ids[-1] == first + sum(body)
+        assert pay_data_extent(blob) == (len(ids), ids[-1]) == (gaps + 1, first + sum(body))

@@ -20,7 +20,7 @@ from batchpay.registration import register
 from batchpay.sim import SimRun, view_of
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.oracle import LogView, find_inflated_entry, monitor_verdict, oracle_balance
-from batchpay.state import GameState
+from batchpay.state import GameState, PaymentStatus
 from tests.conftest import World
 
 ADVERSARIAL_CFG = __file__.rsplit("/", 2)[0] + "/configs/adversarial.cfg"
@@ -328,3 +328,22 @@ def test_verdict_of_an_open_slot_never_changes(all_lazy):
     assert "ok" in first.values()
     if all_lazy:
         assert "overstated" in first.values()
+
+
+def test_locked_count_matches_a_scan_at_every_block():
+    # The drain phase reads view.locked instead of scanning every payment.
+    run = SimRun(load_scenario_config(ADVERSARIAL_CFG))
+    step = run.run_block
+    counts = []
+
+    def checked_block():
+        step()
+        scanned = sum(p.status == PaymentStatus.LOCKED for p in run.state.payments)
+        assert run.view.locked == scanned, run.blocks_run
+        counts.append(scanned)
+
+    assert run.view.locked == 0
+    run.run_block = checked_block
+    run.run()
+    assert len(counts) == run.blocks_run > run.config.blocks
+    assert max(counts) > 0 and counts[-1] == 0

@@ -244,6 +244,36 @@ def test_escrow_pool_tampering_detected():
         state.check_invariants()
 
 
+def test_adapter_tracks_what_it_minted():
+    adapter = TokenAdapter({"a": 10})
+    adapter.mint("b", 7)
+    adapter.deposit("a", 4)
+    adapter.withdraw("b", 3)
+    assert adapter.minted == 17
+    assert adapter.total() == 17
+
+
+def test_tampered_external_balance_breaks_supply():
+    state = fresh(funding=[("a", 100), ("b", 5)])
+    state.deposit(NEW_ACCOUNT, 40, "a")
+    state.adapter.external["b"] += 1
+    with pytest.raises(InvariantViolation) as caught:
+        state.check_invariants()
+    assert caught.value.invariant == "supply"
+
+
+def test_tampered_reserve_breaks_supply():
+    # The ledger is tampered with too, so reserve conservation still holds
+    # and only the minted total can tell that a token appeared.
+    state = fresh(funding=[("a", 100)])
+    acct = state.deposit(NEW_ACCOUNT, 40, "a")
+    state.adapter.reserve += 1
+    state.accounts[acct].balance += 1
+    with pytest.raises(InvariantViolation) as caught:
+        state.check_invariants()
+    assert caught.value.invariant == "supply"
+
+
 # -- helpers ---------------------------------------------------------------
 
 
@@ -332,6 +362,11 @@ def _reference_check(state) -> None:
             f"reserve {state.adapter.reserve} != balances {balances} "
             f"+ pool {state.escrow_pool} + held {held}",
         )
+    if state.adapter.reserve + sum(state.adapter.external.values()) != state.adapter.minted:
+        raise InvariantViolation(
+            "supply",
+            f"adapter holds {state.adapter.total()} != minted {state.adapter.minted}",
+        )
 
 
 def _game_world() -> World:
@@ -372,6 +407,7 @@ def _tamperings(world: World) -> list:
         lambda s: s.pending_collects.__setitem__(world.buyer, (d, 0)),
         lambda s: setattr(s.payments[-1], "locking_key_hash", None),
         lambda s: setattr(s.adapter, "reserve", s.adapter.reserve - 1),
+        lambda s: s.adapter.external.__setitem__("buyer", s.adapter.external["buyer"] + 1),
     ]
 
 
@@ -399,4 +435,4 @@ def test_check_invariants_fails_like_the_reference_loop():
         assert expected is not None
         assert _failure(ProtocolState.check_invariants, state) == expected
         found.add(expected[0])
-    assert len(found) == 11, found
+    assert len(found) == 12, found
