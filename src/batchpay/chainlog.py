@@ -9,8 +9,8 @@ Each record class declares its wire format once, and one generic codec
 is compiled from those declarations when the module loads:
 
 * ``TAG``: the record's type byte;
-* ``WIRE``: the kind of each field (see ``_KINDS``), in dataclass order
-  with the subject (``pay_index``) skipped;
+* ``WIRE``: the kind of each field (see ``wire.KINDS``), in dataclass
+  order with the subject (``pay_index``) skipped;
 * ``OP``: the gas-model operation kind the record is priced as, or None;
 * ``SCALING``: the field whose wire bytes, less any length prefix, are
   the record's gas payload, or None.
@@ -22,11 +22,9 @@ its slot's descriptor instead of the frozen ``object.__setattr__`` path;
 assignment after construction still raises ``FrozenInstanceError``.
 
 Record wire format: tag (u8), subject (u64, the payment index for
-payment-scoped records and zero otherwise), then the WIRE fields in order.
-Integers little-endian; strings u16-length-prefixed utf-8; blobs
-u32-length-prefixed; an optional field is a flag byte, 0x00 (absent) or
-0x01 (value follows), and any other flag is rejected. A log file is the
-magic header followed by u32-length-prefixed records.
+payment-scoped records and zero otherwise), then the WIRE fields in order,
+each laid out as ``wire.py`` lays out its kind. A log file is the magic
+header followed by u32-length-prefixed records.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import CodecError
-from .wire import Reader, pack_bytes, pack_str, u16, u32, u64
+from .wire import KINDS, Reader, layout, packer, u32
 
 FILE_MAGIC = b"BPLOG\x01"
 
@@ -272,54 +270,7 @@ RECORD_TYPES: dict[int, type[Record]] = {
 
 # -- the codec compiled from the declarations ---------------------------------
 
-# Integer kinds. A record's leading integers share one struct with its tag and
-# subject; 32-byte values stay out of it, as ``32s`` would pad or cut a
-# wrong-length value.
-_INT_CODES = {"u16": "H", "u32": "I", "u64": "Q"}
-_PAIR = struct.Struct("<QQ")
 _LENGTH = struct.Struct("<I")     # a log file's per-record length prefix
-
-
-def _pack_b32(value: bytes) -> bytes:
-    if len(value) != 32:
-        raise CodecError(f"expected a 32-byte value, got {len(value)} bytes")
-    return value
-
-
-def _read_b32(r: Reader) -> bytes:
-    return bytes(r.take(32))
-
-
-def _read_pairs(r: Reader) -> tuple[tuple[int, int], ...]:
-    return tuple(_PAIR.iter_unpack(r.take(_PAIR.size * r.u32())))
-
-
-def _pack_pairs(pairs) -> bytes:
-    return u32(len(pairs)) + b"".join(_PAIR.pack(idx, amount) for idx, amount in pairs)
-
-
-def _optional(read, pack):
-    """A flag byte, then the value when the flag is 0x01."""
-    return (
-        lambda r: read(r) if r.flag() else None,
-        lambda v: b"\x00" if v is None else b"\x01" + pack(v),
-        0,
-    )
-
-
-# kind -> (read, pack, length-prefix size). ``b32`` is a raw 32-byte value,
-# ``pairs`` a u32 count of (u64, u64) pairs, and ``?`` marks an optional field.
-_KINDS = {
-    "u16": (Reader.u16, u16, 0),
-    "u32": (Reader.u32, u32, 0),
-    "u64": (Reader.u64, u64, 0),
-    "b32": (_read_b32, _pack_b32, 0),
-    "str": (Reader.str_, pack_str, 2),
-    "bytes": (Reader.bytes_, pack_bytes, 4),
-    "pairs": (_read_pairs, _pack_pairs, 4),
-    "str?": _optional(Reader.str_, pack_str),
-    "b32?": _optional(_read_b32, _pack_b32),
-}
 
 
 class _Codec:
@@ -329,34 +280,27 @@ class _Codec:
         names = [f.name for f in fields(cls)]
         self.cls = cls
         self.subject_at = names.index("pay_index") if "pay_index" in names else None
-        if self.subject_at is not None:
-            del names[self.subject_at]
-        if len(names) != len(cls.WIRE):
-            raise TypeError(f"{cls.__name__}.WIRE does not match its fields")
-        lead = 0
-        while lead < len(cls.WIRE) and cls.WIRE[lead] in _INT_CODES:
-            lead += 1
-        # tag, subject and the leading integers in one struct
-        self.head = struct.Struct("<BQ" + "".join(_INT_CODES[k] for k in cls.WIRE[:lead]))
-        self.split = 2 + lead
-        self.values = attrgetter("TAG", "subject", *names)
-        self.tail = tuple(_KINDS[k] for k in cls.WIRE[lead:])
+        subject = "0" if self.subject_at is None else "o.pay_index"
+        self.pack = packer([(str(cls.TAG), "u8"), (subject, "u64"), *layout(cls)])
+        # decode reads tag, subject and the leading integers with one struct;
+        # 32-byte values stay out of it, as ``32s`` would pad or cut a
+        # wrong-length value
+        kinds = [KINDS[kind] for kind in cls.WIRE]
+        lead = next((i for i, kind in enumerate(kinds) if not kind.code), len(kinds))
+        self.head = struct.Struct("<BQ" + "".join(kind.code for kind in kinds[:lead]))
+        self.tail = tuple(kind.read for kind in kinds[lead:])
         if cls.SCALING is None:
             self.scaling = lambda rec: b""
         else:
-            _, pack, prefix = _KINDS[cls.WIRE[names.index(cls.SCALING)]]
-            get = attrgetter(cls.SCALING)
+            kind = KINDS[dict(layout(cls, ""))[cls.SCALING]]
+            pack, prefix, get = kind.pack, kind.prefix, attrgetter(cls.SCALING)
             self.scaling = lambda rec: pack(get(rec))[prefix:]
 
     def encode(self, rec: Record) -> bytes:
-        vals = self.values(rec)
         try:
-            out = self.head.pack(*vals[: self.split])
-            for (_, pack, _), value in zip(self.tail, vals[self.split:]):
-                out += pack(value)
-        except (struct.error, OverflowError) as exc:
+            return self.pack(rec)
+        except struct.error as exc:
             raise CodecError(f"{self.cls.__name__}: field not encodable: {exc}") from None
-        return out
 
     def decode(self, data: bytes | memoryview) -> Record:
         size = self.head.size
@@ -366,7 +310,7 @@ class _Codec:
         args = list(head[2:])
         if self.tail:
             r = Reader(data, size)
-            args += [read(r) for read, _, _ in self.tail]
+            args += [read(r) for read in self.tail]
             r.expect_end()
         elif len(data) != size:
             raise CodecError("trailing bytes in record")

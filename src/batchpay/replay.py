@@ -9,8 +9,6 @@ digest.
 
 from __future__ import annotations
 
-import struct
-
 from . import collect as game
 from . import payments, registration
 from .chainlog import (
@@ -40,27 +38,7 @@ from .chainlog import (
 from .errors import CodecError, InvariantViolation
 from .merkle import MerkleProof
 from .state import NEW_ACCOUNT, Params, ProtocolState, TokenAdapter
-from .wire import Reader
-
-_PARAMS = struct.Struct("<8Q")
-
-
-def _params_from_blob(blob: bytes) -> Params:
-    """Inverse of ``Params.canonical_bytes``: every field as a u64, in order."""
-    r = Reader(blob)
-    params = Params(*r.unpack(_PARAMS))
-    r.expect_end()
-    return params
-
-
-def _adapter_from_blob(blob: bytes) -> TokenAdapter:
-    r = Reader(blob)
-    balances = {}
-    for _ in range(r.u32()):
-        addr = r.str_()
-        balances[addr] = r.u64()
-    r.expect_end()
-    return TokenAdapter(balances)
+from .wire import unpack
 
 
 # Handlers reach the engine through module attributes, so a function
@@ -124,7 +102,10 @@ def replay(log: ChainLog) -> tuple[ProtocolState, bytes | None]:
     head, ops, expected = records[0], records[1:], None
     if ops and isinstance(ops[-1], FinalDigest):
         ops, expected = ops[:-1], ops[-1].digest
-    state = ProtocolState(_params_from_blob(head.params_blob), _adapter_from_blob(head.externals_blob))
+    state = ProtocolState(
+        Params(*unpack(Params.WIRE, head.params_blob)),
+        TokenAdapter(dict(unpack(TokenAdapter.WIRE, head.externals_blob, rows=True))),
+    )
     emitted = state.log.records
     if emitted != [head]:
         raise CodecError("record 0 (Instantiated) differs from what its op emits")

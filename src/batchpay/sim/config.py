@@ -23,6 +23,13 @@ from ..errors import InvalidParameter
 from ..state import Params
 
 
+# [scenario] keys that are probabilities or shares, each in [0, 1]
+_FRACTIONS = (
+    "payment_probability", "locked_fraction", "instant_fraction", "external_destination_fraction",
+    "cheating_delegate_fraction", "lazy_monitor_fraction", "withholding_unlocker_fraction",
+)
+
+
 @dataclass
 class ScenarioConfig:
     # [scenario]
@@ -70,15 +77,7 @@ class ScenarioConfig:
             raise InvalidParameter("seed must fit in 64 bits")
         if self.blocks < 0:
             raise InvalidParameter("blocks must be >= 0")
-        for name in (
-            "payment_probability",
-            "locked_fraction",
-            "instant_fraction",
-            "external_destination_fraction",
-            "cheating_delegate_fraction",
-            "lazy_monitor_fraction",
-            "withholding_unlocker_fraction",
-        ):
+        for name in _FRACTIONS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidParameter(f"{name} must be in [0, 1], got {value}")
@@ -111,6 +110,18 @@ class ScenarioConfig:
             raise InvalidParameter("locked payments configured but no unlockers")
         self.params.validate()
         self.costs.validate()
+        # the engine would refuse these later, mid-run
+        if self.payees_max > self.params.max_payments_per_batch:
+            raise InvalidParameter(
+                f"payees_max {self.payees_max} exceeds max_payments_per_batch "
+                f"{self.params.max_payments_per_batch}"
+            )
+        actors = self.buyers + self.sellers + self.delegates + self.monitors + self.unlockers
+        if actors > self.params.max_account_count:
+            raise InvalidParameter(
+                f"buyers + sellers + delegates + monitors + unlockers = {actors} "
+                f"exceeds max_account_count {self.params.max_account_count}"
+            )
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -136,71 +147,33 @@ def _parse_float(raw: str, where: str) -> float:
         raise InvalidParameter(f"{where}: expected a number, got {raw!r}") from None
 
 
-_SCENARIO_FLOATS = {
-    "payment_probability",
-    "locked_fraction",
-    "instant_fraction",
-    "external_destination_fraction",
-    "cheating_delegate_fraction",
-    "lazy_monitor_fraction",
-    "withholding_unlocker_fraction",
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float}
+# section -> its keys. Each key names a field of exactly one of the config,
+# its Params and its CostParams, and is parsed by the type of its default.
+_SECTIONS = {
+    "scenario": ("seed", "blocks", *_FRACTIONS),
+    "roles": ("buyers", "sellers", "delegates", "monitors", "unlockers", "bulk_register_sellers"),
+    "amounts": (
+        "per_destination_min", "per_destination_max", "payees_min", "payees_max",
+        "accumulation_threshold", "collect_fee", "unlocker_fee", "overstatement_min",
+        "overstatement_max", "buyer_deposit", "delegate_deposit", "monitor_deposit",
+    ),
+    "params": tuple(f.name for f in fields(Params)),
+    "costs": ("base_tx", "per_zero_byte", "per_nonzero_byte", "per_storage_write",
+              "gas_price_gwei", "eth_usd"),
 }
-_SCENARIO_INTS = {"seed", "blocks"}
-_ROLE_INTS = {"buyers", "sellers", "delegates", "monitors", "unlockers"}
-_ROLE_BOOLS = {"bulk_register_sellers"}
-_AMOUNT_INTS = {
-    "per_destination_min",
-    "per_destination_max",
-    "payees_min",
-    "payees_max",
-    "accumulation_threshold",
-    "collect_fee",
-    "unlocker_fee",
-    "overstatement_min",
-    "overstatement_max",
-    "buyer_deposit",
-    "delegate_deposit",
-    "monitor_deposit",
-}
-_PARAM_INTS = {f.name for f in fields(Params)}
-_COST_INTS = {"base_tx", "per_zero_byte", "per_nonzero_byte", "per_storage_write"}
-_COST_FLOATS = {"gas_price_gwei", "eth_usd"}
 
 
 def _apply_section(config: ScenarioConfig, section: str, items) -> None:
+    keys = _SECTIONS.get(section)
+    if keys is None:
+        raise InvalidParameter(f"unknown section [{section}]")
     for key, raw in items:
         where = f"[{section}] {key}"
-        if section == "scenario":
-            if key in _SCENARIO_INTS:
-                setattr(config, key, _parse_int(raw, where))
-            elif key in _SCENARIO_FLOATS:
-                setattr(config, key, _parse_float(raw, where))
-            else:
-                raise InvalidParameter(f"{where}: unknown key")
-        elif section == "roles":
-            if key in _ROLE_INTS:
-                setattr(config, key, _parse_int(raw, where))
-            elif key in _ROLE_BOOLS:
-                setattr(config, key, _parse_bool(raw, where))
-            else:
-                raise InvalidParameter(f"{where}: unknown key")
-        elif section == "amounts":
-            if key not in _AMOUNT_INTS:
-                raise InvalidParameter(f"{where}: unknown key")
-            setattr(config, key, _parse_int(raw, where))
-        elif section == "params":
-            if key not in _PARAM_INTS:
-                raise InvalidParameter(f"{where}: unknown key")
-            setattr(config.params, key, _parse_int(raw, where))
-        elif section == "costs":
-            if key in _COST_INTS:
-                setattr(config.costs, key, _parse_int(raw, where))
-            elif key in _COST_FLOATS:
-                setattr(config, key, _parse_float(raw, where))
-            else:
-                raise InvalidParameter(f"{where}: unknown key")
-        else:
-            raise InvalidParameter(f"unknown section [{section}]")
+        if key not in keys:
+            raise InvalidParameter(f"{where}: unknown key")
+        target = next(t for t in (config.params, config.costs, config) if hasattr(t, key))
+        setattr(target, key, _PARSERS[type(getattr(target, key))](raw, where))
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:

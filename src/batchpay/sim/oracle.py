@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import dataclass
 
 from ..chainlog import (
     Advanced,
@@ -52,7 +53,6 @@ from ..chainlog import (
     ListResponded,
     PaymentRegistered,
     PaymentSelected,
-    Record,
     Refunded,
     Registered,
     SlotFreed,
@@ -61,39 +61,30 @@ from ..chainlog import (
 )
 from ..codec import decode_pay_data
 from ..errors import InvalidParameter
-from ..wire import Reader
+from ..wire import unpack
 
 
+@dataclass(slots=True)
 class _ViewPayment:
-    __slots__ = (
-        "payee_count", "per_destination", "status", "collectable_from", "total_escrow", "from_id",
-    )
-
-    def __init__(self, payee_count, per_destination, status, collectable_from, total_escrow, from_id):
-        self.payee_count = payee_count
-        self.per_destination = per_destination
-        self.status = status                  # "committed" | "locked" | "refunded"
-        self.collectable_from = collectable_from
-        self.total_escrow = total_escrow
-        self.from_id = from_id
+    payee_count: int
+    per_destination: int
+    status: str                   # "committed" | "locked" | "refunded"
+    collectable_from: int
+    total_escrow: int
+    from_id: int
 
 
+@dataclass(slots=True)
 class _ViewSlot:
-    __slots__ = (
-        "recipient_id", "start", "end", "amount", "fee",
-        "destination", "instant", "open_seq", "challenger_id",
-    )
-
-    def __init__(self, recipient_id, start, end, amount, fee, destination, instant, open_seq):
-        self.recipient_id = recipient_id
-        self.start = start
-        self.end = end
-        self.amount = amount
-        self.fee = fee
-        self.destination = destination
-        self.instant = instant
-        self.open_seq = open_seq          # ordinal of the CollectOpened record
-        self.challenger_id = None
+    recipient_id: int
+    start: int
+    end: int
+    amount: int
+    fee: int
+    destination: str | None
+    instant: bool
+    open_seq: int                 # ordinal of the CollectOpened record
+    challenger_id: int | None = None
 
 
 # (pay indices, occurrences, committed count and due total before each
@@ -129,114 +120,112 @@ class LogView:
     def feed(self, log: ChainLog) -> None:
         """Consume any records appended since the last feed."""
         for rec in log.records[self._consumed:]:
-            self._apply(rec)
+            handler = _APPLY.get(type(rec))
+            if handler is None:
+                raise InvalidParameter(f"unhandled record {type(rec).__name__}")
+            handler(self, rec)
         self._consumed = len(log.records)
 
     def _credit(self, account_id: int, amount: int) -> None:
         self.balances[account_id] = self.balances.get(account_id, 0) + amount
 
-    def _apply(self, rec: Record) -> None:
-        if isinstance(rec, Instantiated):
-            r = Reader(rec.params_blob)
-            r.u64()                                # account table bound
-            self.unlock_period = r.u64()
-            r.u64(); r.u64()                       # game periods
-            self.collect_stake = r.u64()
-            self.challenge_stake = r.u64()
-            r.u64()                                # batch size bound
-            self.instant_slot_threshold = r.u64()
-        elif isinstance(rec, Registered):
-            self.balances.setdefault(rec.account_id, 0)
-        elif isinstance(rec, BulkRegistered):
-            for i in range(rec.first_id, rec.first_id + rec.count):
-                self.balances.setdefault(i, 0)
-        elif isinstance(rec, (Claimed, ListResponded, PaymentSelected, InclusionProved, FinalDigest)):
-            pass
-        elif isinstance(rec, Deposited):
-            self._credit(rec.account_id, rec.amount)
-        elif isinstance(rec, Withdrawn):
-            self._credit(rec.account_id, -rec.amount)
-        elif isinstance(rec, Advanced):
-            self.block += rec.blocks
-        elif isinstance(rec, PaymentRegistered):
-            ids = decode_pay_data(rec.pay_data)
-            escrow = rec.per_destination * len(ids) + rec.unlocker_fee
-            self._credit(rec.from_id, -escrow)
-            if rec.locking_key_hash is not None:
-                self.locked += 1
-            self.payments.append(
-                _ViewPayment(
-                    len(ids),
-                    rec.per_destination,
-                    "locked" if rec.locking_key_hash is not None else "committed",
-                    self.block + self.unlock_period,
-                    escrow,
-                    rec.from_id,
-                )
+    def _instantiated(self, rec: Instantiated) -> None:
+        # the params blob: table bound, unlock period, two game periods,
+        # both stakes, batch size bound, instant slot threshold
+        (_, self.unlock_period, _, _, self.collect_stake, self.challenge_stake, _,
+         self.instant_slot_threshold) = unpack(("u64",) * 8, rec.params_blob)
+
+    def _bulk_registered(self, rec: BulkRegistered) -> None:
+        for i in range(rec.first_id, rec.first_id + rec.count):
+            self.balances.setdefault(i, 0)
+
+    def _advanced(self, rec: Advanced) -> None:
+        self.block += rec.blocks
+
+    def _payment_registered(self, rec: PaymentRegistered) -> None:
+        ids = decode_pay_data(rec.pay_data)
+        escrow = rec.per_destination * len(ids) + rec.unlocker_fee
+        self._credit(rec.from_id, -escrow)
+        if rec.locking_key_hash is not None:
+            self.locked += 1
+        self.payments.append(
+            _ViewPayment(
+                len(ids),
+                rec.per_destination,
+                "locked" if rec.locking_key_hash is not None else "committed",
+                self.block + self.unlock_period,
+                escrow,
+                rec.from_id,
             )
-            pay_index = len(self.payments)
-            counted = Counter(ids)
-            self.payees.append(tuple(counted))
-            for account_id, count in counted.items():
-                posting = self._postings.get(account_id)
-                if posting is None:
-                    posting = self._postings[account_id] = ([], [], [0], [0])
-                posting[0].append(pay_index)
-                posting[1].append(count)
-        elif isinstance(rec, Unlocked):
-            p = self.payments[rec.pay_index - 1]
-            p.status = "committed"
-            self.locked -= 1
-            fee = p.total_escrow - p.per_destination * p.payee_count
-            self._credit(rec.unlocker_id, fee)
-        elif isinstance(rec, Refunded):
-            p = self.payments[rec.pay_index - 1]
-            p.status = "refunded"
-            self.locked -= 1
-            self._credit(p.from_id, p.total_escrow)
-        elif isinstance(rec, CollectOpened):
-            start = self.prefixes.get(rec.recipient_id, 0)
-            instant = rec.slot_id > self.instant_slot_threshold
-            debit = self.collect_stake
-            if instant:
-                advance = rec.amount - rec.fee
-                debit += advance
-                if rec.destination_address is None:
-                    self._credit(rec.recipient_id, advance)
-                self.prefixes[rec.recipient_id] = rec.last_payment_index
-            self._credit(rec.delegate_id, -debit)
-            key = (rec.delegate_id, rec.slot_id)
-            self.slots[key] = _ViewSlot(
-                rec.recipient_id, start, rec.last_payment_index,
-                rec.amount, rec.fee, rec.destination_address, instant,
-                len(self.opened),
+        )
+        pay_index = len(self.payments)
+        counted = Counter(ids)
+        self.payees.append(tuple(counted))
+        for account_id, count in counted.items():
+            posting = self._postings.get(account_id)
+            if posting is None:
+                posting = self._postings[account_id] = ([], [], [0], [0])
+            posting[0].append(pay_index)
+            posting[1].append(count)
+
+    def _unlocked(self, rec: Unlocked) -> None:
+        p = self.payments[rec.pay_index - 1]
+        p.status = "committed"
+        self.locked -= 1
+        fee = p.total_escrow - p.per_destination * p.payee_count
+        self._credit(rec.unlocker_id, fee)
+
+    def _refunded(self, rec: Refunded) -> None:
+        p = self.payments[rec.pay_index - 1]
+        p.status = "refunded"
+        self.locked -= 1
+        self._credit(p.from_id, p.total_escrow)
+
+    def _collect_opened(self, rec: CollectOpened) -> None:
+        start = self.prefixes.get(rec.recipient_id, 0)
+        instant = rec.slot_id > self.instant_slot_threshold
+        debit = self.collect_stake
+        if instant:
+            advance = rec.amount - rec.fee
+            debit += advance
+            if rec.destination_address is None:
+                self._credit(rec.recipient_id, advance)
+            self.prefixes[rec.recipient_id] = rec.last_payment_index
+        self._credit(rec.delegate_id, -debit)
+        key = (rec.delegate_id, rec.slot_id)
+        self.slots[key] = _ViewSlot(
+            rec.recipient_id, start, rec.last_payment_index,
+            rec.amount, rec.fee, rec.destination_address, instant,
+            len(self.opened),
+        )
+        self.opened.append(key)
+
+    def _challenged(self, rec: Challenged) -> None:
+        self._credit(rec.challenger_id, -self.challenge_stake)
+        key = (rec.delegate_id, rec.slot_id)
+        self.slots[key].challenger_id = rec.challenger_id
+        self.challenged.append(key)
+
+    def _challenge_succeeded(self, rec: ChallengeSucceeded) -> None:
+        slot = self.slots.pop((rec.delegate_id, rec.slot_id))
+        self._credit(slot.challenger_id, self.collect_stake + self.challenge_stake)
+
+    def _challenge_failed(self, rec: ChallengeFailed) -> None:
+        slot = self.slots[(rec.delegate_id, rec.slot_id)]
+        self._credit(rec.delegate_id, self.challenge_stake)
+        slot.challenger_id = None
+
+    def _slot_freed(self, rec: SlotFreed) -> None:
+        slot = self.slots.pop((rec.delegate_id, rec.slot_id))
+        if slot.instant:
+            self._credit(rec.delegate_id, slot.amount + self.collect_stake)
+        else:
+            if slot.destination is None:
+                self._credit(slot.recipient_id, slot.amount - slot.fee)
+            self._credit(rec.delegate_id, slot.fee + self.collect_stake)
+            self.prefixes[slot.recipient_id] = max(
+                self.prefixes.get(slot.recipient_id, 0), slot.end
             )
-            self.opened.append(key)
-        elif isinstance(rec, Challenged):
-            self._credit(rec.challenger_id, -self.challenge_stake)
-            key = (rec.delegate_id, rec.slot_id)
-            self.slots[key].challenger_id = rec.challenger_id
-            self.challenged.append(key)
-        elif isinstance(rec, ChallengeSucceeded):
-            slot = self.slots.pop((rec.delegate_id, rec.slot_id))
-            self._credit(slot.challenger_id, self.collect_stake + self.challenge_stake)
-        elif isinstance(rec, ChallengeFailed):
-            slot = self.slots[(rec.delegate_id, rec.slot_id)]
-            self._credit(rec.delegate_id, self.challenge_stake)
-            slot.challenger_id = None
-        elif isinstance(rec, SlotFreed):
-            slot = self.slots.pop((rec.delegate_id, rec.slot_id))
-            if slot.instant:
-                self._credit(rec.delegate_id, slot.amount + self.collect_stake)
-            else:
-                if slot.destination is None:
-                    self._credit(slot.recipient_id, slot.amount - slot.fee)
-                self._credit(rec.delegate_id, slot.fee + self.collect_stake)
-                self.prefixes[slot.recipient_id] = max(
-                    self.prefixes.get(slot.recipient_id, 0), slot.end
-                )
-        else:  # pragma: no cover - every record type is handled above
-            raise InvalidParameter(f"unhandled record {type(rec).__name__}")
 
     # -- queries ---------------------------------------------------------------
 
@@ -339,6 +328,29 @@ class LogView:
     def oracle_balance(self, account_id: int) -> int:
         """Settled balance plus still-collectable entitlement."""
         return self.settled_balance(account_id) + self.collectable(account_id)
+
+
+# The oracle's own record dispatch, independent of replay's handler table.
+# The records that move no balance the view tracks map to a no-op.
+_APPLY = {
+    Instantiated: LogView._instantiated,
+    Registered: lambda view, rec: view.balances.setdefault(rec.account_id, 0),
+    BulkRegistered: LogView._bulk_registered,
+    Deposited: lambda view, rec: view._credit(rec.account_id, rec.amount),
+    Withdrawn: lambda view, rec: view._credit(rec.account_id, -rec.amount),
+    Advanced: LogView._advanced,
+    PaymentRegistered: LogView._payment_registered,
+    Unlocked: LogView._unlocked,
+    Refunded: LogView._refunded,
+    CollectOpened: LogView._collect_opened,
+    Challenged: LogView._challenged,
+    ChallengeSucceeded: LogView._challenge_succeeded,
+    ChallengeFailed: LogView._challenge_failed,
+    SlotFreed: LogView._slot_freed,
+    **dict.fromkeys(
+        (Claimed, ListResponded, PaymentSelected, InclusionProved, FinalDigest), lambda view, rec: None
+    ),
+}
 
 
 def view_of(log: ChainLog) -> LogView:

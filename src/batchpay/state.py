@@ -44,7 +44,7 @@ from .errors import (
     Unauthorized,
     UnknownAccount,
 )
-from .wire import U64_MAX, pack_str, u16, u32, u64
+from .wire import U64_MAX, layout, pack_rows, packer
 
 # Slot ids above this value are instant-collect slots; the boundary itself
 # is not instant. Fixed by the protocol, independent of configuration.
@@ -76,6 +76,8 @@ def ensure_u64(value: int, what: str) -> int:
 class Params:
     """Protocol constants, fixed at instantiation."""
 
+    WIRE = ("u64",) * 8
+
     max_account_count: int = MAX_ACCOUNT_ID_SPACE
     unlock_period: int = 10
     challenge_period: int = 30        # collect settlement window (game state 1)
@@ -103,19 +105,7 @@ class Params:
             ensure_u64(getattr(self, name), name)
 
     def canonical_bytes(self) -> bytes:
-        return b"".join(
-            u64(v)
-            for v in (
-                self.max_account_count,
-                self.unlock_period,
-                self.challenge_period,
-                self.response_period,
-                self.collect_stake,
-                self.challenge_stake,
-                self.max_payments_per_batch,
-                self.instant_slot_threshold,
-            )
-        )
+        return _pack_params(self)
 
 
 class TokenAdapter:
@@ -125,7 +115,10 @@ class TokenAdapter:
     run the only flows are deposit and withdraw, which preserve the
     adapter's total. ``minted`` is everything ever minted, so
     ``check_invariants`` can tell a flow that created or lost tokens.
+    Its snapshot is one ``WIRE`` row per address, sorted by address.
     """
+
+    WIRE = ("str", "u64")        # address, external balance
 
     def __init__(self, balances: dict[str, int] | None = None):
         self.external: dict[str, int] = {}
@@ -167,26 +160,12 @@ class TokenAdapter:
         return self.reserve + sum(self.external.values())
 
     def snapshot_bytes(self) -> bytes:
-        out = bytearray(u32(len(self.external)))
-        for addr in sorted(self.external):
-            out += pack_str(addr) + u64(self.external[addr])
-        return bytes(out)
-
-
-@dataclass
-class BlockClock:
-    """Logical block counter; the only notion of time in a run."""
-
-    block: int = 0
-
-    def advance(self, blocks: int) -> None:
-        if blocks < 1:
-            raise InvalidParameter("must advance by at least one block")
-        self.block = ensure_u64(self.block + blocks, "block number")
+        return pack_rows(_pack_external, sorted(self.external.items()))
 
 
 @dataclass
 class Account:
+    WIRE = ("u32", "str?", "u64", "u64")
     account_id: int
     address: str | None           # None while reserved via bulk registration
     balance: int = 0
@@ -205,6 +184,7 @@ class PaymentStatus(IntEnum):
 
 @dataclass
 class Payment:
+    WIRE = ("u32", "u64", "u32", "b32", "u64", "u64", "u8", "b32?", "u64", "u64")
     pay_index: int
     from_id: int
     per_destination: int
@@ -220,6 +200,7 @@ class Payment:
 
 @dataclass
 class BulkRegistration:
+    WIRE = ("u32", "u32", "u32", "b32", "u64")
     bulk_id: int
     first_id: int
     count: int
@@ -240,6 +221,10 @@ class GameState(IntEnum):
 
 @dataclass
 class CollectSlot:
+    WIRE = (
+        "u32", "u16", "u32", "u64", "u64", "u64", "u64", "str?",
+        "u8", "u8", "u64", "u64", "u32?", "pairs?", "pair?",
+    )
     delegate_id: int
     slot_id: int
     recipient_id: int
@@ -264,7 +249,7 @@ class ProtocolState:
         params.validate()
         self.params = params
         self.adapter = adapter
-        self.clock = BlockClock()
+        self.current_block = 0       # the only notion of time in a run
         self.accounts: list[Account] = []
         self.payments: list[Payment] = []
         self.bulks: list[BulkRegistration] = []
@@ -302,10 +287,6 @@ class ProtocolState:
         return self.payments[pay_index - 1]
 
     @property
-    def current_block(self) -> int:
-        return self.clock.block
-
-    @property
     def latest_pay_index(self) -> int:
         return len(self.payments)
 
@@ -316,7 +297,7 @@ class ProtocolState:
         a prefix; binary search over collectable_from_block.
         """
         return bisect_right(
-            self.payments, self.clock.block, key=attrgetter("collectable_from_block")
+            self.payments, self.current_block, key=attrgetter("collectable_from_block")
         )
 
     # -- account table -----------------------------------------------------
@@ -387,9 +368,11 @@ class ProtocolState:
         self.log.append(Withdrawn(account_id, amount, to_address, sender))
 
     def advance_block(self, blocks: int = 1) -> int:
-        self.clock.advance(blocks)
+        if blocks < 1:
+            raise InvalidParameter("must advance by at least one block")
+        self.current_block = ensure_u64(self.current_block + blocks, "block number")
         self.log.append(Advanced(blocks))
-        return self.clock.block
+        return self.current_block
 
     # -- invariants ----------------------------------------------------------
 
@@ -475,54 +458,31 @@ class ProtocolState:
     # -- canonical serialization / digest -------------------------------------
 
     def canonical_bytes(self) -> bytes:
-        out = bytearray(b"BPSTATE\x01")
-        out += self.params.canonical_bytes()
-        out += self.instance_id
-        out += u64(self.clock.block)
-        out += u64(self.adapter.reserve)
-        out += u64(self.escrow_pool)
-        out += self.adapter.snapshot_bytes()
-        out += u32(len(self.accounts))
-        for a in self.accounts:
-            out += u32(a.account_id)
-            out += b"\x01" + pack_str(a.address) if a.address is not None else b"\x00"
-            out += u64(a.balance) + u64(a.last_collected_pay_index)
-        out += u32(len(self.payments))
-        for p in self.payments:
-            out += u32(p.from_id) + u64(p.per_destination) + u32(p.payee_count)
-            out += p.pay_data_digest
-            out += u64(p.total_escrow) + u64(p.unlocker_fee)
-            out += bytes([p.status])
-            out += b"\x01" + p.locking_key_hash if p.locking_key_hash else b"\x00"
-            out += u64(p.registered_at_block) + u64(p.collectable_from_block)
-        out += u32(len(self.bulks))
-        for b in self.bulks:
-            out += u32(b.bulk_id) + u32(b.first_id) + u32(b.count) + b.root
-            out += u64(b.registered_at_block)
-        out += u32(len(self.slots))
-        for key in sorted(self.slots):
-            s = self.slots[key]
-            out += u32(s.delegate_id) + u16(s.slot_id) + u32(s.recipient_id)
-            out += u64(s.start_pay_index) + u64(s.end_pay_index)
-            out += u64(s.amount) + u64(s.fee)
-            out += b"\x01" + pack_str(s.destination_address) if s.destination_address is not None else b"\x00"
-            out += bytes([int(s.instant), s.game_state])
-            out += u64(s.deadline_block) + u64(s.held_funds)
-            out += b"\x01" + u32(s.challenger_id) if s.challenger_id is not None else b"\x00"
-            if s.challenge_list is not None:
-                out += b"\x01" + u32(len(s.challenge_list))
-                for idx, amt in s.challenge_list:
-                    out += u64(idx) + u64(amt)
-            else:
-                out += b"\x00"
-            if s.challenged_entry is not None:
-                out += b"\x01" + u64(s.challenged_entry[0]) + u64(s.challenged_entry[1])
-            else:
-                out += b"\x00"
-        return bytes(out)
+        """The state image: magic, header, externals, then four row lists."""
+        slots = self.slots
+        return b"".join((
+            b"BPSTATE\x01",
+            _pack_header(self),
+            self.adapter.snapshot_bytes(),
+            pack_rows(_pack_account, self.accounts),
+            pack_rows(_pack_payment, self.payments),
+            pack_rows(_pack_bulk, self.bulks),
+            pack_rows(_pack_slot, [slots[key] for key in sorted(slots)]),
+        ))
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical_bytes()).digest()
+
+
+_pack_params, _pack_account, _pack_payment, _pack_bulk, _pack_slot = (
+    packer(layout(cls)) for cls in (Params, Account, Payment, BulkRegistration, CollectSlot)
+)
+_pack_external = packer(zip(("o[0]", "o[1]"), TokenAdapter.WIRE))
+# every params field, then the instance id, block, reserve and escrow pool
+_pack_header = packer([
+    *layout(Params, "o.params."), ("o.instance_id", "b32"), ("o.current_block", "u64"),
+    ("o.adapter.reserve", "u64"), ("o.escrow_pool", "u64"),
+])
 
 
 def instantiate(params: Params, adapter: TokenAdapter | None = None) -> ProtocolState:

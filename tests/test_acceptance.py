@@ -21,10 +21,12 @@ negative fixed part. A band across sizes contradicts amortization.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,6 +60,7 @@ from batchpay.sim import ScenarioConfig, run_scenario
 from batchpay.sim.config import parse_scenario_config
 from batchpay.sim.report import report_digest
 from batchpay.sim.scenario import run_scenario_full
+from batchpay.wire import U64_MAX
 from batchpay.state import (
     NEW_ACCOUNT,
     GameState,
@@ -482,25 +485,22 @@ class FuzzDriver:
     Collect claims are always the true entitlement, so every rejection is
     a typed protocol error and the shared pool always covers settlements;
     everything else (timing, targets, keys, stakes) is fuzzed freely.
+    Amounts, the table size and the proof bytes come from the hooks below,
+    which a subclass may move to the edges of their ranges.
     """
+
+    WALLET = 10**9                    # each wallet's minted funds
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         rng = self.rng
         adapter = TokenAdapter()
         for i in range(6):
-            adapter.mint(f"wallet-{i}", 10**9)
-        self.params = Params(
-            unlock_period=rng.randint(1, 3),
-            challenge_period=rng.randint(1, 4),
-            response_period=rng.randint(1, 3),
-            collect_stake=rng.randint(2, 10),
-            challenge_stake=rng.randint(1, 5),
-            max_payments_per_batch=50,
-        )
+            adapter.mint(f"wallet-{i}", self.WALLET)
+        self.params = self._params()
         self.state = instantiate(self.params, adapter)
         for i in range(3):
-            self.state.deposit(NEW_ACCOUNT, rng.randint(5_000, 50_000), f"wallet-{i}")
+            self.state.deposit(NEW_ACCOUNT, self._opening_deposit(), f"wallet-{i}")
         for i in range(3, 5):
             register(self.state, f"wallet-{i}")
         self.keys: dict[int, tuple[int, bytes]] = {}
@@ -524,6 +524,31 @@ class FuzzDriver:
             (self.op_free_slot, 2),
         ]
         self._weights = [w for _, w in self._ops]
+
+    # -- parameter, amount and proof hooks --------------------------------
+
+    def _params(self) -> Params:
+        rng = self.rng
+        return Params(
+            unlock_period=rng.randint(1, 3),
+            challenge_period=rng.randint(1, 4),
+            response_period=rng.randint(1, 3),
+            collect_stake=rng.randint(2, 10),
+            challenge_stake=rng.randint(1, 5),
+            max_payments_per_batch=50,
+        )
+
+    def _opening_deposit(self) -> int:
+        return self.rng.randint(5_000, 50_000)
+
+    def _deposit_amount(self) -> int:
+        return self.rng.randint(1, 20_000)
+
+    def _per_destination(self, buyer, count: int) -> int:
+        return self.rng.randint(1, 9)
+
+    def _proof_data(self, pay_index: int) -> bytes:
+        return self.state.log.pay_data(pay_index)
 
     # -- argument pickers -------------------------------------------------
 
@@ -560,9 +585,9 @@ class FuzzDriver:
         rng = self.rng
         wallet = f"wallet-{rng.randrange(6)}"
         if len(self.state.accounts) < 40 and rng.random() < 0.3:
-            self.state.deposit(NEW_ACCOUNT, rng.randint(1, 20_000), wallet)
+            self.state.deposit(NEW_ACCOUNT, self._deposit_amount(), wallet)
         else:
-            self.state.deposit(self._any_account(), rng.randint(1, 20_000), wallet)
+            self.state.deposit(self._any_account(), self._deposit_amount(), wallet)
         return "deposit"
 
     def op_withdraw(self):
@@ -610,7 +635,7 @@ class FuzzDriver:
         buyer = state.accounts[self._any_account()]
         count = rng.randint(1, 6)
         payees = sorted(rng.randrange(len(state.accounts)) for _ in range(count))
-        per_dest = rng.randint(1, 9)
+        per_dest = self._per_destination(buyer, count)
         locked = rng.random() < 0.35
         key = rng.randbytes(8) if locked else b""
         unlocker_id = self._any_account() if locked else None
@@ -703,7 +728,7 @@ class FuzzDriver:
         slot = self.state.slots[key]
         if not slot.challenged_entry:
             return self.op_advance()
-        pay_data = self.state.log.pay_data(slot.challenged_entry[0])
+        pay_data = self._proof_data(slot.challenged_entry[0])
         prove_payment_inclusion(self.state, key[0], key[1], pay_data)
         return "prove"
 
@@ -772,32 +797,94 @@ def test_6_conservation_fuzz(check):
     check(6, "conservation fuzz", 120.0, body)
 
 
-def test_rejected_fuzz_ops_leave_state_and_log_untouched():
-    # errors.py: a rejected operation leaves state untouched. Checked on
-    # every rejection that FuzzDriver provokes, by the state digest and the
-    # log length before and after.
-    rejected: dict[str, int] = {}
-    for seed in range(1, 9):
-        fuzz = FuzzDriver(7000 + seed)
+def _refusals(driver_type, seeds, ops: int) -> Counter:
+    """Drive ``ops`` picks per seed and count every ``ProtocolError`` by
+    (op name, error class), asserting that each left the state digest and
+    the log length as they were (errors.py: a rejected operation leaves
+    state untouched)."""
+    refused: Counter = Counter()
+    for seed in seeds:
+        fuzz = driver_type(seed)
         state = fuzz.state
-        for _ in range(600):
+        for _ in range(ops):
             op = fuzz.pick()
             before = state.digest(), len(state.log)
             try:
                 op()
             except ProtocolError as exc:
                 after = state.digest(), len(state.log)
-                assert after == before, f"seed {7000 + seed}: {op.__name__} raised {exc!r} after writing"
-                rejected[op.__name__] = rejected.get(op.__name__, 0) + 1
+                assert after == before, f"seed {seed}: {op.__name__} raised {exc!r} after writing"
+                refused[op.__name__.removeprefix("op_"), type(exc).__name__] += 1
             state.check_invariants()
+    return refused
+
+
+def test_rejected_fuzz_ops_leave_state_and_log_untouched():
+    refused = _refusals(FuzzDriver, range(7001, 7009), 600)
     # Every kind FuzzDriver gets refused is covered; it never has an
-    # advance, deposit, register or prove refused.
+    # advance, deposit, register or prove refused (NearLimitDriver does).
     refusable = {
         "withdraw", "register_payment", "unlock", "refund", "collect", "challenge",
         "respond", "select", "challenge_success", "challenge_failed", "free_slot",
     }
-    assert refusable <= {name.removeprefix("op_") for name in rejected}, rejected
-    assert sum(rejected.values()) >= 1000, rejected
+    assert refusable <= {op for op, _ in refused}, refused
+    assert sum(refused.values()) >= 1000, refused
+
+
+class NearLimitDriver(FuzzDriver):
+    """FuzzDriver at the edges: wallets minted near U64_MAX, deposits of
+    U64_MAX >> k, payments sized to the buyer's balance or past the u64
+    range, an eight-account table, and a third of the proofs sent with
+    another payment's pay data. Game moves mostly target the slot furthest
+    into its game, and the game windows are longer, so proofs happen."""
+
+    WALLET = U64_MAX - 2**20
+
+    def _params(self) -> Params:
+        rng = self.rng
+        return dataclasses.replace(
+            super()._params(),
+            max_account_count=8,
+            challenge_period=rng.randint(4, 8),
+            response_period=rng.randint(4, 8),
+        )
+
+    def _opening_deposit(self) -> int:
+        return U64_MAX >> self.rng.randint(3, 5)
+
+    def _deposit_amount(self) -> int:
+        return U64_MAX >> self.rng.randint(0, 8)
+
+    def _per_destination(self, buyer, count: int) -> int:
+        rng = self.rng
+        if rng.random() < 0.7:
+            spend = buyer.balance >> rng.randint(0, 3)
+        else:
+            spend = U64_MAX >> rng.randint(0, 2)
+        return max(1, spend // count + rng.randint(0, 1))
+
+    def _slot_key(self):
+        slots = self.state.slots
+        if slots and self.rng.random() < 0.7:
+            furthest = max(slot.game_state for slot in slots.values())
+            keys = sorted(key for key, slot in slots.items() if slot.game_state == furthest)
+            return keys[self.rng.randrange(len(keys))]
+        return super()._slot_key()
+
+    def _proof_data(self, pay_index: int) -> bytes:
+        log = self.state.log
+        if self.rng.random() < 0.34:
+            return log.pay_data(self.rng.randint(1, self.state.latest_pay_index))
+        return log.pay_data(pay_index)
+
+
+def test_near_limit_rejections_leave_state_and_log_untouched():
+    # About 2 s. FuzzDriver never has a deposit, a register or a prove
+    # refused, nor a payment for being past the u64 range; this driver has.
+    refused = _refusals(NearLimitDriver, range(9001, 9011), 1500)
+    assert {"deposit", "register"} <= {op for op, _ in refused}, refused
+    assert refused["prove", "BadProof"], refused
+    assert refused["register_payment", "AmountOutOfRange"], refused
 
 
 # -- 7: honest worlds agree with the log oracle ---------------------------------------

@@ -187,6 +187,24 @@ def test_run_bad_config_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("[amounts]\npayees_max = 20\n[params]\nmax_payments_per_batch = 10\n",
+         ("payees_max", "max_payments_per_batch")),
+        ("[params]\nmax_account_count = 5\n", ("buyers + sellers", "max_account_count")),
+    ],
+    ids=["batch-limit", "account-table"],
+)
+def test_run_refuses_a_config_the_engine_would_refuse_mid_run(tmp_path, text, keys, capsys):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(key in captured.err for key in keys), captured.err
+
+
 def test_run_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/path.cfg"]) == 3
     assert "error" in capsys.readouterr().err

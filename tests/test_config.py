@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from batchpay.errors import InvalidParameter
-from batchpay.sim import ScenarioConfig, parse_scenario_config
+from batchpay.sim import ScenarioConfig, parse_scenario_config, run_scenario
 
 FULL_CONFIG = """
 [scenario]
@@ -177,3 +177,33 @@ def test_prices_must_be_positive_and_finite(key, value):
 def test_protocol_params_validated_at_parse_time():
     with pytest.raises(InvalidParameter):
         parse_scenario_config("[params]\nunlock_period = 0\n")
+
+
+def test_payees_max_past_the_batch_limit_rejected():
+    # The engine would refuse the first batch larger than the limit mid-run.
+    with pytest.raises(InvalidParameter, match="payees_max 20 exceeds max_payments_per_batch 10"):
+        parse_scenario_config("[amounts]\npayees_max = 20\n[params]\nmax_payments_per_batch = 10\n")
+    config = parse_scenario_config("[amounts]\npayees_max = 10\n[params]\nmax_payments_per_batch = 10\n")
+    assert config.payees_max == config.params.max_payments_per_batch == 10
+
+
+def test_more_actors_than_the_account_table_rejected():
+    # Every actor opens one account during setup; the default cast is
+    # 4 buyers + 12 sellers + 1 delegate + 1 monitor + 0 unlockers = 18.
+    with pytest.raises(InvalidParameter, match="= 18 exceeds max_account_count 17"):
+        parse_scenario_config("[params]\nmax_account_count = 17\n")
+    with pytest.raises(InvalidParameter, match="= 7 exceeds max_account_count 5"):
+        parse_scenario_config(
+            "[roles]\nbuyers = 1\nsellers = 2\ndelegates = 1\nmonitors = 1\nunlockers = 2\n"
+            "[scenario]\nlocked_fraction = 0.5\n[params]\nmax_account_count = 5\n"
+        )
+
+
+def test_configs_at_both_limits_run():
+    config = parse_scenario_config(
+        "[scenario]\nblocks = 4\n[amounts]\npayees_min = 3\npayees_max = 3\n"
+        "[params]\nmax_account_count = 18\nmax_payments_per_batch = 3\n"
+    )
+    report = run_scenario(config)
+    assert len(report.balances) == 18
+    assert report.payments["registered"] > 0

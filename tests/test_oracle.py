@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchpay.chainlog import ChainLog, PaymentRegistered, Refunded, Unlocked
+from batchpay import replay
+from batchpay.chainlog import RECORD_TYPES, ChainLog, PaymentRegistered, Record, Refunded, Unlocked
 from batchpay.codec import decode_pay_data, encode_pay_data
 from batchpay.collect import (
     challenge,
@@ -19,6 +22,7 @@ from batchpay.payments import locking_key_hash, refund_locked_payment, register_
 from batchpay.registration import register
 from batchpay.sim import SimRun, view_of
 from batchpay.sim.config import load_scenario_config
+from batchpay.sim import oracle
 from batchpay.sim.oracle import LogView, find_inflated_entry, monitor_verdict, oracle_balance
 from batchpay.state import GameState, PaymentStatus
 from tests.conftest import World
@@ -347,3 +351,21 @@ def test_locked_count_matches_a_scan_at_every_block():
     run.run()
     assert len(counts) == run.blocks_run > run.config.blocks
     assert max(counts) > 0 and counts[-1] == 0
+
+
+def test_oracle_dispatches_every_record_type_through_its_own_table():
+    # The oracle is the engine's cross-check, so it keeps its own handlers
+    # rather than sharing replay's.
+    assert set(oracle._APPLY) == set(RECORD_TYPES.values())
+    assert not set(oracle._APPLY.values()) & set(replay._HANDLERS.values())
+
+
+def test_unhandled_record_type_raises_invalid_parameter():
+    @dataclass(frozen=True, slots=True)
+    class Stray(Record):
+        TAG = 0x70
+
+    log = ChainLog()
+    log.append(Stray())
+    with pytest.raises(InvalidParameter, match="unhandled record Stray"):
+        view_of(log)

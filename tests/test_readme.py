@@ -8,17 +8,25 @@ repository root. A command may end in `| grep -E PATTERN`, which keeps
 the output lines the pattern matches. In the expected output, a token
 ending in `...` is truncated: it matches any token that starts with what
 precedes the ellipsis.
+
+The tables of docs/formats.md are checked the same way against the code
+they describe: the field kinds against ``wire.KINDS``, and the fields of
+every record and state row against its declared ``WIRE`` layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from batchpay import state
+from batchpay.chainlog import RECORD_TYPES
 from batchpay.cli import main
+from batchpay.wire import KINDS, layout
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -76,3 +84,38 @@ def test_readme_example(block, tmp_path, monkeypatch, capsys):
         assert len(actual) == len(expected), (command, actual)
         for want, got in zip(expected, actual):
             assert _matches(want, got), (command, want, got)
+
+
+FORMATS = (REPO / "docs" / "formats.md").read_text()
+
+
+def _table_rows(heading: str) -> list[list[str]]:
+    """The cells of each body row of the first table after ``heading``."""
+    lines = FORMATS[FORMATS.index(heading):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _fields(cell: str) -> list[tuple[str, str]]:
+    return re.findall(r"(\w+) `([\w?]+)`", cell)
+
+
+def test_formats_doc_names_exactly_the_kinds_of_the_kind_table():
+    documented = {kind for row in _table_rows("Field kinds:") for kind in re.findall(r"`([\w?]+)`", row[0])}
+    base = {kind for kind in KINDS if not kind.endswith("?")}
+    assert set(KINDS) == base | {f"{kind}?" for kind in base}
+    assert documented == base | {"k?"}
+
+
+def test_formats_doc_lists_every_record_as_declared():
+    documented = {row[1]: _fields(row[2]) for row in _table_rows("Records (gas op")}
+    assert documented == {cls.__name__: layout(cls, "") for cls in RECORD_TYPES.values()}
+
+
+def test_formats_doc_lists_every_state_row_as_declared():
+    rows = (state.Params, state.Account, state.Payment, state.BulkRegistration, state.CollectSlot)
+    documented = {row[0]: _fields(row[1]) for row in _table_rows("## State digest")}
+    assert documented == {cls.__name__: layout(cls, "") for cls in rows}

@@ -3,23 +3,31 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchpay.chainlog import ChainLog
 from batchpay.errors import (
     AmountOutOfRange,
     InsufficientFunds,
     InvalidParameter,
     InvariantViolation,
+    ProtocolError,
     TableFull,
     Unauthorized,
     UnknownAccount,
 )
 from batchpay.collect import challenge, respond_with_payment_list, select_payment
 from batchpay.registration import register
+from batchpay.replay import replay
+from batchpay.sim.config import load_scenario_config
+from batchpay.sim.scenario import SimRun
 from batchpay.state import (
     MAX_ACCOUNT_ID_SPACE,
     NEW_ACCOUNT,
@@ -33,6 +41,10 @@ from batchpay.state import (
     instantiate,
 )
 from tests.conftest import World, small_params
+from tests.test_acceptance import FuzzDriver
+
+REPO = Path(__file__).resolve().parent.parent
+ADVERSARIAL_CFG = REPO / "configs" / "adversarial.cfg"
 
 
 def fresh(params=None, funding=()):
@@ -203,6 +215,16 @@ def test_clock_advances_monotonically():
         state.advance_block(0)
     with pytest.raises(InvalidParameter):
         state.advance_block(-3)
+
+
+def test_advance_past_u64_leaves_state_and_log_untouched():
+    state = fresh()
+    state.advance_block(U64_MAX)
+    before = state.digest(), len(state.log)
+    with pytest.raises(AmountOutOfRange):
+        state.advance_block(1)
+    assert (state.digest(), len(state.log)) == before
+    assert state.current_block == U64_MAX
 
 
 # -- digests and invariants ------------------------------------------------
@@ -436,3 +458,130 @@ def test_check_invariants_fails_like_the_reference_loop():
         assert _failure(ProtocolState.check_invariants, state) == expected
         found.add(expected[0])
     assert len(found) == 12, found
+
+
+# -- the state image against the hand-written layout --------------------------
+
+
+def _reference_canonical_bytes(state) -> bytes:
+    """The state image as it was written out field by field before the
+    layouts were declared; the declared layouts must match it byte for byte."""
+
+    def u16(v):
+        return v.to_bytes(2, "little")
+
+    def u32(v):
+        return v.to_bytes(4, "little")
+
+    def u64(v):
+        return v.to_bytes(8, "little")
+
+    def pack_str(text):
+        raw = text.encode("utf-8")
+        return u16(len(raw)) + raw
+
+    params = state.params
+    out = bytearray(b"BPSTATE\x01")
+    for value in (
+        params.max_account_count, params.unlock_period, params.challenge_period,
+        params.response_period, params.collect_stake, params.challenge_stake,
+        params.max_payments_per_batch, params.instant_slot_threshold,
+    ):
+        out += u64(value)
+    out += state.instance_id
+    out += u64(state.current_block)
+    out += u64(state.adapter.reserve)
+    out += u64(state.escrow_pool)
+    out += u32(len(state.adapter.external))
+    for addr in sorted(state.adapter.external):
+        out += pack_str(addr) + u64(state.adapter.external[addr])
+    out += u32(len(state.accounts))
+    for a in state.accounts:
+        out += u32(a.account_id)
+        out += b"\x01" + pack_str(a.address) if a.address is not None else b"\x00"
+        out += u64(a.balance) + u64(a.last_collected_pay_index)
+    out += u32(len(state.payments))
+    for p in state.payments:
+        out += u32(p.from_id) + u64(p.per_destination) + u32(p.payee_count)
+        out += p.pay_data_digest
+        out += u64(p.total_escrow) + u64(p.unlocker_fee)
+        out += bytes([p.status])
+        out += b"\x01" + p.locking_key_hash if p.locking_key_hash else b"\x00"
+        out += u64(p.registered_at_block) + u64(p.collectable_from_block)
+    out += u32(len(state.bulks))
+    for b in state.bulks:
+        out += u32(b.bulk_id) + u32(b.first_id) + u32(b.count) + b.root
+        out += u64(b.registered_at_block)
+    out += u32(len(state.slots))
+    for key in sorted(state.slots):
+        s = state.slots[key]
+        out += u32(s.delegate_id) + u16(s.slot_id) + u32(s.recipient_id)
+        out += u64(s.start_pay_index) + u64(s.end_pay_index)
+        out += u64(s.amount) + u64(s.fee)
+        out += b"\x01" + pack_str(s.destination_address) if s.destination_address is not None else b"\x00"
+        out += bytes([int(s.instant), s.game_state])
+        out += u64(s.deadline_block) + u64(s.held_funds)
+        out += b"\x01" + u32(s.challenger_id) if s.challenger_id is not None else b"\x00"
+        if s.challenge_list is not None:
+            out += b"\x01" + u32(len(s.challenge_list))
+            for idx, amt in s.challenge_list:
+                out += u64(idx) + u64(amt)
+        else:
+            out += b"\x00"
+        if s.challenged_entry is not None:
+            out += b"\x01" + u64(s.challenged_entry[0]) + u64(s.challenged_entry[1])
+        else:
+            out += b"\x00"
+    return bytes(out)
+
+
+@pytest.mark.parametrize("all_lazy", [False, True], ids=["adversarial", "all-lazy-insolvent"])
+def test_state_image_matches_the_reference_at_every_block(all_lazy):
+    config = load_scenario_config(ADVERSARIAL_CFG)
+    if all_lazy:
+        config.lazy_monitor_fraction = 1.0
+    run = SimRun(config)
+    step = run.run_block
+    images = set()
+
+    def checked_block():
+        step()
+        image = run.state.canonical_bytes()
+        assert image == _reference_canonical_bytes(run.state), run.blocks_run
+        images.add(image)
+
+    assert run.state.canonical_bytes() == _reference_canonical_bytes(run.state)
+    run.run_block = checked_block
+    run.run()
+    assert len(images) == run.blocks_run > config.blocks
+    assert run.state.bulks and run.state.payments
+    if all_lazy:
+        assert run.insolvency_events > 0
+
+
+def test_state_image_matches_the_reference_after_every_fuzz_op():
+    # Seed 1039 is the one of 1001..1050 whose slots pass through every game
+    # state, so every optional slot field is imaged present and absent.
+    fuzz = FuzzDriver(1039)
+    seen = set()
+    for _ in range(2000):
+        op = fuzz.pick()
+        try:
+            op()
+        except ProtocolError:
+            pass
+        state = fuzz.state
+        assert state.canonical_bytes() == _reference_canonical_bytes(state), op.__name__
+        seen.update(slot.game_state for slot in state.slots.values())
+    assert seen == set(GameState) - {GameState.EMPTY}
+
+
+def test_state_image_matches_the_reference_on_the_canonical_replay():
+    # The end state of the benchmark's replay_canonical workload, rebuilt
+    # from its log: 1,002 accounts and 1,000 payments of 1,000 payees.
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    state, _ = replay(ChainLog.load(workloads.build_canonical_log(1).blob))
+    assert len(state.payments) == workloads.BATCHES
+    assert state.canonical_bytes() == _reference_canonical_bytes(state)
