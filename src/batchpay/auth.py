@@ -16,9 +16,14 @@ from __future__ import annotations
 
 import hmac
 
-from .wire import pack_str, u16, u32, u64
+from .wire import packer
 
 MAC_SIZE = 32
+
+_MESSAGE_TAG = b"BPCOLLECT\x01"
+# The instance id, then every collect parameter in call order.
+_MESSAGE_KINDS = ("b32", "u32", "u16", "u32", "u64", "u64", "u64", "str?")
+_pack_message = packer([(f"o[{i}]", kind) for i, kind in enumerate(_MESSAGE_KINDS)])
 
 
 def collect_auth_message(
@@ -31,17 +36,9 @@ def collect_auth_message(
     fee: int,
     destination_address: str | None,
 ) -> bytes:
-    dest = b"\x01" + pack_str(destination_address) if destination_address is not None else b"\x00"
-    return (
-        b"BPCOLLECT\x01"
-        + instance_id
-        + u32(delegate_id)
-        + u16(slot_id)
-        + u32(recipient_id)
-        + u64(last_payment_index)
-        + u64(amount)
-        + u64(fee)
-        + dest
+    return _MESSAGE_TAG + _pack_message(
+        (instance_id, delegate_id, slot_id, recipient_id, last_payment_index, amount, fee,
+         destination_address)
     )
 
 

@@ -362,26 +362,16 @@ def scaling_payload(record: Record) -> bytes:
 
 
 class ChainLog:
-    """Append-only record list plus a derived pay-data index."""
+    """Append-only record list."""
 
     def __init__(self) -> None:
         self.records: list[Record] = []
-        self._pay_data: dict[int, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def append(self, record: Record) -> None:
         self.records.append(record)
-        if isinstance(record, PaymentRegistered):
-            self._pay_data[record.pay_index] = record.pay_data
-
-    def pay_data(self, pay_index: int) -> bytes:
-        """Published payee bytes for a payment (data availability view)."""
-        return self._pay_data[pay_index]
 
     def dump(self) -> bytes:
         out = io.BytesIO()

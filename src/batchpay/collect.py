@@ -38,6 +38,7 @@ from .chainlog import (
     PaymentSelected,
     SlotFreed,
 )
+from .codec import decode_pay_data
 from .errors import (
     BadProof,
     BadSignature,
@@ -46,7 +47,6 @@ from .errors import (
     InvalidParameter,
     InvariantViolation,
 )
-from .payments import payment_occurrences
 from .state import (
     SLOT_ID_MAX,
     CollectSlot,
@@ -329,7 +329,7 @@ def prove_payment_inclusion(
         raise BadProof("payee bytes do not match the payment's digest")
     if payment.status != PaymentStatus.COMMITTED:
         raise BadProof(f"payment {pay_index} is {payment.status.name}, not COMMITTED")
-    due = payment_occurrences(state, pay_index, slot.recipient_id) * payment.per_destination
+    due = decode_pay_data(pay_data).count(slot.recipient_id) * payment.per_destination
     if due != claimed:
         raise BadProof(
             f"recipient {slot.recipient_id} is due {due} from payment "

@@ -2,8 +2,8 @@
 
 Transaction cost is modeled as
 
-    gas = base_tx + fixed[op] + 4 * zero_bytes + 16 * nonzero_bytes
-        + storage_writes * per_storage_write
+    gas = base_tx + fixed + 4 * zero_bytes + 16 * nonzero_bytes
+        + writes * per_storage_write,   (fixed, writes) = OP_GAS[op]
 
 where the byte terms price only an operation's *scaling* payload (payee
 bytes, disclosed lists, proofs); fixed-size arguments are absorbed into
@@ -36,7 +36,7 @@ aggregates only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .codec import encode_pay_data
@@ -47,62 +47,25 @@ from .errors import InvalidParameter
 BLOCK_GAS = 10_000_000
 BLOCK_SECONDS = 15
 
-OP_KINDS = (
-    "register",
-    "bulk_register",
-    "claim",
-    "deposit",
-    "withdraw",
-    "register_payment",
-    "unlock",
-    "refund",
-    "collect",
-    "challenge",
-    "respond",
-    "select",
-    "prove",
-    "challenge_success",
-    "challenge_failed",
-    "free_slot",
-)
-
-# Calibrated: see module docstring for the solve.
-_DEFAULT_FIXED = {
-    "register": 23000,
-    "bulk_register": 26000,
-    "claim": 15000,
-    "deposit": 26000,
-    "withdraw": 30000,
-    "register_payment": 171215,
-    "unlock": 24000,
-    "refund": 24000,
-    "collect": 126440,
-    "challenge": 42000,
-    "respond": 30000,
-    "select": 24000,
-    "prove": 30000,
-    "challenge_success": 30000,
-    "challenge_failed": 30000,
-    "free_slot": 40000,
-}
-
-_DEFAULT_WRITES = {
-    "register": 1,
-    "bulk_register": 1,
-    "claim": 1,
-    "deposit": 2,
-    "withdraw": 2,
-    "register_payment": 1,
-    "unlock": 2,
-    "refund": 2,
-    "collect": 1,
-    "challenge": 1,
-    "respond": 1,
-    "select": 1,
-    "prove": 1,
-    "challenge_success": 2,
-    "challenge_failed": 2,
-    "free_slot": 3,
+# Calibrated: see module docstring for the solve. One row per operation
+# kind a chain-log record declares as its ``OP``: (fixed gas, storage writes).
+OP_GAS = {
+    "register": (23000, 1),
+    "bulk_register": (26000, 1),
+    "claim": (15000, 1),
+    "deposit": (26000, 2),
+    "withdraw": (30000, 2),
+    "register_payment": (171215, 1),
+    "unlock": (24000, 2),
+    "refund": (24000, 2),
+    "collect": (126440, 1),
+    "challenge": (42000, 1),
+    "respond": (30000, 1),
+    "select": (24000, 1),
+    "prove": (30000, 1),
+    "challenge_success": (30000, 2),
+    "challenge_failed": (30000, 2),
+    "free_slot": (40000, 3),
 }
 
 
@@ -112,20 +75,11 @@ class CostParams:
     per_zero_byte: int = 4
     per_nonzero_byte: int = 16
     per_storage_write: int = 20000
-    fixed: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_FIXED))
-    storage_writes: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_WRITES))
 
     def validate(self) -> None:
         for name in ("base_tx", "per_zero_byte", "per_nonzero_byte", "per_storage_write"):
             if getattr(self, name) < 0:
                 raise InvalidParameter(f"{name} must be >= 0")
-        for op in OP_KINDS:
-            if op not in self.fixed:
-                raise InvalidParameter(f"missing fixed gas for op {op!r}")
-            if op not in self.storage_writes:
-                raise InvalidParameter(f"missing storage writes for op {op!r}")
-            if self.fixed[op] < 0 or self.storage_writes[op] < 0:
-                raise InvalidParameter(f"negative gas entry for op {op!r}")
 
 
 def default_cost_params() -> CostParams:
@@ -137,19 +91,14 @@ def calldata_gas(params: CostParams, payload: bytes) -> int:
     return zeros * params.per_zero_byte + (len(payload) - zeros) * params.per_nonzero_byte
 
 
-def tx_cost(
-    params: CostParams,
-    op_kind: str,
-    payload: bytes = b"",
-    storage_writes: int | None = None,
-) -> int:
+def tx_cost(params: CostParams, op_kind: str, payload: bytes = b"") -> int:
     """Gas for one transaction of the given kind with the given payload."""
-    if op_kind not in params.fixed:
+    if op_kind not in OP_GAS:
         raise InvalidParameter(f"unknown operation kind {op_kind!r}")
-    writes = params.storage_writes[op_kind] if storage_writes is None else storage_writes
+    fixed, writes = OP_GAS[op_kind]
     return (
         params.base_tx
-        + params.fixed[op_kind]
+        + fixed
         + calldata_gas(params, payload)
         + writes * params.per_storage_write
     )

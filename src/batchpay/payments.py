@@ -1,4 +1,4 @@
-"""Payment registration, the optional lock stage, refunds, entitlements.
+"""Payment registration, the optional lock stage, refunds.
 
 A registered payment escrows per_destination * payee_count (plus the
 unlocker fee when locked) out of the buyer's balance into the escrow pool
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 
 from .chainlog import PaymentRegistered, Refunded, Unlocked
-from .codec import decode_pay_data, pay_data_extent
+from .codec import pay_data_extent
 from .errors import IllegalMove, InvalidParameter, Unauthorized
 from .state import Payment, PaymentStatus, ProtocolState, ensure_u64
 from .wire import u32
@@ -140,34 +140,3 @@ def refund_locked_payment(state: ProtocolState, pay_index: int) -> None:
     state.escrow_pool -= payment.total_escrow
     state.credit(payment.from_id, payment.total_escrow)
     state.log.append(Refunded(pay_index))
-
-
-def payment_occurrences(state: ProtocolState, pay_index: int, account_id: int) -> int:
-    """How many times an account appears in one payment's payee list."""
-    ids = decode_pay_data(state.log.pay_data(pay_index))
-    return ids.count(account_id)
-
-
-def payment_entitlement(
-    state: ProtocolState, account_id: int, start: int, end: int
-) -> int:
-    """Collectable sum for an account over the half-open range (start, end].
-
-    Counts committed payments only; locked and refunded payments contribute
-    nothing. Repeated ids in a payee list stack as integer multiples of the
-    per-destination amount.
-    """
-    state.account(account_id)
-    if not 0 <= start <= end <= state.latest_pay_index:
-        raise InvalidParameter(
-            f"range ({start}, {end}] outside payment log (latest {state.latest_pay_index})"
-        )
-    total = 0
-    for pay_index in range(start + 1, end + 1):
-        payment = state.payments[pay_index - 1]
-        if payment.status != PaymentStatus.COMMITTED:
-            continue
-        occurrences = payment_occurrences(state, pay_index, account_id)
-        if occurrences:
-            total += occurrences * payment.per_destination
-    return ensure_u64(total, "entitlement")

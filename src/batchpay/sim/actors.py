@@ -1,9 +1,9 @@
 """Actor strategies for the block simulation.
 
 Each block runs role phases in a fixed order: buyers, unlockers,
-delegates, monitors, sellers. Sellers never move on-chain themselves;
-they sign collect authorizations when their assigned delegate asks, which
-happens inside the delegate phase (authorization is an off-chain act).
+delegates, monitors. Sellers have no actor: they never move on-chain
+themselves, and sign collect authorizations when their assigned delegate
+asks, inside the delegate phase (authorization is an off-chain act).
 Ties inside a role break by account id, and all randomness comes from the
 single generator owned by the run context, so a seed pins the whole
 interleaving.
@@ -76,8 +76,6 @@ class UnlockJob:
 
 
 class Buyer:
-    role = "buyer"
-
     def __init__(self, ctx, account_id: int, address: str):
         self.ctx = ctx
         self.account_id = account_id
@@ -150,8 +148,6 @@ class Buyer:
 
 
 class Unlocker:
-    role = "unlocker"
-
     def __init__(self, ctx, account_id: int, address: str, withholding: bool):
         self.ctx = ctx
         self.account_id = account_id
@@ -195,8 +191,6 @@ class Delegate:
     challenge game (the active set, fed from ``LogView.challenged``).
     Collects re-examine only dirty sellers (see ``_open_collects``).
     """
-
-    role = "delegate"
 
     def __init__(self, ctx, account_id: int, address: str, cheating: bool, sellers: list[int]):
         self.ctx = ctx
@@ -284,26 +278,25 @@ class Delegate:
                 "sim delegates never understate; cannot decompose this claim"
             )
         if delta > 0:
-            if not pairs:
-                pairs = [(slot.end_pay_index, delta)]
-            else:
-                # Spread the inflation pro rata: every entry gets its share,
-                # the leftovers land one token at a time from the front.
-                base, extra = divmod(delta, len(pairs))
-                pairs = [
-                    (idx, due + base + (1 if i < extra else 0))
-                    for i, (idx, due) in enumerate(pairs)
-                ]
+            # Spread the inflation pro rata: every entry gets its share, the
+            # leftovers land one token at a time from the front. A slot is
+            # opened only for a seller owed a committed payment in its
+            # range, so ``pairs`` is never empty.
+            base, extra = divmod(delta, len(pairs))
+            pairs = [
+                (idx, due + base + (1 if i < extra else 0))
+                for i, (idx, due) in enumerate(pairs)
+            ]
         respond_with_payment_list(self.ctx.state, self.account_id, slot_id, pairs)
 
     def _try_prove(self, slot_id: int, slot) -> None:
         view = self.ctx.view
         pay_index, claimed = slot.challenged_entry
-        if view.payments[pay_index - 1].status != "committed":
-            return
+        # Every claimed entry is at least 1 and an uncommitted payment is due
+        # 0, so this also sits out a locked or refunded payment.
         if view.entry_due(pay_index, slot.recipient_id) != claimed:
             return  # inflated entry: nothing provable, sit out the deadline
-        pay_data = self.ctx.log.pay_data(pay_index)
+        pay_data = view.payments[pay_index - 1].pay_data
         prove_payment_inclusion(self.ctx.state, self.account_id, slot_id, pay_data)
 
     # -- opening new collects -------------------------------------------------
@@ -401,7 +394,7 @@ class Delegate:
             self._recipients[key] = seller_id
             heappush(self._deadlines, (state.slots[key].deadline_block, key))
             if cheat:
-                ctx.note_cheat(self.account_id, slot_id, delta)
+                ctx.note_cheat(self.account_id, slot_id)
 
 
 class Monitor:
@@ -412,8 +405,6 @@ class Monitor:
     may still challenge. A candidate is dropped once judged not overstated,
     once gone, or once its window has closed unchallenged.
     """
-
-    role = "monitor"
 
     def __init__(self, ctx, account_id: int, address: str, lazy: bool):
         self.ctx = ctx
@@ -488,14 +479,3 @@ class Monitor:
             challenge(state, key[0], key[1], self.account_id)
             ctx.note_monitor_stake(self.account_id, stake)
             self.games[key] = seq
-
-
-class Seller:
-    """Holds an account and signs authorizations; no moves of its own."""
-
-    role = "seller"
-
-    def __init__(self, ctx, account_id: int, address: str):
-        self.ctx = ctx
-        self.account_id = account_id
-        self.address = address

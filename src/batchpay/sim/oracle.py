@@ -72,6 +72,7 @@ class _ViewPayment:
     collectable_from: int
     total_escrow: int
     from_id: int
+    pay_data: bytes               # the record's payee bytes, what a proof sends
 
 
 @dataclass(slots=True)
@@ -156,6 +157,7 @@ class LogView:
                 self.block + self.unlock_period,
                 escrow,
                 rec.from_id,
+                rec.pay_data,
             )
         )
         pay_index = len(self.payments)

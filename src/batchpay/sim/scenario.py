@@ -31,7 +31,7 @@ from ..state import (
     TokenAdapter,
     instantiate,
 )
-from .actors import Buyer, Delegate, Monitor, Seller, Unlocker
+from .actors import Buyer, Delegate, Monitor, Unlocker
 from .config import ScenarioConfig
 from .oracle import LogView
 from .report import ScenarioReport
@@ -51,15 +51,14 @@ class SimRun:
         self.config = config
         self.rng = random.Random(config.seed)
         adapter = TokenAdapter()
-        for i in range(config.buyers):
-            if config.buyer_deposit:
-                adapter.mint(f"buyer-{i}", config.buyer_deposit)
-        for i in range(config.delegates):
-            if config.delegate_deposit:
-                adapter.mint(f"delegate-{i}", config.delegate_deposit)
-        for i in range(config.monitors):
-            if config.monitor_deposit:
-                adapter.mint(f"monitor-{i}", config.monitor_deposit)
+        for role, count, deposit in (
+            ("buyer", config.buyers, config.buyer_deposit),
+            ("delegate", config.delegates, config.delegate_deposit),
+            ("monitor", config.monitors, config.monitor_deposit),
+        ):
+            if deposit:
+                for i in range(count):
+                    adapter.mint(f"{role}-{i}", deposit)
         self.state: ProtocolState = instantiate(config.params, adapter)
         self.log: ChainLog = self.state.log
         self.view = LogView()
@@ -73,103 +72,95 @@ class SimRun:
         self.understatements = 0
         self.instant_losses = 0
         self.insolvency_events = 0
-        self.pending_cheats: dict[int, dict] = {}    # open_seq -> info
-        self.monitor_net: dict[int, int] = {}
+        self.pending_cheats: set[int] = set()        # open_seq of each unresolved cheat
         self.gap_notes: set[str] = set()
 
         self.address_of: dict[int, str] = {}
+        self.role_of: dict[int, str] = {}
         self._setup_actors()
         self.sync()
 
     # -- setup ----------------------------------------------------------------
 
+    def _name(self, account_id: int, role: str, address: str) -> None:
+        self.address_of[account_id] = address
+        self.role_of[account_id] = role
+
+    def _open_account(self, role: str, i: int, deposit: int = 0) -> tuple[int, str]:
+        """Open ``{role}-{i}``'s account: by a deposit if it brings funds."""
+        address = f"{role}-{i}"
+        if deposit:
+            account_id = self.state.deposit(NEW_ACCOUNT, deposit, address)
+        else:
+            account_id = register(self.state, address)
+        self._name(account_id, role, address)
+        return account_id, address
+
     def _setup_actors(self) -> None:
         cfg = self.config
         state = self.state
 
-        self.buyers: list[Buyer] = []
-        for i in range(cfg.buyers):
-            address = f"buyer-{i}"
-            if cfg.buyer_deposit:
-                account_id = state.deposit(NEW_ACCOUNT, cfg.buyer_deposit, address)
-            else:
-                account_id = register(state, address)
-            self.buyers.append(Buyer(self, account_id, address))
-            self.address_of[account_id] = address
+        self.buyers = [
+            Buyer(self, *self._open_account("buyer", i, cfg.buyer_deposit))
+            for i in range(cfg.buyers)
+        ]
 
-        seller_addresses = [f"seller-{i}" for i in range(cfg.sellers)]
-        self.seller_actors: list[Seller] = []
         if cfg.sellers and cfg.bulk_register_sellers:
-            root = merkle_root(seller_addresses)
-            bulk_id = bulk_register(state, cfg.sellers, root)
+            addresses = [f"seller-{i}" for i in range(cfg.sellers)]
+            bulk_id = bulk_register(state, cfg.sellers, merkle_root(addresses))
             first_id = state.bulks[bulk_id].first_id
-            proofs = merkle_proofs(seller_addresses)
-            for i, address in enumerate(seller_addresses):
-                claim_bulk_registration_id(state, bulk_id, first_id + i, address, proofs[i])
-                self.seller_actors.append(Seller(self, first_id + i, address))
-                self.address_of[first_id + i] = address
+            for i, proof in enumerate(merkle_proofs(addresses)):
+                claim_bulk_registration_id(state, bulk_id, first_id + i, addresses[i], proof)
+                self._name(first_id + i, "seller", addresses[i])
+            self.seller_ids = list(range(first_id, first_id + cfg.sellers))
         else:
-            for address in seller_addresses:
-                account_id = register(state, address)
-                self.seller_actors.append(Seller(self, account_id, address))
-                self.address_of[account_id] = address
-        self.seller_ids = [s.account_id for s in self.seller_actors]
+            self.seller_ids = [self._open_account("seller", i)[0] for i in range(cfg.sellers)]
 
         cheaters = _headcount(cfg.cheating_delegate_fraction, cfg.delegates)
-        self.delegate_actors: list[Delegate] = []
-        for i in range(cfg.delegates):
-            address = f"delegate-{i}"
-            if cfg.delegate_deposit:
-                account_id = state.deposit(NEW_ACCOUNT, cfg.delegate_deposit, address)
-            else:
-                account_id = register(state, address)
-            assigned = [s for j, s in enumerate(self.seller_ids) if j % cfg.delegates == i]
-            self.delegate_actors.append(
-                Delegate(self, account_id, address, cheating=i < cheaters, sellers=assigned)
+        self.delegate_actors = [
+            Delegate(
+                self,
+                *self._open_account("delegate", i, cfg.delegate_deposit),
+                cheating=i < cheaters,
+                sellers=self.seller_ids[i :: cfg.delegates],
             )
-            self.address_of[account_id] = address
+            for i in range(cfg.delegates)
+        ]
 
         lazies = _headcount(cfg.lazy_monitor_fraction, cfg.monitors)
-        self.monitor_actors: list[Monitor] = []
-        for i in range(cfg.monitors):
-            address = f"monitor-{i}"
-            if cfg.monitor_deposit:
-                account_id = state.deposit(NEW_ACCOUNT, cfg.monitor_deposit, address)
-            else:
-                account_id = register(state, address)
-            self.monitor_actors.append(Monitor(self, account_id, address, lazy=i < lazies))
-            self.monitor_net[account_id] = 0
-            self.address_of[account_id] = address
+        self.monitor_actors = [
+            Monitor(self, *self._open_account("monitor", i, cfg.monitor_deposit), lazy=i < lazies)
+            for i in range(cfg.monitors)
+        ]
+        self.monitor_net = {monitor.account_id: 0 for monitor in self.monitor_actors}
 
         withholders = _headcount(cfg.withholding_unlocker_fraction, cfg.unlockers)
-        self.unlockers: list[Unlocker] = []
-        for i in range(cfg.unlockers):
-            address = f"unlocker-{i}"
-            account_id = register(state, address)
-            self.unlockers.append(
-                Unlocker(self, account_id, address, withholding=i < withholders)
-            )
-            self.address_of[account_id] = address
+        self.unlockers = [
+            Unlocker(self, *self._open_account("unlocker", i), withholding=i < withholders)
+            for i in range(cfg.unlockers)
+        ]
 
     # -- shared services for actors --------------------------------------------
 
     def sync(self) -> None:
         self.view.feed(self.log)
 
-    def note_cheat(self, delegate_id: int, slot_id: int, delta: int) -> None:
+    def note_cheat(self, delegate_id: int, slot_id: int) -> None:
         self.sync()
-        seq = self.view.slots[(delegate_id, slot_id)].open_seq
-        self.pending_cheats[seq] = {
-            "delegate": delegate_id,
-            "slot": slot_id,
-            "delta": delta,
-        }
+        self.pending_cheats.add(self.view.slots[(delegate_id, slot_id)].open_seq)
         self.cheats_attempted += 1
+
+    def _resolve_cheat(self, seq: int) -> bool:
+        """Close the cheat opened as ``seq``; False if that slot was no cheat."""
+        if seq not in self.pending_cheats:
+            return False
+        self.pending_cheats.remove(seq)
+        return True
 
     def note_settled(self, delegate_id: int, slot_id: int) -> None:
         """A slot is about to settle unchallenged; flag it if it was a cheat."""
         seq = self.view.slots[(delegate_id, slot_id)].open_seq
-        if self.pending_cheats.pop(seq, None) is not None:
+        if self._resolve_cheat(seq):
             self.cheats_escaped += 1
 
     def note_monitor_stake(self, monitor_id: int, stake: int) -> None:
@@ -177,7 +168,7 @@ class SimRun:
 
     def note_monitor_win(self, monitor_id: int, won: int, seq: int, was_instant: bool) -> None:
         self.monitor_net[monitor_id] += won
-        if self.pending_cheats.pop(seq, None) is not None:
+        if self._resolve_cheat(seq):
             self.cheats_caught += 1
         if was_instant:
             self.instant_losses += 1
@@ -288,7 +279,7 @@ class SimRun:
                 )
             for key in stranded_slots:
                 seq = self.view.slots[key].open_seq
-                if self.pending_cheats.pop(seq, None) is not None:
+                if self._resolve_cheat(seq):
                     self.cheats_stranded += 1
             self.gap_notes.add(
                 f"insolvency stranded {len(stranded_slots)} uncoverable collects "
@@ -345,18 +336,10 @@ class SimRun:
         report.state_digest = state.digest().hex()
         report.conservation_ok = True     # a failed check raises before this point
 
-        actors = (
-            self.buyers
-            + self.seller_actors
-            + self.delegate_actors
-            + self.monitor_actors
-            + self.unlockers
-        )
-        role_of = {actor.account_id: actor.role for actor in actors}
         report.balances = [
             {
                 "account": acct.account_id,
-                "role": role_of.get(acct.account_id, "other"),
+                "role": self.role_of.get(acct.account_id, "other"),
                 "balance": acct.balance,
             }
             for acct in state.accounts

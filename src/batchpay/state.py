@@ -57,9 +57,6 @@ MAX_ACCOUNT_ID_SPACE = 2**32 - 1  # one below the wire sentinel
 class _NewAccount:
     """Sentinel for deposit(): open a fresh account for the depositor."""
 
-    def __repr__(self) -> str:
-        return "NEW_ACCOUNT"
-
 
 NEW_ACCOUNT = _NewAccount()
 

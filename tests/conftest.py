@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from batchpay.auth import collect_auth_message, sign_collect
-from batchpay.codec import encode_pay_data
+from batchpay.codec import decode_pay_data, encode_pay_data
 from batchpay.collect import collect
 from batchpay.payments import register_payment
 from batchpay.registration import register
-from batchpay.state import NEW_ACCOUNT, Params, TokenAdapter, instantiate
+from batchpay.state import NEW_ACCOUNT, Params, PaymentStatus, TokenAdapter, instantiate
 
 
 def small_params(**overrides) -> Params:
@@ -25,6 +25,26 @@ def small_params(**overrides) -> Params:
     )
     base.update(overrides)
     return Params(**base)
+
+
+def payment_occurrences(pay_data: bytes, account_id: int) -> int:
+    """Reference: how many times a payee list names an account."""
+    return decode_pay_data(pay_data).count(account_id)
+
+
+def payment_entitlement(state, pay_data: dict[int, bytes], account_id: int, start: int, end: int) -> int:
+    """Reference: what the committed payments in (start, end] owe an account.
+
+    ``pay_data`` maps each pay index to the payee bytes it was registered
+    with. Locked and refunded payments owe nothing, and an id listed k
+    times is owed k times the per-destination amount.
+    """
+    total = 0
+    for pay_index in range(start + 1, end + 1):
+        payment = state.payments[pay_index - 1]
+        if payment.status == PaymentStatus.COMMITTED:
+            total += payment_occurrences(pay_data[pay_index], account_id) * payment.per_destination
+    return total
 
 
 class World:
@@ -44,18 +64,18 @@ class World:
         self.seller = register(self.state, "seller")
         self.delegate = self.state.deposit(NEW_ACCOUNT, 100_000, "delegate")
         self.monitor = self.state.deposit(NEW_ACCOUNT, 10_000, "monitor")
+        self.pay_data: dict[int, bytes] = {}      # pay index -> registered payee bytes
 
     # -- shorthand protocol moves -----------------------------------------
 
     def pay(self, payees, per_destination: int = 1, **kw) -> int:
-        return register_payment(
-            self.state,
-            self.buyer,
-            per_destination,
-            encode_pay_data(sorted(payees)),
-            "buyer",
-            **kw,
-        )
+        pay_data = encode_pay_data(sorted(payees))
+        pay_index = register_payment(self.state, self.buyer, per_destination, pay_data, "buyer", **kw)
+        self.pay_data[pay_index] = pay_data
+        return pay_index
+
+    def entitlement(self, account_id: int, start: int, end: int) -> int:
+        return payment_entitlement(self.state, self.pay_data, account_id, start, end)
 
     def mature(self) -> None:
         """Advance past the newest payment's unlock window."""

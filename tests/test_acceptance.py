@@ -49,8 +49,6 @@ from batchpay.errors import BadProof, CodecError, IllegalMove, ProtocolError
 from batchpay.merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 from batchpay.payments import (
     locking_key_hash,
-    payment_entitlement,
-    payment_occurrences,
     refund_locked_payment,
     register_payment,
     unlock,
@@ -69,7 +67,7 @@ from batchpay.state import (
     TokenAdapter,
     instantiate,
 )
-from tests.conftest import World, small_params
+from tests.conftest import World, payment_entitlement, payment_occurrences, small_params
 
 GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/golden"
 HONEST_CFG = __file__.rsplit("/", 2)[0] + "/configs/honest.cfg"
@@ -276,7 +274,6 @@ class GameBoard:
         )
         self.state = self.world.state
         self.filler = register(self.state, "filler")
-        self.pay_data_of: dict[int, bytes] = {}
         self.games = 0
         self.batches = 0
 
@@ -287,12 +284,11 @@ class GameBoard:
         assert start == state.latest_pay_index, "previous batch did not settle"
         for occurrences in vector:
             payees = [world.seller] * occurrences if occurrences else [self.filler]
-            idx = world.pay(payees, per_destination=per_dest)
-            self.pay_data_of[idx] = state.log.pay_data(idx)
+            world.pay(payees, per_destination=per_dest)
         world.advance(1)                      # unlock_period = 1: all mature
         end = state.latest_pay_index
         dues = [occ * per_dest for occ in vector]
-        assert payment_entitlement(state, world.seller, start, end) == sum(dues)
+        assert world.entitlement(world.seller, start, end) == sum(dues)
         self.batches += 1
         return start, end, dues
 
@@ -318,7 +314,7 @@ class GameBoard:
             select_payment(state, world.delegate, 0, *pick)
             with pytest.raises(BadProof):
                 prove_payment_inclusion(
-                    state, world.delegate, 0, self.pay_data_of[pick[0]]
+                    state, world.delegate, 0, world.pay_data[pick[0]]
                 )
         world.advance(1)
         challenge_success(state, world.delegate, 0)
@@ -336,7 +332,7 @@ class GameBoard:
     def settle_honest(self, start, end, dues) -> None:
         """A truthful claim is never challengeable and settles exactly."""
         world, state = self.world, self.state
-        claim = payment_entitlement(state, world.seller, start, end)
+        claim = world.entitlement(world.seller, start, end)
         assert claim == sum(dues)             # the canonical watcher sees "ok"
         delegate_before = world.balance(world.delegate)
         seller_before = world.balance(world.seller)
@@ -504,6 +500,7 @@ class FuzzDriver:
         for i in range(3, 5):
             register(self.state, f"wallet-{i}")
         self.keys: dict[int, tuple[int, bytes]] = {}
+        self.pay_data: dict[int, bytes] = {}     # pay index -> registered payee bytes
         self.succeeded: set[str] = set()
         self.successes = 0
         self._ops = [
@@ -548,7 +545,7 @@ class FuzzDriver:
         return self.rng.randint(1, 9)
 
     def _proof_data(self, pay_index: int) -> bytes:
-        return self.state.log.pay_data(pay_index)
+        return self.pay_data[pay_index]
 
     # -- argument pickers -------------------------------------------------
 
@@ -568,7 +565,7 @@ class FuzzDriver:
             if payment.status != PaymentStatus.COMMITTED:
                 continue
             due = (
-                payment_occurrences(self.state, pay_index, slot.recipient_id)
+                payment_occurrences(self.pay_data[pay_index], slot.recipient_id)
                 * payment.per_destination
             )
             if due:
@@ -641,15 +638,17 @@ class FuzzDriver:
         unlocker_id = self._any_account() if locked else None
         fee = rng.randint(0, 3) if locked else 0
         sender = buyer.address if rng.random() < 0.9 else "mallory"
+        pay_data = encode_pay_data(payees)
         pay_index = register_payment(
             state,
             buyer.account_id,
             per_dest,
-            encode_pay_data(payees),
+            pay_data,
             sender,
             locking_key_hash=locking_key_hash(unlocker_id, key) if locked else None,
             unlocker_fee=fee,
         )
+        self.pay_data[pay_index] = pay_data
         if locked:
             self.keys[pay_index] = (unlocker_id, key)
         return "register_payment"
@@ -663,7 +662,7 @@ class FuzzDriver:
         if latest <= prefix:
             return self.op_advance()
         end = rng.randint(prefix + 1, latest)
-        amount = payment_entitlement(state, recipient.account_id, prefix, end)
+        amount = payment_entitlement(state, self.pay_data, recipient.account_id, prefix, end)
         fee = rng.randint(0, min(3, amount))
         delegate = state.accounts[self._any_account()]
         slot_id = rng.randint(0, 5) if rng.random() < 0.8 else rng.randint(32769, 32774)
@@ -872,10 +871,9 @@ class NearLimitDriver(FuzzDriver):
         return super()._slot_key()
 
     def _proof_data(self, pay_index: int) -> bytes:
-        log = self.state.log
         if self.rng.random() < 0.34:
-            return log.pay_data(self.rng.randint(1, self.state.latest_pay_index))
-        return log.pay_data(pay_index)
+            return self.pay_data[self.rng.randint(1, self.state.latest_pay_index)]
+        return self.pay_data[pay_index]
 
 
 def test_near_limit_rejections_leave_state_and_log_untouched():
@@ -978,7 +976,7 @@ def test_8_locked_payment_lifecycle(check):
                 per_dest, occurrences, extra_payees, fee
             )
             state = world.state
-            assert payment_entitlement(state, world.seller, pay_index - 1, pay_index) == 0
+            assert world.entitlement(world.seller, pay_index - 1, pay_index) == 0
             if offset:
                 world.advance(offset)        # still inside the unlock window
             unlocker_before = world.balance(unlocker)
@@ -986,7 +984,7 @@ def test_8_locked_payment_lifecycle(check):
             assert world.balance(unlocker) - unlocker_before == fee
             assert state.payments[pay_index - 1].status == PaymentStatus.COMMITTED
             assert (
-                payment_entitlement(state, world.seller, pay_index - 1, pay_index)
+                world.entitlement(world.seller, pay_index - 1, pay_index)
                 == per_dest * occurrences
             )
             with pytest.raises(IllegalMove):
@@ -1011,7 +1009,7 @@ def test_8_locked_payment_lifecycle(check):
             refund_locked_payment(state, pay_index)
             assert world.balance(world.buyer) == before      # exactly whole
             assert (
-                payment_entitlement(state, world.seller, pay_index - 1, pay_index) == 0
+                world.entitlement(world.seller, pay_index - 1, pay_index) == 0
             )
             with pytest.raises(IllegalMove):
                 refund_locked_payment(state, pay_index)
@@ -1036,7 +1034,7 @@ def test_8_locked_payment_lifecycle(check):
             select_payment(state, world.delegate, 0, pay_index, claim)
             with pytest.raises(BadProof):
                 prove_payment_inclusion(
-                    state, world.delegate, 0, state.log.pay_data(pay_index)
+                    state, world.delegate, 0, world.pay_data[pay_index]
                 )
             world.advance(state.params.response_period)
             monitor_before = world.balance(world.monitor)

@@ -35,7 +35,7 @@ from batchpay.chainlog import (
 )
 from batchpay.codec import encode_pay_data
 from batchpay.errors import CodecError
-from batchpay.wire import Reader
+from batchpay.wire import Reader, layout
 
 SAMPLE_RECORDS = [
     Instantiated(b"p" * 64, b"x" * 12),
@@ -176,6 +176,23 @@ def test_encode_rejects_wrong_length_fixed_field():
         CollectOpened(8, 2, 3, 12, 500, 20, None, b"\x22" * 33).encode()
 
 
+def test_encode_rejects_a_string_past_its_u16_length_prefix():
+    assert Registered(3, "x" * 0xFFFF).encode()
+    with pytest.raises(CodecError, match="string too long for u16 length prefix"):
+        Registered(3, "x" * 0x10000).encode()
+
+
+def test_layout_refuses_a_wire_declaration_that_misses_a_field():
+    @dataclasses.dataclass
+    class Short:
+        WIRE = ("u32",)
+        account_id: int
+        address: str
+
+    with pytest.raises(TypeError, match="Short.WIRE does not match its fields"):
+        layout(Short)
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -276,18 +293,6 @@ def test_load_error_messages():
         with pytest.raises(CodecError) as caught:
             ChainLog.load(data)
         assert str(caught.value) == message
-
-
-def test_pay_data_index_tracks_registrations():
-    log = ChainLog()
-    first = encode_pay_data([1, 2])
-    second = encode_pay_data([9])
-    log.append(PaymentRegistered(1, 0, 2, 0, None, "b", first))
-    log.append(PaymentRegistered(2, 0, 3, 0, None, "b", second))
-    assert log.pay_data(1) == first
-    assert log.pay_data(2) == second
-    with pytest.raises(KeyError):
-        log.pay_data(3)
 
 
 def test_scaling_payload_reflects_variable_parts():

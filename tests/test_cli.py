@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from batchpay.chainlog import ChainLog
+from batchpay.chainlog import ChainLog, Withdrawn
 from batchpay.cli import main
+from batchpay.state import Params, TokenAdapter, instantiate
 from batchpay.sim.report import parse_report, report_digest
 
 HONEST_CFG = """\
@@ -246,6 +248,22 @@ def test_replay_rejects_missing_trailer(cfg_path, tmp_path, capsys):
     log_path.write_bytes(stripped.dump())
     assert main(["replay", "--log", str(log_path)]) == 4
     assert "invariant" in capsys.readouterr().err
+
+
+def test_replay_of_an_op_the_engine_refuses_exits_4(tmp_path, capsys):
+    log = instantiate(Params(), TokenAdapter()).log
+    log.append(Withdrawn(0, 5, "out", "nobody"))          # there is no account 0
+    path = tmp_path / "refused.log"
+    path.write_bytes(log.dump())
+    assert main(["replay", "--log", str(path)]) == 4
+    assert capsys.readouterr().err == "error: account 0 does not exist\n"
+
+
+def test_codec_decode_reads_stdin(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(bytes.fromhex("03000000050000000203")))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["codec", "decode", "--in", "-", "--out", "-"]) == 0
+    assert capsys.readouterr().out == "5\n7\n10\n"
 
 
 def test_codec_round_trip_through_files(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from batchpay.errors import InvalidParameter
 from batchpay.sim import ScenarioConfig, parse_scenario_config, run_scenario
+from batchpay.sim.config import load_scenario_config
 
 FULL_CONFIG = """
 [scenario]
@@ -99,6 +100,21 @@ def test_unknown_key_rejected():
 def test_top_level_keys_rejected():
     with pytest.raises(InvalidParameter):
         parse_scenario_config("seed = 1\n[scenario]\nblocks = 5\n")
+    with pytest.raises(InvalidParameter, match="keys outside a section are not allowed"):
+        parse_scenario_config("[DEFAULT]\nseed = 1\n[scenario]\nblocks = 5\n")
+
+
+@pytest.mark.parametrize(
+    "raw, value", [("1", True), ("Yes", True), ("on", True), ("0", False), ("false", False), ("OFF", False)]
+)
+def test_boolean_spellings_parse(raw, value):
+    config = parse_scenario_config(f"[roles]\nbulk_register_sellers = {raw}\n")
+    assert config.bulk_register_sellers is value
+
+
+def test_missing_config_file_rejected(tmp_path):
+    with pytest.raises(InvalidParameter, match="cannot read config"):
+        load_scenario_config(str(tmp_path / "absent.cfg"))
 
 
 def test_bad_value_types_rejected():
@@ -156,6 +172,14 @@ def test_negative_counts_rejected():
         config = ScenarioConfig(**{key: -1})
         with pytest.raises(InvalidParameter):
             config.validate()
+
+
+@pytest.mark.parametrize(
+    "key", ["collect_fee", "unlocker_fee", "buyer_deposit", "delegate_deposit", "monitor_deposit"]
+)
+def test_negative_amounts_rejected(key):
+    with pytest.raises(InvalidParameter, match=f"{key} must be >= 0"):
+        ScenarioConfig(**{key: -1}).validate()
 
 
 def test_seed_range_enforced():

@@ -6,9 +6,10 @@ from decimal import Decimal
 
 import pytest
 
+from batchpay.chainlog import RECORD_TYPES
 from batchpay.codec import encode_pay_data
 from batchpay.costmodel import (
-    OP_KINDS,
+    OP_GAS,
     CostParams,
     amortized_per_payment,
     calldata_gas,
@@ -61,19 +62,15 @@ def test_calldata_pricing_counts_zero_and_nonzero_bytes():
 
 def test_tx_cost_composition():
     payload = encode_pay_data(list(range(1000)))
+    fixed, writes = OP_GAS["register_payment"]
     expected = (
         COSTS.base_tx
-        + COSTS.fixed["register_payment"]
+        + fixed
         + calldata_gas(COSTS, payload)
-        + COSTS.storage_writes["register_payment"] * COSTS.per_storage_write
+        + writes * COSTS.per_storage_write
     )
     assert tx_cost(COSTS, "register_payment", payload) == expected
     assert expected == 228_255
-
-
-def test_tx_cost_storage_override():
-    base = tx_cost(COSTS, "deposit")
-    assert tx_cost(COSTS, "deposit", storage_writes=0) < base
 
 
 def test_tx_cost_rejects_unknown_op():
@@ -82,7 +79,9 @@ def test_tx_cost_rejects_unknown_op():
 
 
 def test_every_listed_op_is_priced():
-    for op in OP_KINDS:
+    # The table prices exactly the ops the chain-log records declare.
+    assert set(OP_GAS) == {cls.OP for cls in RECORD_TYPES.values()} - {None}
+    for op in OP_GAS:
         assert tx_cost(COSTS, op) >= COSTS.base_tx
 
 
@@ -115,9 +114,5 @@ def test_cost_summary_shape():
 def test_validate_rejects_negative_prices():
     costs = default_cost_params()
     costs.per_zero_byte = -1
-    with pytest.raises(InvalidParameter):
-        costs.validate()
-    costs = default_cost_params()
-    costs.fixed["collect"] = -5
     with pytest.raises(InvalidParameter):
         costs.validate()

@@ -106,6 +106,16 @@ def test_wrong_root_rejected():
     assert not merkle_verify(other, leaves[2], proof)
 
 
+def test_verify_refuses_a_negative_index_or_a_sibling_of_the_wrong_length():
+    addrs = addresses(3)
+    root = merkle_root(addrs)
+    proof = merkle_prove(addrs, 1)
+    assert merkle_verify(root, addrs[1], proof)
+    assert not merkle_verify(root, addrs[1], MerkleProof(-1, proof.siblings))
+    short = (proof.siblings[0][:-1],) + proof.siblings[1:]
+    assert not merkle_verify(root, addrs[1], MerkleProof(1, short))
+
+
 def test_proof_serialization_round_trip():
     leaves = addresses(9)
     for i in range(9):

@@ -16,15 +16,13 @@ from batchpay.errors import (
 )
 from batchpay.payments import (
     locking_key_hash,
-    payment_entitlement,
-    payment_occurrences,
     refund_locked_payment,
     register_payment,
     unlock,
 )
 from batchpay.registration import register
 from batchpay.state import PaymentStatus
-from tests.conftest import World, small_params
+from tests.conftest import World, payment_occurrences, small_params
 
 
 def test_register_payment_escrows_full_amount(world):
@@ -43,7 +41,7 @@ def test_register_payment_escrows_full_amount(world):
 def test_register_payment_with_repeats_counts_multiplicity(world):
     idx = world.pay([world.seller, world.seller, world.seller], per_destination=4)
     assert world.state.payment(idx).total_escrow == 12
-    assert payment_occurrences(world.state, idx, world.seller) == 3
+    assert payment_occurrences(world.pay_data[idx], world.seller) == 3
 
 
 def test_register_payment_rejects_bad_inputs(world):
@@ -109,7 +107,7 @@ def test_register_payment_to_unclaimed_bulk_id_is_allowed(world):
     first = world.state.bulks[bulk_id].first_id
     idx = world.pay([first], per_destination=9)
     world.mature()
-    assert payment_entitlement(world.state, first, 0, idx) == 9
+    assert world.entitlement(first, 0, idx) == 9
 
 
 def test_empty_payee_list_rejected(world):
@@ -126,12 +124,9 @@ def test_unlocker_fee_requires_lock(world):
 def locked_payment(world, per_destination=10, fee=3):
     unlocker = register(world.state, "unlocker")
     key = b"secret-key-bytes"
-    idx = register_payment(
-        world.state,
-        world.buyer,
-        per_destination,
-        encode_pay_data([world.seller]),
-        "buyer",
+    idx = world.pay(
+        [world.seller],
+        per_destination=per_destination,
         locking_key_hash=locking_key_hash(unlocker, key),
         unlocker_fee=fee,
     )
@@ -225,38 +220,30 @@ def test_entitlement_sums_committed_occurrences(world):
     world.pay([world.seller, other], per_destination=5)          # index 1
     world.pay([world.seller, world.seller], per_destination=2)   # index 2
     world.pay([other], per_destination=9)                        # index 3
-    assert payment_entitlement(world.state, world.seller, 0, 3) == 9
-    assert payment_entitlement(world.state, other, 0, 3) == 14
+    assert world.entitlement(world.seller, 0, 3) == 9
+    assert world.entitlement(other, 0, 3) == 14
     # half-open (start, end]: start=1 skips the first payment
-    assert payment_entitlement(world.state, world.seller, 1, 3) == 4
-    assert payment_entitlement(world.state, world.seller, 2, 3) == 0
-    assert payment_entitlement(world.state, world.seller, 3, 3) == 0
+    assert world.entitlement(world.seller, 1, 3) == 4
+    assert world.entitlement(world.seller, 2, 3) == 0
+    assert world.entitlement(world.seller, 3, 3) == 0
 
 
 def test_entitlement_excludes_locked_and_refunded(world):
     idx, unlocker, key = locked_payment(world, per_destination=10)
-    assert payment_entitlement(world.state, world.seller, 0, idx) == 0
+    assert world.entitlement(world.seller, 0, idx) == 0
     unlock(world.state, idx, unlocker, key)
-    assert payment_entitlement(world.state, world.seller, 0, idx) == 10
+    assert world.entitlement(world.seller, 0, idx) == 10
 
     idx2, _, _ = locked_payment(world, per_destination=7)
     world.advance(world.params.unlock_period)
     refund_locked_payment(world.state, idx2)
-    assert payment_entitlement(world.state, world.seller, 0, idx2) == 10
-
-
-def test_entitlement_rejects_bad_range(world):
-    idx = world.pay([world.seller])
-    with pytest.raises(InvalidParameter):
-        payment_entitlement(world.state, world.seller, 2, 1)
-    with pytest.raises(InvalidParameter):
-        payment_entitlement(world.state, world.seller, 0, idx + 1)
+    assert world.entitlement(world.seller, 0, idx2) == 10
 
 
 def test_occurrences_of_absent_account_is_zero(world):
     other = register(world.state, "other")
     idx = world.pay([world.seller], per_destination=5)
-    assert payment_occurrences(world.state, idx, other) == 0
+    assert payment_occurrences(world.pay_data[idx], other) == 0
 
 
 @given(
@@ -272,5 +259,5 @@ def test_entitlement_matches_direct_sum(occurrence_counts, per_destination):
         world.pay(sorted(payees), per_destination=per_destination)
     end = world.state.latest_pay_index
     expected = per_destination * sum(occurrence_counts)
-    assert payment_entitlement(world.state, world.seller, 0, end) == expected
+    assert world.entitlement(world.seller, 0, end) == expected
     world.state.check_invariants()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from batchpay.chainlog import (
     Advanced,
     ChainLog,
+    Claimed,
     CollectOpened,
     FinalDigest,
     Instantiated,
@@ -63,7 +64,7 @@ def eventful_world() -> World:
     respond_with_payment_list(world.state, world.delegate, 3, [(plain, 8)])
     select_payment(world.state, world.delegate, 3, plain, 8)
     prove_payment_inclusion(
-        world.state, world.delegate, 3, world.state.log.pay_data(plain)
+        world.state, world.delegate, 3, world.pay_data[plain]
     )
     challenge_failed(world.state, world.delegate, 3)
     world.advance(world.params.challenge_period)
@@ -169,6 +170,16 @@ def test_replay_rejects_second_instantiation():
     log = ChainLog.load(world.state.log.dump())
     with pytest.raises(CodecError):
         replay(log)
+
+
+def test_adversarial_run_replays_with_its_bulk_claims():
+    # adversarial.cfg bulk-registers its sellers, so its log claims ids.
+    config = load_scenario_config(str(Path(__file__).resolve().parent.parent / "configs" / "adversarial.cfg"))
+    _, run = run_scenario_full(config)
+    run.log.append(FinalDigest(run.state.digest()))
+    log = ChainLog.load(run.log.dump())
+    assert sum(isinstance(rec, Claimed) for rec in log.records) == config.sellers
+    assert verify_log(log) == run.state.digest()
 
 
 @lru_cache(maxsize=1)

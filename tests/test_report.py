@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from batchpay.sim import (
     report_digest,
     run_scenario,
 )
+from batchpay.sim.config import load_scenario_config
+
+ADVERSARIAL_CFG = Path(__file__).resolve().parent.parent / "configs" / "adversarial.cfg"
 
 
 def tiny_report():
@@ -46,6 +50,20 @@ def test_lines_kinds_cover_the_report():
     assert {"meta", "games", "payments", "cheats", "cost", "balance"} <= kinds
 
 
+def test_lines_round_trip_every_row_kind():
+    # adversarial.cfg pays out to outside addresses and notes known gaps;
+    # a clean run has no oracle diff, so one is added by hand.
+    report = run_scenario(load_scenario_config(str(ADVERSARIAL_CFG)))
+    report.oracle_diffs = [{"account": 3, "ledger": 10, "oracle": 12}]
+    blob = emit_report(report, "lines")
+    kinds = {json.loads(line)["kind"] for line in blob.decode("utf-8").strip().splitlines()}
+    assert kinds == {
+        "meta", "games", "payments", "cheats", "cost", "balance", "external", "event",
+        "gas", "diff", "monitor", "gap",
+    }
+    assert parse_report(blob) == report
+
+
 def test_unknown_format_rejected():
     with pytest.raises(InvalidParameter):
         emit_report(tiny_report(), "yaml")
@@ -56,6 +74,8 @@ def test_parse_rejects_garbage():
         parse_report(b"not a report")
     with pytest.raises(InvalidParameter):
         parse_report(b"")
+    with pytest.raises(InvalidParameter, match="unknown report row kind 'weather'"):
+        parse_report(b'{"kind":"weather"}\n')
 
 
 def test_digest_stable_across_formats_and_timestamps():

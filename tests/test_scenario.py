@@ -7,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from batchpay.sim import ScenarioConfig, run_scenario, run_scenario_full
+from batchpay.codec import encode_pay_data
+from batchpay.errors import InvariantViolation
+from batchpay.payments import register_payment
+from batchpay.sim import ScenarioConfig, SimRun, run_scenario, run_scenario_full
+from batchpay.sim import scenario
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import _headcount
-from batchpay.state import Params
+from batchpay.state import GameState, Params
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,20 +108,23 @@ def test_lazy_monitors_let_some_cheats_escape():
     assert report.conservation_ok
 
 
-def test_no_monitors_means_no_cheat_is_caught():
-    report = run_scenario(
-        ScenarioConfig(
-            seed=31,
-            blocks=30,
-            buyers=3,
-            sellers=8,
-            delegates=1,
-            monitors=0,
-            cheating_delegate_fraction=1.0,
-            params=quick_params(),
-            delegate_deposit=200_000,
-        )
+def no_monitor_config() -> ScenarioConfig:
+    """One cheating delegate and no monitor: the looted pool strands collects."""
+    return ScenarioConfig(
+        seed=31,
+        blocks=30,
+        buyers=3,
+        sellers=8,
+        delegates=1,
+        monitors=0,
+        cheating_delegate_fraction=1.0,
+        params=quick_params(),
+        delegate_deposit=200_000,
     )
+
+
+def test_no_monitors_means_no_cheat_is_caught():
+    report = run_scenario(no_monitor_config())
     cheats = report.cheats
     assert cheats["attempted"] > 0
     assert cheats["caught"] == 0
@@ -281,3 +288,69 @@ def test_chain_log_matches_golden(name):
         assert report.games["won_by_monitor"] == 24
     if all_lazy:
         assert run.insolvency_events == 165
+
+
+# -- the end-of-run checks catch a tampered run ------------------------------------------
+
+
+def _finished(config: ScenarioConfig) -> SimRun:
+    _, run = run_scenario_full(config)
+    return run
+
+
+def _cheat_left_open(run):
+    run.pending_cheats.add(len(run.view.opened))
+
+
+def _cheat_counted_twice(run):
+    run.cheats_attempted += 1
+
+
+def _cheat_escaped(run):
+    run.cheats_attempted += 1
+    run.cheats_escaped += 1
+
+
+def _payment_left_locked(run):
+    buyer = run.buyers[0]
+    register_payment(
+        run.state, buyer.account_id, 1, encode_pay_data([run.seller_ids[0]]), buyer.address,
+        locking_key_hash=bytes(32),
+    )
+
+
+def _stranded_slot_mid_game(run):
+    key = min(run.state.slots)
+    run.state.slots[key].game_state = GameState.CHALLENGE_STARTED
+
+
+@pytest.mark.parametrize(
+    "config, tamper, invariant, message",
+    [
+        ("adversarial", _cheat_left_open, "cheat-tracking", "a recorded cheat neither settled nor resolved"),
+        ("adversarial", _cheat_counted_twice, "cheat-tracking", "attempted 25 != caught 24 + escaped 0 + stranded 0"),
+        ("adversarial", _cheat_escaped, "cheat-escaped", "1 overstated collects settled despite an attentive monitor"),
+        ("honest", _payment_left_locked, "drain-stalled", "open slots or locked payments survived the drain"),
+        ("no-monitor", _stranded_slot_mid_game, "drain-stalled", "insolvent run left slots mid-game: [(11, 42)]"),
+    ],
+    ids=["cheat-open", "cheat-count", "cheat-escaped", "locked-left", "mid-game"],
+)
+def test_end_of_run_checks_catch_a_tampered_run(config, tamper, invariant, message):
+    if config == "no-monitor":
+        run = _finished(no_monitor_config())
+    else:
+        run = _finished(load_scenario_config(str(ROOT / "configs" / f"{config}.cfg")))
+    run._verify_end()                     # the run as played passes
+    tamper(run)
+    with pytest.raises(InvariantViolation) as excinfo:
+        run._verify_end()
+    assert excinfo.value.invariant == invariant
+    assert excinfo.value.detail == message
+
+
+def test_drain_stops_at_its_hard_cap(monkeypatch):
+    monkeypatch.setattr(scenario, "_DRAIN_HARD_CAP", 0)
+    run = SimRun(load_scenario_config(str(ROOT / "configs" / "honest.cfg")))
+    with pytest.raises(InvariantViolation, match="hard block cap exceeded"):
+        run.run()
+    assert run.blocks_run == run.config.blocks

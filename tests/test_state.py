@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from batchpay.chainlog import ChainLog
 from batchpay.errors import (
     AmountOutOfRange,
+    IllegalMove,
     InsufficientFunds,
     InvalidParameter,
     InvariantViolation,
@@ -23,8 +25,11 @@ from batchpay.errors import (
     Unauthorized,
     UnknownAccount,
 )
-from batchpay.collect import challenge, respond_with_payment_list, select_payment
-from batchpay.registration import register
+from batchpay.codec import encode_pay_data
+from batchpay.collect import challenge, free_slot, respond_with_payment_list, select_payment
+from batchpay.merkle import merkle_prove, merkle_root
+from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
+from batchpay.registration import bulk_register, claim_bulk_registration_id, register
 from batchpay.replay import replay
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import SimRun
@@ -585,3 +590,89 @@ def test_state_image_matches_the_reference_on_the_canonical_replay():
     state, _ = replay(ChainLog.load(workloads.build_canonical_log(1).blob))
     assert len(state.payments) == workloads.BATCHES
     assert state.canonical_bytes() == _reference_canonical_bytes(state)
+
+
+# -- rejections of bad input and of an uncovered payout ------------------------------
+
+
+def _looted_world():
+    """A world whose escrow pool an unchallenged overstated collect emptied.
+
+    Returns the world's state and a locked payment inside its unlock window,
+    with its unlocker and key: the empty pool can pay neither its fee nor,
+    once the window closes, its refund.
+    """
+    world = World(params=small_params(unlock_period=20))
+    unlocker = register(world.state, "unlocker")
+    paid = world.pay([world.seller], per_destination=10)
+    world.mature()
+    key = b"key"
+    locked = world.pay(
+        [world.seller], locking_key_hash=locking_key_hash(unlocker, key), unlocker_fee=5
+    )
+    world.open_collect(0, paid, world.state.escrow_pool)     # owed 10 of the pool's 16
+    world.advance(world.params.challenge_period)
+    free_slot(world.state, world.delegate, 0)
+    assert world.state.escrow_pool == 0
+    return world, locked, unlocker, key
+
+
+def _rejected_key_hash_length():
+    world = World()
+    data = encode_pay_data([world.seller])
+    return world.state, lambda: register_payment(
+        world.state, world.buyer, 1, data, "buyer", locking_key_hash=b"\x01" * 31
+    )
+
+
+def _rejected_unlock_fee():
+    world, locked, unlocker, key = _looted_world()
+    return world.state, lambda: unlock(world.state, locked, unlocker, key)
+
+
+def _rejected_refund():
+    world, locked, _, _ = _looted_world()
+    world.advance(world.params.unlock_period)
+    return world.state, lambda: refund_locked_payment(world.state, locked)
+
+
+def _rejected_claim_address():
+    world = World()
+    addresses = ["late-0", "late-1"]
+    bulk_id = bulk_register(world.state, 2, merkle_root(addresses))
+    first_id = world.state.bulks[bulk_id].first_id
+    proof = merkle_prove(addresses, 0)
+    return world.state, lambda: claim_bulk_registration_id(world.state, bulk_id, first_id, "", proof)
+
+
+def _world_op(op):
+    def build():
+        world = World()
+        return world.state, lambda: op(world)
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (_rejected_key_hash_length, InvalidParameter, "locking key hash must be 32 bytes"),
+        (_rejected_unlock_fee, IllegalMove, "escrow pool cannot cover the unlocker fee"),
+        (_rejected_refund, IllegalMove, "escrow pool cannot cover the refund"),
+        (_world_op(lambda w: register(w.state, "")), InvalidParameter, "address must be non-empty"),
+        (_rejected_claim_address, InvalidParameter, "address must be non-empty"),
+        (_world_op(lambda w: w.state.deposit(w.buyer, 1.5, "buyer")), InvalidParameter,
+         "deposit amount must be an integer"),
+        (_world_op(lambda w: w.state.withdraw("0", 1, "out", "buyer")), UnknownAccount,
+         "account id must be an integer, got '0'"),
+        (_world_op(lambda w: w.state.withdraw(w.buyer, 0, "out", "buyer")), InvalidParameter,
+         "withdraw amount must be positive"),
+    ],
+    ids=["key-hash-length", "unlock-fee-uncovered", "refund-uncovered", "register-no-address",
+         "claim-no-address", "amount-not-int", "account-id-not-int", "withdraw-zero"],
+)
+def test_rejection_names_its_cause_and_writes_nothing(build, error, message):
+    state, op = build()
+    before = state.digest(), len(state.log)
+    with pytest.raises(error, match=re.escape(message)):
+        op()
+    assert (state.digest(), len(state.log)) == before
