@@ -7,11 +7,9 @@ collect, costmodel, replay); the multi-actor simulation harness is the
 
 from .codec import decode_pay_data, encode_pay_data
 from .costmodel import (
-    CostParams,
     amortized_per_payment,
     collect_gas,
     cost_summary,
-    default_cost_params,
     register_payment_gas,
     tx_cost,
     usd_cost,
@@ -22,7 +20,6 @@ from .state import NEW_ACCOUNT, Params, ProtocolState, TokenAdapter, instantiate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostParams",
     "MerkleProof",
     "NEW_ACCOUNT",
     "Params",
@@ -32,7 +29,6 @@ __all__ = [
     "collect_gas",
     "cost_summary",
     "decode_pay_data",
-    "default_cost_params",
     "encode_pay_data",
     "instantiate",
     "merkle_prove",

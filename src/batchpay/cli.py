@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from .chainlog import ChainLog, FinalDigest
 from .codec import decode_pay_data, encode_pay_data
-from .costmodel import check_price, cost_summary, default_cost_params
+from .costmodel import check_price, cost_summary
 from .errors import CodecError, InvalidParameter, InvariantViolation, ProtocolError
 from .merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 from .replay import verify_log
@@ -93,9 +93,8 @@ def cmd_run(args) -> int:
 def cmd_cost(args) -> int:
     check_price("--gwei", args.gwei)
     check_price("--ethusd", args.ethusd)
-    params = default_cost_params()
     # Every size is checked before the first block prints.
-    for summary in [cost_summary(params, n, args.gwei, args.ethusd) for n in args.n]:
+    for summary in [cost_summary(n, args.gwei, args.ethusd) for n in args.n]:
         print(f"n {summary['n']}")
         print(f"register_payment_gas {summary['register_gas']}")
         print(f"collect_gas {summary['collect_gas']}")

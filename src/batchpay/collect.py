@@ -19,8 +19,11 @@ game on an instant slot the recipient keeps the advance and the prefix
 stays moved: the delegate alone eats the loss. That asymmetry is the price
 of instant finality and is surfaced in simulation reports.
 
-Deadlines are exclusive: moves are legal strictly before the deadline
-block, timeout operations at or after it.
+The game's rules are one table, ``MOVES``, read by ``legal``: every move
+checks its slot through it, and the simulator's actors choose moves with
+it. Checks that are not about the game (stakes, sums, proofs, the escrow
+pool) stay with each move; a settlement the pool cannot cover is refused
+with ``IllegalMove``, as unlock fees and refunds are.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .errors import (
     IllegalMove,
     InsufficientFunds,
     InvalidParameter,
-    InvariantViolation,
 )
 from .state import (
     SLOT_ID_MAX,
@@ -53,26 +55,81 @@ from .state import (
     GameState,
     PaymentStatus,
     ProtocolState,
+    ensure_address,
     ensure_u64,
 )
 
+# When a move is legal: the values of ``block < deadline`` it is legal for,
+# so strictly before the slot's deadline block, at or after it, or always.
+BEFORE, AT_OR_AFTER, ANY_TIME = frozenset({True}), frozenset({False}), frozenset({True, False})
 
-def _slot(state: ProtocolState, delegate_id: int, slot_id: int) -> CollectSlot:
+# (move, state it is made in) -> (when it is legal, the state it leads to, the
+# Params period that sets the new deadline). A move is named as the ``OP`` of
+# the record it logs; a pair not listed here is never legal, and a move that
+# leads to EMPTY empties the slot.
+MOVES: dict[tuple[str, GameState], tuple[frozenset[bool], GameState, str | None]] = {
+    ("challenge", GameState.WAITING_CHALLENGE):
+        (BEFORE, GameState.CHALLENGE_STARTED, "response_period"),
+    ("free_slot", GameState.WAITING_CHALLENGE):
+        (AT_OR_AFTER, GameState.EMPTY, None),
+    ("respond", GameState.CHALLENGE_STARTED):
+        (BEFORE, GameState.WAITING_PAYMENT_SELECTION, "response_period"),
+    ("challenge_success", GameState.CHALLENGE_STARTED):
+        (AT_OR_AFTER, GameState.EMPTY, None),
+    ("select", GameState.WAITING_PAYMENT_SELECTION):
+        (BEFORE, GameState.WAITING_PROOF, "response_period"),
+    ("challenge_failed", GameState.WAITING_PAYMENT_SELECTION):
+        (AT_OR_AFTER, GameState.WAITING_CHALLENGE, "challenge_period"),
+    ("prove", GameState.WAITING_PROOF):
+        (BEFORE, GameState.PROOF_ACCEPTED, "response_period"),
+    ("challenge_success", GameState.WAITING_PROOF):
+        (AT_OR_AFTER, GameState.EMPTY, None),
+    ("challenge_failed", GameState.PROOF_ACCEPTED):
+        (ANY_TIME, GameState.WAITING_CHALLENGE, "challenge_period"),
+}
+# Every legal (move, state, block < deadline), read off MOVES for one lookup.
+_LEGAL = frozenset((*key, before) for key, (when, _, _) in MOVES.items() for before in when)
+
+
+def legal(move: str, slot: CollectSlot, now: int) -> bool:
+    """Whether the game lets ``move`` be made on ``slot`` at block ``now``."""
+    return (move, slot.game_state, now < slot.deadline_block) in _LEGAL
+
+
+def _check(state: ProtocolState, move: str, delegate_id: int, slot_id: int) -> CollectSlot:
+    """The slot ``move`` is made on; IllegalMove if the game does not allow it now."""
     slot = state.slots.get((delegate_id, slot_id))
     if slot is None:
         raise IllegalMove(f"slot ({delegate_id}, {slot_id}) is empty")
+    if not legal(move, slot, state.current_block):
+        raise IllegalMove(
+            f"{move} is not legal on slot ({delegate_id}, {slot_id}) in {slot.game_state.name} "
+            f"at block {state.current_block} (deadline {slot.deadline_block})"
+        )
     return slot
 
 
-def _settle(state: ProtocolState, moves: list[tuple[int, int, str | None]]) -> None:
-    """Apply ``(account_id, amount, destination)`` moves, all checked first.
+def _apply(state: ProtocolState, move: str, slot: CollectSlot) -> None:
+    """Move the slot as MOVES says; an emptied slot leaves the map and its index."""
+    _, leads_to, period = MOVES[move, slot.game_state]
+    if leads_to == GameState.EMPTY:
+        del state.slots[(slot.delegate_id, slot.slot_id)]
+        if not slot.instant:
+            del state.pending_collects[slot.recipient_id]
+    else:
+        slot.game_state = leads_to
+        slot.deadline_block = state.current_block + getattr(state.params, period)
 
-    A move credits the account (a negative amount debits it), or pays the
-    amount out to ``destination`` when one is set. Every move is checked in
+
+def _settle(state: ProtocolState, transfers: list[tuple[int, int, str | None]]) -> None:
+    """Apply ``(account_id, amount, destination)`` transfers, all checked first.
+
+    A transfer credits the account (a negative amount debits it), or pays the
+    amount out to ``destination`` when one is set. Every transfer is checked in
     order before any is applied, so a rejected operation writes nothing.
     """
     balances: dict[int, int] = {}
-    for account_id, amount, destination in moves:
+    for account_id, amount, destination in transfers:
         if destination is None:
             balance = balances.get(account_id, state.accounts[account_id].balance)
             balances[account_id] = ensure_u64(balance + amount, f"balance of account {account_id}")
@@ -80,7 +137,7 @@ def _settle(state: ProtocolState, moves: list[tuple[int, int, str | None]]) -> N
             state.adapter.check_withdraw(destination, amount)
     for account_id, balance in balances.items():
         state.accounts[account_id].balance = balance
-    for _, amount, destination in moves:
+    for _, amount, destination in transfers:
         if destination is not None and amount:
             state.adapter.withdraw(destination, amount)
 
@@ -113,6 +170,8 @@ def collect(
     ensure_u64(last_payment_index, "last payment index")
     if fee > amount:
         raise InvalidParameter(f"fee {fee} exceeds amount {amount}")
+    if destination_address is not None:
+        ensure_address(destination_address, "destination address")
     if last_payment_index <= recipient.last_collected_pay_index:
         raise IllegalMove(
             f"range end {last_payment_index} not past collected prefix "
@@ -191,25 +250,15 @@ def collect(
     )
 
 
-def settlement_covered(state: ProtocolState, slot: CollectSlot) -> bool:
-    """Whether the escrow pool can pay out ``slot``; free_slot refuses if not."""
-    return state.escrow_pool >= slot.amount
-
-
 def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
-    """Settle an unchallenged collect after its window and empty the slot."""
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state != GameState.WAITING_CHALLENGE:
-        raise IllegalMove(f"slot in {slot.game_state.name}, not WAITING_CHALLENGE")
-    if state.current_block < slot.deadline_block:
-        raise IllegalMove(
-            f"challenge window open until block {slot.deadline_block}"
-        )
-    if not settlement_covered(state, slot):
-        raise InvariantViolation(
-            "conservation",
-            f"escrow pool {state.escrow_pool} cannot cover settlement of {slot.amount}",
-        )
+    """Settle an unchallenged collect after its window and empty the slot.
+
+    A settlement the escrow pool cannot cover is refused with IllegalMove
+    and writes nothing; the slot stays, and may settle once the pool can.
+    """
+    slot = _check(state, "free_slot", delegate_id, slot_id)
+    if state.escrow_pool < slot.amount:
+        raise IllegalMove("escrow pool cannot cover the settlement")
     if slot.instant:
         # Reimburse the advance and pay the fee; the recipient was paid at open.
         state.credit(delegate_id, slot.amount + slot.held_funds)
@@ -222,19 +271,14 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
         recipient.last_collected_pay_index = max(
             recipient.last_collected_pay_index, slot.end_pay_index
         )
-        del state.pending_collects[slot.recipient_id]
     state.escrow_pool -= slot.amount
-    del state.slots[(delegate_id, slot_id)]
+    _apply(state, "free_slot", slot)
     state.log.append(SlotFreed(delegate_id, slot_id))
 
 
 def challenge(state: ProtocolState, delegate_id: int, slot_id: int, challenger_id: int) -> None:
     """Stake against a pending collect, opening the verification game."""
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state != GameState.WAITING_CHALLENGE:
-        raise IllegalMove(f"slot in {slot.game_state.name}, not WAITING_CHALLENGE")
-    if state.current_block >= slot.deadline_block:
-        raise IllegalMove("challenge window already closed")
+    slot = _check(state, "challenge", delegate_id, slot_id)
     if challenger_id == delegate_id:
         raise IllegalMove("a delegate cannot challenge its own slot")
     state.claimed_account(challenger_id)
@@ -246,8 +290,7 @@ def challenge(state: ProtocolState, delegate_id: int, slot_id: int, challenger_i
     state.debit(challenger_id, stake)
     slot.held_funds += stake
     slot.challenger_id = challenger_id
-    slot.game_state = GameState.CHALLENGE_STARTED
-    slot.deadline_block = state.current_block + state.params.response_period
+    _apply(state, "challenge", slot)
     state.log.append(Challenged(delegate_id, slot_id, challenger_id))
 
 
@@ -263,11 +306,7 @@ def respond_with_payment_list(
     slot's range. A rejected list is a no-op; the delegate may retry until
     the deadline.
     """
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state != GameState.CHALLENGE_STARTED:
-        raise IllegalMove(f"slot in {slot.game_state.name}, not CHALLENGE_STARTED")
-    if state.current_block >= slot.deadline_block:
-        raise IllegalMove("response deadline passed")
+    slot = _check(state, "respond", delegate_id, slot_id)
     total = 0
     prev = slot.start_pay_index
     for pay_index, entry_amount in pairs:
@@ -284,8 +323,7 @@ def respond_with_payment_list(
     if total != slot.amount:
         raise InvalidParameter(f"list sums to {total}, claim is {slot.amount}")
     slot.challenge_list = tuple((int(i), int(a)) for i, a in pairs)
-    slot.game_state = GameState.WAITING_PAYMENT_SELECTION
-    slot.deadline_block = state.current_block + state.params.response_period
+    _apply(state, "respond", slot)
     state.log.append(ListResponded(delegate_id, slot_id, slot.challenge_list))
 
 
@@ -293,18 +331,11 @@ def select_payment(
     state: ProtocolState, delegate_id: int, slot_id: int, pay_index: int, amount: int
 ) -> None:
     """Challenger singles out one disclosed entry for proof."""
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state != GameState.WAITING_PAYMENT_SELECTION:
-        raise IllegalMove(
-            f"slot in {slot.game_state.name}, not WAITING_PAYMENT_SELECTION"
-        )
-    if state.current_block >= slot.deadline_block:
-        raise IllegalMove("selection deadline passed")
+    slot = _check(state, "select", delegate_id, slot_id)
     if (pay_index, amount) not in slot.challenge_list:
         raise InvalidParameter(f"({pay_index}, {amount}) is not in the disclosed list")
     slot.challenged_entry = (pay_index, amount)
-    slot.game_state = GameState.WAITING_PROOF
-    slot.deadline_block = state.current_block + state.params.response_period
+    _apply(state, "select", slot)
     state.log.append(PaymentSelected(delegate_id, slot_id, pay_index, amount))
 
 
@@ -318,11 +349,7 @@ def prove_payment_inclusion(
     amount must equal the selected amount exactly. A failed proof is a
     no-op and may be retried until the deadline.
     """
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state != GameState.WAITING_PROOF:
-        raise IllegalMove(f"slot in {slot.game_state.name}, not WAITING_PROOF")
-    if state.current_block >= slot.deadline_block:
-        raise IllegalMove("proof deadline passed")
+    slot = _check(state, "prove", delegate_id, slot_id)
     pay_index, claimed = slot.challenged_entry
     payment = state.payment(pay_index)
     if hashlib.sha256(pay_data).digest() != payment.pay_data_digest:
@@ -335,55 +362,35 @@ def prove_payment_inclusion(
             f"recipient {slot.recipient_id} is due {due} from payment "
             f"{pay_index}, entry claims {claimed}"
         )
-    slot.game_state = GameState.PROOF_ACCEPTED
-    slot.deadline_block = state.current_block + state.params.response_period
+    _apply(state, "prove", slot)
     state.log.append(InclusionProved(delegate_id, slot_id, bytes(pay_data)))
 
 
 def challenge_success(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     """Challenger wins on delegate timeout: takes both stakes, slot empties.
 
-    Legal when the delegate sat on a response or proof past the deadline.
     For a non-instant slot the recipient's prefix was never advanced, so
     the entitlement stays collectable; an instant slot's advance stays with
     the recipient at the delegate's expense.
     """
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state not in (GameState.CHALLENGE_STARTED, GameState.WAITING_PROOF):
-        raise IllegalMove(
-            f"slot in {slot.game_state.name}, not a delegate-move state"
-        )
-    if state.current_block < slot.deadline_block:
-        raise IllegalMove(f"delegate has until block {slot.deadline_block}")
+    slot = _check(state, "challenge_success", delegate_id, slot_id)
     state.credit(slot.challenger_id, slot.held_funds)
-    if not slot.instant:
-        del state.pending_collects[slot.recipient_id]
-    del state.slots[(delegate_id, slot_id)]
+    _apply(state, "challenge_success", slot)
     state.log.append(ChallengeSucceeded(delegate_id, slot_id))
 
 
 def challenge_failed(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     """Delegate wins: takes the challenger's stake, slot reopens fresh.
 
-    Legal immediately once a proof was accepted, or when the challenger sat
-    on the selection past its deadline. The slot returns to
-    WAITING_CHALLENGE with a full new challenge window, open to new
-    challengers.
+    The slot returns to WAITING_CHALLENGE with a full new challenge window,
+    open to new challengers.
     """
-    slot = _slot(state, delegate_id, slot_id)
-    if slot.game_state == GameState.WAITING_PAYMENT_SELECTION:
-        if state.current_block < slot.deadline_block:
-            raise IllegalMove(f"challenger has until block {slot.deadline_block}")
-    elif slot.game_state != GameState.PROOF_ACCEPTED:
-        raise IllegalMove(
-            f"slot in {slot.game_state.name}, not a challenger-loss state"
-        )
+    slot = _check(state, "challenge_failed", delegate_id, slot_id)
     stake = state.params.challenge_stake
     slot.held_funds -= stake
     state.credit(delegate_id, stake)
     slot.challenger_id = None
     slot.challenge_list = None
     slot.challenged_entry = None
-    slot.game_state = GameState.WAITING_CHALLENGE
-    slot.deadline_block = state.current_block + state.params.challenge_period
+    _apply(state, "challenge_failed", slot)
     state.log.append(ChallengeFailed(delegate_id, slot_id))

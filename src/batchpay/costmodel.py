@@ -2,8 +2,8 @@
 
 Transaction cost is modeled as
 
-    gas = base_tx + fixed + 4 * zero_bytes + 16 * nonzero_bytes
-        + writes * per_storage_write,   (fixed, writes) = OP_GAS[op]
+    gas = BASE_TX + fixed + 4 * zero_bytes + 16 * nonzero_bytes
+        + writes * PER_STORAGE_WRITE,   (fixed, writes) = OP_GAS[op]
 
 where the byte terms price only an operation's *scaling* payload (payee
 bytes, disclosed lists, proofs); fixed-size arguments are absorbed into
@@ -36,7 +36,6 @@ aggregates only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .codec import encode_pay_data
@@ -46,6 +45,13 @@ from .errors import InvalidParameter
 # from the paper: a 10M-gas block limit and one block every 15 s.
 BLOCK_GAS = 10_000_000
 BLOCK_SECONDS = 15
+
+# Public chain pricing. The OP_GAS anchors below are solved for exactly these
+# values, so they are constants rather than settings.
+BASE_TX = 21000
+PER_ZERO_BYTE = 4
+PER_NONZERO_BYTE = 16
+PER_STORAGE_WRITE = 20000
 
 # Calibrated: see module docstring for the solve. One row per operation
 # kind a chain-log record declares as its ``OP``: (fixed gas, storage writes).
@@ -69,51 +75,29 @@ OP_GAS = {
 }
 
 
-@dataclass
-class CostParams:
-    base_tx: int = 21000
-    per_zero_byte: int = 4
-    per_nonzero_byte: int = 16
-    per_storage_write: int = 20000
-
-    def validate(self) -> None:
-        for name in ("base_tx", "per_zero_byte", "per_nonzero_byte", "per_storage_write"):
-            if getattr(self, name) < 0:
-                raise InvalidParameter(f"{name} must be >= 0")
-
-
-def default_cost_params() -> CostParams:
-    return CostParams()
-
-
-def calldata_gas(params: CostParams, payload: bytes) -> int:
+def calldata_gas(payload: bytes) -> int:
     zeros = payload.count(0)
-    return zeros * params.per_zero_byte + (len(payload) - zeros) * params.per_nonzero_byte
+    return zeros * PER_ZERO_BYTE + (len(payload) - zeros) * PER_NONZERO_BYTE
 
 
-def tx_cost(params: CostParams, op_kind: str, payload: bytes = b"") -> int:
+def tx_cost(op_kind: str, payload: bytes = b"") -> int:
     """Gas for one transaction of the given kind with the given payload."""
     if op_kind not in OP_GAS:
         raise InvalidParameter(f"unknown operation kind {op_kind!r}")
     fixed, writes = OP_GAS[op_kind]
-    return (
-        params.base_tx
-        + fixed
-        + calldata_gas(params, payload)
-        + writes * params.per_storage_write
-    )
+    return BASE_TX + fixed + calldata_gas(payload) + writes * PER_STORAGE_WRITE
 
 
-def register_payment_gas(params: CostParams, n_payees: int) -> int:
+def register_payment_gas(n_payees: int) -> int:
     """Gas for the canonical batch payment to ``n_payees`` consecutive ids."""
     if n_payees < 1:
         raise InvalidParameter("payee count must be >= 1")
-    return tx_cost(params, "register_payment", encode_pay_data(list(range(n_payees))))
+    return tx_cost("register_payment", encode_pay_data(list(range(n_payees))))
 
 
-def collect_gas(params: CostParams) -> int:
+def collect_gas() -> int:
     """Gas for a collect; independent of how many payments it covers."""
-    return tx_cost(params, "collect")
+    return tx_cost("collect")
 
 
 def amortized_per_payment(register_gas: int, collect_gas_: int, n: int) -> int:
@@ -143,15 +127,15 @@ def usd_cost(gas: int, gas_price_gwei, eth_usd) -> Decimal:
     return value.quantize(Decimal("0.00001"), rounding=ROUND_HALF_UP)
 
 
-def cost_summary(params: CostParams, n: int, gas_price_gwei, eth_usd) -> dict:
+def cost_summary(n: int, gas_price_gwei, eth_usd) -> dict:
     """The canonical two-transaction cost breakdown used by the CLI.
 
     ``ratio_to_transfer`` is how many times cheaper a payment is than a
-    plain transfer (``base_tx``), to one decimal; ``payments_per_second``
+    plain transfer (``BASE_TX``), to one decimal; ``payments_per_second``
     is how many fit the assumed BLOCK_GAS every BLOCK_SECONDS.
     """
-    reg = register_payment_gas(params, n)
-    col = collect_gas(params)
+    reg = register_payment_gas(n)
+    col = collect_gas()
     amortized = amortized_per_payment(reg, col, n)
     return {
         "n": n,
@@ -159,6 +143,6 @@ def cost_summary(params: CostParams, n: int, gas_price_gwei, eth_usd) -> dict:
         "collect_gas": col,
         "amortized_gas_per_payment": amortized,
         "usd_per_payment": usd_cost(amortized, gas_price_gwei, eth_usd),
-        "ratio_to_transfer": round(params.base_tx / amortized, 1),
+        "ratio_to_transfer": round(BASE_TX / amortized, 1),
         "payments_per_second": BLOCK_GAS // amortized // BLOCK_SECONDS,
     }

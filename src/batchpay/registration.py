@@ -16,13 +16,12 @@ from __future__ import annotations
 from .chainlog import BulkRegistered, Claimed, Registered
 from .errors import BadProof, InvalidParameter, TableFull, UnknownAccount
 from .merkle import DIGEST_SIZE, MerkleProof, merkle_verify
-from .state import BulkRegistration, ProtocolState
+from .state import BulkRegistration, ProtocolState, ensure_address
 
 
 def register(state: ProtocolState, address: str) -> int:
     """Open a fresh account owned by ``address``; returns the new id."""
-    if not address:
-        raise InvalidParameter("address must be non-empty")
+    ensure_address(address, "address")
     acct = state.allocate_account(address)
     state.log.append(Registered(acct.account_id, address))
     return acct.account_id
@@ -67,8 +66,7 @@ def claim_bulk_registration_id(
     """Bind an address to a reserved id using its Merkle inclusion proof."""
     if not 0 <= bulk_id < len(state.bulks):
         raise UnknownAccount(f"bulk registration {bulk_id} does not exist")
-    if not address:
-        raise InvalidParameter("address must be non-empty")
+    ensure_address(address, "address")
     bulk = state.bulks[bulk_id]
     if not bulk.first_id <= account_id < bulk.first_id + bulk.count:
         raise BadProof(

@@ -53,14 +53,14 @@ from ..collect import (
     challenge_success,
     collect,
     free_slot,
+    legal,
     prove_payment_inclusion,
     respond_with_payment_list,
     select_payment,
-    settlement_covered,
 )
 from ..errors import IllegalMove, InvalidParameter
 from ..payments import locking_key_hash, refund_locked_payment, register_payment, unlock
-from ..state import INSTANT_SLOT_THRESHOLD, SLOT_ID_MAX, GameState, PaymentStatus
+from ..state import INSTANT_SLOT_THRESHOLD, SLOT_ID_MAX, PaymentStatus
 from .oracle import find_inflated_entry, monitor_verdict
 
 
@@ -176,11 +176,13 @@ class Unlocker:
                 continue
             if locking_key_hash(self.account_id, job.key) != payment.locking_key_hash:
                 continue
-            if state.escrow_pool < payment.unlocker_fee:
+            # Status, window and key were just checked, so the only remaining
+            # rejection is a looted escrow pool; retry while the window lasts.
+            try:
+                unlock(state, job.pay_index, self.account_id, job.key)
+            except IllegalMove:
                 self.ctx.note_insolvency("unlock-fee")
-                self.inbox.append(job)  # retry while the window lasts
-                continue
-            unlock(state, job.pay_index, self.account_id, job.key)
+                self.inbox.append(job)
 
 
 class Delegate:
@@ -239,36 +241,28 @@ class Delegate:
                     self._dirty.add(recipient)
                 continue
             delegate_id, slot_id = key
-            game_state = slot.game_state
-            if game_state == GameState.WAITING_CHALLENGE:
-                if now < slot.deadline_block:     # stale entry: the current
-                    active.discard(key)           # deadline is queued already
-                    continue
-                if not settlement_covered(state, slot):
-                    # An earlier inflated settlement looted the shared
-                    # pool; this payout can no longer be covered, and
-                    # free_slot would refuse it before writing anything.
-                    # Leave the slot standing (and active), retry next
-                    # block, and let the run report it.
+            if legal("free_slot", slot, now):
+                try:
+                    free_slot(state, delegate_id, slot_id)
+                except IllegalMove:
+                    # The move is legal, so a looted pool refused the payout
+                    # and nothing was written: retry next block and report.
                     ctx.note_insolvency("settlement")
                     continue
-                free_slot(state, delegate_id, slot_id)
                 ctx.note_settled(delegate_id, slot_id)
                 active.discard(key)
                 self._recipients.pop(key, None)
                 self._dirty.add(slot.recipient_id)
-            elif game_state == GameState.PROOF_ACCEPTED or (
-                game_state == GameState.WAITING_PAYMENT_SELECTION and now >= slot.deadline_block
-            ):
+            elif legal("challenge_failed", slot, now):
                 challenge_failed(state, delegate_id, slot_id)
                 active.discard(key)
                 heappush(heap, (slot.deadline_block, key))
-            elif game_state == GameState.CHALLENGE_STARTED:
-                if now < slot.deadline_block:
-                    self._respond(slot_id, slot)
-            elif game_state == GameState.WAITING_PROOF:
-                if now < slot.deadline_block:
-                    self._try_prove(slot_id, slot)
+            elif legal("respond", slot, now):
+                self._respond(slot_id, slot)
+            elif legal("prove", slot, now):
+                self._try_prove(slot_id, slot)
+            elif legal("challenge", slot, now):   # stale entry: its window's
+                active.discard(key)                # close is queued already
 
     def _respond(self, slot_id: int, slot) -> None:
         pairs = self.ctx.view.dues(slot.recipient_id, slot.start_pay_index, slot.end_pay_index)
@@ -430,16 +424,15 @@ class Monitor:
             if slot is None or slot.challenger_id != self.account_id:
                 del self.games[key]               # lost or already resolved
                 continue
-            if slot.game_state == GameState.WAITING_PAYMENT_SELECTION:
+            if legal("select", slot, now):
                 pay_index, amount = find_inflated_entry(ctx.view, slot)
                 select_payment(state, key[0], key[1], pay_index, amount)
-            elif slot.game_state in (GameState.CHALLENGE_STARTED, GameState.WAITING_PROOF):
-                if now >= slot.deadline_block:
-                    won = slot.held_funds
-                    was_instant = slot.instant
-                    challenge_success(state, key[0], key[1])
-                    ctx.note_monitor_win(self.account_id, won, self.games[key], was_instant)
-                    del self.games[key]
+            elif legal("challenge_success", slot, now):
+                won = slot.held_funds
+                was_instant = slot.instant
+                challenge_success(state, key[0], key[1])
+                ctx.note_monitor_win(self.account_id, won, self.games[key], was_instant)
+                del self.games[key]
 
     def _scan_for_new(self) -> None:
         ctx = self.ctx
@@ -458,11 +451,10 @@ class Monitor:
             if slot is None:
                 del candidates[key]
                 continue
-            if slot.game_state != GameState.WAITING_CHALLENGE:
-                continue                          # in someone's game; may reopen
-            if now >= slot.deadline_block:
-                del candidates[key]               # window closed for good
-                continue
+            if not legal("challenge", slot, now):
+                if legal("free_slot", slot, now):
+                    del candidates[key]           # window closed for good
+                continue                          # else in someone's game; may reopen
             seq = candidates[key]
             if seq not in self._verdicts:
                 watch = (not self.lazy) or ctx.rng.random() < 0.25

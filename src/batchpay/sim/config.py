@@ -6,7 +6,7 @@ A scenario file has up to five sections, all optional, every key optional:
     [roles]     actor counts per role
     [amounts]   token quantities, batch-size ranges, thresholds
     [params]    protocol constants (mirrors the Params dataclass)
-    [costs]     gas model scalars plus pricing for the USD column
+    [costs]     gas and token prices for the USD column
 
 Unknown sections or keys are rejected outright rather than ignored, since
 a typo that silently falls back to a default is the worst failure mode a
@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-from ..costmodel import CostParams, check_price, default_cost_params
+from ..costmodel import check_price
 from ..errors import InvalidParameter
 from ..state import Params
 
@@ -70,7 +70,6 @@ class ScenarioConfig:
     eth_usd: float = 225.0
 
     params: Params = field(default_factory=Params)
-    costs: CostParams = field(default_factory=default_cost_params)
 
     def validate(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -109,7 +108,6 @@ class ScenarioConfig:
         if self.locked_fraction > 0 and self.unlockers == 0:
             raise InvalidParameter("locked payments configured but no unlockers")
         self.params.validate()
-        self.costs.validate()
         # the engine would refuse these later, mid-run
         if self.payees_max > self.params.max_payments_per_batch:
             raise InvalidParameter(
@@ -148,8 +146,8 @@ def _parse_float(raw: str, where: str) -> float:
 
 
 _PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float}
-# section -> its keys. Each key names a field of exactly one of the config,
-# its Params and its CostParams, and is parsed by the type of its default.
+# section -> its keys. Each key names a field of exactly one of the config
+# and its Params, and is parsed by the type of its default.
 _SECTIONS = {
     "scenario": ("seed", "blocks", *_FRACTIONS),
     "roles": ("buyers", "sellers", "delegates", "monitors", "unlockers", "bulk_register_sellers"),
@@ -159,8 +157,7 @@ _SECTIONS = {
         "overstatement_max", "buyer_deposit", "delegate_deposit", "monitor_deposit",
     ),
     "params": tuple(f.name for f in fields(Params)),
-    "costs": ("base_tx", "per_zero_byte", "per_nonzero_byte", "per_storage_write",
-              "gas_price_gwei", "eth_usd"),
+    "costs": ("gas_price_gwei", "eth_usd"),
 }
 
 
@@ -172,7 +169,7 @@ def _apply_section(config: ScenarioConfig, section: str, items) -> None:
         where = f"[{section}] {key}"
         if key not in keys:
             raise InvalidParameter(f"{where}: unknown key")
-        target = next(t for t in (config.params, config.costs, config) if hasattr(t, key))
+        target = config.params if section == "params" else config
         setattr(target, key, _PARSERS[type(getattr(target, key))](raw, where))
 
 

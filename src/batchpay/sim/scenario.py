@@ -158,7 +158,7 @@ class SimRun:
         return True
 
     def note_settled(self, delegate_id: int, slot_id: int) -> None:
-        """A slot is about to settle unchallenged; flag it if it was a cheat."""
+        """A slot settled unchallenged (the view holds it until the next sync)."""
         seq = self.view.slots[(delegate_id, slot_id)].open_seq
         if self._resolve_cheat(seq):
             self.cheats_escaped += 1
@@ -305,7 +305,10 @@ class SimRun:
                 f"attempted {self.cheats_attempted} != caught {self.cheats_caught} "
                 f"+ escaped {self.cheats_escaped} + stranded {self.cheats_stranded}",
             )
-        attentive = any(not m.lazy for m in self.monitor_actors)
+        # A monitor that cannot afford the challenge stake watches in vain.
+        attentive = self.config.monitor_deposit >= self.config.params.challenge_stake and any(
+            not m.lazy for m in self.monitor_actors
+        )
         if attentive and self.cheats_escaped:
             raise InvariantViolation(
                 "cheat-escaped",
@@ -320,7 +323,7 @@ class SimRun:
             op = rec.OP
             if op is None:
                 continue
-            gas = tx_cost(self.config.costs, op, scaling_payload(rec))
+            gas = tx_cost(op, scaling_payload(rec))
             row = rows.setdefault(op, {"count": 0, "gas": 0})
             row["count"] += 1
             row["gas"] += gas

@@ -15,8 +15,9 @@ The escrow pool is the custody cell for registered payments: it grows by
 the full escrow on registration and drains on unlock fees, refunds, and
 collect settlements. Settlements drain the pool by the claimed amount
 (claims are only verified optimistically, so per-payment attribution is
-not observable by the ledger); the pool going negative is the insolvency
-signal and trips the invariant.
+not observable by the ledger). A payout the pool cannot cover is refused
+with IllegalMove, so a negative pool can only be a bug, and trips the
+invariant.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     Unauthorized,
     UnknownAccount,
 )
-from .wire import U64_MAX, layout, pack_rows, packer
+from .wire import U16_MAX, U64_MAX, layout, pack_rows, packer
 
 # Slot ids above this value are instant-collect slots; the boundary itself
 # is not instant. Fixed by the protocol, independent of configuration.
@@ -67,6 +68,18 @@ def ensure_u64(value: int, what: str) -> int:
     if value < 0 or value > U64_MAX:
         raise AmountOutOfRange(f"{what} {value} outside unsigned 64-bit range")
     return value
+
+
+def ensure_address(address: str, what: str) -> None:
+    """Refuse an empty address, or one a log record cannot carry."""
+    if not address:
+        raise InvalidParameter(f"{what} must be non-empty")
+    try:
+        size = len(address.encode("utf-8"))
+    except UnicodeEncodeError:
+        raise InvalidParameter(f"{what} is not encodable as UTF-8") from None
+    if size > U16_MAX:
+        raise InvalidParameter(f"{what} is longer than {U16_MAX} UTF-8 bytes")
 
 
 @dataclass
@@ -331,6 +344,7 @@ class ProtocolState:
         ensure_u64(amount, "deposit amount")
         if amount < 1:
             raise InvalidParameter("deposit amount must be positive")
+        ensure_address(from_address, "depositor address")
         if isinstance(account_ref, _NewAccount):
             if len(self.accounts) >= self.params.max_account_count:
                 raise TableFull(f"account table at limit {self.params.max_account_count}")
@@ -352,6 +366,7 @@ class ProtocolState:
         ensure_u64(amount, "withdraw amount")
         if amount < 1:
             raise InvalidParameter("withdraw amount must be positive")
+        ensure_address(to_address, "withdrawal address")
         acct = self.claimed_account(account_id)
         if acct.address != sender:
             raise Unauthorized(f"{sender!r} does not own account {account_id}")

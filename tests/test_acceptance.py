@@ -44,7 +44,7 @@ from batchpay.collect import (
     respond_with_payment_list,
     select_payment,
 )
-from batchpay.costmodel import cost_summary, default_cost_params
+from batchpay.costmodel import cost_summary
 from batchpay.errors import BadProof, CodecError, IllegalMove, ProtocolError
 from batchpay.merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 from batchpay.payments import (
@@ -146,9 +146,8 @@ GAS_PER_PAYEE_BYTE = 16
 
 def test_2_amortized_gas_band(check):
     def body():
-        params = default_cost_params()
         sweep = (300, 1000, 3000, 10000)
-        summaries = {n: cost_summary(params, n, 5, 225) for n in sweep}
+        summaries = {n: cost_summary(n, 5, 225) for n in sweep}
         amortized = {n: s["amortized_gas_per_payment"] for n, s in summaries.items()}
         # The canonical size, inside the 300..1000 band.
         assert amortized[1000] == 397

@@ -207,6 +207,15 @@ def test_run_refuses_a_config_the_engine_would_refuse_mid_run(tmp_path, text, ke
     assert all(key in captured.err for key in keys), captured.err
 
 
+@pytest.mark.parametrize("key", ["base_tx", "per_zero_byte", "per_nonzero_byte", "per_storage_write"])
+def test_run_refuses_a_gas_model_key(tmp_path, key, capsys):
+    # The gas model's scalars are constants its anchors are solved for.
+    cfg = tmp_path / "gas.cfg"
+    cfg.write_text(f"[costs]\n{key} = 1\n")
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"error: [costs] {key}: unknown key\n"
+
+
 def test_run_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/path.cfg"]) == 3
     assert "error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import pytest
@@ -29,7 +30,7 @@ from batchpay.errors import (
 from batchpay.registration import register
 from batchpay.state import NEW_ACCOUNT, GameState
 from batchpay.wire import U64_MAX
-from tests.conftest import small_params
+from tests.conftest import World, small_params
 
 STAKE = small_params().collect_stake
 CH_STAKE = small_params().challenge_stake
@@ -528,16 +529,87 @@ def test_check_invariants_verifies_the_pending_index(world):
     world.state.check_invariants()
 
 
-# -- insolvency ---------------------------------------------------------------
+# -- the move rules, spelled out ----------------------------------------------
+
+WC, CS, WPS, WP, PA = (
+    GameState.WAITING_CHALLENGE,
+    GameState.CHALLENGE_STARTED,
+    GameState.WAITING_PAYMENT_SELECTION,
+    GameState.WAITING_PROOF,
+    GameState.PROOF_ACCEPTED,
+)
+BEFORE, AT = "one block before the deadline", "at the deadline"
+
+# (move, state) -> (when it is legal, the state it leads to or None when the
+# slot empties, the period that sets the new deadline). Any other pair, or
+# any other time, is refused.
+GAME_RULES = {
+    ("challenge", WC): ({BEFORE}, CS, "response_period"),
+    ("free_slot", WC): ({AT}, None, None),
+    ("respond", CS): ({BEFORE}, WPS, "response_period"),
+    ("challenge_success", CS): ({AT}, None, None),
+    ("select", WPS): ({BEFORE}, WP, "response_period"),
+    ("challenge_failed", WPS): ({AT}, WC, "challenge_period"),
+    ("prove", WP): ({BEFORE}, PA, "response_period"),
+    ("challenge_success", WP): ({AT}, None, None),
+    ("challenge_failed", PA): ({BEFORE, AT}, WC, "challenge_period"),
+}
+
+# Each move on slot 3 with arguments that are valid once the game allows it:
+# the slot claims the 10 that payment 1 owes the seller.
+GAME_MOVES = {
+    "challenge": lambda w: challenge(w.state, w.delegate, 3, w.monitor),
+    "free_slot": lambda w: free_slot(w.state, w.delegate, 3),
+    "respond": lambda w: respond_with_payment_list(w.state, w.delegate, 3, [(1, 10)]),
+    "challenge_success": lambda w: challenge_success(w.state, w.delegate, 3),
+    "select": lambda w: select_payment(w.state, w.delegate, 3, 1, 10),
+    "challenge_failed": lambda w: challenge_failed(w.state, w.delegate, 3),
+    "prove": lambda w: prove_payment_inclusion(w.state, w.delegate, 3, w.pay_data[1]),
+}
+
+# The moves that take a fresh slot into each state, in order.
+PATH = ((CS, "challenge"), (WPS, "respond"), (WP, "select"), (PA, "prove"))
 
 
-def test_uncovered_settlement_trips_conservation(world):
-    world.pay([world.seller], per_destination=5)
+def _slot_in(game_state, when):
+    world = World()
+    world.pay([world.seller], per_destination=10)
     world.mature()
-    world.open_collect(1, end=1, amount=50)  # pool only holds 5
-    world.advance(world.params.challenge_period)
-    with pytest.raises(InvariantViolation):
-        free_slot(world.state, world.delegate, 1)
+    world.open_collect(3, end=1, amount=10)
+    for reached, move in PATH:
+        if slot_of(world, 3).game_state == game_state:
+            break
+        GAME_MOVES[move](world)
+        assert slot_of(world, 3).game_state == reached
+    blocks = slot_of(world, 3).deadline_block - world.state.current_block
+    world.advance(blocks - 1 if when == BEFORE else blocks)
+    return world
+
+
+def test_every_game_move_is_legal_exactly_where_the_rules_say():
+    for (move, make), game_state, when in itertools.product(
+        GAME_MOVES.items(), (WC, CS, WPS, WP, PA), (BEFORE, AT)
+    ):
+        case = f"{move} in {game_state.name}, {when}"
+        world = _slot_in(game_state, when)
+        state, slot = world.state, slot_of(world, 3)
+        rule = GAME_RULES.get((move, game_state))
+        before = state.digest(), len(state.log)
+        try:
+            make(world)
+        except IllegalMove:
+            assert rule is None or when not in rule[0], case
+            assert (state.digest(), len(state.log)) == before, case
+            continue
+        assert rule is not None and when in rule[0], case
+        _, leads_to, period = rule
+        assert len(state.log) == before[1] + 1, case
+        if leads_to is None:
+            assert (world.delegate, 3) not in state.slots, case
+        else:
+            assert slot.game_state == leads_to, case
+            assert slot.deadline_block == state.current_block + getattr(world.params, period), case
+        state.check_invariants()
 
 
 def test_moves_on_missing_slot_rejected(world):

@@ -51,10 +51,6 @@ challenge_stake = 32
 max_payments_per_batch = 500
 
 [costs]
-base_tx = 21000
-per_zero_byte = 4
-per_nonzero_byte = 16
-per_storage_write = 20000
 gas_price_gwei = 7.5
 eth_usd = 301.25
 """
@@ -76,7 +72,6 @@ def test_full_file_parses():
     assert config.eth_usd == 301.25
     assert config.params.unlock_period == 4
     assert config.params.collect_stake == 64
-    assert config.costs.per_nonzero_byte == 16
     config.validate()
 
 

@@ -9,35 +9,33 @@ import pytest
 from batchpay.chainlog import RECORD_TYPES
 from batchpay.codec import encode_pay_data
 from batchpay.costmodel import (
+    BASE_TX,
     OP_GAS,
-    CostParams,
+    PER_STORAGE_WRITE,
     amortized_per_payment,
     calldata_gas,
     collect_gas,
     cost_summary,
-    default_cost_params,
     register_payment_gas,
     tx_cost,
     usd_cost,
 )
 from batchpay.errors import InvalidParameter
 
-COSTS = default_cost_params()
-
 
 def test_register_anchor_for_thousand_consecutive_payees():
     # 1000 consecutive ids fit in 1007 payload bytes; the measured total for
     # this transaction on the reference deployment is the model's anchor
-    assert register_payment_gas(COSTS, 1000) == 228_255
+    assert register_payment_gas(1000) == 228_255
 
 
 def test_collect_anchor():
-    assert collect_gas(COSTS) == 167_440
+    assert collect_gas() == 167_440
 
 
 def test_amortized_at_thousand():
-    reg = register_payment_gas(COSTS, 1000)
-    col = collect_gas(COSTS)
+    reg = register_payment_gas(1000)
+    col = collect_gas()
     assert amortized_per_payment(reg, col, 1000) == 397
 
 
@@ -54,35 +52,35 @@ def test_usd_rounding_is_half_up():
 
 
 def test_calldata_pricing_counts_zero_and_nonzero_bytes():
-    assert calldata_gas(COSTS, b"") == 0
-    assert calldata_gas(COSTS, b"\x00" * 10) == 40
-    assert calldata_gas(COSTS, b"\x01" * 10) == 160
-    assert calldata_gas(COSTS, b"\x00\xff") == 20
+    assert calldata_gas(b"") == 0
+    assert calldata_gas(b"\x00" * 10) == 40
+    assert calldata_gas(b"\x01" * 10) == 160
+    assert calldata_gas(b"\x00\xff") == 20
 
 
 def test_tx_cost_composition():
     payload = encode_pay_data(list(range(1000)))
     fixed, writes = OP_GAS["register_payment"]
     expected = (
-        COSTS.base_tx
+        BASE_TX
         + fixed
-        + calldata_gas(COSTS, payload)
-        + writes * COSTS.per_storage_write
+        + calldata_gas(payload)
+        + writes * PER_STORAGE_WRITE
     )
-    assert tx_cost(COSTS, "register_payment", payload) == expected
+    assert tx_cost("register_payment", payload) == expected
     assert expected == 228_255
 
 
 def test_tx_cost_rejects_unknown_op():
     with pytest.raises(InvalidParameter):
-        tx_cost(COSTS, "paint_the_shed")
+        tx_cost("paint_the_shed")
 
 
 def test_every_listed_op_is_priced():
     # The table prices exactly the ops the chain-log records declare.
     assert set(OP_GAS) == {cls.OP for cls in RECORD_TYPES.values()} - {None}
     for op in OP_GAS:
-        assert tx_cost(COSTS, op) >= COSTS.base_tx
+        assert tx_cost(op) >= BASE_TX
 
 
 def test_amortized_uses_ceiling_on_both_legs():
@@ -95,13 +93,13 @@ def test_amortized_uses_ceiling_on_both_legs():
 
 def test_register_gas_grows_with_batch_size():
     sizes = [1, 10, 100, 1000, 5000]
-    gas = [register_payment_gas(COSTS, n) for n in sizes]
+    gas = [register_payment_gas(n) for n in sizes]
     assert gas == sorted(gas)
     assert gas[0] < gas[-1]
 
 
 def test_cost_summary_shape():
-    summary = cost_summary(COSTS, 1000, 5, 225)
+    summary = cost_summary(1000, 5, 225)
     assert summary["n"] == 1000
     assert summary["register_gas"] == 228_255
     assert summary["collect_gas"] == 167_440
@@ -110,9 +108,3 @@ def test_cost_summary_shape():
     assert summary["ratio_to_transfer"] == 52.9
     assert summary["payments_per_second"] == 1679
 
-
-def test_validate_rejects_negative_prices():
-    costs = default_cost_params()
-    costs.per_zero_byte = -1
-    with pytest.raises(InvalidParameter):
-        costs.validate()

@@ -135,6 +135,19 @@ def test_no_monitors_means_no_cheat_is_caught():
     assert any("settled unchallenged" in note for note in report.known_gaps)
 
 
+def test_monitors_that_cannot_stake_a_challenge_let_cheats_escape():
+    # The attentive monitor has no deposit, so it never challenges: the run
+    # reports the escaped cheats instead of failing its cheat-escaped check.
+    config = load_scenario_config(str(ROOT / "configs" / "adversarial.cfg"))
+    config.monitor_deposit = 0
+    report = run_scenario(config)
+    assert report.games["challenged"] == 0
+    assert report.cheats["escaped"] == 11
+    assert "11 overstated collects settled unchallenged (no attentive monitor saw them)" in (
+        report.known_gaps
+    )
+
+
 def test_withholding_unlocker_forces_refunds():
     report = run_scenario(
         ScenarioConfig(

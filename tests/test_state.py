@@ -26,7 +26,13 @@ from batchpay.errors import (
     UnknownAccount,
 )
 from batchpay.codec import encode_pay_data
-from batchpay.collect import challenge, free_slot, respond_with_payment_list, select_payment
+from batchpay.collect import (
+    challenge,
+    collect,
+    free_slot,
+    respond_with_payment_list,
+    select_payment,
+)
 from batchpay.merkle import merkle_prove, merkle_root
 from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from batchpay.registration import bulk_register, claim_bulk_registration_id, register
@@ -592,7 +598,7 @@ def test_state_image_matches_the_reference_on_the_canonical_replay():
     assert state.canonical_bytes() == _reference_canonical_bytes(state)
 
 
-# -- rejections of bad input and of an uncovered payout ------------------------------
+# -- rejections of bad input and of uncovered payouts ------------------------------
 
 
 def _looted_world():
@@ -636,13 +642,51 @@ def _rejected_refund():
     return world.state, lambda: refund_locked_payment(world.state, locked)
 
 
-def _rejected_claim_address():
+def _rejected_settlement():
     world = World()
-    addresses = ["late-0", "late-1"]
-    bulk_id = bulk_register(world.state, 2, merkle_root(addresses))
-    first_id = world.state.bulks[bulk_id].first_id
-    proof = merkle_prove(addresses, 0)
-    return world.state, lambda: claim_bulk_registration_id(world.state, bulk_id, first_id, "", proof)
+    world.pay([world.seller], per_destination=5)
+    world.mature()
+    world.open_collect(1, end=1, amount=50)                  # the pool only holds 5
+    world.advance(world.params.challenge_period)
+    return world.state, lambda: free_slot(world.state, world.delegate, 1)
+
+
+def _rejected_claim_address(address):
+    def build():
+        world = World()
+        addresses = ["late-0", "late-1"]
+        bulk_id = bulk_register(world.state, 2, merkle_root(addresses))
+        first_id = world.state.bulks[bulk_id].first_id
+        proof = merkle_prove(addresses, 0)
+        return world.state, lambda: claim_bulk_registration_id(
+            world.state, bulk_id, first_id, address, proof
+        )
+    return build
+
+
+# One character over what a log record's u16 length prefix can carry, and
+# the same byte length reached with multi-byte characters.
+LONG_ADDRESS = "a" * 65_536
+LONG_WIDE_ADDRESS = "\u00e9" * 32_768
+
+
+def _rejected_deposit_from_long_address(account):
+    def build():
+        world = World()
+        ref = NEW_ACCOUNT if account == "new" else world.buyer
+        return world.state, lambda: world.state.deposit(ref, 10, LONG_ADDRESS)
+    return build
+
+
+def _rejected_collect_destination():
+    world = World()
+    world.pay([world.seller], per_destination=5)
+    world.mature()
+    # A destination this long cannot be signed for either; any 32 bytes do.
+    return world.state, lambda: collect(
+        world.state, world.delegate, 1, world.seller, 1, 5, 0, bytes(32),
+        destination_address=LONG_ADDRESS,
+    )
 
 
 def _world_op(op):
@@ -658,8 +702,27 @@ def _world_op(op):
         (_rejected_key_hash_length, InvalidParameter, "locking key hash must be 32 bytes"),
         (_rejected_unlock_fee, IllegalMove, "escrow pool cannot cover the unlocker fee"),
         (_rejected_refund, IllegalMove, "escrow pool cannot cover the refund"),
+        (_rejected_settlement, IllegalMove, "escrow pool cannot cover the settlement"),
         (_world_op(lambda w: register(w.state, "")), InvalidParameter, "address must be non-empty"),
-        (_rejected_claim_address, InvalidParameter, "address must be non-empty"),
+        (_rejected_claim_address(""), InvalidParameter, "address must be non-empty"),
+        (_world_op(lambda w: register(w.state, LONG_ADDRESS)), InvalidParameter,
+         "address is longer than 65535 UTF-8 bytes"),
+        (_world_op(lambda w: register(w.state, LONG_WIDE_ADDRESS)), InvalidParameter,
+         "address is longer than 65535 UTF-8 bytes"),
+        (_world_op(lambda w: register(w.state, "bad-\udc80")), InvalidParameter,
+         "address is not encodable as UTF-8"),
+        (_rejected_claim_address(LONG_ADDRESS), InvalidParameter,
+         "address is longer than 65535 UTF-8 bytes"),
+        (_rejected_deposit_from_long_address("new"), InvalidParameter,
+         "depositor address is longer than 65535 UTF-8 bytes"),
+        (_rejected_deposit_from_long_address("existing"), InvalidParameter,
+         "depositor address is longer than 65535 UTF-8 bytes"),
+        (_world_op(lambda w: w.state.withdraw(w.buyer, 1, LONG_ADDRESS, "buyer")), InvalidParameter,
+         "withdrawal address is longer than 65535 UTF-8 bytes"),
+        (_world_op(lambda w: w.state.withdraw(w.buyer, 1, "", "buyer")), InvalidParameter,
+         "withdrawal address must be non-empty"),
+        (_rejected_collect_destination, InvalidParameter,
+         "destination address is longer than 65535 UTF-8 bytes"),
         (_world_op(lambda w: w.state.deposit(w.buyer, 1.5, "buyer")), InvalidParameter,
          "deposit amount must be an integer"),
         (_world_op(lambda w: w.state.withdraw("0", 1, "out", "buyer")), UnknownAccount,
@@ -667,8 +730,12 @@ def _world_op(op):
         (_world_op(lambda w: w.state.withdraw(w.buyer, 0, "out", "buyer")), InvalidParameter,
          "withdraw amount must be positive"),
     ],
-    ids=["key-hash-length", "unlock-fee-uncovered", "refund-uncovered", "register-no-address",
-         "claim-no-address", "amount-not-int", "account-id-not-int", "withdraw-zero"],
+    ids=["key-hash-length", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
+         "register-no-address", "claim-no-address", "register-long-address",
+         "register-long-wide-address", "register-surrogate-address", "claim-long-address", "deposit-new-long-address",
+         "deposit-existing-long-address", "withdraw-long-address", "withdraw-no-address",
+         "collect-long-destination",
+         "amount-not-int", "account-id-not-int", "withdraw-zero"],
 )
 def test_rejection_names_its_cause_and_writes_nothing(build, error, message):
     state, op = build()
