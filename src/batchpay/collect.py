@@ -21,9 +21,12 @@ of instant finality and is surfaced in simulation reports.
 
 The game's rules are one table, ``MOVES``, read by ``legal``: every move
 checks its slot through it, and the simulator's actors choose moves with
-it. Checks that are not about the game (stakes, sums, proofs, the escrow
-pool) stay with each move; a settlement the pool cannot cover is refused
-with ``IllegalMove``, as unlock fees and refunds are.
+it. Checks that are not about the game (sums, proofs) stay with each move.
+
+Stakes and instant advances leave balances; settlements leave the escrow
+pool for balances or a destination address. Each move makes them in one
+``ProtocolState.transfer``, checked in full before the move writes
+anything, and writes a slot's ``held_funds`` after it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .errors import (
     BadProof,
     BadSignature,
     IllegalMove,
-    InsufficientFunds,
     InvalidParameter,
 )
 from .state import (
@@ -121,27 +123,6 @@ def _apply(state: ProtocolState, move: str, slot: CollectSlot) -> None:
         slot.deadline_block = state.current_block + getattr(state.params, period)
 
 
-def _settle(state: ProtocolState, transfers: list[tuple[int, int, str | None]]) -> None:
-    """Apply ``(account_id, amount, destination)`` transfers, all checked first.
-
-    A transfer credits the account (a negative amount debits it), or pays the
-    amount out to ``destination`` when one is set. Every transfer is checked in
-    order before any is applied, so a rejected operation writes nothing.
-    """
-    balances: dict[int, int] = {}
-    for account_id, amount, destination in transfers:
-        if destination is None:
-            balance = balances.get(account_id, state.accounts[account_id].balance)
-            balances[account_id] = ensure_u64(balance + amount, f"balance of account {account_id}")
-        elif amount:
-            state.adapter.check_withdraw(destination, amount)
-    for account_id, balance in balances.items():
-        state.accounts[account_id].balance = balance
-    for _, amount, destination in transfers:
-        if destination is not None and amount:
-            state.adapter.withdraw(destination, amount)
-
-
 def collect(
     state: ProtocolState,
     delegate_id: int,
@@ -163,7 +144,7 @@ def collect(
         raise InvalidParameter(f"slot id {slot_id} outside [0, {SLOT_ID_MAX}]")
     if (delegate_id, slot_id) in state.slots:
         raise IllegalMove(f"slot ({delegate_id}, {slot_id}) is occupied")
-    delegate = state.claimed_account(delegate_id)
+    state.claimed_account(delegate_id)
     recipient = state.claimed_account(recipient_id)
     ensure_u64(amount, "collect amount")
     ensure_u64(fee, "collect fee")
@@ -206,21 +187,16 @@ def collect(
         raise BadSignature("collect authorization does not verify")
     instant = slot_id > state.params.instant_slot_threshold
     stake = state.params.collect_stake
-    advance = amount - fee if instant else 0
-    if delegate.balance < stake + advance:
-        raise InsufficientFunds(
-            f"delegate {delegate_id} balance {delegate.balance} < "
-            f"stake {stake} + advance {advance}"
-        )
     start_pay_index = recipient.last_collected_pay_index
     if instant:
-        _settle(state, [
-            (delegate_id, -(stake + advance), None),
-            (recipient_id, advance, destination_address),
+        advance = amount - fee
+        state.transfer([
+            (delegate_id, -(stake + advance)),
+            (destination_address or recipient_id, advance),
         ])
         recipient.last_collected_pay_index = last_payment_index
     else:
-        state.debit(delegate_id, stake)
+        state.transfer([(delegate_id, -stake)])
         state.pending_collects[recipient_id] = (delegate_id, slot_id)
     state.slots[(delegate_id, slot_id)] = CollectSlot(
         delegate_id=delegate_id,
@@ -257,21 +233,22 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     and writes nothing; the slot stays, and may settle once the pool can.
     """
     slot = _check(state, "free_slot", delegate_id, slot_id)
+    # An insolvent run retries each stranded settlement every block, so a
+    # short pool is refused before the moves are built.
     if state.escrow_pool < slot.amount:
         raise IllegalMove("escrow pool cannot cover the settlement")
     if slot.instant:
         # Reimburse the advance and pay the fee; the recipient was paid at open.
-        state.credit(delegate_id, slot.amount + slot.held_funds)
+        state.transfer([(delegate_id, slot.amount + slot.held_funds)], pool=-slot.amount)
     else:
-        _settle(state, [
-            (slot.recipient_id, slot.amount - slot.fee, slot.destination_address),
-            (delegate_id, slot.fee + slot.held_funds, None),
-        ])
+        state.transfer([
+            (slot.destination_address or slot.recipient_id, slot.amount - slot.fee),
+            (delegate_id, slot.fee + slot.held_funds),
+        ], pool=-slot.amount)
         recipient = state.accounts[slot.recipient_id]
         recipient.last_collected_pay_index = max(
             recipient.last_collected_pay_index, slot.end_pay_index
         )
-    state.escrow_pool -= slot.amount
     _apply(state, "free_slot", slot)
     state.log.append(SlotFreed(delegate_id, slot_id))
 
@@ -283,11 +260,7 @@ def challenge(state: ProtocolState, delegate_id: int, slot_id: int, challenger_i
         raise IllegalMove("a delegate cannot challenge its own slot")
     state.claimed_account(challenger_id)
     stake = state.params.challenge_stake
-    if state.accounts[challenger_id].balance < stake:
-        raise InsufficientFunds(
-            f"challenger {challenger_id} cannot cover stake {stake}"
-        )
-    state.debit(challenger_id, stake)
+    state.transfer([(challenger_id, -stake)])
     slot.held_funds += stake
     slot.challenger_id = challenger_id
     _apply(state, "challenge", slot)
@@ -374,7 +347,7 @@ def challenge_success(state: ProtocolState, delegate_id: int, slot_id: int) -> N
     the recipient at the delegate's expense.
     """
     slot = _check(state, "challenge_success", delegate_id, slot_id)
-    state.credit(slot.challenger_id, slot.held_funds)
+    state.transfer([(slot.challenger_id, slot.held_funds)])
     _apply(state, "challenge_success", slot)
     state.log.append(ChallengeSucceeded(delegate_id, slot_id))
 
@@ -387,8 +360,8 @@ def challenge_failed(state: ProtocolState, delegate_id: int, slot_id: int) -> No
     """
     slot = _check(state, "challenge_failed", delegate_id, slot_id)
     stake = state.params.challenge_stake
+    state.transfer([(delegate_id, stake)])
     slot.held_funds -= stake
-    state.credit(delegate_id, stake)
     slot.challenger_id = None
     slot.challenge_list = None
     slot.challenged_entry = None

@@ -11,9 +11,9 @@ pairs a node, as the right child, with an identical left sibling. The
 cost: a list whose adjacent even/odd positions hold identical subtrees
 (a repeated address, say) cannot prove the right-hand copy.
 
-Proofs carry the leaf index plus the sibling digests from leaf to root.
-Serialized form: leaf index as u32, sibling count as u16, then the 32-byte
-digests in leaf-to-root order (integers little-endian).
+Proofs carry the leaf index plus the sibling digests from leaf to root,
+and serialize as their ``WIRE`` kinds: the leaf index as u32, then the
+digests as ``b32s`` (a u16 count), in leaf-to-root order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import CodecError, InvalidParameter
+from .errors import InvalidParameter
+from .wire import layout, packer, unpack
 
 DIGEST_SIZE = 32
 _LEAF_PREFIX = b"\x00"
@@ -55,28 +56,20 @@ def merkle_root(addresses: list[str]) -> bytes:
 
 @dataclass(frozen=True)
 class MerkleProof:
+    WIRE = ("u32", "b32s")
     leaf_index: int
     siblings: tuple[bytes, ...]
 
     def to_bytes(self) -> bytes:
-        out = bytearray(self.leaf_index.to_bytes(4, "little"))
-        out += len(self.siblings).to_bytes(2, "little")
-        for sib in self.siblings:
-            out += sib
-        return bytes(out)
+        return _pack_proof(self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MerkleProof":
-        if len(data) < 6:
-            raise CodecError("proof shorter than its fixed header")
-        leaf_index = int.from_bytes(data[0:4], "little")
-        count = int.from_bytes(data[4:6], "little")
-        if len(data) != 6 + count * DIGEST_SIZE:
-            raise CodecError("proof length does not match sibling count")
-        sibs = tuple(
-            bytes(data[6 + i * DIGEST_SIZE : 6 + (i + 1) * DIGEST_SIZE]) for i in range(count)
-        )
-        return cls(leaf_index, sibs)
+        """Parse a serialized proof; CodecError unless ``data`` is exactly one."""
+        return cls(*unpack(cls.WIRE, data))
+
+
+_pack_proof = packer(layout(MerkleProof))
 
 
 def _path(levels: list[list[bytes]], leaf_index: int) -> MerkleProof:

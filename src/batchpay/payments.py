@@ -67,8 +67,7 @@ def register_payment(
     total_escrow = ensure_u64(
         per_destination * count + unlocker_fee, "payment escrow"
     )
-    state.debit(from_id, total_escrow)
-    state.escrow_pool = ensure_u64(state.escrow_pool + total_escrow, "escrow pool")
+    state.transfer([(from_id, -total_escrow)], pool=total_escrow)
     payment = Payment(
         pay_index=state.latest_pay_index + 1,
         from_id=from_id,
@@ -97,46 +96,42 @@ def register_payment(
     return payment.pay_index
 
 
-def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -> None:
-    """Reveal the key for a locked payment; pays the unlocker fee at once.
+def unlockable(payment: Payment, now: int) -> bool:
+    """Whether its key may be revealed at block ``now``: locked, inside its window."""
+    return payment.status == PaymentStatus.LOCKED and now < payment.collectable_from_block
 
-    Legal strictly before the payment's collectable-from block.
-    """
+
+def refundable(payment: Payment, now: int) -> bool:
+    """Whether it may be refunded at block ``now``: locked, its window lapsed."""
+    return payment.status == PaymentStatus.LOCKED and now >= payment.collectable_from_block
+
+
+def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -> None:
+    """Reveal the key for a locked payment; pays the unlocker fee at once."""
     payment = state.payment(pay_index)
-    if payment.status != PaymentStatus.LOCKED:
-        raise IllegalMove(f"payment {pay_index} is not locked")
-    if state.current_block >= payment.collectable_from_block:
+    if not unlockable(payment, state.current_block):
         raise IllegalMove(
-            f"unlock window closed at block {payment.collectable_from_block}"
+            f"payment {pay_index} ({payment.status.name}, window to block "
+            f"{payment.collectable_from_block}) cannot be unlocked at block {state.current_block}"
         )
-    unlocker = state.claimed_account(unlocker_id)
+    state.claimed_account(unlocker_id)
     if locking_key_hash(unlocker_id, key) != payment.locking_key_hash:
         raise Unauthorized("key does not match the locking key hash")
     fee = payment.unlocker_fee
-    if state.escrow_pool < fee:
-        raise IllegalMove("escrow pool cannot cover the unlocker fee")
+    state.transfer([(unlocker_id, fee)], pool=-fee, what="unlocker fee")
     payment.status = PaymentStatus.COMMITTED
-    state.escrow_pool -= fee
-    state.credit(unlocker.account_id, fee)
     state.log.append(Unlocked(pay_index, unlocker_id, bytes(key)))
 
 
 def refund_locked_payment(state: ProtocolState, pay_index: int) -> None:
-    """Return a timed-out locked payment's whole escrow to the buyer.
-
-    Legal at or after the collectable-from block; anyone may call.
-    """
+    """Return a timed-out locked payment's whole escrow to the buyer; anyone may call."""
     payment = state.payment(pay_index)
-    if payment.status != PaymentStatus.LOCKED:
-        raise IllegalMove(f"payment {pay_index} is not locked")
-    if state.current_block < payment.collectable_from_block:
+    if not refundable(payment, state.current_block):
         raise IllegalMove(
-            f"refundable from block {payment.collectable_from_block}, "
-            f"now {state.current_block}"
+            f"payment {pay_index} ({payment.status.name}, refundable from block "
+            f"{payment.collectable_from_block}) cannot be refunded at block {state.current_block}"
         )
-    if state.escrow_pool < payment.total_escrow:
-        raise IllegalMove("escrow pool cannot cover the refund")
+    escrow = payment.total_escrow
+    state.transfer([(payment.from_id, escrow)], pool=-escrow, what="refund")
     payment.status = PaymentStatus.REFUNDED
-    state.escrow_pool -= payment.total_escrow
-    state.credit(payment.from_id, payment.total_escrow)
     state.log.append(Refunded(pay_index))

@@ -59,8 +59,10 @@ from ..collect import (
     select_payment,
 )
 from ..errors import IllegalMove, InvalidParameter
-from ..payments import locking_key_hash, refund_locked_payment, register_payment, unlock
-from ..state import INSTANT_SLOT_THRESHOLD, SLOT_ID_MAX, PaymentStatus
+from ..payments import (
+    locking_key_hash, refund_locked_payment, refundable, register_payment, unlock, unlockable
+)
+from ..state import INSTANT_SLOT_THRESHOLD, SLOT_ID_MAX
 from .oracle import find_inflated_entry, monitor_verdict
 
 
@@ -93,20 +95,19 @@ class Buyer:
 
     def _refund_lapsed(self) -> None:
         state = self.ctx.state
+        now = state.current_block
         still = []
         for pay_index in self.pending_locked:
             payment = state.payments[pay_index - 1]
-            if payment.status != PaymentStatus.LOCKED:
-                continue
-            if state.current_block >= payment.collectable_from_block:
-                # Status and window were just checked, so the only remaining
-                # rejection is a looted escrow pool; keep the claim and retry.
+            if refundable(payment, now):
+                # The only refusal left is a looted escrow pool; keep the
+                # claim and retry.
                 try:
                     refund_locked_payment(state, pay_index)
                 except IllegalMove:
                     self.ctx.note_insolvency("refund")
                     still.append(pay_index)
-            else:
+            elif unlockable(payment, now):
                 still.append(pay_index)
         self.pending_locked = still
 
@@ -162,9 +163,7 @@ class Unlocker:
         state = self.ctx.state
         for job in jobs:
             payment = state.payments[job.pay_index - 1]
-            if payment.status != PaymentStatus.LOCKED:
-                continue
-            if state.current_block >= payment.collectable_from_block:
+            if not unlockable(payment, state.current_block):
                 continue
             # Off-chain diligence before revealing the key: the fee, the
             # payee list, and the key binding must all match the handoff.
@@ -176,7 +175,7 @@ class Unlocker:
                 continue
             if locking_key_hash(self.account_id, job.key) != payment.locking_key_hash:
                 continue
-            # Status, window and key were just checked, so the only remaining
+            # Window and key were just checked, so the only remaining
             # rejection is a looted escrow pool; retry while the window lasts.
             try:
                 unlock(state, job.pay_index, self.account_id, job.key)
@@ -200,8 +199,7 @@ class Delegate:
         self.address = address
         self.cheating = cheating
         self.sellers = sorted(sellers)
-        self._next_normal = 0
-        self._next_instant = 0
+        self._next_slot = [0, 0]                      # probe counters, by instant
         self._seller_set = frozenset(self.sellers)
         self._dirty: set[int] = set(self.sellers)    # sellers to re-examine
         self._matured = 0                            # payments seen matured
@@ -296,21 +294,16 @@ class Delegate:
     # -- opening new collects -------------------------------------------------
 
     def _alloc_slot_id(self, instant: bool) -> int:
-        state = self.ctx.state
-        if instant:
-            span = SLOT_ID_MAX - INSTANT_SLOT_THRESHOLD          # ids 32769..65535
-            for _ in range(span):
-                candidate = INSTANT_SLOT_THRESHOLD + 1 + self._next_instant % span
-                self._next_instant += 1
-                if (self.account_id, candidate) not in state.slots:
-                    return candidate
-        else:
-            span = INSTANT_SLOT_THRESHOLD + 1                    # ids 0..32768
-            for _ in range(span):
-                candidate = self._next_normal % span
-                self._next_normal += 1
-                if (self.account_id, candidate) not in state.slots:
-                    return candidate
+        """The next free id in the instant range 32769..65535 or the other,
+        0..32768, probed round-robin from where the range's last probe stopped."""
+        base = INSTANT_SLOT_THRESHOLD + 1 if instant else 0
+        span = SLOT_ID_MAX - INSTANT_SLOT_THRESHOLD if instant else INSTANT_SLOT_THRESHOLD + 1
+        slots = self.ctx.state.slots
+        for _ in range(span):
+            candidate = base + self._next_slot[instant] % span
+            self._next_slot[instant] += 1
+            if (self.account_id, candidate) not in slots:
+                return candidate
         raise InvalidParameter("no free slot id for this delegate")
 
     def _open_collects(self) -> None:
@@ -428,10 +421,8 @@ class Monitor:
                 pay_index, amount = find_inflated_entry(ctx.view, slot)
                 select_payment(state, key[0], key[1], pay_index, amount)
             elif legal("challenge_success", slot, now):
-                won = slot.held_funds
-                was_instant = slot.instant
                 challenge_success(state, key[0], key[1])
-                ctx.note_monitor_win(self.account_id, won, self.games[key], was_instant)
+                ctx.note_monitor_win(self.games[key], slot.instant)
                 del self.games[key]
 
     def _scan_for_new(self) -> None:
@@ -469,5 +460,4 @@ class Monitor:
             if state.accounts[self.account_id].balance < stake:
                 continue
             challenge(state, key[0], key[1], self.account_id)
-            ctx.note_monitor_stake(self.account_id, stake)
             self.games[key] = seq

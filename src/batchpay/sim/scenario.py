@@ -132,7 +132,6 @@ class SimRun:
             Monitor(self, *self._open_account("monitor", i, cfg.monitor_deposit), lazy=i < lazies)
             for i in range(cfg.monitors)
         ]
-        self.monitor_net = {monitor.account_id: 0 for monitor in self.monitor_actors}
 
         withholders = _headcount(cfg.withholding_unlocker_fraction, cfg.unlockers)
         self.unlockers = [
@@ -163,11 +162,7 @@ class SimRun:
         if self._resolve_cheat(seq):
             self.cheats_escaped += 1
 
-    def note_monitor_stake(self, monitor_id: int, stake: int) -> None:
-        self.monitor_net[monitor_id] -= stake
-
-    def note_monitor_win(self, monitor_id: int, won: int, seq: int, was_instant: bool) -> None:
-        self.monitor_net[monitor_id] += won
+    def note_monitor_win(self, seq: int, was_instant: bool) -> None:
         if self._resolve_cheat(seq):
             self.cheats_caught += 1
         if was_instant:
@@ -401,8 +396,10 @@ class SimRun:
             for acct in state.accounts
             if acct.balance != (oracle := self.view.oracle_balance(acct.account_id))
         ]
+        # A monitor's only flows are its challenge stakes and its winnings.
         report.monitor_net = {
-            str(account_id): net for account_id, net in sorted(self.monitor_net.items())
+            str(m.account_id): state.accounts[m.account_id].balance - self.config.monitor_deposit
+            for m in self.monitor_actors
         }
 
         if self.config.bulk_register_sellers and self.config.sellers:

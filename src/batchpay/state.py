@@ -2,9 +2,8 @@
 
 Accounts are rows in a flat table addressed by 32-bit ids; an id is
 allocated once and never reused. Token custody is a single reserve held
-against an external balance map (the token adapter); the only flows
-between the two are deposit and withdraw. All token quantities are
-unsigned 64-bit integers and leaving that range anywhere is a hard error.
+against an external balance map (the token adapter). All token quantities
+are unsigned 64-bit integers and leaving that range anywhere is a hard error.
 
 Money inside the protocol lives in exactly three places, and the
 conservation invariant ties them to the reserve after every operation:
@@ -15,9 +14,13 @@ The escrow pool is the custody cell for registered payments: it grows by
 the full escrow on registration and drains on unlock fees, refunds, and
 collect settlements. Settlements drain the pool by the claimed amount
 (claims are only verified optimistically, so per-payment attribution is
-not observable by the ledger). A payout the pool cannot cover is refused
-with IllegalMove, so a negative pool can only be a bug, and trips the
-invariant.
+not observable by the ledger).
+
+Tokens enter custody only by ``deposit``. Every other move between
+balances, the escrow pool and external addresses is one
+``ProtocolState.transfer`` per operation, which checks every move before
+it applies any and refuses a payout the pool cannot cover with
+IllegalMove; so a negative pool can only be a bug, and trips the invariant.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .chainlog import (
 )
 from .errors import (
     AmountOutOfRange,
+    IllegalMove,
     InsufficientFunds,
     InvalidParameter,
     InvariantViolation,
@@ -319,19 +323,42 @@ class ProtocolState:
         self.accounts.append(acct)
         return acct
 
-    # -- balance plumbing ---------------------------------------------------
+    # -- token movement -----------------------------------------------------
 
-    def credit(self, account_id: int, amount: int) -> None:
-        acct = self.accounts[account_id]
-        acct.balance = ensure_u64(acct.balance + amount, f"balance of account {account_id}")
+    def transfer(self, moves, pool: int = 0, what: str = "payout") -> None:
+        """Apply every ``(to, amount)`` move and add ``pool`` to the escrow pool, or none.
 
-    def debit(self, account_id: int, amount: int) -> None:
-        acct = self.accounts[account_id]
-        if acct.balance < amount:
-            raise InsufficientFunds(
-                f"account {account_id} balance {acct.balance} < {amount}"
-            )
-        acct.balance -= amount
+        ``to`` is an account id, credited (debited, for a negative amount), or
+        an address, paid out of custody. Each move is checked against the
+        balance the earlier ones leave. A short pool is refused first, with
+        IllegalMove naming ``what``.
+        """
+        pool += self.escrow_pool
+        if pool < 0:
+            raise IllegalMove(f"escrow pool cannot cover the {what}")
+        balances: dict[int, int] = {}
+        for to, amount in moves:
+            if isinstance(to, str):
+                if amount:
+                    self.adapter.check_withdraw(to, amount)
+                continue
+            before = balances[to] if to in balances else self.accounts[to].balance
+            balance = before + amount
+            if balance < 0:
+                raise InsufficientFunds(f"account {to} balance {before} < {-amount}")
+            if balance > U64_MAX:
+                raise AmountOutOfRange(
+                    f"balance of account {to} {balance} outside unsigned 64-bit range"
+                )
+            balances[to] = balance
+        if pool > U64_MAX:
+            raise AmountOutOfRange(f"escrow pool {pool} outside unsigned 64-bit range")
+        for account_id, balance in balances.items():
+            self.accounts[account_id].balance = balance
+        for to, amount in moves:
+            if isinstance(to, str) and amount:
+                self.adapter.withdraw(to, amount)
+        self.escrow_pool = pool
 
     # -- core operations ----------------------------------------------------
 
@@ -370,13 +397,7 @@ class ProtocolState:
         acct = self.claimed_account(account_id)
         if acct.address != sender:
             raise Unauthorized(f"{sender!r} does not own account {account_id}")
-        if acct.balance < amount:
-            raise InsufficientFunds(
-                f"account {account_id} balance {acct.balance} < {amount}"
-            )
-        self.adapter.check_withdraw(to_address, amount)
-        acct.balance -= amount
-        self.adapter.withdraw(to_address, amount)
+        self.transfer([(account_id, -amount), (to_address, amount)])
         self.log.append(Withdrawn(account_id, amount, to_address, sender))
 
     def advance_block(self, blocks: int = 1) -> int:

@@ -1,13 +1,13 @@
 """Byte layouts: the kind table, and the packers and readers built on it.
 
 Every byte image in the package (chain-log records, the state image, the
-params and externals blobs) is a sequence of fields, each of a kind in
-``KINDS``: little-endian integers, u16-length-prefixed utf-8 strings,
-u32-length-prefixed blobs, and ``k?``, a flag byte 0x00 (absent) or 0x01
-(a ``k`` follows). A class declares its layout as ``WIRE``, the kind of
-each dataclass field in field order with ``pay_index`` skipped. A Reader
-raises CodecError on truncation, so every format inherits strict bounds
-checking.
+params and externals blobs, Merkle proofs) is a sequence of fields, each
+of a kind in ``KINDS``: little-endian integers, u16-length-prefixed utf-8
+strings, u32-length-prefixed blobs, and ``k?``, a flag byte 0x00 (absent)
+or 0x01 (a ``k`` follows). A class declares its layout as ``WIRE``, the
+kind of each dataclass field in field order with ``pay_index`` skipped. A
+Reader raises CodecError on truncation, so every format inherits strict
+bounds checking.
 """
 
 from __future__ import annotations
@@ -131,14 +131,17 @@ def _optional(kind: Kind) -> Kind:
     )
 
 
-# ``b32`` is a raw 32-byte value, ``pair`` two u64s (a pay index and an
-# amount), ``pairs`` a u32 count of pairs; ``k?`` is derived for every ``k``.
+# ``b32`` is a raw 32-byte value, ``b32s`` a u16 count of them, ``pair`` two
+# u64s (a pay index and an amount), ``pairs`` a u32 count of pairs; ``k?`` is
+# derived for every ``k``.
 KINDS: dict[str, Kind] = {
     "u8": Kind(Reader.u8, struct.Struct("<B").pack, code="B"),
     "u16": Kind(Reader.u16, u16, code="H"),
     "u32": Kind(Reader.u32, u32, code="I"),
     "u64": Kind(Reader.u64, u64, code="Q"),
     "b32": Kind(lambda r: bytes(r.take(32)), _pack_b32),
+    "b32s": Kind(lambda r: tuple(bytes(r.take(32)) for _ in range(r.u16())),
+                 lambda v: u16(len(v)) + b"".join(map(_pack_b32, v)), 2),
     "str": Kind(Reader.str_, pack_str, 2),
     "bytes": Kind(Reader.bytes_, pack_bytes, 4),
     "pair": Kind(lambda r: r.unpack(_PAIR), lambda v: _PAIR.pack(*v)),

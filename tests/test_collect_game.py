@@ -157,6 +157,17 @@ def test_collect_needs_delegate_stake(world):
         collect(world.state, poor, 1, world.seller, 1, 5, 0, auth)
 
 
+def test_instant_collect_to_its_own_delegate_costs_only_the_stake(world):
+    # The delegate is debited stake plus advance and credited the advance in
+    # one transfer; the two legs are summed, not each set from the opening balance.
+    world.pay([world.delegate], per_destination=500)
+    world.mature()
+    before = world.balance(world.delegate)
+    world.open_collect(40000, end=1, amount=500, recipient=world.delegate)
+    assert world.balance(world.delegate) == before - world.params.collect_stake
+    world.state.check_invariants()
+
+
 # -- the verification game ---------------------------------------------------
 
 

@@ -26,6 +26,7 @@ import pytest
 from batchpay import state
 from batchpay.chainlog import RECORD_TYPES
 from batchpay.cli import main
+from batchpay.merkle import MerkleProof
 from batchpay.wire import KINDS, layout
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,6 +114,11 @@ def test_formats_doc_names_exactly_the_kinds_of_the_kind_table():
 def test_formats_doc_lists_every_record_as_declared():
     documented = {row[1]: _fields(row[2]) for row in _table_rows("Records (gas op")}
     assert documented == {cls.__name__: layout(cls, "") for cls in RECORD_TYPES.values()}
+
+
+def test_formats_doc_lists_the_merkle_proof_as_declared():
+    documented = [(row[0], row[1].strip("`")) for row in _table_rows("## Bulk registration proofs")]
+    assert documented == layout(MerkleProof, "")
 
 
 def test_formats_doc_lists_every_state_row_as_declared():

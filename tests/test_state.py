@@ -651,6 +651,22 @@ def _rejected_settlement():
     return world.state, lambda: free_slot(world.state, world.delegate, 1)
 
 
+def _rejected_unstaked_challenge():
+    world = World()
+    world.pay([world.seller], per_destination=5)
+    world.mature()
+    world.open_collect(1, end=1, amount=5)
+    poor = register(world.state, "poor")
+    return world.state, lambda: challenge(world.state, world.delegate, 1, poor)
+
+
+def _rejected_instant_advance():
+    world = World()
+    world.pay([world.seller], per_destination=200_000)
+    world.mature()                                           # the delegate holds 100,000
+    return world.state, lambda: world.open_collect(40000, end=1, amount=200_000)
+
+
 def _rejected_claim_address(address):
     def build():
         world = World()
@@ -729,13 +745,21 @@ def _world_op(op):
          "account id must be an integer, got '0'"),
         (_world_op(lambda w: w.state.withdraw(w.buyer, 0, "out", "buyer")), InvalidParameter,
          "withdraw amount must be positive"),
+        (_rejected_unstaked_challenge, InsufficientFunds, "account 4 balance 0 < 50"),
+        (_rejected_instant_advance, InsufficientFunds, "account 2 balance 100000 < 200100"),
+        (_world_op(lambda w: w.pay([w.seller], per_destination=1_000_001)), InsufficientFunds,
+         "account 0 balance 1000000 < 1000001"),
+        (_world_op(lambda w: w.state.withdraw(w.buyer, 1_000_001, "out", "buyer")),
+         InsufficientFunds, "account 0 balance 1000000 < 1000001"),
     ],
     ids=["key-hash-length", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
          "register-no-address", "claim-no-address", "register-long-address",
          "register-long-wide-address", "register-surrogate-address", "claim-long-address", "deposit-new-long-address",
          "deposit-existing-long-address", "withdraw-long-address", "withdraw-no-address",
          "collect-long-destination",
-         "amount-not-int", "account-id-not-int", "withdraw-zero"],
+         "amount-not-int", "account-id-not-int", "withdraw-zero",
+         "challenge-unstaked", "instant-advance-uncovered", "payment-past-balance",
+         "withdraw-past-balance"],
 )
 def test_rejection_names_its_cause_and_writes_nothing(build, error, message):
     state, op = build()
