@@ -98,6 +98,11 @@ def legal(move: str, slot: CollectSlot, now: int) -> bool:
     return (move, slot.game_state, now < slot.deadline_block) in _LEGAL
 
 
+def coverable(state: ProtocolState, slot: CollectSlot) -> bool:
+    """Whether the escrow pool can pay out ``slot``'s settlement."""
+    return state.escrow_pool >= slot.amount
+
+
 def _check(state: ProtocolState, move: str, delegate_id: int, slot_id: int) -> CollectSlot:
     """The slot ``move`` is made on; IllegalMove if the game does not allow it now."""
     slot = state.slots.get((delegate_id, slot_id))
@@ -233,9 +238,7 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     and writes nothing; the slot stays, and may settle once the pool can.
     """
     slot = _check(state, "free_slot", delegate_id, slot_id)
-    # An insolvent run retries each stranded settlement every block, so a
-    # short pool is refused before the moves are built.
-    if state.escrow_pool < slot.amount:
+    if not coverable(state, slot):
         raise IllegalMove("escrow pool cannot cover the settlement")
     if slot.instant:
         # Reimburse the advance and pay the fee; the recipient was paid at open.

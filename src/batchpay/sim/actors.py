@@ -52,6 +52,7 @@ from ..collect import (
     challenge_failed,
     challenge_success,
     collect,
+    coverable,
     free_slot,
     legal,
     prove_payment_inclusion,
@@ -240,13 +241,12 @@ class Delegate:
                 continue
             delegate_id, slot_id = key
             if legal("free_slot", slot, now):
-                try:
-                    free_slot(state, delegate_id, slot_id)
-                except IllegalMove:
-                    # The move is legal, so a looted pool refused the payout
-                    # and nothing was written: retry next block and report.
+                if not coverable(state, slot):
+                    # A looted pool cannot pay the settlement: free_slot
+                    # would refuse it, so retry next block and report.
                     ctx.note_insolvency("settlement")
                     continue
+                free_slot(state, delegate_id, slot_id)
                 ctx.note_settled(delegate_id, slot_id)
                 active.discard(key)
                 self._recipients.pop(key, None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..errors import InvalidParameter
 
@@ -56,9 +56,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# Every field holds plain dicts, lists and scalars, so the report's own
+# ``vars`` dumps to the bytes of a deep ``dataclasses.asdict`` copy.
 def emit_report(report: ScenarioReport, format: str) -> bytes:
     if format == "json":
-        return (_dumps(asdict(report)) + "\n").encode("ascii")
+        return (_dumps(vars(report)) + "\n").encode("ascii")
     if format == "lines":
         return _emit_lines(report)
     raise InvalidParameter(f"unknown report format {format!r}")
@@ -150,6 +152,6 @@ def parse_report(data: bytes) -> ScenarioReport:
 
 def report_digest(report: ScenarioReport) -> str:
     """Hex digest over everything except the timestamp."""
-    mapping = asdict(report)
+    mapping = dict(vars(report))
     mapping.pop("generated_at")
     return hashlib.sha256(_dumps(mapping).encode("ascii")).hexdigest()

@@ -17,9 +17,10 @@ unchallenged while an attentive monitor was configured, the run fails.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from ..chainlog import ChainLog, PaymentRegistered, scaling_payload
-from ..costmodel import tx_cost, usd_cost
+from ..costmodel import calldata_gas, tx_cost, usd_cost
 from ..errors import InvariantViolation
 from ..merkle import merkle_proofs, merkle_root
 from ..registration import bulk_register, claim_bulk_registration_id, register
@@ -74,6 +75,7 @@ class SimRun:
         self.insolvency_events = 0
         self.pending_cheats: set[int] = set()        # open_seq of each unresolved cheat
         self.gap_notes: set[str] = set()
+        self.insolvent_kinds: set[str] = set()       # ops the pool could not cover
 
         self.address_of: dict[int, str] = {}
         self.role_of: dict[int, str] = {}
@@ -172,18 +174,20 @@ class SimRun:
         self.understatements += 1
 
     def note_insolvency(self, what: str) -> None:
-        """An op was refused because the escrow pool cannot cover it.
+        """An op was refused, or not tried, because the escrow pool cannot cover it.
 
-        This happens only after an overstated collect settled unchallenged:
-        the inflated payout came out of the shared pool, so the pool is now
-        short against the remaining promises. Actors retry harmlessly and
-        the run winds down by stagnation instead of crashing.
+        This happens only after an overstated collect settled unchallenged, so
+        the shared pool is short against the remaining promises. Buyers and
+        unlockers retry a refused op; a delegate asks ``coverable`` and notes a
+        settlement without calling ``free_slot``. The run winds down by stagnation.
         """
         self.insolvency_events += 1
-        self.gap_notes.add(
-            f"escrow pool insolvency blocked a {what}: an inflated settlement "
-            "drained funds that backed other claims"
-        )
+        if what not in self.insolvent_kinds:
+            self.insolvent_kinds.add(what)
+            self.gap_notes.add(
+                f"escrow pool insolvency blocked a {what}: an inflated settlement "
+                "drained funds that backed other claims"
+            )
 
     # -- the loop ----------------------------------------------------------------
 
@@ -204,8 +208,9 @@ class SimRun:
         self._assert_mirror()
 
     def _assert_mirror(self) -> None:
+        shadows = self.view.balances
         for acct in self.state.accounts:
-            shadow = self.view.settled_balance(acct.account_id)
+            shadow = shadows.get(acct.account_id, 0)
             if shadow != acct.balance:
                 raise InvariantViolation(
                     "oracle-mirror",
@@ -311,19 +316,19 @@ class SimRun:
                 "attentive monitor",
             )
 
-    def _gas_rows(self) -> tuple[dict, int]:
-        rows: dict[str, dict] = {}
-        total = 0
-        for rec in self.log.records:
-            op = rec.OP
-            if op is None:
-                continue
-            gas = tx_cost(op, scaling_payload(rec))
-            row = rows.setdefault(op, {"count": 0, "gas": 0})
-            row["count"] += 1
-            row["gas"] += gas
-            total += gas
-        return rows, total
+    def _tally(self) -> tuple[dict, dict, int]:
+        """Record counts by type, ``{count, gas}`` by op, and locked payments;
+        only records that declare ``SCALING`` are walked, to price their payload."""
+        records = self.log.records
+        by_type = Counter(map(type, records))
+        rows = {c.OP: {"count": n, "gas": n * tx_cost(c.OP)} for c, n in by_type.items() if c.OP}
+        locked = 0
+        for rec in records:
+            if rec.SCALING is not None:
+                rows[rec.OP]["gas"] += calldata_gas(scaling_payload(rec))
+                if type(rec) is PaymentRegistered and rec.locking_key_hash is not None:
+                    locked += 1
+        return {cls.__name__: n for cls, n in by_type.items()}, rows, locked
 
     def build_report(self) -> ScenarioReport:
         state = self.state
@@ -348,10 +353,7 @@ class SimRun:
             if balance
         ]
 
-        event_counts: dict[str, int] = {}
-        for rec in self.log.records:
-            name = type(rec).__name__
-            event_counts[name] = event_counts.get(name, 0) + 1
+        event_counts, gas_rows, locked = self._tally()
         report.event_counts = event_counts
 
         report.games = {
@@ -360,11 +362,6 @@ class SimRun:
             "won_by_monitor": event_counts.get("ChallengeSucceeded", 0),
             "won_by_delegate": event_counts.get("ChallengeFailed", 0),
         }
-        locked = sum(
-            1
-            for rec in self.log.records
-            if isinstance(rec, PaymentRegistered) and rec.locking_key_hash is not None
-        )
         report.payments = {
             "registered": event_counts.get("PaymentRegistered", 0),
             "locked": locked,
@@ -380,7 +377,7 @@ class SimRun:
         report.understatements = self.understatements
         report.instant_advance_losses = self.instant_losses
 
-        gas_rows, total_gas = self._gas_rows()
+        total_gas = sum(row["gas"] for row in gas_rows.values())
         report.gas_by_op = gas_rows
         report.cost = {
             "total_gas": total_gas,

@@ -412,26 +412,21 @@ class ProtocolState:
     def check_invariants(self) -> None:
         """Full re-summation conservation check plus per-type invariants.
 
-        Runs after every simulated block, so the loops read enum members
-        and parameters from locals and sum balances in C; a failing account
-        is then named by the per-account loop, in the same order.
+        Runs after every simulated block, so its plain loops (faster here than
+        ``map``/``attrgetter`` passes) read enum members and parameters from
+        locals; the account loop sums the balances as it checks them.
         """
-        accounts = self.accounts
         payment_count = len(self.payments)
-        balance_of = list(map(attrgetter("balance"), accounts))
-        if accounts and (
-            min(balance_of) < 0
-            or max(balance_of) > U64_MAX
-            or max(map(attrgetter("last_collected_pay_index"), accounts)) > payment_count
-        ):
-            for acct in accounts:
-                if acct.balance < 0 or acct.balance > U64_MAX:
-                    raise InvariantViolation("balance-range", f"account {acct.account_id}")
-                if acct.last_collected_pay_index > payment_count:
-                    raise InvariantViolation(
-                        "collected-prefix", f"account {acct.account_id} past log end"
-                    )
-        balances = sum(balance_of)
+        balances = 0
+        for acct in self.accounts:
+            balance = acct.balance
+            if balance < 0 or balance > U64_MAX:
+                raise InvariantViolation("balance-range", f"account {acct.account_id}")
+            if acct.last_collected_pay_index > payment_count:
+                raise InvariantViolation(
+                    "collected-prefix", f"account {acct.account_id} past log end"
+                )
+            balances += balance
         if self.escrow_pool < 0:
             raise InvariantViolation("conservation", "escrow pool negative")
         EMPTY = GameState.EMPTY

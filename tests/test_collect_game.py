@@ -13,7 +13,9 @@ from batchpay.collect import (
     challenge_failed,
     challenge_success,
     collect,
+    coverable,
     free_slot,
+    legal,
     prove_payment_inclusion,
     respond_with_payment_list,
     select_payment,
@@ -483,6 +485,33 @@ def test_settlement_overflowing_destination_changes_nothing(world):
     _assert_rejected_untouched(world, lambda: free_slot(world.state, world.delegate, 1))
     assert world.state.escrow_pool == pool
     assert (world.delegate, 1) in world.state.slots
+
+
+@pytest.mark.parametrize("slot_id", [1, 40000], ids=["normal", "instant"])
+@pytest.mark.parametrize("surplus", [-1, 0, 1], ids=["pool-short", "pool-exact", "pool-over"])
+def test_coverable_is_false_exactly_when_free_slot_refuses(world, slot_id, surplus):
+    # Delegates skip a settlement that coverable() refuses instead of
+    # calling free_slot, so the two must agree at the boundary. The claim is
+    # sized around the 10-token pool: the pool holds amount + surplus.
+    world.pay([world.seller], per_destination=10)
+    world.mature()
+    world.open_collect(slot_id, end=1, amount=world.state.escrow_pool - surplus)
+    world.advance(world.params.challenge_period)
+    state = world.state
+    slot = slot_of(world, slot_id)
+    assert legal("free_slot", slot, state.current_block)
+    assert state.escrow_pool == slot.amount + surplus
+    covered = coverable(state, slot)
+    assert covered == (surplus >= 0)
+    before = state.digest(), len(state.log)
+    if covered:
+        free_slot(state, world.delegate, slot_id)
+        assert (world.delegate, slot_id) not in state.slots
+    else:
+        with pytest.raises(IllegalMove, match="escrow pool cannot cover the settlement"):
+            free_slot(state, world.delegate, slot_id)
+        assert (state.digest(), len(state.log)) == before
+    state.check_invariants()
 
 
 # -- the pending-collect index -------------------------------------------------

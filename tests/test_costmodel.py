@@ -6,12 +6,16 @@ from decimal import Decimal
 
 import pytest
 
-from batchpay.chainlog import RECORD_TYPES
+from batchpay.auth import collect_auth_message, sign_collect
+from batchpay.chainlog import RECORD_TYPES, CollectOpened, PaymentRegistered, scaling_payload
 from batchpay.codec import encode_pay_data
+from batchpay.collect import collect
 from batchpay.costmodel import (
     BASE_TX,
     OP_GAS,
+    PER_NONZERO_BYTE,
     PER_STORAGE_WRITE,
+    PER_ZERO_BYTE,
     amortized_per_payment,
     calldata_gas,
     collect_gas,
@@ -21,6 +25,9 @@ from batchpay.costmodel import (
     usd_cost,
 )
 from batchpay.errors import InvalidParameter
+from batchpay.payments import register_payment
+from batchpay.registration import register
+from batchpay.state import NEW_ACCOUNT, Params, TokenAdapter, instantiate
 
 
 def test_register_anchor_for_thousand_consecutive_payees():
@@ -108,3 +115,34 @@ def test_cost_summary_shape():
     assert summary["ratio_to_transfer"] == 52.9
     assert summary["payments_per_second"] == 1679
 
+
+
+def test_a_logged_register_and_collect_price_as_the_summary_says():
+    # One batch to 1000 consecutive registered ids and one collect, made
+    # through the engine and priced from the log's records.
+    params = Params()
+    state = instantiate(params, TokenAdapter({"buyer": 1000, "delegate": params.collect_stake}))
+    buyer = state.deposit(NEW_ACCOUNT, 1000, "buyer")
+    delegate = state.deposit(NEW_ACCOUNT, params.collect_stake, "delegate")
+    payees = [register(state, f"payee-{i}") for i in range(1000)]
+    assert payees == list(range(payees[0], payees[0] + 1000))
+    register_payment(state, buyer, 1, encode_pay_data(payees), "buyer")
+    state.advance_block(params.unlock_period)
+    message = collect_auth_message(state.instance_id, delegate, 0, payees[0], 1, 1, 0, None)
+    collect(state, delegate, 0, payees[0], 1, 1, 0, sign_collect("payee-0", message))
+    gas = {
+        type(rec): tx_cost(rec.OP, scaling_payload(rec))
+        for rec in state.log.records
+        if isinstance(rec, (PaymentRegistered, CollectOpened))
+    }
+    summary = cost_summary(1000, 5, 225)
+    # The anchor prices ids 0..999, whose u32 first id is four zero bytes.
+    # These ids start at 2, so one of those bytes is nonzero in the log.
+    tolerance = PER_NONZERO_BYTE - PER_ZERO_BYTE
+    assert payees[0] == 2
+    assert gas[PaymentRegistered] == summary["register_gas"] + tolerance == 228_267
+    assert gas[CollectOpened] == summary["collect_gas"] == 167_440
+    assert (
+        amortized_per_payment(gas[PaymentRegistered], gas[CollectOpened], 1000)
+        == summary["amortized_gas_per_payment"]
+    )

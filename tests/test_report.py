@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from batchpay.auth import collect_auth_message, sign_collect
+from batchpay.chainlog import scaling_payload
+from batchpay.codec import encode_pay_data
+from batchpay.collect import (
+    challenge,
+    collect,
+    prove_payment_inclusion,
+    respond_with_payment_list,
+    select_payment,
+)
+from batchpay.costmodel import tx_cost
 from batchpay.errors import InvalidParameter
+from batchpay.payments import register_payment
+from batchpay.registration import register
 from batchpay.sim import (
     ScenarioConfig,
     emit_report,
@@ -16,8 +31,10 @@ from batchpay.sim import (
     run_scenario,
 )
 from batchpay.sim.config import load_scenario_config
+from batchpay.sim.scenario import SimRun
 
-ADVERSARIAL_CFG = Path(__file__).resolve().parent.parent / "configs" / "adversarial.cfg"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ADVERSARIAL_CFG = CONFIGS / "adversarial.cfg"
 
 
 def tiny_report():
@@ -93,3 +110,57 @@ def test_reports_from_same_seed_are_identical():
     a.generated_at = b.generated_at = ""
     assert a == b
     assert report_digest(a) == report_digest(b)
+
+
+def _prove_one_honest_collect(run):
+    """Log a challenged, proven collect on a finished run's state.
+
+    The simulator never logs InclusionProved: its monitors challenge only
+    overstated claims, which cannot be proven. A fresh seller is paid once,
+    so the honest list is that one payment.
+    """
+    state = run.state
+    buyer, delegate = run.buyers[0].account_id, run.delegate_actors[0].account_id
+    seller = register(state, "late-seller")
+    pay_data = encode_pay_data([seller])
+    end = register_payment(state, buyer, 5, pay_data, run.address_of[buyer])
+    state.advance_block(state.params.unlock_period)
+    slot_id = min(i for i in range(100) if (delegate, i) not in state.slots)
+    message = collect_auth_message(state.instance_id, delegate, slot_id, seller, end, 5, 0, None)
+    collect(state, delegate, slot_id, seller, end, 5, 0, sign_collect("late-seller", message))
+    challenge(state, delegate, slot_id, run.monitor_actors[-1].account_id)
+    respond_with_payment_list(state, delegate, slot_id, [(end, 5)])
+    select_payment(state, delegate, slot_id, end, 5)
+    prove_payment_inclusion(state, delegate, slot_id, pay_data)
+
+
+@pytest.mark.parametrize("name", ["honest", "adversarial"])
+def test_report_matches_a_deep_copy_and_a_per_record_gas_sum(name):
+    # The emitters dump the report's own fields; a deep asdict() copy is the
+    # reference. The adversarial run logs every record kind whose payload is
+    # priced, once a proven game is added to it.
+    config = load_scenario_config(str(CONFIGS / f"{name}.cfg"))
+    run = SimRun(config)
+    run.run()
+    if name == "adversarial":
+        _prove_one_honest_collect(run)
+    report = run.build_report()
+    report.generated_at = "2020-01-01T00:00:00Z"
+    reference = asdict(report)
+    dumps = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))  # noqa: E731
+    assert emit_report(report, "json") == (dumps(reference) + "\n").encode("ascii")
+    del reference["generated_at"]
+    assert report_digest(report) == hashlib.sha256(dumps(reference).encode("ascii")).hexdigest()
+    assert report.generated_at == "2020-01-01T00:00:00Z"
+
+    if name == "adversarial":
+        priced = {"Claimed", "PaymentRegistered", "Unlocked", "ListResponded", "InclusionProved"}
+        assert priced <= set(report.event_counts)
+    rows: dict[str, dict] = {}
+    for rec in run.log.records:
+        if rec.OP is not None:
+            row = rows.setdefault(rec.OP, {"count": 0, "gas": 0})
+            row["count"] += 1
+            row["gas"] += tx_cost(rec.OP, scaling_payload(rec))
+    assert report.gas_by_op == rows
+    assert report.cost["total_gas"] == sum(row["gas"] for row in rows.values())
