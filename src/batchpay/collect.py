@@ -98,11 +98,6 @@ def legal(move: str, slot: CollectSlot, now: int) -> bool:
     return (move, slot.game_state, now < slot.deadline_block) in _LEGAL
 
 
-def coverable(state: ProtocolState, slot: CollectSlot) -> bool:
-    """Whether the escrow pool can pay out ``slot``'s settlement."""
-    return state.escrow_pool >= slot.amount
-
-
 def _check(state: ProtocolState, move: str, delegate_id: int, slot_id: int) -> CollectSlot:
     """The slot ``move`` is made on; IllegalMove if the game does not allow it now."""
     slot = state.slots.get((delegate_id, slot_id))
@@ -238,16 +233,16 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     and writes nothing; the slot stays, and may settle once the pool can.
     """
     slot = _check(state, "free_slot", delegate_id, slot_id)
-    if not coverable(state, slot):
-        raise IllegalMove("escrow pool cannot cover the settlement")
     if slot.instant:
         # Reimburse the advance and pay the fee; the recipient was paid at open.
-        state.transfer([(delegate_id, slot.amount + slot.held_funds)], pool=-slot.amount)
+        state.transfer(
+            [(delegate_id, slot.amount + slot.held_funds)], pool=-slot.amount, what="settlement"
+        )
     else:
         state.transfer([
             (slot.destination_address or slot.recipient_id, slot.amount - slot.fee),
             (delegate_id, slot.fee + slot.held_funds),
-        ], pool=-slot.amount)
+        ], pool=-slot.amount, what="settlement")
         recipient = state.accounts[slot.recipient_id]
         recipient.last_collected_pay_index = max(
             recipient.last_collected_pay_index, slot.end_pay_index

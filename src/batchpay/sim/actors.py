@@ -52,14 +52,13 @@ from ..collect import (
     challenge_failed,
     challenge_success,
     collect,
-    coverable,
     free_slot,
     legal,
     prove_payment_inclusion,
     respond_with_payment_list,
     select_payment,
 )
-from ..errors import IllegalMove, InvalidParameter
+from ..errors import InvalidParameter
 from ..payments import (
     locking_key_hash, refund_locked_payment, refundable, register_payment, unlock, unlockable
 )
@@ -101,11 +100,11 @@ class Buyer:
         for pay_index in self.pending_locked:
             payment = state.payments[pay_index - 1]
             if refundable(payment, now):
-                # The only refusal left is a looted escrow pool; keep the
+                # A refund is refused only by a short escrow pool; keep the
                 # claim and retry.
-                try:
+                if state.covers(payment.total_escrow):
                     refund_locked_payment(state, pay_index)
-                except IllegalMove:
+                else:
                     self.ctx.note_insolvency("refund")
                     still.append(pay_index)
             elif unlockable(payment, now):
@@ -176,11 +175,11 @@ class Unlocker:
                 continue
             if locking_key_hash(self.account_id, job.key) != payment.locking_key_hash:
                 continue
-            # Window and key were just checked, so the only remaining
-            # rejection is a looted escrow pool; retry while the window lasts.
-            try:
+            # Window and key were just checked, so only a short escrow pool
+            # can refuse the fee; retry while the window lasts.
+            if state.covers(payment.unlocker_fee):
                 unlock(state, job.pay_index, self.account_id, job.key)
-            except IllegalMove:
+            else:
                 self.ctx.note_insolvency("unlock-fee")
                 self.inbox.append(job)
 
@@ -241,8 +240,8 @@ class Delegate:
                 continue
             delegate_id, slot_id = key
             if legal("free_slot", slot, now):
-                if not coverable(state, slot):
-                    # A looted pool cannot pay the settlement: free_slot
+                if not state.covers(slot.amount):
+                    # A short pool cannot pay the settlement: free_slot
                     # would refuse it, so retry next block and report.
                     ctx.note_insolvency("settlement")
                     continue

@@ -194,4 +194,6 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise InvalidParameter(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path} is not UTF-8 text: {exc}") from None
     return parse_scenario_config(text)

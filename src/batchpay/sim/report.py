@@ -3,19 +3,19 @@
 Two interchangeable formats carry the same values:
 
     "json"   one JSON summary document
-    "lines"  line-delimited JSON records, one record per row kind
+    "lines"  line-delimited JSON records, laid out by the _ROWS table
 
-Both round-trip through parse_report. The emitted bytes carry a
-``generated_at`` stamp; report_digest excludes it so repeated runs of the
-same scenario produce the same digest, which is what the golden-file
-check pins down.
+Both round-trip through parse_report, which refuses anything else. The
+emitted bytes carry a ``generated_at`` stamp; report_digest excludes it so
+repeated runs of the same scenario produce the same digest, which is what
+the golden-file check pins down.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import InvalidParameter
 
@@ -33,15 +33,9 @@ class ScenarioReport:
     conservation_ok: bool = True
     balances: list = field(default_factory=list)        # {account, role, balance}
     externals: list = field(default_factory=list)       # {address, balance}
-    games: dict = field(default_factory=lambda: {
-        "opened": 0, "challenged": 0, "won_by_monitor": 0, "won_by_delegate": 0,
-    })
-    payments: dict = field(default_factory=lambda: {
-        "registered": 0, "locked": 0, "unlocked": 0, "refunded": 0,
-    })
-    cheats: dict = field(default_factory=lambda: {
-        "attempted": 0, "caught": 0, "escaped": 0, "stranded": 0,
-    })
+    games: dict = field(default_factory=dict)
+    payments: dict = field(default_factory=dict)
+    cheats: dict = field(default_factory=dict)
     understatements: int = 0
     instant_advance_losses: int = 0
     event_counts: dict = field(default_factory=dict)
@@ -50,6 +44,30 @@ class ScenarioReport:
     oracle_diffs: list = field(default_factory=list)    # {account, ledger, oracle}
     monitor_net: dict = field(default_factory=dict)     # account id (str) -> net stake
     known_gaps: list = field(default_factory=list)
+
+
+# The "lines" layout: after one "meta" row of every field not named here,
+# each field below in turn, as rows of its kind. A dict with no key is one
+# row; a list gives a row per item; a dict with a key gives a row per entry,
+# in key order, its key under ``key``. An item goes under ``value`` when one
+# is named, and is spread into the row when not.
+_ROWS = (
+    # field           kind        key        value
+    ("games",         "games",    None,      None),
+    ("payments",      "payments", None,      None),
+    ("cheats",        "cheats",   None,      None),
+    ("cost",          "cost",     None,      None),
+    ("balances",      "balance",  None,      None),
+    ("externals",     "external", None,      None),
+    ("event_counts",  "event",    "name",    "count"),
+    ("gas_by_op",     "gas",      "op",      None),
+    ("oracle_diffs",  "diff",     None,      None),
+    ("monitor_net",   "monitor",  "account", "net"),
+    ("known_gaps",    "gap",      None,      "note"),
+)
+_KINDS = {row[1]: row for row in _ROWS}
+_NAMES = tuple(f.name for f in fields(ScenarioReport))
+_META = tuple(name for name in _NAMES if name not in {row[0] for row in _ROWS})
 
 
 def _dumps(obj) -> str:
@@ -62,91 +80,71 @@ def emit_report(report: ScenarioReport, format: str) -> bytes:
     if format == "json":
         return (_dumps(vars(report)) + "\n").encode("ascii")
     if format == "lines":
-        return _emit_lines(report)
+        return ("\n".join(map(_dumps, _rows(report))) + "\n").encode("ascii")
     raise InvalidParameter(f"unknown report format {format!r}")
 
 
-def _emit_lines(report: ScenarioReport) -> bytes:
-    rows = [
-        {
-            "kind": "meta",
-            "version": report.version,
-            "seed": report.seed,
-            "blocks_requested": report.blocks_requested,
-            "blocks_run": report.blocks_run,
-            "generated_at": report.generated_at,
-            "state_digest": report.state_digest,
-            "conservation_ok": report.conservation_ok,
-            "understatements": report.understatements,
-            "instant_advance_losses": report.instant_advance_losses,
-        },
-        {"kind": "games", **report.games},
-        {"kind": "payments", **report.payments},
-        {"kind": "cheats", **report.cheats},
-        {"kind": "cost", **report.cost},
-    ]
-    rows.extend({"kind": "balance", **row} for row in report.balances)
-    rows.extend({"kind": "external", **row} for row in report.externals)
-    rows.extend(
-        {"kind": "event", "name": name, "count": count}
-        for name, count in sorted(report.event_counts.items())
-    )
-    rows.extend(
-        {"kind": "gas", "op": op, **stats}
-        for op, stats in sorted(report.gas_by_op.items())
-    )
-    rows.extend({"kind": "diff", **row} for row in report.oracle_diffs)
-    rows.extend(
-        {"kind": "monitor", "account": account, "net": net}
-        for account, net in sorted(report.monitor_net.items())
-    )
-    rows.extend({"kind": "gap", "note": note} for note in report.known_gaps)
-    return ("\n".join(_dumps(r) for r in rows) + "\n").encode("ascii")
+def _rows(report: ScenarioReport):
+    values = vars(report)
+    yield {"kind": "meta", **{name: values[name] for name in _META}}
+    for name, kind, key, value in _ROWS:
+        held = values[name]
+        if key:
+            items = sorted(held.items())
+        else:
+            items = [(None, item) for item in held] if isinstance(held, list) else [(None, held)]
+        for label, item in items:
+            row = {"kind": kind, **({value: item} if value else item)}
+            if key:
+                row[key] = label
+            yield row
 
 
 def parse_report(data: bytes) -> ScenarioReport:
-    """Reassemble a report from either emitted format."""
-    text = data.decode("ascii").strip()
-    if not text:
-        raise InvalidParameter("empty report")
+    """Reassemble a report from either emitted format; InvalidParameter if malformed."""
     try:
-        first = json.loads(text.splitlines()[0])
-    except json.JSONDecodeError as exc:
+        docs = [json.loads(line) for line in data.decode("ascii").strip().splitlines()]
+    except ValueError as exc:            # not ASCII, or a line that is not JSON
         raise InvalidParameter(f"report does not parse: {exc}") from exc
-    if "kind" not in first:
-        return ScenarioReport(**json.loads(text))
+    if not docs or not all(isinstance(doc, dict) for doc in docs):
+        raise InvalidParameter("a report is one or more lines, each a JSON object")
+    if "kind" in docs[0]:
+        return _from_rows(docs)
+    if len(docs) > 1 or docs[0].keys() - _NAMES:
+        raise InvalidParameter("a json report is one object of ScenarioReport fields")
+    report = ScenarioReport(**docs[0])
+    try:                                 # legal when its lines rows read back to it
+        same = _from_rows(_rows(report)) == report
+    except (TypeError, AttributeError):
+        same = False
+    if not same:
+        raise InvalidParameter("a json report field does not fit its lines rows")
+    return report
+
+
+def _from_rows(rows) -> ScenarioReport:
     report = ScenarioReport()
-    for line in text.splitlines():
-        row = json.loads(line)
-        kind = row.pop("kind")
+    for row in rows:
+        kind = row.pop("kind", None)
         if kind == "meta":
-            for key, value in row.items():
-                setattr(report, key, value)
-        elif kind == "games":
-            report.games = row
-        elif kind == "payments":
-            report.payments = row
-        elif kind == "cheats":
-            report.cheats = row
-        elif kind == "cost":
-            report.cost = row
-        elif kind == "balance":
-            report.balances.append(row)
-        elif kind == "external":
-            report.externals.append(row)
-        elif kind == "event":
-            report.event_counts[row["name"]] = row["count"]
-        elif kind == "gas":
-            op = row.pop("op")
-            report.gas_by_op[op] = row
-        elif kind == "diff":
-            report.oracle_diffs.append(row)
-        elif kind == "monitor":
-            report.monitor_net[row["account"]] = row["net"]
-        elif kind == "gap":
-            report.known_gaps.append(row["note"])
-        else:
+            if row.keys() - _META:
+                raise InvalidParameter(f"a meta row cannot carry {sorted(row.keys() - _META)}")
+            vars(report).update(row)
+            continue
+        if kind not in _KINDS:
             raise InvalidParameter(f"unknown report row kind {kind!r}")
+        name, _, key, value = _KINDS[kind]
+        label = row.pop(key, None)
+        item = row.pop(value, None) if value else row
+        if (key and not isinstance(label, str)) or (value and (item is None or row)):
+            raise InvalidParameter(f"{kind} row does not match the lines layout")
+        held = getattr(report, name)
+        if key:
+            held[label] = item
+        elif isinstance(held, list):
+            held.append(item)
+        else:
+            setattr(report, name, item)
     return report
 
 

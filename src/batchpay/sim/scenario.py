@@ -174,12 +174,13 @@ class SimRun:
         self.understatements += 1
 
     def note_insolvency(self, what: str) -> None:
-        """An op was refused, or not tried, because the escrow pool cannot cover it.
+        """An op was not tried because the escrow pool cannot cover it.
 
         This happens only after an overstated collect settled unchallenged, so
-        the shared pool is short against the remaining promises. Buyers and
-        unlockers retry a refused op; a delegate asks ``coverable`` and notes a
-        settlement without calling ``free_slot``. The run winds down by stagnation.
+        the shared pool is short against the remaining promises. Buyers,
+        unlockers and delegates ask ``state.covers`` before a refund, an unlock
+        or a settlement, note the one it refuses, and retry it on a later block.
+        The run winds down by stagnation.
         """
         self.insolvency_events += 1
         if what not in self.insolvent_kinds:

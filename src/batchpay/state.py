@@ -325,17 +325,21 @@ class ProtocolState:
 
     # -- token movement -----------------------------------------------------
 
+    def covers(self, amount: int) -> bool:
+        """Whether the escrow pool can pay out ``amount``; ``transfer`` refuses when not."""
+        return self.escrow_pool >= amount
+
     def transfer(self, moves, pool: int = 0, what: str = "payout") -> None:
         """Apply every ``(to, amount)`` move and add ``pool`` to the escrow pool, or none.
 
         ``to`` is an account id, credited (debited, for a negative amount), or
         an address, paid out of custody. Each move is checked against the
-        balance the earlier ones leave. A short pool is refused first, with
-        IllegalMove naming ``what``.
+        balance the earlier ones leave. A pool that does not cover ``-pool``
+        is refused first, with IllegalMove naming ``what``.
         """
-        pool += self.escrow_pool
-        if pool < 0:
+        if not self.covers(-pool):
             raise IllegalMove(f"escrow pool cannot cover the {what}")
+        pool += self.escrow_pool
         balances: dict[int, int] = {}
         for to, amount in moves:
             if isinstance(to, str):

@@ -13,7 +13,6 @@ from batchpay.collect import (
     challenge_failed,
     challenge_success,
     collect,
-    coverable,
     free_slot,
     legal,
     prove_payment_inclusion,
@@ -490,7 +489,7 @@ def test_settlement_overflowing_destination_changes_nothing(world):
 @pytest.mark.parametrize("slot_id", [1, 40000], ids=["normal", "instant"])
 @pytest.mark.parametrize("surplus", [-1, 0, 1], ids=["pool-short", "pool-exact", "pool-over"])
 def test_coverable_is_false_exactly_when_free_slot_refuses(world, slot_id, surplus):
-    # Delegates skip a settlement that coverable() refuses instead of
+    # Delegates skip a settlement that state.covers() refuses instead of
     # calling free_slot, so the two must agree at the boundary. The claim is
     # sized around the 10-token pool: the pool holds amount + surplus.
     world.pay([world.seller], per_destination=10)
@@ -501,7 +500,7 @@ def test_coverable_is_false_exactly_when_free_slot_refuses(world, slot_id, surpl
     slot = slot_of(world, slot_id)
     assert legal("free_slot", slot, state.current_block)
     assert state.escrow_pool == slot.amount + surplus
-    covered = coverable(state, slot)
+    covered = state.covers(slot.amount)
     assert covered == (surplus >= 0)
     before = state.digest(), len(state.log)
     if covered:

@@ -112,6 +112,13 @@ def test_missing_config_file_rejected(tmp_path):
         load_scenario_config(str(tmp_path / "absent.cfg"))
 
 
+def test_non_utf8_config_file_rejected(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"[scenario]\n# caf\xe9\nseed = 1\n")
+    with pytest.raises(InvalidParameter, match="is not UTF-8 text"):
+        load_scenario_config(str(path))
+
+
 def test_bad_value_types_rejected():
     with pytest.raises(InvalidParameter):
         parse_scenario_config("[scenario]\nseed = soon\n")

@@ -10,8 +10,10 @@ ending in `...` is truncated: it matches any token that starts with what
 precedes the ellipsis.
 
 The tables of docs/formats.md are checked the same way against the code
-they describe: the field kinds against ``wire.KINDS``, and the fields of
-every record and state row against its declared ``WIRE`` layout.
+they describe: the field kinds against ``wire.KINDS``, the fields of every
+record and state row against its declared ``WIRE`` layout, the report's
+fields and rows against ``ScenarioReport`` and the report's row table, and
+the config keys against the loader's sections.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,8 @@ from batchpay import state
 from batchpay.chainlog import RECORD_TYPES
 from batchpay.cli import main
 from batchpay.merkle import MerkleProof
+from batchpay.sim.config import _SECTIONS
+from batchpay.sim.report import _ROWS, ScenarioReport
 from batchpay.wire import KINDS, layout
 
 REPO = Path(__file__).resolve().parent.parent
@@ -125,3 +130,27 @@ def test_formats_doc_lists_every_state_row_as_declared():
     rows = (state.Params, state.Account, state.Payment, state.BulkRegistration, state.CollectSlot)
     documented = {row[0]: _fields(row[1]) for row in _table_rows("## State digest")}
     assert documented == {cls.__name__: layout(cls, "") for cls in rows}
+
+
+def test_formats_doc_lists_the_report_fields_in_order():
+    text = FORMATS[FORMATS.index("Top-level fields:"):]
+    documented = re.findall(r"`(\w+)`", text[:text.index("\n\n")])
+    assert documented == [f.name for f in fields(ScenarioReport)]
+
+
+def test_formats_doc_lists_the_report_rows_as_declared():
+    rows = _table_rows("`--format lines`")
+    assert [row[0].strip("`") for row in rows] == ["meta", *(kind for _, kind, _, _ in _ROWS)]
+    documented = [tuple(cell.strip("`") or None for cell in row[1:]) for row in rows[1:]]
+    assert documented == [(name, key, value) for name, _, key, value in _ROWS]
+
+
+def test_formats_doc_names_every_config_key_under_its_section():
+    text = FORMATS[FORMATS.index("## Scenario configs"):]
+    block = re.search(r"^```\n(.*?)^```$", text, re.M | re.S).group(1)
+    sections = dict(re.findall(r"^\[(\w+)\]\s+(.*?)(?=^\[|\Z)", block, re.M | re.S))
+    assert list(sections) == list(_SECTIONS)
+    for section, keys in _SECTIONS.items():
+        # "payees_min/max" names payees_min and payees_max
+        named = set(re.findall(r"\w+", re.sub(r"(\w+)_min/max", r"\1_min \1_max", sections[section])))
+        assert set(keys) <= named, section

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -93,6 +96,71 @@ def test_parse_rejects_garbage():
         parse_report(b"")
     with pytest.raises(InvalidParameter, match="unknown report row kind 'weather'"):
         parse_report(b'{"kind":"weather"}\n')
+    for blob in (
+        b"\xff",                                        # not ASCII
+        b'{"kind":"meta"}\nnot json\n',                 # a later line is not JSON
+        b'{"kind":"meta"}\n[1]\n',                      # a later line is not an object
+        b'{"weather":"rain"}\n',                        # json: no such report field
+        b'{"seed":1}\n{"seed":2}\n',                    # json: more than one object
+        b'{"games":5}\n',                               # json: a field of the wrong shape
+        b'{"known_gaps":"rain"}\n',                     # json: a string, not a list of them
+        b'{"event_counts":{"Deposited":null}}\n',       # json: its event row lacks a count
+        b'{"kind":"event"}\n',                          # no name and no count
+        b'{"kind":"monitor","account":3,"net":1}\n',    # a mapping key that is not a string
+        b'{"kind":"gap","note":"x","weather":"rain"}\n',  # a key the row kind does not have
+        b'{"kind":"meta","weather":"rain"}\n',          # meta carries no such field
+        b'{"kind":"meta","games":{}}\n',                # a field the table lays out
+    ):
+        with pytest.raises(InvalidParameter):
+            parse_report(blob)
+
+
+# sha256 of emit_report with generated_at "2020-01-01T00:00:00Z": config -> seed, json, lines
+PINNED_BYTES = {
+    "honest": (
+        42,
+        "db73fdcc742b97e0e624939b4e2dacb21dd970361d49dd9a2433c60832434614",
+        "4059054130dbef4a17bb056c047d418c6c94fd3e95db5d3c85979b3868ccd820",
+    ),
+    "adversarial": (
+        1009,
+        "756bb89c4ae77e6ed2be84b56c204e14e0e9a4a1835dd5cb6589d27469b2ddae",
+        "74b1c9ad62b6b69bc58a7be5f8a9e61392ed69c8ce3e236a02b435546fdeb68e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_emitted_report_bytes_are_pinned(name):
+    seed, json_sha, lines_sha = PINNED_BYTES[name]
+    config = load_scenario_config(str(CONFIGS / f"{name}.cfg"))
+    assert config.seed == seed
+    report = run_scenario(config)
+    report.generated_at = "2020-01-01T00:00:00Z"
+    assert hashlib.sha256(emit_report(report, "json")).hexdigest() == json_sha
+    assert hashlib.sha256(emit_report(report, "lines")).hexdigest() == lines_sha
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "7"])
+def test_lines_bytes_do_not_depend_on_the_hash_seed(hash_seed):
+    code = (
+        "import hashlib, sys\n"
+        "from batchpay.sim import emit_report, run_scenario\n"
+        "from batchpay.sim.config import load_scenario_config\n"
+        "for path in sys.argv[1:]:\n"
+        "    report = run_scenario(load_scenario_config(path))\n"
+        "    report.generated_at = '2020-01-01T00:00:00Z'\n"
+        "    print(hashlib.sha256(emit_report(report, 'lines')).hexdigest())\n"
+    )
+    names = sorted(PINNED_BYTES)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(str(CONFIGS / f"{name}.cfg") for name in names)],
+        env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == [PINNED_BYTES[name][2] for name in names]
 
 
 def test_digest_stable_across_formats_and_timestamps():

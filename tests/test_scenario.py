@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from batchpay import collect, payments, registration
 from batchpay.codec import encode_pay_data
-from batchpay.errors import InvariantViolation
+from batchpay.errors import InvariantViolation, ProtocolError
 from batchpay.payments import register_payment
 from batchpay.sim import ScenarioConfig, SimRun, run_scenario, run_scenario_full
 from batchpay.sim import scenario
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import _headcount
-from batchpay.state import GameState, Params
+from batchpay.state import GameState, Params, ProtocolState
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -299,6 +302,59 @@ def test_chain_log_matches_golden(name):
     assert hashlib.sha256(run.log.dump()).hexdigest() == _golden_chain_logs()[name]
     if name == "adversarial":
         assert report.games["won_by_monitor"] == 24
+    if all_lazy:
+        assert run.insolvency_events == 165
+
+
+# The public engine ops: module functions, then ProtocolState methods.
+ENGINE_OPS = (
+    (registration, ("register", "bulk_register", "claim_bulk_registration_id")),
+    (payments, ("register_payment", "unlock", "refund_locked_payment")),
+    (collect, (
+        "collect", "challenge", "respond_with_payment_list", "select_payment",
+        "prove_payment_inclusion", "challenge_success", "challenge_failed", "free_slot",
+    )),
+    (ProtocolState, ("deposit", "withdraw", "advance_block")),
+)
+
+
+@pytest.mark.parametrize("name", ["honest", "adversarial", "adversarial_all_lazy"])
+def test_actors_make_no_move_the_engine_refuses(name, monkeypatch):
+    # Actors ask before they move (the game's move table, the pool's covers,
+    # their own balances), so no op they call raises, not even on the all-lazy
+    # run that strands settlements. A function is wrapped in every batchpay
+    # module that bound it by name.
+    calls, refused = Counter(), Counter()
+
+    def wrap(fn, op):
+        def wrapper(*args, **kwargs):
+            calls[op] += 1
+            try:
+                return fn(*args, **kwargs)
+            except ProtocolError:
+                refused[op] += 1
+                raise
+        return wrapper
+
+    for owner, ops in ENGINE_OPS:
+        for op in ops:
+            original = getattr(owner, op)
+            if isinstance(owner, type):
+                monkeypatch.setattr(owner, op, wrap(original, op))
+                continue
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("batchpay") and vars(module).get(op) is original:
+                    monkeypatch.setattr(module, op, wrap(original, op))
+    all_lazy = name.endswith("_all_lazy")
+    config = load_scenario_config(str(ROOT / "configs" / f"{name.removesuffix('_all_lazy')}.cfg"))
+    config.seed = 42
+    if all_lazy:
+        config.lazy_monitor_fraction = 1.0
+    _, run = run_scenario_full(config)
+    assert refused == Counter()
+    assert {"deposit", "register_payment", "collect", "free_slot", "advance_block"} <= set(calls)
+    if name != "honest":
+        assert {"challenge", "respond_with_payment_list", "challenge_success", "unlock"} <= set(calls)
     if all_lazy:
         assert run.insolvency_events == 165
 
