@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_UP, Decimal
 
-from .codec import encode_pay_data
+from .codec import MAX_ID
 from .errors import InvalidParameter
 
 # Assumed chain limits for the payments-per-second figure, not figures
@@ -89,10 +89,15 @@ def tx_cost(op_kind: str, payload: bytes = b"") -> int:
 
 
 def register_payment_gas(n_payees: int) -> int:
-    """Gas for the canonical batch payment to ``n_payees`` consecutive ids."""
-    if n_payees < 1:
-        raise InvalidParameter("payee count must be >= 1")
-    return tx_cost("register_payment", encode_pay_data(list(range(n_payees))))
+    """Gas for the canonical batch payment to ``n_payees`` consecutive ids.
+
+    Priced without building the ids: the codec's header (count, first id 0),
+    then one 0x01 gap byte per further payee.
+    """
+    if not 1 <= n_payees <= MAX_ID:
+        raise InvalidParameter(f"payee count must be in [1, {MAX_ID}], got {n_payees}")
+    header = n_payees.to_bytes(4, "little") + bytes(4)
+    return tx_cost("register_payment", header) + (n_payees - 1) * PER_NONZERO_BYTE
 
 
 def collect_gas() -> int:

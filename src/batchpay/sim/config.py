@@ -20,89 +20,57 @@ from dataclasses import dataclass, field, fields
 
 from ..costmodel import check_price
 from ..errors import InvalidParameter
-from ..state import Params
-
-
-# [scenario] keys that are probabilities or shares, each in [0, 1]
-_FRACTIONS = (
-    "payment_probability", "locked_fraction", "instant_fraction", "external_destination_fraction",
-    "cheating_delegate_fraction", "lazy_monitor_fraction", "withholding_unlocker_fraction",
-)
+from ..state import MAX_ACCOUNT_ID_SPACE, Params, check_settings, setting
+from ..wire import U64_MAX
 
 
 @dataclass
 class ScenarioConfig:
-    # [scenario]
-    seed: int = 1
-    blocks: int = 60
-    payment_probability: float = 0.8       # chance a buyer registers a batch each block
-    locked_fraction: float = 0.0           # fraction of batches registered locked
-    instant_fraction: float = 0.0          # fraction of collects using instant slots
-    external_destination_fraction: float = 0.0  # collects paid to an outside address
-    cheating_delegate_fraction: float = 0.0
-    lazy_monitor_fraction: float = 0.0
-    withholding_unlocker_fraction: float = 0.0
+    seed: int = setting(1, 0, U64_MAX, "scenario")
+    blocks: int = setting(60, 0, U64_MAX, "scenario")
+    payment_probability: float = setting(0.8, 0.0, 1.0, "scenario")  # that a buyer pays, per block
+    locked_fraction: float = setting(0.0, 0.0, 1.0, "scenario")  # of batches, registered locked
+    instant_fraction: float = setting(0.0, 0.0, 1.0, "scenario")  # of collects, on instant slots
+    external_destination_fraction: float = setting(0.0, 0.0, 1.0, "scenario")  # paid outside
+    cheating_delegate_fraction: float = setting(0.0, 0.0, 1.0, "scenario")
+    lazy_monitor_fraction: float = setting(0.0, 0.0, 1.0, "scenario")
+    withholding_unlocker_fraction: float = setting(0.0, 0.0, 1.0, "scenario")
 
-    # [roles]
-    buyers: int = 4
-    sellers: int = 12
-    delegates: int = 1
-    monitors: int = 1
-    unlockers: int = 0
-    bulk_register_sellers: bool = False
+    # one account per actor, so no more than the account table holds
+    buyers: int = setting(4, 0, MAX_ACCOUNT_ID_SPACE, "roles")
+    sellers: int = setting(12, 0, MAX_ACCOUNT_ID_SPACE, "roles")
+    delegates: int = setting(1, 0, MAX_ACCOUNT_ID_SPACE, "roles")
+    monitors: int = setting(1, 0, MAX_ACCOUNT_ID_SPACE, "roles")
+    unlockers: int = setting(0, 0, MAX_ACCOUNT_ID_SPACE, "roles")
+    bulk_register_sellers: bool = setting(False, section="roles")
 
-    # [amounts]
-    per_destination_min: int = 1
-    per_destination_max: int = 20
-    payees_min: int = 1
-    payees_max: int = 8
-    accumulation_threshold: int = 3        # matured payments before a seller collects
-    collect_fee: int = 2
-    unlocker_fee: int = 1
-    overstatement_min: int = 1             # token units a cheater adds to a claim
-    overstatement_max: int = 25
-    buyer_deposit: int = 200_000
-    delegate_deposit: int = 50_000
-    monitor_deposit: int = 5_000
+    per_destination_min: int = setting(1, 1, U64_MAX, "amounts")
+    per_destination_max: int = setting(20, 1, U64_MAX, "amounts")
+    payees_min: int = setting(1, 1, U64_MAX, "amounts")
+    payees_max: int = setting(8, 1, U64_MAX, "amounts")
+    accumulation_threshold: int = setting(3, 1, U64_MAX, "amounts")  # matured payments to collect
+    collect_fee: int = setting(2, 0, U64_MAX, "amounts")
+    unlocker_fee: int = setting(1, 0, U64_MAX, "amounts")
+    overstatement_min: int = setting(1, 1, U64_MAX, "amounts")  # tokens a cheater adds to a claim
+    overstatement_max: int = setting(25, 1, U64_MAX, "amounts")
+    buyer_deposit: int = setting(200_000, 0, U64_MAX, "amounts")
+    delegate_deposit: int = setting(50_000, 0, U64_MAX, "amounts")
+    monitor_deposit: int = setting(5_000, 0, U64_MAX, "amounts")
 
-    # pricing knobs for the report's USD column ([costs] section)
-    gas_price_gwei: float = 5.0
-    eth_usd: float = 225.0
+    params: Params = field(default_factory=Params, metadata={"section": "params"})
 
-    params: Params = field(default_factory=Params)
+    gas_price_gwei: float = setting(5.0, section="costs")  # for the report's USD column
+    eth_usd: float = setting(225.0, section="costs")
 
     def validate(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParameter("seed must fit in 64 bits")
-        if self.blocks < 0:
-            raise InvalidParameter("blocks must be >= 0")
-        for name in _FRACTIONS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidParameter(f"{name} must be in [0, 1], got {value}")
-        for name in ("buyers", "sellers", "delegates", "monitors", "unlockers"):
-            if getattr(self, name) < 0:
-                raise InvalidParameter(f"{name} must be >= 0")
+        check_settings(self)
         for lo, hi in (
             ("per_destination_min", "per_destination_max"),
             ("payees_min", "payees_max"),
             ("overstatement_min", "overstatement_max"),
         ):
-            if getattr(self, lo) < 1:
-                raise InvalidParameter(f"{lo} must be >= 1")
             if getattr(self, lo) > getattr(self, hi):
                 raise InvalidParameter(f"{lo} > {hi}: empty range")
-        if self.accumulation_threshold < 1:
-            raise InvalidParameter("accumulation_threshold must be >= 1")
-        for name in (
-            "collect_fee",
-            "unlocker_fee",
-            "buyer_deposit",
-            "delegate_deposit",
-            "monitor_deposit",
-        ):
-            if getattr(self, name) < 0:
-                raise InvalidParameter(f"{name} must be >= 0")
         check_price("gas_price_gwei", self.gas_price_gwei)
         check_price("eth_usd", self.eth_usd)
         if self.locked_fraction > 0 and self.unlockers == 0:
@@ -119,6 +87,15 @@ class ScenarioConfig:
             raise InvalidParameter(
                 f"buyers + sellers + delegates + monitors + unlockers = {actors} "
                 f"exceeds max_account_count {self.params.max_account_count}"
+            )
+        # every balance, the pool and every claim hold part of the deposits,
+        # plus at most one overstatement
+        tokens = self.buyers * self.buyer_deposit + self.delegates * self.delegate_deposit
+        tokens += self.monitors * self.monitor_deposit + self.overstatement_max
+        if tokens > U64_MAX:
+            raise InvalidParameter(
+                "buyers * buyer_deposit + delegates * delegate_deposit + monitors * "
+                f"monitor_deposit + overstatement_max = {tokens} exceeds {U64_MAX}"
             )
 
 
@@ -146,19 +123,18 @@ def _parse_float(raw: str, where: str) -> float:
 
 
 _PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float}
-# section -> its keys. Each key names a field of exactly one of the config
-# and its Params, and is parsed by the type of its default.
-_SECTIONS = {
-    "scenario": ("seed", "blocks", *_FRACTIONS),
-    "roles": ("buyers", "sellers", "delegates", "monitors", "unlockers", "bulk_register_sellers"),
-    "amounts": (
-        "per_destination_min", "per_destination_max", "payees_min", "payees_max",
-        "accumulation_threshold", "collect_fee", "unlocker_fee", "overstatement_min",
-        "overstatement_max", "buyer_deposit", "delegate_deposit", "monitor_deposit",
-    ),
-    "params": tuple(f.name for f in fields(Params)),
-    "costs": ("gas_price_gwei", "eth_usd"),
-}
+
+
+def _sections() -> dict[str, tuple[str, ...]]:
+    """Section -> its keys in field order; ``[params]`` is every Params field."""
+    sections: dict[str, tuple[str, ...]] = {}
+    for f in fields(ScenarioConfig):
+        keys = tuple(p.name for p in fields(Params)) if f.name == "params" else (f.name,)
+        sections[f.metadata["section"]] = sections.get(f.metadata["section"], ()) + keys
+    return sections
+
+
+_SECTIONS = _sections()
 
 
 def _apply_section(config: ScenarioConfig, section: str, items) -> None:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from functools import cache
 from operator import attrgetter
 
 from .chainlog import (
@@ -74,6 +75,33 @@ def ensure_u64(value: int, what: str) -> int:
     return value
 
 
+def setting(default, lo=None, hi=None, section: str | None = None):
+    """A field ``check_settings`` keeps in [lo, hi], read from config ``section``.
+
+    A field declared with no range is a boolean, or a price ``check_price`` checks.
+    """
+    bounds = None if lo is None else (lo, hi)
+    return field(default=default, metadata={"range": bounds, "section": section})
+
+
+@cache
+def _ranges(cls) -> list[tuple]:
+    """``(name, integer-only, lo, hi)`` per field of ``cls`` declared with a range."""
+    ranged = [f for f in fields(cls) if f.metadata.get("range")]
+    return [(f.name, type(f.default) is int, *f.metadata["range"]) for f in ranged]
+
+
+def check_settings(obj) -> None:
+    """Refuse any ``setting`` field of ``obj`` outside its declared range."""
+    for name, integer, lo, hi in _ranges(type(obj)):
+        value = getattr(obj, name)
+        if integer and (not isinstance(value, int) or isinstance(value, bool)):
+            raise InvalidParameter(f"{name} must be an integer")
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if value < lo else f"<= {hi}"
+            raise InvalidParameter(f"{name} must be {bound}, got {value}")
+
+
 def ensure_address(address: str, what: str) -> None:
     """Refuse an empty address, or one a log record cannot carry."""
     if not address:
@@ -92,31 +120,19 @@ class Params:
 
     WIRE = ("u64",) * 8
 
-    max_account_count: int = MAX_ACCOUNT_ID_SPACE
-    unlock_period: int = 10
-    challenge_period: int = 30        # collect settlement window (game state 1)
-    response_period: int = 10         # per-move window inside a challenge
-    collect_stake: int = 100
-    challenge_stake: int = 50
-    max_payments_per_batch: int = 10000
-    instant_slot_threshold: int = INSTANT_SLOT_THRESHOLD
+    max_account_count: int = setting(MAX_ACCOUNT_ID_SPACE, 1, MAX_ACCOUNT_ID_SPACE)
+    unlock_period: int = setting(10, 1, U64_MAX)
+    challenge_period: int = setting(30, 1, U64_MAX)   # collect settlement window (game state 1)
+    response_period: int = setting(10, 1, U64_MAX)    # per-move window inside a challenge
+    collect_stake: int = setting(100, 1, U64_MAX)
+    challenge_stake: int = setting(50, 1, U64_MAX)
+    max_payments_per_batch: int = setting(10000, 1, U64_MAX)
+    instant_slot_threshold: int = setting(
+        INSTANT_SLOT_THRESHOLD, INSTANT_SLOT_THRESHOLD, INSTANT_SLOT_THRESHOLD
+    )
 
     def validate(self) -> None:
-        if not 1 <= self.max_account_count <= MAX_ACCOUNT_ID_SPACE:
-            raise InvalidParameter("max_account_count must be in [1, 2^32 - 1]")
-        for name in ("unlock_period", "challenge_period", "response_period"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be >= 1")
-        for name in ("collect_stake", "challenge_stake"):
-            ensure_u64(getattr(self, name), name)
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be >= 1")
-        if self.max_payments_per_batch < 1:
-            raise InvalidParameter("max_payments_per_batch must be >= 1")
-        if self.instant_slot_threshold != INSTANT_SLOT_THRESHOLD:
-            raise InvalidParameter("instant_slot_threshold is fixed at 32768")
-        for name in ("unlock_period", "challenge_period", "response_period", "max_payments_per_batch"):
-            ensure_u64(getattr(self, name), name)
+        check_settings(self)
 
     def canonical_bytes(self) -> bytes:
         return _pack_params(self)

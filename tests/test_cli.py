@@ -90,6 +90,13 @@ def test_cost_rejects_zero_batch(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cost_rejects_a_batch_past_u32_ids(capsys):
+    assert main(["cost", "--n", str(2**32), "--gwei", "1", "--ethusd", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: payee count must be in [1, 4294967295], got 4294967296\n"
+
+
 def test_run_single_to_stdout(cfg_path, capsys):
     assert main(["run", "--config", cfg_path]) == 0
     report = parse_report(capsys.readouterr().out.encode())
@@ -195,8 +202,15 @@ def test_run_bad_config_is_a_usage_error(tmp_path, capsys):
         ("[amounts]\npayees_max = 20\n[params]\nmax_payments_per_batch = 10\n",
          ("payees_max", "max_payments_per_batch")),
         ("[params]\nmax_account_count = 5\n", ("buyers + sellers", "max_account_count")),
+        ("[amounts]\nbuyer_deposit = 18446744073709551616\n", ("buyer_deposit",)),
+        ("[params]\ncollect_stake = 18446744073709551616\n", ("collect_stake",)),
+        (
+            "[scenario]\ncheating_delegate_fraction = 1.0\n[amounts]\n"
+            "overstatement_min = 18446744073709551615\noverstatement_max = 18446744073709551615\n",
+            ("buyer_deposit", "overstatement_max"),
+        ),
     ],
-    ids=["batch-limit", "account-table"],
+    ids=["batch-limit", "account-table", "amount-past-u64", "params-past-u64", "claim-past-u64"],
 )
 def test_run_refuses_a_config_the_engine_would_refuse_mid_run(tmp_path, text, keys, capsys):
     cfg = tmp_path / "limits.cfg"
@@ -204,6 +218,7 @@ def test_run_refuses_a_config_the_engine_would_refuse_mid_run(tmp_path, text, ke
     assert main(["run", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert all(key in captured.err for key in keys), captured.err
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from batchpay.errors import InvalidParameter
 from batchpay.sim import ScenarioConfig, parse_scenario_config, run_scenario
-from batchpay.sim.config import load_scenario_config
+from batchpay.sim.config import _SECTIONS, load_scenario_config
+from batchpay.state import Params
+from batchpay.wire import U64_MAX
 
 FULL_CONFIG = """
 [scenario]
@@ -233,3 +235,44 @@ def test_configs_at_both_limits_run():
     report = run_scenario(config)
     assert len(report.balances) == 18
     assert report.payments["registered"] > 0
+
+
+def test_sections_hold_the_same_keys_in_the_same_order():
+    # Every documented key, under its section, in order: a field that moves
+    # section or position moves a key of the config format.
+    assert list(_SECTIONS.items()) == [
+        ("scenario", (
+            "seed", "blocks", "payment_probability", "locked_fraction", "instant_fraction",
+            "external_destination_fraction", "cheating_delegate_fraction",
+            "lazy_monitor_fraction", "withholding_unlocker_fraction",
+        )),
+        ("roles", ("buyers", "sellers", "delegates", "monitors", "unlockers", "bulk_register_sellers")),
+        ("amounts", (
+            "per_destination_min", "per_destination_max", "payees_min", "payees_max",
+            "accumulation_threshold", "collect_fee", "unlocker_fee", "overstatement_min",
+            "overstatement_max", "buyer_deposit", "delegate_deposit", "monitor_deposit",
+        )),
+        ("params", (
+            "max_account_count", "unlock_period", "challenge_period", "response_period",
+            "collect_stake", "challenge_stake", "max_payments_per_batch", "instant_slot_threshold",
+        )),
+        ("costs", ("gas_price_gwei", "eth_usd")),
+    ]
+
+
+def test_deposits_up_to_u64_accepted():
+    # 4 buyers, 1 delegate and 1 monitor by default
+    deposits = 4 * 200_000 + 50_000 + 5_000
+    config = ScenarioConfig(overstatement_min=1, overstatement_max=U64_MAX - deposits)
+    config.validate()
+    config.overstatement_max += 1
+    with pytest.raises(InvalidParameter, match="exceeds"):
+        config.validate()
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"])
+def test_integer_settings_refuse_other_types(value):
+    with pytest.raises(InvalidParameter, match="blocks must be an integer"):
+        ScenarioConfig(blocks=value).validate()
+    with pytest.raises(InvalidParameter, match="unlock_period must be an integer"):
+        Params(unlock_period=value).validate()

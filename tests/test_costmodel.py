@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from decimal import Decimal
 
 import pytest
@@ -103,6 +104,26 @@ def test_register_gas_grows_with_batch_size():
     gas = [register_payment_gas(n) for n in sizes]
     assert gas == sorted(gas)
     assert gas[0] < gas[-1]
+
+
+def test_register_gas_prices_the_encoded_batch():
+    # the count's bytes turn nonzero at 256 and 65,536
+    for n in [*range(1, 300), 999, 1000, 1001, 10_000, 65_535, 65_536, 65_537, 100_000]:
+        assert register_payment_gas(n) == tx_cost(
+            "register_payment", encode_pay_data(list(range(n)))
+        ), n
+
+
+def test_register_gas_for_the_largest_batch_builds_no_ids():
+    # 2^32 - 1 ids as a list would take over a hundred gigabytes
+    start = time.perf_counter()
+    gas = register_payment_gas(2**32 - 1)
+    assert time.perf_counter() - start < 1.0
+    # the two high count bytes turn nonzero, and each added payee is one byte
+    extra_bytes = 2 * (PER_NONZERO_BYTE - PER_ZERO_BYTE) + (2**32 - 1 - 1000) * PER_NONZERO_BYTE
+    assert gas == register_payment_gas(1000) + extra_bytes
+    with pytest.raises(InvalidParameter):
+        register_payment_gas(2**32)
 
 
 def test_cost_summary_shape():

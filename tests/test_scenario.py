@@ -289,7 +289,9 @@ def _golden_chain_logs() -> dict[str, str]:
     return golden
 
 
-@pytest.mark.parametrize("name", ["honest", "adversarial", "adversarial_all_lazy"])
+@pytest.mark.parametrize(
+    "name", ["honest", "adversarial", "adversarial_all_lazy", "scaled_honest", "scaled_adversarial"]
+)
 def test_chain_log_matches_golden(name):
     # Byte-for-byte pin of the public log: any change to what the actors do,
     # in what order, or to how records are encoded moves this hash.
