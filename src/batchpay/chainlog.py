@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import CodecError
-from .wire import KINDS, Reader, layout, packer, u32
+from .wire import KINDS, layout, packer, reader, u32
 
 FILE_MAGIC = b"BPLOG\x01"
 
@@ -279,16 +279,16 @@ class _Codec:
     def __init__(self, cls: type[Record]):
         names = [f.name for f in fields(cls)]
         self.cls = cls
-        self.subject_at = names.index("pay_index") if "pay_index" in names else None
-        subject = "0" if self.subject_at is None else "o.pay_index"
+        subject = "o.pay_index" if "pay_index" in names else "0"
         self.pack = packer([(str(cls.TAG), "u8"), (subject, "u64"), *layout(cls)])
-        # decode reads tag, subject and the leading integers with one struct;
-        # 32-byte values stay out of it, as ``32s`` would pad or cut a
-        # wrong-length value
-        kinds = [KINDS[kind] for kind in cls.WIRE]
-        lead = next((i for i, kind in enumerate(kinds) if not kind.code), len(kinds))
-        self.head = struct.Struct("<BQ" + "".join(kind.code for kind in kinds[:lead]))
-        self.tail = tuple(kind.read for kind in kinds[lead:])
+        # the reader binds the tag to _0, the subject to _1 and the WIRE
+        # fields to _2, ...; the subject is the pay_index field or must be zero
+        args = [f"_{i}" for i in range(2, len(cls.WIRE) + 2)]
+        check = 'if _1: raise _E("subject field does not match record body")'
+        if "pay_index" in names:
+            args.insert(names.index("pay_index"), "_1")
+            check = ""
+        self.decode = reader(("u8", "u64", *cls.WIRE), f"_cls({', '.join(args)})", check, _cls=cls)
         if cls.SCALING is None:
             self.scaling = lambda rec: b""
         else:
@@ -301,24 +301,6 @@ class _Codec:
             return self.pack(rec)
         except struct.error as exc:
             raise CodecError(f"{self.cls.__name__}: field not encodable: {exc}") from None
-
-    def decode(self, data: bytes | memoryview) -> Record:
-        size = self.head.size
-        if len(data) < size:
-            raise CodecError("truncated record")
-        head = self.head.unpack_from(data)
-        args = list(head[2:])
-        if self.tail:
-            r = Reader(data, size)
-            args += [read(r) for read in self.tail]
-            r.expect_end()
-        elif len(data) != size:
-            raise CodecError("trailing bytes in record")
-        if self.subject_at is not None:
-            args.insert(self.subject_at, head[1])
-        elif head[1]:
-            raise CodecError("subject field does not match record body")
-        return self.cls(*args)
 
 
 def _slot_init(cls: type[Record]):
@@ -337,19 +319,24 @@ def _slot_init(cls: type[Record]):
     return init
 
 
+def _unknown_tag(data: bytes, pos: int, end: int) -> Record:
+    raise CodecError(f"unknown record tag 0x{data[pos]:02x}")
+
+
+# the decoder of every tag byte, called as decoder(data, start, end)
+_DECODERS = [_unknown_tag] * 256
 for _cls in RECORD_TYPES.values():
     _cls._codec = _Codec(_cls)
     _cls.__init__ = _slot_init(_cls)
+    _DECODERS[_cls.TAG] = _cls._codec.decode
 
 
 def decode_record(data: bytes | memoryview) -> Record:
     """Decode one record from bytes or a memoryview over them."""
+    data = bytes(data)
     if not data:
         raise CodecError("truncated record")
-    cls = RECORD_TYPES.get(data[0])
-    if cls is None:
-        raise CodecError(f"unknown record tag 0x{data[0]:02x}")
-    return cls._codec.decode(data)
+    return _DECODERS[data[0]](data, 0, len(data))
 
 
 def scaling_payload(record: Record) -> bytes:
@@ -383,19 +370,19 @@ class ChainLog:
 
     @classmethod
     def load(cls, data: bytes) -> "ChainLog":
+        data = bytes(data)
         if data[: len(FILE_MAGIC)] != FILE_MAGIC:
             raise CodecError("bad log file magic")
         log = cls()
-        append = log.append
-        view = memoryview(data)
-        end = len(view)
+        append = log.records.append
+        end = len(data)
         pos = len(FILE_MAGIC)
         while pos < end:
             if pos + 4 > end:
                 raise CodecError("truncated record")
             start = pos + 4
-            pos = start + _LENGTH.unpack_from(view, pos)[0]
-            if pos > end:
+            pos = start + _LENGTH.unpack_from(data, pos)[0]
+            if not start < pos <= end:
                 raise CodecError("truncated record")
-            append(decode_record(view[start:pos]))
+            append(_DECODERS[data[start]](data, start, pos))
         return log

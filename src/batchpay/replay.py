@@ -35,7 +35,7 @@ from .chainlog import (
     Unlocked,
     Withdrawn,
 )
-from .errors import CodecError, InvariantViolation
+from .errors import CodecError, InvariantViolation, ProtocolError
 from .merkle import MerkleProof
 from .state import NEW_ACCOUNT, Params, ProtocolState, TokenAdapter
 from .wire import unpack
@@ -84,7 +84,7 @@ def apply_record(state: ProtocolState, rec: Record) -> None:
     """Apply one logged operation to the state."""
     handler = _HANDLERS.get(type(rec))
     if handler is None:
-        raise CodecError(f"record {type(rec).__name__} is not replayable")
+        raise CodecError(f"{type(rec).__name__} is not replayable")
     handler(state, rec)
 
 
@@ -94,7 +94,9 @@ def replay(log: ChainLog) -> tuple[ProtocolState, bytes | None]:
     Only the last record may be a FinalDigest trailer; a misplaced trailer
     or a second Instantiated is not replayable. Each op must append exactly
     the record it was replayed from, so the fields the engine derives (ids,
-    indices) are checked too, not only the op's inputs.
+    indices) are checked too, not only the op's inputs. A record that fails
+    raises its error's class with the message prefixed by the record's
+    index and type.
     """
     records = log.records
     if not records or not isinstance(records[0], Instantiated):
@@ -108,11 +110,14 @@ def replay(log: ChainLog) -> tuple[ProtocolState, bytes | None]:
     )
     emitted = state.log.records
     if emitted != [head]:
-        raise CodecError("record 0 (Instantiated) differs from what its op emits")
-    for index, rec in enumerate(ops, start=1):
-        apply_record(state, rec)
-        if len(emitted) != index + 1 or emitted[index] != rec:
-            raise CodecError(f"record {index} ({type(rec).__name__}) differs from what its op emits")
+        raise CodecError("record 0 (Instantiated): differs from what its op emits")
+    try:
+        for index, rec in enumerate(ops, start=1):
+            apply_record(state, rec)
+            if len(emitted) != index + 1 or emitted[index] != rec:
+                raise CodecError("differs from what its op emits")
+    except ProtocolError as exc:
+        raise type(exc)(f"record {index} ({type(rec).__name__}): {exc}") from None
     return state, expected
 
 

@@ -23,6 +23,9 @@ from ..errors import InvalidParameter
 from ..state import MAX_ACCOUNT_ID_SPACE, Params, check_settings, setting
 from ..wire import U64_MAX
 
+# Blocks the drain phase may run past ``blocks`` before a run gives up.
+DRAIN_HARD_CAP = 100_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -62,6 +65,13 @@ class ScenarioConfig:
     gas_price_gwei: float = setting(5.0, section="costs")  # for the report's USD column
     eth_usd: float = setting(225.0, section="costs")
 
+    def drain_window(self) -> int:
+        """Quiet blocks that end the drain: longer than any silent wait the
+        protocol can demand, so a log that stops growing for this long means
+        nothing pending is timed."""
+        params = self.params
+        return params.challenge_period + params.response_period + params.unlock_period + 4
+
     def validate(self) -> None:
         check_settings(self)
         for lo, hi in (
@@ -96,6 +106,12 @@ class ScenarioConfig:
             raise InvalidParameter(
                 "buyers * buyer_deposit + delegates * delegate_deposit + monitors * "
                 f"monitor_deposit + overstatement_max = {tokens} exceeds {U64_MAX}"
+            )
+        # the drain could never see a whole quiet window before the cap
+        if self.drain_window() > DRAIN_HARD_CAP:
+            raise InvalidParameter(
+                f"challenge_period + response_period + unlock_period + 4 = {self.drain_window()} "
+                f"exceeds the drain cap of {DRAIN_HARD_CAP} blocks"
             )
 
 

@@ -33,11 +33,9 @@ from ..state import (
     instantiate,
 )
 from .actors import Buyer, Delegate, Monitor, Unlocker
-from .config import ScenarioConfig
+from .config import DRAIN_HARD_CAP, ScenarioConfig
 from .oracle import LogView
 from .report import ScenarioReport
-
-_DRAIN_HARD_CAP = 100_000
 
 
 def _headcount(fraction: float, total: int) -> int:
@@ -234,15 +232,10 @@ class SimRun:
         for _ in range(self.config.blocks):
             self.run_block()
         self.draining = True
-        params = self.config.params
-        # Longer than any silent wait the protocol can demand, so a log that
-        # stops growing for this long means nothing pending is timed.
-        window = (
-            params.challenge_period + params.response_period + params.unlock_period + 4
-        )
+        window = self.config.drain_window()
         stagnant = 0
         while not self._drained():
-            if self.blocks_run >= self.config.blocks + _DRAIN_HARD_CAP:
+            if self.blocks_run >= self.config.blocks + DRAIN_HARD_CAP:
                 raise InvariantViolation("drain-stalled", "hard block cap exceeded")
             before = len(self.log.records)
             self.run_block()

@@ -1,20 +1,24 @@
-"""Byte layouts: the kind table, and the packers and readers built on it.
+"""Byte layouts: the kind table, and the packers and readers compiled from it.
 
 Every byte image in the package (chain-log records, the state image, the
 params and externals blobs, Merkle proofs) is a sequence of fields, each
 of a kind in ``KINDS``: little-endian integers, u16-length-prefixed utf-8
 strings, u32-length-prefixed blobs, and ``k?``, a flag byte 0x00 (absent)
 or 0x01 (a ``k`` follows). A class declares its layout as ``WIRE``, the
-kind of each dataclass field in field order with ``pay_index`` skipped. A
-Reader raises CodecError on truncation, so every format inherits strict
-bounds checking.
+kind of each dataclass field in field order with ``pay_index`` skipped.
+Both directions are compiled from a layout once: ``packer`` builds one
+expression, ``reader`` straight-line code that bounds every read by the
+end of its input, so every format inherits strict bounds checking and
+the same CodecError messages.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import fields
+from functools import cache
 from itertools import groupby
+from textwrap import indent
 from typing import Callable, NamedTuple
 
 from .errors import CodecError
@@ -41,73 +45,38 @@ def pack_bytes(blob: bytes) -> bytes:
     return u32(len(blob)) + blob
 
 
-class Reader:
-    """Sequential reader over bytes or a memoryview, with hard bounds checks.
+# -- read snippets ---------------------------------------------------------------
+#
+# A kind's read snippet is source that reads one value into ``{v}`` from the
+# bytes ``data`` at ``pos``, leaves ``pos`` just past it and reads nothing
+# at or past ``end``. It sees the names in ``_SCOPE`` and may use the locals
+# ``f``, ``p`` and ``q``.
 
-    Over a memoryview, ``take`` returns views and nothing is copied until a
-    field is turned into bytes or str.
-    """
+_SCOPE = {
+    "_E": CodecError, "_PAIRS": _PAIR.iter_unpack,
+    **{f"_{codes}": struct.Struct("<" + codes).unpack_from for codes in ("B", "H", "I", "Q", "QQ")},
+}
+_TRUNCATED = 'raise _E("truncated record")'
 
-    def __init__(self, data: bytes | memoryview, pos: int = 0):
-        self.data = data
-        self.pos = pos
 
-    def take(self, n: int) -> bytes | memoryview:
-        if self.pos + n > len(self.data):
-            raise CodecError("truncated record")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+def _fixed(codes: str, targets: str = "{v},") -> str:
+    """Read one struct of integer ``codes`` into ``targets``."""
+    size = struct.calcsize("<" + codes)
+    return f"q = pos + {size}\nif q > end: {_TRUNCATED}\n{targets} = _{codes}(data, pos)\npos = q"
 
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        """Read one precompiled struct at the current position."""
-        pos = self.pos
-        if pos + fmt.size > len(self.data):
-            raise CodecError("truncated record")
-        self.pos = pos + fmt.size
-        return fmt.unpack_from(self.data, pos)
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return self.unpack(_U16)[0]
-
-    def u32(self) -> int:
-        return self.unpack(_U32)[0]
-
-    def u64(self) -> int:
-        return self.unpack(_U64)[0]
-
-    def flag(self) -> bool:
-        """An optional field's presence byte: 0x00 or 0x01, nothing else."""
-        flag = self.u8()
-        if flag > 1:
-            raise CodecError(f"optional-field flag 0x{flag:02x} is not 0x00 or 0x01")
-        return flag == 1
-
-    def str_(self) -> str:
-        try:
-            return str(self.take(self.u16()), "utf-8")
-        except UnicodeDecodeError:
-            raise CodecError("string is not valid utf-8") from None
-
-    def bytes_(self) -> bytes:
-        return bytes(self.take(self.u32()))
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-    def expect_end(self) -> None:
-        if not self.done():
-            raise CodecError("trailing bytes in record")
+def _counted(count: str, unit: int, value: str) -> str:
+    """Read a ``count`` integer n, then run ``value`` over ``data[p:q]``, n * ``unit`` bytes."""
+    size, scale = struct.calcsize("<" + count), "" if unit == 1 else f"{unit} * "
+    return (f"p = pos + {size}\nif p > end: {_TRUNCATED}\nq = p + {scale}_{count}(data, pos)[0]\n"
+            f"if q > end: {_TRUNCATED}\n{value}\npos = q")
 
 
 # -- the kind table ------------------------------------------------------------
 
 
 class Kind(NamedTuple):
-    read: Callable[[Reader], object]
+    read: str                   # read snippet, see above
     pack: Callable[[object], bytes]
     prefix: int = 0             # length-prefix bytes ahead of the payload
     code: str | None = None     # struct code of an integer kind
@@ -124,9 +93,11 @@ def _pack_pairs(pairs) -> bytes:
 
 
 def _optional(kind: Kind) -> Kind:
-    read, pack = kind.read, kind.pack
+    pack = kind.pack
     return Kind(
-        lambda r: read(r) if r.flag() else None,
+        f"if pos >= end: {_TRUNCATED}\nf = data[pos]\npos += 1\n"
+        'if f > 1: raise _E(f"optional-field flag 0x{f:02x} is not 0x00 or 0x01")\n'
+        "{v} = None\nif f:\n" + indent(kind.read, "    "),
         lambda v: b"\x00" if v is None else b"\x01" + pack(v),
     )
 
@@ -135,17 +106,19 @@ def _optional(kind: Kind) -> Kind:
 # u64s (a pay index and an amount), ``pairs`` a u32 count of pairs; ``k?`` is
 # derived for every ``k``.
 KINDS: dict[str, Kind] = {
-    "u8": Kind(Reader.u8, struct.Struct("<B").pack, code="B"),
-    "u16": Kind(Reader.u16, u16, code="H"),
-    "u32": Kind(Reader.u32, u32, code="I"),
-    "u64": Kind(Reader.u64, u64, code="Q"),
-    "b32": Kind(lambda r: bytes(r.take(32)), _pack_b32),
-    "b32s": Kind(lambda r: tuple(bytes(r.take(32)) for _ in range(r.u16())),
+    "u8": Kind(_fixed("B"), struct.Struct("<B").pack, code="B"),
+    "u16": Kind(_fixed("H"), u16, code="H"),
+    "u32": Kind(_fixed("I"), u32, code="I"),
+    "u64": Kind(_fixed("Q"), u64, code="Q"),
+    "b32": Kind(f"q = pos + 32\nif q > end: {_TRUNCATED}\n{{v}} = data[pos:q]\npos = q", _pack_b32),
+    "b32s": Kind(_counted("H", 32, "{v} = tuple(data[i:i + 32] for i in range(p, q, 32))"),
                  lambda v: u16(len(v)) + b"".join(map(_pack_b32, v)), 2),
-    "str": Kind(Reader.str_, pack_str, 2),
-    "bytes": Kind(Reader.bytes_, pack_bytes, 4),
-    "pair": Kind(lambda r: r.unpack(_PAIR), lambda v: _PAIR.pack(*v)),
-    "pairs": Kind(lambda r: tuple(_PAIR.iter_unpack(r.take(_PAIR.size * r.u32()))), _pack_pairs, 4),
+    "str": Kind(_counted("H", 1, 'try: {v} = str(data[p:q], "utf-8")\n'
+                         'except UnicodeDecodeError: raise _E("string is not valid utf-8") from None'),
+                pack_str, 2),
+    "bytes": Kind(_counted("I", 1, "{v} = data[p:q]"), pack_bytes, 4),
+    "pair": Kind(_fixed("QQ", "{v}"), lambda v: _PAIR.pack(*v)),
+    "pairs": Kind(_counted("I", 16, "{v} = tuple(_PAIRS(data[p:q]))"), _pack_pairs, 4),
 }
 KINDS.update({f"{name}?": _optional(kind) for name, kind in KINDS.items()})
 
@@ -188,11 +161,39 @@ def pack_rows(pack: Callable[[object], bytes], rows) -> bytes:
     return u32(len(rows)) + b"".join(map(pack, rows))
 
 
+@cache
+def reader(kinds: tuple[str, ...], result: str = "", check: str = "", rows: bool = False, **names):
+    """Compile ``kinds`` into ``read(data, pos, end)`` over bytes.
+
+    ``read`` binds one value per kind to ``_0``, ``_1``, ... (each run of
+    integer kinds is one struct read), raises CodecError unless the last
+    value ends exactly at ``end``, runs the statement ``check`` and returns
+    ``result``, an expression over the values and ``names`` (by default the
+    list of values). With ``rows``, a u32 count of rows comes first and
+    ``read`` returns the list of rows.
+    """
+    scope = {**_SCOPE, **names}
+    lines = []
+    items = [(f"_{i}", kind) for i, kind in enumerate(kinds)]
+    for integers, run in groupby(items, key=lambda item: KINDS[item[1]].code is not None):
+        run = list(run)
+        if integers:
+            codes = "".join(KINDS[kind].code for _, kind in run)
+            scope[f"_{codes}"] = struct.Struct("<" + codes).unpack_from
+            lines.append(_fixed(codes, ", ".join(value for value, _ in run) + ","))
+        else:
+            lines += [KINDS[kind].read.replace("{v}", value) for value, kind in run]
+    body, result = "\n".join(lines), result or f"[{', '.join(value for value, _ in items)}]"
+    if rows:
+        loop = f"_rows = []\nfor _ in range(_n):\n{indent(body, '    ')}\n    _rows.append({result})"
+        body, result = f"{_fixed('I', '_n,')}\n{loop}", "_rows"
+    body += f'\nif pos != end: raise _E("trailing bytes in record")\n{check}\nreturn {result}'
+    exec(f"def read(data, pos, end):\n{indent(body, '    ')}\n", scope)
+    return scope["read"]
+
+
 def unpack(kinds, data: bytes, rows: bool = False) -> list:
     """The fields of ``kinds`` (with ``rows``, a u32 count of rows of them),
     which must fill ``data`` exactly."""
-    r = Reader(data)
-    reads = [KINDS[kind].read for kind in kinds]
-    values = [[read(r) for read in reads] for _ in range(r.u32() if rows else 1)]
-    r.expect_end()
-    return values if rows else values[0]
+    data = bytes(data)
+    return reader(tuple(kinds), rows=rows)(data, 0, len(data))

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchpay.chainlog import (
     FILE_MAGIC,
@@ -35,7 +40,13 @@ from batchpay.chainlog import (
 )
 from batchpay.codec import encode_pay_data
 from batchpay.errors import CodecError
-from batchpay.wire import Reader, layout
+from batchpay.merkle import MerkleProof
+from batchpay.sim.config import load_scenario_config
+from batchpay.sim.scenario import run_scenario_full
+from batchpay.state import Params, TokenAdapter
+from batchpay.wire import KINDS, layout, packer, reader, unpack
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SAMPLE_RECORDS = [
     Instantiated(b"p" * 64, b"x" * 12),
@@ -62,6 +73,100 @@ SAMPLE_RECORDS = [
     SlotFreed(8, 40000),
     FinalDigest(b"\x7f" * 32),
 ]
+
+
+_PAIR = struct.Struct("<QQ")
+
+
+class Reader:
+    """Sequential reader with hard bounds checks, one call per field.
+
+    The interpreted walk that ``wire.reader``'s compiled code replaced, kept
+    as the reference the compiled decoders are compared against.
+    """
+
+    def __init__(self, data: bytes | memoryview, pos: int = 0):
+        self.data = data
+        self.pos = pos
+
+    def take(self, n: int) -> bytes | memoryview:
+        if self.pos + n > len(self.data):
+            raise CodecError("truncated record")
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
+    def int_(self, code: str) -> int:
+        return self.unpack(struct.Struct("<" + code))[0]
+
+    def flag(self) -> bool:
+        flag = self.int_("B")
+        if flag > 1:
+            raise CodecError(f"optional-field flag 0x{flag:02x} is not 0x00 or 0x01")
+        return flag == 1
+
+    def str_(self) -> str:
+        try:
+            return str(self.take(self.int_("H")), "utf-8")
+        except UnicodeDecodeError:
+            raise CodecError("string is not valid utf-8") from None
+
+    def done(self) -> bool:
+        return self.pos == len(self.data)
+
+    def expect_end(self) -> None:
+        if not self.done():
+            raise CodecError("trailing bytes in record")
+
+
+_READS = {
+    "u8": lambda r: r.int_("B"),
+    "u16": lambda r: r.int_("H"),
+    "u32": lambda r: r.int_("I"),
+    "u64": lambda r: r.int_("Q"),
+    "b32": lambda r: bytes(r.take(32)),
+    "b32s": lambda r: tuple(bytes(r.take(32)) for _ in range(r.int_("H"))),
+    "str": Reader.str_,
+    "bytes": lambda r: bytes(r.take(r.int_("I"))),
+    "pair": lambda r: r.unpack(_PAIR),
+    "pairs": lambda r: tuple(_PAIR.iter_unpack(r.take(_PAIR.size * r.int_("I")))),
+}
+
+
+def _optional(read):
+    return lambda r: read(r) if r.flag() else None
+
+
+_READS.update({f"{kind}?": _optional(read) for kind, read in _READS.items()})
+
+
+def _unpack_by_reader(kinds, data: bytes, rows: bool = False) -> list:
+    """``wire.unpack`` as a walk of ``Reader`` calls."""
+    r = Reader(data)
+    values = [[_READS[kind](r) for kind in kinds] for _ in range(r.int_("I") if rows else 1)]
+    r.expect_end()
+    return values if rows else values[0]
+
+
+def _decode_by_reader(data: bytes | memoryview):
+    """``decode_record`` as a walk of ``Reader`` calls."""
+    r = Reader(data)
+    tag = r.int_("B")
+    if tag not in RECORD_TYPES:
+        raise CodecError(f"unknown record tag 0x{tag:02x}")
+    cls = RECORD_TYPES[tag]
+    subject = r.int_("Q")
+    args = [_READS[kind](r) for kind in cls.WIRE]
+    r.expect_end()
+    names = [f.name for f in dataclasses.fields(cls)]
+    if "pay_index" in names:
+        args.insert(names.index("pay_index"), subject)
+    elif subject:
+        raise CodecError("subject field does not match record body")
+    return cls(*args)
 
 
 def test_every_record_type_has_a_sample():
@@ -166,7 +271,7 @@ def test_decode_rejects_invalid_utf8_as_codec_error():
     with pytest.raises(CodecError, match="utf-8"):
         decode_record(bytes(blob))
     with pytest.raises(CodecError, match="utf-8"):
-        Reader(b"\x02\x00a\xff").str_()
+        unpack(("str",), b"\x02\x00a\xff")
 
 
 def test_encode_rejects_wrong_length_fixed_field():
@@ -241,13 +346,13 @@ def test_load_rejects_truncated_tail():
 
 
 def _load_by_reader(data: bytes) -> list:
-    """``ChainLog.load`` as a walk of ``Reader`` calls, the loop it replaced."""
+    """``ChainLog.load`` as a walk of ``Reader`` calls."""
     if data[: len(FILE_MAGIC)] != FILE_MAGIC:
         raise CodecError("bad log file magic")
     r = Reader(memoryview(data)[len(FILE_MAGIC):])
     records = []
     while not r.done():
-        records.append(decode_record(r.take(r.u32())))
+        records.append(_decode_by_reader(r.take(r.int_("I"))))
     return records
 
 
@@ -306,3 +411,86 @@ def test_scaling_payload_reflects_variable_parts():
     assert len(scaling_payload(ListResponded(1, 2, pairs))) == 16 * len(pairs)
     proof = InclusionProved(1, 2, encode_pay_data([3, 3]))
     assert scaling_payload(proof) == proof.pay_data
+
+
+def test_decode_rejects_a_subject_on_a_record_without_one():
+    for record in SAMPLE_RECORDS:
+        if "pay_index" in (f.name for f in dataclasses.fields(record)):
+            continue
+        blob = bytearray(record.encode())
+        blob[1 + 7] = 0x01          # the subject's top byte
+        with pytest.raises(CodecError, match="^subject field does not match record body$"):
+            decode_record(bytes(blob))
+
+
+# One value of every base kind; a ``k?`` is tried absent and present.
+KIND_SAMPLES = {
+    "u8": 0xAB, "u16": 0xABCD, "u32": 2**32 - 1, "u64": 2**64 - 1,
+    "b32": b"\x5a" * 32, "b32s": (b"\x01" * 32, b"\x02" * 32), "str": "héllo",
+    "bytes": b"\x00\x01\x02", "pair": (3, 2**64 - 1), "pairs": ((3, 100), (7, 400)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_round_trips_through_its_compiled_reader(kind):
+    assert set(KINDS) == set(KIND_SAMPLES) | {f"{base}?" for base in KIND_SAMPLES}
+    base = kind.removesuffix("?")
+    values = [None, KIND_SAMPLES[base]] if kind.endswith("?") else [KIND_SAMPLES[base]]
+    pack, read = packer([("o", kind)]), reader((kind,))
+    for value in values:
+        blob = pack(value)
+        assert read(blob, 0, len(blob)) == [value]
+        # reads stop at ``end``, not at the end of the buffer
+        padded = b"\xee" + blob + b"\x01" * 40
+        assert read(padded, 1, 1 + len(blob)) == [value]
+        for cut in range(len(blob)):
+            for data, start in ((blob[:cut], 0), (padded, 1)):
+                with pytest.raises(CodecError, match="^truncated record$"):
+                    read(data, start, start + cut)
+
+
+@lru_cache(maxsize=1)
+def _adversarial_log() -> bytes:
+    config = load_scenario_config(str(ROOT / "configs" / "adversarial.cfg"))
+    config.seed = 42
+    _, run = run_scenario_full(config)
+    return run.log.dump()
+
+
+@lru_cache(maxsize=1)
+def _compiled_and_reference() -> list:
+    """(bytes, compiled decode, reference walk) for every decoded format."""
+    blob = _adversarial_log()
+    log = ChainLog.load(blob)
+    head = log.records[0]
+    proof = next(rec.proof_blob for rec in log.records if isinstance(rec, Claimed))
+    cases = [(rec.encode(), decode_record, _decode_by_reader) for rec in SAMPLE_RECORDS]
+    cases += [
+        (blob, lambda d: ChainLog.load(d).records, _load_by_reader),
+        (proof, lambda d: unpack(MerkleProof.WIRE, d), lambda d: _unpack_by_reader(MerkleProof.WIRE, d)),
+        (head.params_blob, lambda d: unpack(Params.WIRE, d), lambda d: _unpack_by_reader(Params.WIRE, d)),
+    ]
+    for rows in (head.externals_blob, TokenAdapter({"a": 1, "bé": 2}).snapshot_bytes()):
+        cases.append((
+            rows,
+            lambda d: unpack(TokenAdapter.WIRE, d, rows=True),
+            lambda d: _unpack_by_reader(TokenAdapter.WIRE, d, rows=True),
+        ))
+    return cases
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    st.integers(min_value=0),
+    st.one_of(st.none(), st.integers(min_value=0)),
+    st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=3),
+    st.binary(max_size=6),
+)
+def test_compiled_decoders_match_the_reader_walk(which, cut, flips, tail):
+    cases = _compiled_and_reference()
+    blob, compiled, reference = cases[which % len(cases)]
+    data = bytearray(blob)
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    data = bytes(data[: None if cut is None else cut % (len(data) + 1)]) + tail
+    assert _outcome(compiled, data) == _outcome(reference, data)

@@ -209,8 +209,15 @@ def test_run_bad_config_is_a_usage_error(tmp_path, capsys):
             "overstatement_min = 18446744073709551615\noverstatement_max = 18446744073709551615\n",
             ("buyer_deposit", "overstatement_max"),
         ),
+        ("[scenario]\nblocks = 10\n[params]\nunlock_period = 200000\n", ("unlock_period", "drain cap")),
+        (
+            "[scenario]\ncheating_delegate_fraction = 1.0\n[params]\n"
+            "challenge_period = 60000\nresponse_period = 50000\n",
+            ("challenge_period", "response_period", "drain cap"),
+        ),
     ],
-    ids=["batch-limit", "account-table", "amount-past-u64", "params-past-u64", "claim-past-u64"],
+    ids=["batch-limit", "account-table", "amount-past-u64", "params-past-u64", "claim-past-u64",
+         "unlock-past-drain-cap", "game-past-drain-cap"],
 )
 def test_run_refuses_a_config_the_engine_would_refuse_mid_run(tmp_path, text, keys, capsys):
     cfg = tmp_path / "limits.cfg"
@@ -280,7 +287,7 @@ def test_replay_of_an_op_the_engine_refuses_exits_4(tmp_path, capsys):
     path = tmp_path / "refused.log"
     path.write_bytes(log.dump())
     assert main(["replay", "--log", str(path)]) == 4
-    assert capsys.readouterr().err == "error: account 0 does not exist\n"
+    assert capsys.readouterr().err == "error: record 1 (Withdrawn): account 0 does not exist\n"
 
 
 def test_codec_decode_reads_stdin(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from batchpay.errors import InvalidParameter
 from batchpay.sim import ScenarioConfig, parse_scenario_config, run_scenario
-from batchpay.sim.config import _SECTIONS, load_scenario_config
+from batchpay.sim.config import _SECTIONS, DRAIN_HARD_CAP, load_scenario_config
 from batchpay.state import Params
 from batchpay.wire import U64_MAX
 
@@ -267,6 +267,17 @@ def test_deposits_up_to_u64_accepted():
     config.validate()
     config.overstatement_max += 1
     with pytest.raises(InvalidParameter, match="exceeds"):
+        config.validate()
+
+
+def test_drain_window_up_to_the_cap_accepted():
+    params = Params(challenge_period=40_000, response_period=30_000)
+    params.unlock_period = DRAIN_HARD_CAP - 4 - 70_000
+    config = ScenarioConfig(params=params)
+    assert config.drain_window() == DRAIN_HARD_CAP
+    config.validate()
+    params.unlock_period += 1
+    with pytest.raises(InvalidParameter, match=f"= {DRAIN_HARD_CAP + 1} exceeds the drain cap"):
         config.validate()
 
 

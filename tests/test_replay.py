@@ -15,6 +15,7 @@ from batchpay.chainlog import (
     ChainLog,
     Claimed,
     CollectOpened,
+    Deposited,
     FinalDigest,
     Instantiated,
     PaymentRegistered,
@@ -31,7 +32,7 @@ from batchpay.collect import (
     respond_with_payment_list,
     select_payment,
 )
-from batchpay.errors import CodecError, InvariantViolation, ProtocolError
+from batchpay.errors import CodecError, InsufficientFunds, InvariantViolation, ProtocolError
 from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from batchpay.registration import register
 from batchpay.replay import replay, verify_log
@@ -205,6 +206,19 @@ def test_verify_log_rejects_flipped_engine_derived_field(kind, field):
     tampered = ChainLog.load(log.dump())
     with pytest.raises(CodecError, match=f"^record {index} \\({kind.__name__}\\)"):
         verify_log(tampered)
+
+
+def test_replay_names_the_record_whose_op_the_engine_refuses():
+    # the op raises its own error class; replay prefixes where it happened
+    log = ChainLog.load(golden_honest_log())
+    index, rec = next((i, rec) for i, rec in enumerate(log.records) if isinstance(rec, Deposited))
+    log.records[index] = dataclasses.replace(rec, amount=2**63)
+    with pytest.raises(InsufficientFunds, match=f"^record {index} \\(Deposited\\): address 'buyer-0' holds"):
+        replay(log)
+    log = ChainLog.load(golden_honest_log())
+    log.records.insert(1, log.records[-1])
+    with pytest.raises(CodecError, match="^record 1 \\(FinalDigest\\): FinalDigest is not replayable$"):
+        replay(log)
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)

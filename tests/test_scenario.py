@@ -420,7 +420,7 @@ def test_end_of_run_checks_catch_a_tampered_run(config, tamper, invariant, messa
 
 
 def test_drain_stops_at_its_hard_cap(monkeypatch):
-    monkeypatch.setattr(scenario, "_DRAIN_HARD_CAP", 0)
+    monkeypatch.setattr(scenario, "DRAIN_HARD_CAP", 0)
     run = SimRun(load_scenario_config(str(ROOT / "configs" / "honest.cfg")))
     with pytest.raises(InvariantViolation, match="hard block cap exceeded"):
         run.run()
