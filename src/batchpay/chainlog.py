@@ -39,9 +39,8 @@ from .wire import KINDS, layout, packer, reader, u32
 
 FILE_MAGIC = b"BPLOG\x01"
 
-# Wire sentinel for "open a new account" in deposit records; the in-memory
-# API uses the NEW_ACCOUNT object, the wire uses the one u32 value that can
-# never be a real id (the table is capped below it).
+# "Open a new account" in deposit records and in the API (state.NEW_ACCOUNT):
+# the one u32 value that can never be a real id (the table is capped below it).
 NEW_ACCOUNT_WIRE = 2**32 - 1
 
 

@@ -9,75 +9,64 @@ digest.
 
 from __future__ import annotations
 
-from . import collect as game
-from . import payments, registration
+from dataclasses import fields
+from inspect import getmodule, signature
+
+from . import collect, payments, registration
 from .chainlog import (
-    Advanced,
-    BulkRegistered,
-    ChainLog,
-    Challenged,
-    ChallengeFailed,
-    ChallengeSucceeded,
-    Claimed,
-    CollectOpened,
-    Deposited,
-    FinalDigest,
-    InclusionProved,
-    Instantiated,
-    ListResponded,
-    NEW_ACCOUNT_WIRE,
-    PaymentRegistered,
-    PaymentSelected,
-    Record,
-    Refunded,
-    Registered,
-    SlotFreed,
-    Unlocked,
-    Withdrawn,
+    Advanced, BulkRegistered, ChainLog, Challenged, ChallengeFailed, ChallengeSucceeded, Claimed,
+    CollectOpened, Deposited, FinalDigest, InclusionProved, Instantiated, ListResponded,
+    PaymentRegistered, PaymentSelected, Record, Refunded, Registered, SlotFreed, Unlocked, Withdrawn,
 )
 from .errors import CodecError, InvariantViolation, ProtocolError
 from .merkle import MerkleProof
-from .state import NEW_ACCOUNT, Params, ProtocolState, TokenAdapter
+from .state import Params, ProtocolState, TokenAdapter
 from .wire import unpack
 
-
-# Handlers reach the engine through module attributes, so a function
-# patched on its module (as the benchmark tracer does) is the one called.
-_HANDLERS = {
-    Registered: lambda state, rec: registration.register(state, rec.address),
-    BulkRegistered: lambda state, rec: registration.bulk_register(state, rec.count, rec.root),
-    Claimed: lambda state, rec: registration.claim_bulk_registration_id(
-        state, rec.bulk_id, rec.account_id, rec.address, MerkleProof.from_bytes(rec.proof_blob),
-    ),
-    Deposited: lambda state, rec: state.deposit(
-        NEW_ACCOUNT if rec.account_ref == NEW_ACCOUNT_WIRE else rec.account_ref, rec.amount, rec.from_address,
-    ),
-    Withdrawn: lambda state, rec: state.withdraw(rec.account_id, rec.amount, rec.to_address, rec.sender),
-    Advanced: lambda state, rec: state.advance_block(rec.blocks),
-    PaymentRegistered: lambda state, rec: payments.register_payment(
-        state, rec.from_id, rec.per_destination, rec.pay_data, rec.sender,
-        rec.locking_key_hash, rec.unlocker_fee,
-    ),
-    Unlocked: lambda state, rec: payments.unlock(state, rec.pay_index, rec.unlocker_id, rec.key),
-    Refunded: lambda state, rec: payments.refund_locked_payment(state, rec.pay_index),
-    CollectOpened: lambda state, rec: game.collect(
-        state, rec.delegate_id, rec.slot_id, rec.recipient_id, rec.last_payment_index,
-        rec.amount, rec.fee, rec.authorization, rec.destination_address,
-    ),
-    Challenged: lambda state, rec: game.challenge(state, rec.delegate_id, rec.slot_id, rec.challenger_id),
-    ListResponded: lambda state, rec: game.respond_with_payment_list(
-        state, rec.delegate_id, rec.slot_id, rec.pairs,
-    ),
-    PaymentSelected: lambda state, rec: game.select_payment(
-        state, rec.delegate_id, rec.slot_id, rec.pay_index, rec.amount,
-    ),
-    InclusionProved: lambda state, rec: game.prove_payment_inclusion(
-        state, rec.delegate_id, rec.slot_id, rec.pay_data,
-    ),
-    ChallengeSucceeded: lambda state, rec: game.challenge_success(state, rec.delegate_id, rec.slot_id),
-    ChallengeFailed: lambda state, rec: game.challenge_failed(state, rec.delegate_id, rec.slot_id),
-    SlotFreed: lambda state, rec: game.free_slot(state, rec.delegate_id, rec.slot_id),
+# The engine op each record is replayed through. Each parameter after
+# ``state`` (``self`` for a ProtocolState method) reads the record's field
+# of the same name, or else is the one conversion in _CONVERTED.
+_OPS = {
+    Registered: registration.register,
+    BulkRegistered: registration.bulk_register,
+    Claimed: registration.claim_bulk_registration_id,
+    Deposited: ProtocolState.deposit,
+    Withdrawn: ProtocolState.withdraw,
+    Advanced: ProtocolState.advance_block,
+    PaymentRegistered: payments.register_payment,
+    Unlocked: payments.unlock,
+    Refunded: payments.refund_locked_payment,
+    CollectOpened: collect.collect,
+    Challenged: collect.challenge,
+    ListResponded: collect.respond_with_payment_list,
+    PaymentSelected: collect.select_payment,
+    InclusionProved: collect.prove_payment_inclusion,
+    ChallengeSucceeded: collect.challenge_success,
+    ChallengeFailed: collect.challenge_failed,
+    SlotFreed: collect.free_slot,
 }
+_CONVERTED = {"proof": "MerkleProof.from_bytes(rec.proof_blob)"}
+
+
+def _handler(cls: type[Record], op):
+    """Compile ``handler(state, rec)``, which calls ``op`` with ``rec``'s fields.
+
+    The handler finds ``op`` on its module (on the state, for a method) at
+    each call, so a function patched there after import, as the benchmark
+    tracer does, is the one called.
+    """
+    first, *names = signature(op).parameters
+    have, args = {f.name for f in fields(cls)}, []
+    for name in names:
+        if name not in have and name not in _CONVERTED:
+            raise TypeError(f"{op.__qualname__} parameter {name!r} is no field of {cls.__name__}")
+        args.append(f"rec.{name}" if name in have else _CONVERTED[name])
+    call = f"state.{op.__name__}(" if first == "self" else f"_module.{op.__name__}(state, "
+    scope = {"_module": getmodule(op), "MerkleProof": MerkleProof}
+    return eval(f"lambda state, rec: {call}{', '.join(args)})", scope)
+
+
+_HANDLERS = {cls: _handler(cls, op) for cls, op in _OPS.items()}
 
 
 def apply_record(state: ProtocolState, rec: Record) -> None:

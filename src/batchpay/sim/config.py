@@ -23,7 +23,7 @@ from ..errors import InvalidParameter
 from ..state import MAX_ACCOUNT_ID_SPACE, Params, check_settings, setting
 from ..wire import U64_MAX
 
-# Blocks the drain phase may run past ``blocks`` before a run gives up.
+# Drain blocks in which the log grew that a run allows before it gives up.
 DRAIN_HARD_CAP = 100_000
 
 
@@ -107,7 +107,7 @@ class ScenarioConfig:
                 "buyers * buyer_deposit + delegates * delegate_deposit + monitors * "
                 f"monitor_deposit + overstatement_max = {tokens} exceeds {U64_MAX}"
             )
-        # the drain could never see a whole quiet window before the cap
+        # a drain ends on one whole quiet window; keep that wait within the cap
         if self.drain_window() > DRAIN_HARD_CAP:
             raise InvalidParameter(
                 f"challenge_period + response_period + unlock_period + 4 = {self.drain_window()} "

@@ -233,9 +233,10 @@ class SimRun:
             self.run_block()
         self.draining = True
         window = self.config.drain_window()
-        stagnant = 0
+        # the cap counts only drain blocks in which the log grew, never a quiet one
+        active = stagnant = 0
         while not self._drained():
-            if self.blocks_run >= self.config.blocks + DRAIN_HARD_CAP:
+            if active >= DRAIN_HARD_CAP:
                 raise InvariantViolation("drain-stalled", "hard block cap exceeded")
             before = len(self.log.records)
             self.run_block()
@@ -244,6 +245,7 @@ class SimRun:
                 if stagnant >= window:
                     break
             else:
+                active += 1
                 stagnant = 0
         self._verify_end()
 

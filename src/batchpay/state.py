@@ -59,12 +59,8 @@ SLOT_ID_MAX = 65535
 
 MAX_ACCOUNT_ID_SPACE = 2**32 - 1  # one below the wire sentinel
 
-
-class _NewAccount:
-    """Sentinel for deposit(): open a fresh account for the depositor."""
-
-
-NEW_ACCOUNT = _NewAccount()
+# deposit() to NEW_ACCOUNT opens a fresh account for the depositor.
+NEW_ACCOUNT = NEW_ACCOUNT_WIRE
 
 
 def ensure_u64(value: int, what: str) -> int:
@@ -392,20 +388,18 @@ class ProtocolState:
         if amount < 1:
             raise InvalidParameter("deposit amount must be positive")
         ensure_address(from_address, "depositor address")
-        if isinstance(account_ref, _NewAccount):
+        if account_ref == NEW_ACCOUNT and type(account_ref) is int:  # a float equal to it is no id
             if len(self.accounts) >= self.params.max_account_count:
                 raise TableFull(f"account table at limit {self.params.max_account_count}")
             self.adapter.deposit(from_address, amount)
             acct = self.allocate_account(from_address)
             acct.balance = amount
-            wire_ref = NEW_ACCOUNT_WIRE
         else:
             acct = self.claimed_account(account_ref)
             ensure_u64(acct.balance + amount, "account balance")
             self.adapter.deposit(from_address, amount)
             acct.balance += amount
-            wire_ref = acct.account_id
-        self.log.append(Deposited(wire_ref, acct.account_id, amount, from_address))
+        self.log.append(Deposited(account_ref, acct.account_id, amount, from_address))
         return acct.account_id
 
     def withdraw(self, account_id: int, amount: int, to_address: str, sender: str) -> None:

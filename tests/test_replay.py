@@ -4,22 +4,38 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from inspect import signature
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchpay import collect as game
+from batchpay import payments, registration
+from batchpay import replay as replay_module
 from batchpay.chainlog import (
+    NEW_ACCOUNT_WIRE,
     Advanced,
+    BulkRegistered,
     ChainLog,
+    Challenged,
+    ChallengeFailed,
+    ChallengeSucceeded,
     Claimed,
     CollectOpened,
     Deposited,
     FinalDigest,
+    InclusionProved,
     Instantiated,
+    ListResponded,
     PaymentRegistered,
+    PaymentSelected,
+    Refunded,
     Registered,
+    SlotFreed,
+    Unlocked,
+    Withdrawn,
 )
 from batchpay.codec import encode_pay_data
 from batchpay.collect import (
@@ -33,11 +49,13 @@ from batchpay.collect import (
     select_payment,
 )
 from batchpay.errors import CodecError, InsufficientFunds, InvariantViolation, ProtocolError
+from batchpay.merkle import MerkleProof
 from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from batchpay.registration import register
 from batchpay.replay import replay, verify_log
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import run_scenario_full
+from batchpay.state import ProtocolState
 from tests.conftest import World
 
 
@@ -234,3 +252,57 @@ def test_bit_flipped_log_never_verifies_while_different(bits):
     except (ProtocolError, InvariantViolation):
         return
     assert tampered == blob
+
+
+# -- each record reaches its op with its own fields ----------------------------------
+
+# Every replayable record and the op it must reach, named here apart from
+# replay's table; built directly, since no simulated log holds an
+# InclusionProved or a ChallengeFailed.
+PROOF = MerkleProof(6, (b"\x01" * 32, b"\x02" * 32))
+RECORD_OPS = [
+    (Registered(3, "alice"), registration, "register"),
+    (BulkRegistered(0, 4, 10, b"\xab" * 32), registration, "bulk_register"),
+    (Claimed(0, 7, "seller-3", PROOF.to_bytes()), registration, "claim_bulk_registration_id"),
+    (Deposited(NEW_ACCOUNT_WIRE, 5, 1234, "funder"), ProtocolState, "deposit"),
+    (Withdrawn(5, 70, "out-addr", "funder"), ProtocolState, "withdraw"),
+    (Advanced(17), ProtocolState, "advance_block"),
+    (PaymentRegistered(2, 2, 5, 3, b"\xcd" * 32, "buyer", encode_pay_data([7])), payments,
+     "register_payment"),
+    (Unlocked(2, 6, b"the-key"), payments, "unlock"),
+    (Refunded(2), payments, "refund_locked_payment"),
+    (CollectOpened(8, 2, 3, 12, 500, 20, "payout-3", b"\x22" * 32), game, "collect"),
+    (Challenged(8, 2, 9), game, "challenge"),
+    (ListResponded(8, 2, ((3, 100), (7, 400))), game, "respond_with_payment_list"),
+    (PaymentSelected(8, 2, 7, 400), game, "select_payment"),
+    (InclusionProved(8, 2, encode_pay_data([3, 3])), game, "prove_payment_inclusion"),
+    (ChallengeSucceeded(8, 2), game, "challenge_success"),
+    (ChallengeFailed(8, 2), game, "challenge_failed"),
+    (SlotFreed(8, 2), game, "free_slot"),
+]
+
+
+def test_each_record_calls_its_op_with_its_fields(monkeypatch):
+    # The ops are patched after import, as the benchmark tracer patches
+    # them, and replay must still call the patched function.
+    assert {type(rec) for rec, _, _ in RECORD_OPS} == set(replay_module._HANDLERS)
+    state = ProtocolState.__new__(ProtocolState)     # every op is a recorder here
+    for rec, owner, name in RECORD_OPS:
+        op, calls = getattr(owner, name), []
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append((args, kwargs)))
+        replay_module.apply_record(state, rec)
+        [(args, kwargs)] = calls
+        passed = signature(op).bind(*args, **kwargs).arguments
+        values = {field.name: getattr(rec, field.name) for field in dataclasses.fields(rec)}
+        if isinstance(rec, Claimed):
+            values["proof"] = PROOF
+        first, *params = signature(op).parameters
+        assert passed == {first: state, **{param: values[param] for param in params}}, name
+
+
+def test_handler_refuses_a_parameter_that_names_no_field():
+    def misnamed(state, delegate_id, slot):
+        pass
+
+    with pytest.raises(TypeError, match=r"misnamed parameter 'slot' is no field of SlotFreed$"):
+        replay_module._handler(SlotFreed, misnamed)

@@ -14,6 +14,7 @@ from batchpay.codec import encode_pay_data
 from batchpay.errors import InvariantViolation, ProtocolError
 from batchpay.payments import register_payment
 from batchpay.sim import ScenarioConfig, SimRun, run_scenario, run_scenario_full
+from batchpay.sim import config as sim_config
 from batchpay.sim import scenario
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import _headcount
@@ -425,3 +426,17 @@ def test_drain_stops_at_its_hard_cap(monkeypatch):
     with pytest.raises(InvariantViolation, match="hard block cap exceeded"):
         run.run()
     assert run.blocks_run == run.config.blocks
+
+
+def test_drain_cap_leaves_out_the_quiet_window(monkeypatch):
+    # The cap counts only drain blocks in which the log grew, so a config
+    # whose quiet window is as long as the cap validates and also finishes,
+    # though its whole drain runs past the cap.
+    config = load_scenario_config(str(ROOT / "configs" / "honest.cfg"))
+    config.blocks, config.params.unlock_period = 10, 10
+    for module in (sim_config, scenario):
+        monkeypatch.setattr(module, "DRAIN_HARD_CAP", config.drain_window())
+    config.validate()
+    run = SimRun(config)
+    run.run()
+    assert run.blocks_run - config.blocks > config.drain_window()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchpay.chainlog import ChainLog
+from batchpay.chainlog import NEW_ACCOUNT_WIRE, ChainLog, Deposited
 from batchpay.errors import (
     AmountOutOfRange,
     IllegalMove,
@@ -153,6 +153,11 @@ def test_deposit_new_account_assigns_sequential_ids():
     assert state.accounts[first].address == "a"
     assert state.adapter.reserve == 70
     assert state.adapter.balance_of("a") == 70
+    # the API's NEW_ACCOUNT is the wire sentinel, logged as it was passed
+    assert NEW_ACCOUNT == NEW_ACCOUNT_WIRE
+    assert state.log.records[-2:] == [
+        Deposited(NEW_ACCOUNT_WIRE, 0, 30, "a"), Deposited(NEW_ACCOUNT_WIRE, 1, 40, "b"),
+    ]
 
 
 def test_deposit_existing_account_any_sender():
@@ -185,6 +190,11 @@ def test_deposit_unknown_account_rejected():
     state = fresh(funding=[("a", 100)])
     with pytest.raises(UnknownAccount):
         state.deposit(99, 10, "a")
+    # only the integer NEW_ACCOUNT opens an account; a look-alike is no id
+    for ref in (True, float(NEW_ACCOUNT), str(NEW_ACCOUNT)):
+        with pytest.raises(UnknownAccount, match=re.escape(f"account id must be an integer, got {ref!r}")):
+            state.deposit(ref, 10, "a")
+    assert state.accounts == [] and len(state.log) == 1
 
 
 def test_deposit_needs_sender_funds():
