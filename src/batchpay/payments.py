@@ -13,6 +13,8 @@ payment whose window lapsed can only be refunded. Because a payment can
 enter a collect range only after its window has elapsed, the status seen
 by a collect is final: committed payments stay committed, and stuck locked
 payments can only move to refunded, with zero entitlement either way.
+A locked payment sits in ``state.open_locks`` from registration until its
+unlock or refund, so the unlock window bounds that index.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ def register_payment(
         collectable_from_block=state.current_block + state.params.unlock_period,
     )
     state.payments.append(payment)
+    if payment.status == PaymentStatus.LOCKED:
+        state.open_locks[payment.pay_index] = payment
     state.log.append(
         PaymentRegistered(
             payment.pay_index,
@@ -120,6 +124,7 @@ def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -
     fee = payment.unlocker_fee
     state.transfer([(unlocker_id, fee)], pool=-fee, what="unlocker fee")
     payment.status = PaymentStatus.COMMITTED
+    del state.open_locks[pay_index]
     state.log.append(Unlocked(pay_index, unlocker_id, bytes(key)))
 
 
@@ -134,4 +139,5 @@ def refund_locked_payment(state: ProtocolState, pay_index: int) -> None:
     escrow = payment.total_escrow
     state.transfer([(payment.from_id, escrow)], pool=-escrow, what="refund")
     payment.status = PaymentStatus.REFUNDED
+    del state.open_locks[pay_index]
     state.log.append(Refunded(pay_index))

@@ -19,7 +19,10 @@ payments up to each posting are committed, and what they owe it in sum.
 A matured payment's due is frozen (an unlock is legal only before
 maturity, and a refund turns a due of 0 into 0), so the totals are
 appended once, when ``mature_end()`` passes the payment, and ``owed``
-answers any matured range with two bisections.
+answers any matured range with two bisections. ``collectable`` (and with
+it ``oracle_balance``) and ``monitor_verdict`` price their ranges, which
+are all matured, through ``owed``; ``dues`` and ``entitlement`` step
+through the postings and stay for ranges that may reach past maturity.
 
 For the simulator's actors, which react to changes instead of rescanning,
 the view also keeps three append-only lists: ``opened`` (the slot key of
@@ -322,10 +325,11 @@ class LogView:
         return self.balances.get(account_id, 0)
 
     def collectable(self, account_id: int) -> int:
-        """Matured entitlement past the account's settled prefix."""
-        return self.entitlement(
-            account_id, self.prefixes.get(account_id, 0), self.mature_end()
-        )
+        """Matured entitlement past the account's settled prefix.
+
+        Two bisections of the running totals (``owed``).
+        """
+        return self.owed(account_id, self.prefixes.get(account_id, 0), self.mature_end())[1]
 
     def oracle_balance(self, account_id: int) -> int:
         """Settled balance plus still-collectable entitlement."""
@@ -374,15 +378,19 @@ def monitor_verdict(view: LogView, slot) -> str:
     Returns "overstated" when the claim exceeds the true entitlement over
     the slot's range (the winnable case), "understated" when it falls short
     (protocol-legal but seller-harming, flagged only), and "ok" otherwise.
-    Costs one ``entitlement`` query.
+    Costs two bisections of the running totals (``owed``), after
+    ``mature_end()`` brings them up to the view's block.
 
     The verdict on an open slot never changes, so a monitor may judge each
     slot once. The claimed amount and the range are fixed at open, and
-    every payment in the range had matured by then. An unlock is legal only
-    strictly before its payment matures, so no due in the range can grow;
-    a refund turns a locked payment's due of 0 into 0.
+    every payment in the range had matured by then (the engine opens only
+    ranges that end at or below maturity, which is also why ``owed`` can
+    answer). An unlock is legal only strictly before its payment matures,
+    so no due in the range can grow; a refund turns a locked payment's due
+    of 0 into 0.
     """
-    true = view.entitlement(slot.recipient_id, slot.start_pay_index, slot.end_pay_index)
+    view.mature_end()
+    _, true = view.owed(slot.recipient_id, slot.start_pay_index, slot.end_pay_index)
     if slot.amount > true:
         return "overstated"
     if slot.amount < true:

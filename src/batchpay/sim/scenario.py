@@ -256,6 +256,12 @@ class SimRun:
         stranded_locked = [
             p.pay_index for p in self.state.payments if p.status == PaymentStatus.LOCKED
         ]
+        # The per-block check reads only the index; this scan backs it up.
+        if stranded_locked != list(self.state.open_locks):
+            raise InvariantViolation(
+                "open-locks",
+                f"locked payments {stranded_locked}, indexed {list(self.state.open_locks)}",
+            )
         if stranded_slots or stranded_locked:
             if not self.insolvency_events:
                 raise InvariantViolation(

@@ -269,7 +269,13 @@ class CollectSlot:
 
 
 class ProtocolState:
-    """One protocol instance: the full on-chain state for a run."""
+    """One protocol instance: the full on-chain state for a run.
+
+    Two indexes are derived from the rows and kept beside them, outside
+    ``canonical_bytes()`` and the digest: ``pending_collects`` (recipient id
+    -> key of its one non-instant slot) and ``open_locks`` (pay index -> each
+    LOCKED payment, in pay-index order).
+    """
 
     def __init__(self, params: Params, adapter: TokenAdapter):
         params.validate()
@@ -283,6 +289,9 @@ class ProtocolState:
         # recipient id -> key of its one non-instant slot. Derived from
         # ``slots``, so it stays out of canonical_bytes() and the digest.
         self.pending_collects: dict[int, tuple[int, int]] = {}
+        # pay index -> payment, for each LOCKED one. Derived from ``payments``;
+        # the unlock window bounds it, so per-block checks walk it, not history.
+        self.open_locks: dict[int, Payment] = {}
         self.escrow_pool = 0
         self.log = ChainLog()
         params_blob = params.canonical_bytes()
@@ -426,6 +435,12 @@ class ProtocolState:
     def check_invariants(self) -> None:
         """Full re-summation conservation check plus per-type invariants.
 
+        Every account and slot is inspected, but of the payments only the
+        open locks in ``open_locks``: a payment leaves that index when it is
+        unlocked or refunded, so the check costs what is open, not history.
+        A LOCKED payment missing from the index is the end-of-run scan's to
+        catch (``SimRun._verify_end`` walks every payment once).
+
         Runs after every simulated block, so its plain loops (faster here than
         ``map``/``attrgetter`` passes) read enum members and parameters from
         locals; the account loop sums the balances as it checks them.
@@ -482,7 +497,7 @@ class ProtocolState:
                 f"{len(pending_collects)} indexed, {pending} non-instant slots",
             )
         LOCKED = PaymentStatus.LOCKED
-        for p in self.payments:
+        for p in self.open_locks.values():
             if p.status == LOCKED and p.locking_key_hash is None:
                 raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
         if self.adapter.reserve != balances + self.escrow_pool + held:

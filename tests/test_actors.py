@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from batchpay.collect import challenge, challenge_success, collect, select_payme
 from batchpay.errors import InvariantViolation
 from batchpay.replay import verify_log
 from batchpay.sim import ScenarioConfig, SimRun
+from batchpay.sim.actors import draw_payees
 from batchpay.sim.config import load_scenario_config
 from batchpay.state import GameState, Params, PaymentStatus
 
@@ -181,6 +183,21 @@ def test_mirror_check_names_the_first_account_that_differs():
             run._assert_mirror()
         assert excinfo.value.invariant == "oracle-mirror"
         assert message in str(excinfo.value)
+
+
+def test_payee_draws_match_random_choice():
+    # Buyers draw payees inline instead of through ``Random.choice``; the ids
+    # and the generator state after must be choice's, on every supported
+    # CPython, or every golden digest moves. Sizes straddle powers of two,
+    # where the rejection loop redraws most.
+    for seed in range(50):
+        for size in (1, 2, 3, 127, 128, 129, 200, 400):
+            population = list(range(1000, 1000 + size))
+            for count in (1, 16, 50):
+                rng, twin = random.Random(seed), random.Random(seed)
+                ids = draw_payees(rng, population, count)
+                assert ids == sorted(twin.choice(population) for _ in range(count))
+                assert rng.getstate() == twin.getstate()
 
 
 # -- the unlocker's key-locked exchange, and retries while the pool is short ------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -187,8 +188,9 @@ def _reference(log):
     specs=st.lists(_payment, min_size=1, max_size=12),
     matured=st.booleans(),
     bounds=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+    claim_offset=st.integers(-1, 1),
 )
-def test_queries_match_a_count_over_the_log(specs, matured, bounds):
+def test_queries_match_a_count_over_the_log(specs, matured, bounds, claim_offset):
     world = World()
     unlocker = register(world.state, "unlocker")
     pool = [world.seller] + [register(world.state, f"seller-{i}") for i in range(3)]
@@ -226,6 +228,7 @@ def test_queries_match_a_count_over_the_log(specs, matured, bounds):
     count = len(ref)
     ranges = [(0, count), (count, count), (count, 0)]
     ranges += [(min(a, count), min(b, count)) for a, b in bounds]
+    ranges += [(min(a, count), view.mature_end()) for a, _ in bounds]
     for account in pool + [world.delegate]:
         for pay_index, (ids, per_destination, committed) in ref.items():
             occurs = ids.count(account)
@@ -245,6 +248,18 @@ def test_queries_match_a_count_over_the_log(specs, matured, bounds):
                 owed = (len(expected), sum(d for _, d in expected))
                 assert view.owed(account, start, end) == owed
                 assert live.owed(account, start, end) == owed
+                # a claim over the range, priced against entitlement
+                true = view.entitlement(account, start, end)
+                claim = SimpleNamespace(
+                    recipient_id=account, start_pay_index=start, end_pay_index=end,
+                    amount=true + claim_offset,
+                )
+                verdict = ("understated", "ok", "overstated")[claim_offset + 1]
+                assert monitor_verdict(view, claim) == monitor_verdict(live, claim) == verdict
+                if end == view.mature_end():
+                    # collectable prices (settled prefix, matured end]
+                    view.prefixes[account] = live.prefixes[account] = start
+                    assert view.collectable(account) == live.collectable(account) == true
             else:
                 with pytest.raises(InvalidParameter):
                     view.owed(account, start, end)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchpay.chainlog import Refunded, Unlocked
 from batchpay.codec import encode_pay_data
 from batchpay.errors import (
     CodecError,
     IllegalMove,
     InsufficientFunds,
     InvalidParameter,
+    InvariantViolation,
     Unauthorized,
 )
 from batchpay.payments import (
@@ -21,8 +23,12 @@ from batchpay.payments import (
     unlock,
 )
 from batchpay.registration import register
+from batchpay.sim import SimRun
+from batchpay.sim.config import load_scenario_config
 from batchpay.state import PaymentStatus
 from tests.conftest import World, payment_occurrences, small_params
+
+ADVERSARIAL_CFG = __file__.rsplit("/", 2)[0] + "/configs/adversarial.cfg"
 
 
 def test_register_payment_escrows_full_amount(world):
@@ -210,6 +216,77 @@ def test_refund_twice_rejected(world):
     refund_locked_payment(world.state, idx)
     with pytest.raises(IllegalMove):
         refund_locked_payment(world.state, idx)
+
+
+# -- the open-lock index ------------------------------------------------------
+
+
+def _scanned_locks(state) -> dict:
+    return {p.pay_index: p for p in state.payments if p.status == PaymentStatus.LOCKED}
+
+
+def test_open_locks_track_every_block_of_an_adversarial_run():
+    # The run locks, unlocks, withholds keys and refunds. After every block
+    # the index is exactly the LOCKED payments, and it holds no more than
+    # were locked in the last unlock window: the bound that keeps the
+    # per-block check independent of history.
+    run = SimRun(load_scenario_config(ADVERSARIAL_CFG))
+    state = run.state
+    period = state.params.unlock_period
+    step = run.run_block
+    sizes = []
+
+    def checked_block():
+        step()
+        assert state.open_locks == _scanned_locks(state), run.blocks_run
+        # the block just played is current_block - 1; its window reaches back
+        recent = sum(
+            p.locking_key_hash is not None
+            and p.registered_at_block >= state.current_block - period
+            for p in state.payments
+        )
+        assert len(state.open_locks) <= recent, run.blocks_run
+        sizes.append(len(state.open_locks))
+
+    run.run_block = checked_block
+    run.run()
+    locked = sum(p.locking_key_hash is not None for p in state.payments)
+    assert locked > 2 * max(sizes) > 0 and sizes[-1] == 0
+    assert {Unlocked, Refunded} <= {type(rec) for rec in run.log.records}
+    # A LOCKED payment the index misses is left to the end-of-run scan.
+    state.payments[0].status = PaymentStatus.LOCKED
+    state.check_invariants()
+    with pytest.raises(InvariantViolation, match="open-locks"):
+        run._verify_end()
+
+
+def test_refused_unlock_or_refund_leaves_the_open_locks_alone(world):
+    state = world.state
+    idx, unlocker, key = locked_payment(world)
+    plain = world.pay([world.seller])
+    before = dict(state.open_locks)
+    assert list(before) == [idx]
+
+    def refused(error, move, *args):
+        with pytest.raises(error):
+            move(state, *args)
+        assert state.open_locks == before
+
+    refused(Unauthorized, unlock, idx, unlocker, b"wrong-key")
+    refused(IllegalMove, refund_locked_payment, idx)        # window still open
+    refused(IllegalMove, unlock, plain, unlocker, key)      # never locked
+    pool, state.escrow_pool = state.escrow_pool, 0          # a pool short of the fee
+    refused(IllegalMove, unlock, idx, unlocker, key)
+    state.escrow_pool = pool
+    world.advance(world.params.unlock_period)
+    refused(IllegalMove, unlock, idx, unlocker, key)        # window closed
+    refused(IllegalMove, refund_locked_payment, plain)
+    state.escrow_pool = 0                                   # a pool short of the refund
+    refused(IllegalMove, refund_locked_payment, idx)
+    state.escrow_pool = pool
+    refund_locked_payment(state, idx)
+    before = {}
+    refused(IllegalMove, refund_locked_payment, idx)        # already refunded
 
 
 # -- entitlement -----------------------------------------------------------
