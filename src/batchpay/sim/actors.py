@@ -30,10 +30,12 @@ a full scan in key order would give.
   * unlocker: the jobs in its inbox.
   * delegate: its slots whose deadline has come (a heap of deadlines) and
     its slots in a challenge game (an active set fed by the view's
-    ``challenged`` list), in key order; then its dirty sellers in id
-    order. A seller is dirty when a newly matured payment names it (the
-    view's ``payees``), its slot was freed or lost, its last examination
-    found the delegate short of funds, or draining has just begun.
+    ``challenged`` list), in key order, less those that cannot move: a
+    settlement the pool cannot cover, and an entry it cannot prove; then
+    its dirty sellers in id order. A seller is dirty when a newly matured
+    payment names it (the view's ``payees``), its slot was freed or lost,
+    its last examination found the delegate short of funds, or draining
+    has just begun.
   * monitor: its own games, then its candidates in key order: slots opened
     since it last looked (the view's ``opened`` list) and slots it judged
     overstated, until they are gone or their window closes. Each slot is
@@ -213,6 +215,23 @@ class Delegate:
     deadline has come (a heap of ``(deadline, key)``) and those in a
     challenge game (the active set, fed from ``LogView.challenged``).
     Collects re-examine only dirty sellers (see ``_open_collects``).
+
+    Two kinds of slot wait outside the active set:
+
+      * a settlement the pool cannot cover is parked (key -> amount). The
+        parked slots rejoin the loop in a step whose pool covers the
+        smallest of them; in any other step each is counted as refused
+        again, since the pool only falls inside the loop (``free_slot`` is
+        the one move there that touches it) and only this delegate can
+        move a settlement-ready slot. A parked slot has no heap entry left:
+        a slot is pushed at its deadline of the moment, and it waits for a
+        challenge again only with a deadline later than any it had.
+      * a selected entry ``_try_prove`` cannot prove goes back on the heap
+        at the slot's deadline, when the game leaves this delegate nothing
+        to do: the entry is fixed and its due is frozen.
+
+    Both waits skip only visits that would have done nothing, so the run's
+    moves, draws and insolvency count are those of a visit to every slot.
     """
 
     def __init__(self, ctx, account_id: int, address: str, cheating: bool, sellers: list[int]):
@@ -229,6 +248,7 @@ class Delegate:
         self._recipients: dict[tuple[int, int], int] = {}   # own open slot -> recipient
         self._deadlines: list[tuple[int, tuple[int, int]]] = []   # heap of waiting slots
         self._active: set[tuple[int, int]] = set()   # challenged or due slots
+        self._parked: dict[tuple[int, int], int] = {}   # stranded slot -> amount
         self._challenged_seen = 0                    # cursor into view.challenged
 
     def step(self) -> None:
@@ -245,6 +265,7 @@ class Delegate:
         now = state.current_block
         active = self._active
         heap = self._deadlines
+        parked = self._parked
         challenged = ctx.view.challenged
         for i in range(self._challenged_seen, len(challenged)):
             if challenged[i][0] == self.account_id:
@@ -252,6 +273,13 @@ class Delegate:
         self._challenged_seen = len(challenged)
         while heap and heap[0][0] <= now:
             active.add(heappop(heap)[1])
+        if parked:
+            if state.covers(min(parked.values())):
+                active.update(parked)
+                parked.clear()
+            else:
+                # The pool only falls in this loop, so each would be refused.
+                ctx.insolvency_events += len(parked)
         for key in sorted(active):
             slot = state.slots.get(key)
             if slot is None:                      # lost, or a freed slot's stale entry
@@ -264,8 +292,10 @@ class Delegate:
             if legal("free_slot", slot, now):
                 if not state.covers(slot.amount):
                     # A short pool cannot pay the settlement: free_slot
-                    # would refuse it, so retry next block and report.
+                    # would refuse it, so park it until the pool can.
                     ctx.note_insolvency("settlement")
+                    active.discard(key)
+                    parked[key] = slot.amount
                     continue
                 free_slot(state, delegate_id, slot_id)
                 ctx.note_settled(delegate_id, slot_id)
@@ -279,7 +309,9 @@ class Delegate:
             elif legal("respond", slot, now):
                 self._respond(slot_id, slot)
             elif legal("prove", slot, now):
-                self._try_prove(slot_id, slot)
+                if not self._try_prove(slot_id, slot):
+                    active.discard(key)           # nothing to do until the deadline
+                    heappush(heap, (slot.deadline_block, key))
             elif legal("challenge", slot, now):   # stale entry: its window's
                 active.discard(key)                # close is queued already
 
@@ -302,15 +334,23 @@ class Delegate:
             ]
         respond_with_payment_list(self.ctx.state, self.account_id, slot_id, pairs)
 
-    def _try_prove(self, slot_id: int, slot) -> None:
+    def _try_prove(self, slot_id: int, slot) -> bool:
+        """Prove the selected entry if the log bears it out; whether it did.
+
+        An entry it cannot prove never becomes provable: the selected entry
+        is fixed and lies in a matured range, whose dues are frozen (see
+        ``monitor_verdict``). The caller waits for the deadline instead of
+        asking again.
+        """
         view = self.ctx.view
         pay_index, claimed = slot.challenged_entry
         # Every claimed entry is at least 1 and an uncommitted payment is due
         # 0, so this also sits out a locked or refunded payment.
         if view.entry_due(pay_index, slot.recipient_id) != claimed:
-            return  # inflated entry: nothing provable, sit out the deadline
+            return False  # inflated entry: nothing provable, sit out the deadline
         pay_data = view.payments[pay_index - 1].pay_data
         prove_payment_inclusion(self.ctx.state, self.account_id, slot_id, pay_data)
+        return True
 
     # -- opening new collects -------------------------------------------------
 

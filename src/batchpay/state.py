@@ -441,6 +441,12 @@ class ProtocolState:
         A LOCKED payment missing from the index is the end-of-run scan's to
         catch (``SimRun._verify_end`` walks every payment once).
 
+        Each slot is checked with one comparison against ``_SLOT_SHAPE``, its
+        game state's challenger, list and selected entry flags with the stake
+        that state holds, and one against its key. Only on a mismatch does
+        ``_check_slot`` run the slot checks one by one, to name the first that
+        fails; a value outside ``GameState`` is a mismatch, and is judged there.
+
         Runs after every simulated block, so its plain loops (faster here than
         ``map``/``attrgetter`` passes) read enum members and parameters from
         locals; the account loop sums the balances as it checks them.
@@ -458,39 +464,29 @@ class ProtocolState:
             balances += balance
         if self.escrow_pool < 0:
             raise InvariantViolation("conservation", "escrow pool negative")
-        EMPTY = GameState.EMPTY
-        CHALLENGE_STARTED = GameState.CHALLENGE_STARTED
-        WAITING_PAYMENT_SELECTION = GameState.WAITING_PAYMENT_SELECTION
-        WAITING_PROOF = GameState.WAITING_PROOF
         collect_stake = self.params.collect_stake
         challenged_stake = collect_stake + self.params.challenge_stake
+        shape = {
+            game_state: (*flags, challenged_stake if flags[0] else collect_stake)
+            for game_state, flags in _SLOT_SHAPE.items()
+        }.get
         pending_collects = self.pending_collects
         held = 0
         pending = 0
         for key, slot in self.slots.items():
-            if key != (slot.delegate_id, slot.slot_id):
-                raise InvariantViolation("slot-key", f"slot {key} mislabeled")
-            game_state = slot.game_state
-            if game_state == EMPTY:
-                raise InvariantViolation("slot-state", "empty slot present in map")
-            has_challenger = slot.challenger_id is not None
-            expected = challenged_stake if has_challenger else collect_stake
-            if slot.held_funds != expected:
-                raise InvariantViolation(
-                    "slot-held-funds",
-                    f"slot {key} holds {slot.held_funds}, expected {expected}",
-                )
-            if has_challenger != (game_state >= CHALLENGE_STARTED):
-                raise InvariantViolation("slot-challenger", f"slot {key}")
-            if (slot.challenge_list is not None) != (game_state >= WAITING_PAYMENT_SELECTION):
-                raise InvariantViolation("slot-challenge-list", f"slot {key}")
-            if (slot.challenged_entry is not None) != (game_state >= WAITING_PROOF):
-                raise InvariantViolation("slot-challenged-entry", f"slot {key}")
+            held_funds = slot.held_funds
+            if shape(slot.game_state) != (
+                slot.challenger_id is not None,
+                slot.challenge_list is not None,
+                slot.challenged_entry is not None,
+                held_funds,
+            ) or key != (slot.delegate_id, slot.slot_id):
+                _check_slot(key, slot, collect_stake, challenged_stake)
             if not slot.instant:
                 pending += 1
                 if pending_collects.get(slot.recipient_id) != key:
                     raise InvariantViolation("pending-collects", f"slot {key} not indexed")
-            held += slot.held_funds
+            held += held_funds
         if len(pending_collects) != pending:
             raise InvariantViolation(
                 "pending-collects",
@@ -529,6 +525,41 @@ class ProtocolState:
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical_bytes()).digest()
+
+
+# game state -> whether a slot in it has a challenger, a challenge list and
+# a selected entry. EMPTY is left out: an EMPTY slot is never in the map.
+_SLOT_SHAPE = {
+    game_state: (
+        game_state >= GameState.CHALLENGE_STARTED,
+        game_state >= GameState.WAITING_PAYMENT_SELECTION,
+        game_state >= GameState.WAITING_PROOF,
+    )
+    for game_state in GameState
+    if game_state != GameState.EMPTY
+}
+
+
+def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: int) -> None:
+    """``check_invariants``' slot checks in order, for a slot off its shape."""
+    if key != (slot.delegate_id, slot.slot_id):
+        raise InvariantViolation("slot-key", f"slot {key} mislabeled")
+    game_state = slot.game_state
+    if game_state == GameState.EMPTY:
+        raise InvariantViolation("slot-state", "empty slot present in map")
+    has_challenger = slot.challenger_id is not None
+    expected = challenged_stake if has_challenger else collect_stake
+    if slot.held_funds != expected:
+        raise InvariantViolation(
+            "slot-held-funds",
+            f"slot {key} holds {slot.held_funds}, expected {expected}",
+        )
+    if has_challenger != (game_state >= GameState.CHALLENGE_STARTED):
+        raise InvariantViolation("slot-challenger", f"slot {key}")
+    if (slot.challenge_list is not None) != (game_state >= GameState.WAITING_PAYMENT_SELECTION):
+        raise InvariantViolation("slot-challenge-list", f"slot {key}")
+    if (slot.challenged_entry is not None) != (game_state >= GameState.WAITING_PROOF):
+        raise InvariantViolation("slot-challenged-entry", f"slot {key}")
 
 
 _pack_params, _pack_account, _pack_payment, _pack_bulk, _pack_slot = (

@@ -36,25 +36,43 @@ def _run_and_log_hash(config) -> str:
     return hashlib.sha256(run.log.dump()).hexdigest()
 
 
-@pytest.mark.parametrize("variant", ["attentive", "all_lazy", "underfunded"])
+@pytest.mark.parametrize("variant", ["attentive", "all_lazy", "underfunded", "refilled"])
 def test_event_bookkeeping_matches_full_scans(variant):
     # After every delegate and monitor step, rescan everything the actor
     # skipped and check it had nothing to do there. Underfunded delegates
     # skip sellers for their balance, and a monitor holding one stake must
-    # leave overstated slots waiting until a win pays it back.
+    # leave overstated slots waiting until a win pays it back. Only runs
+    # with every monitor lazy drain the pool; large overstatements drain
+    # it while buyers still pay in, so parked settlements wake and settle.
     config = load_scenario_config(str(CONFIGS / "adversarial.cfg"))
-    if variant == "all_lazy":
+    if variant in ("all_lazy", "refilled"):
         config.lazy_monitor_fraction = 1.0
+    if variant == "refilled":
+        config.blocks = 120
+        config.overstatement_min, config.overstatement_max = 200, 800
     elif variant == "underfunded":
         config.delegate_deposit = DELEGATE_DEPOSIT
         config.monitor_deposit = config.params.challenge_stake + 10
     run = SimRun(config)
-    seen = {"clean sellers": 0, "idle slots": 0, "non-candidates": 0}
+    seen = dict.fromkeys(
+        ("clean sellers", "idle slots", "parked slots", "settled after parking",
+         "unprovable slots", "non-candidates"),
+        0,
+    )
+    needed = {
+        "parked slots": variant in ("all_lazy", "refilled"),
+        "settled after parking": variant == "refilled",
+    }
+    last_parked = {}
 
     def check_delegate(delegate):
         run.sync()
         view, state = run.view, run.state
         now = state.current_block
+        woken = last_parked.get(delegate, {}).keys() - delegate._parked.keys()
+        seen["settled after parking"] += len(woken)
+        assert not woken & state.slots.keys(), now
+        last_parked[delegate] = dict(delegate._parked)
         threshold = 1 if run.draining else config.accumulation_threshold
         mature = view.mature_end()
         for seller in delegate.sellers:
@@ -68,6 +86,24 @@ def test_event_bookkeeping_matches_full_scans(variant):
             first_entry[key] = min(deadline, first_entry.get(key, deadline))
         for key, slot in state.slots.items():
             if key[0] != delegate.account_id or key in delegate._active:
+                continue
+            if key in delegate._parked:
+                # Settlement-ready, and the pool, which only a later step can
+                # raise, is still short of it.
+                seen["parked slots"] += 1
+                assert slot.game_state == GameState.WAITING_CHALLENGE, (now, key)
+                assert now >= slot.deadline_block, (now, key)
+                assert delegate._parked[key] == slot.amount > state.escrow_pool, (now, key)
+                assert key not in first_entry, (now, key)
+                continue
+            if slot.game_state == GameState.WAITING_PROOF:
+                # The selected entry is priced below its claim for good, so
+                # there is nothing to prove; the deadline brings it back.
+                seen["unprovable slots"] += 1
+                pay_index, claimed = slot.challenged_entry
+                assert view.entry_due(pay_index, slot.recipient_id) < claimed, (now, key)
+                assert now < slot.deadline_block, (now, key)
+                assert (slot.deadline_block, key) in delegate._deadlines, (now, key)
                 continue
             seen["idle slots"] += 1
             assert slot.game_state == GameState.WAITING_CHALLENGE, (now, key)
@@ -102,7 +138,10 @@ def test_event_bookkeeping_matches_full_scans(variant):
     for monitor in run.monitor_actors:
         monitor.step = checked(monitor, check_monitor)
     run.run()
-    assert all(seen.values()), seen
+    assert all(n or not needed.get(what, True) for what, n in seen.items()), seen
+    if variant == "refilled":
+        # The count a visit to every stranded slot in every block gives.
+        assert run.insolvency_events == 759
     # The checks only read: the run is the one an unchecked run plays.
     assert hashlib.sha256(run.log.dump()).hexdigest() == _run_and_log_hash(config)
 

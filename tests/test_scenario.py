@@ -16,6 +16,7 @@ from batchpay.payments import register_payment
 from batchpay.sim import ScenarioConfig, SimRun, run_scenario, run_scenario_full
 from batchpay.sim import config as sim_config
 from batchpay.sim import scenario
+from batchpay.sim.actors import Delegate
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import _headcount
 from batchpay.state import GameState, Params, ProtocolState
@@ -348,6 +349,10 @@ def test_actors_make_no_move_the_engine_refuses(name, monkeypatch):
             for module in list(sys.modules.values()):
                 if module.__name__.startswith("batchpay") and vars(module).get(op) is original:
                     monkeypatch.setattr(module, op, wrap(original, op))
+    # A stranded settlement waits for the pool and an unprovable entry for
+    # its deadline, so each is looked at once, however long it waits.
+    for owner, op in ((SimRun, "note_insolvency"), (Delegate, "_try_prove")):
+        monkeypatch.setattr(owner, op, wrap(getattr(owner, op), op))
     all_lazy = name.endswith("_all_lazy")
     config = load_scenario_config(str(ROOT / "configs" / f"{name.removesuffix('_all_lazy')}.cfg"))
     config.seed = 42
@@ -358,8 +363,10 @@ def test_actors_make_no_move_the_engine_refuses(name, monkeypatch):
     assert {"deposit", "register_payment", "collect", "free_slot", "advance_block"} <= set(calls)
     if name != "honest":
         assert {"challenge", "respond_with_payment_list", "challenge_success", "unlock"} <= set(calls)
+    assert calls["_try_prove"] == calls["select_payment"]
     if all_lazy:
         assert run.insolvency_events == 165
+        assert calls["note_insolvency"] == len(run.state.slots) == calls["_try_prove"] == 3
 
 
 # -- the end-of-run checks catch a tampered run ------------------------------------------

@@ -446,6 +446,11 @@ def _tamperings(world: World) -> list:
         lambda s: setattr(s.slots[(d, 1)], "game_state", GameState.WAITING_CHALLENGE),
         lambda s: setattr(s.slots[(d, 2)], "challenge_list", None),
         lambda s: setattr(s.slots[(d, 3)], "challenged_entry", None),
+        lambda s: setattr(s.slots[(d, 2)], "delegate_id", d + 1),
+        lambda s: setattr(s.slots[(d, 0)], "game_state", 9),          # outside GameState
+        lambda s: setattr(
+            s.slots[(d, 0)], "held_funds", s.params.collect_stake + s.params.challenge_stake
+        ),
         lambda s: s.pending_collects.pop(world.seller),
         lambda s: s.pending_collects.__setitem__(world.buyer, (d, 0)),
         lambda s: setattr(s.payments[-1], "locking_key_hash", None),
