@@ -140,6 +140,8 @@ def collect(
     (exclusive) to ``last_payment_index`` (inclusive), which must not
     exceed the newest payment whose unlock window has elapsed.
     """
+    if not isinstance(slot_id, int) or isinstance(slot_id, bool):
+        raise InvalidParameter(f"slot id must be an integer, got {slot_id!r}")
     if not 0 <= slot_id <= SLOT_ID_MAX:
         raise InvalidParameter(f"slot id {slot_id} outside [0, {SLOT_ID_MAX}]")
     if (delegate_id, slot_id) in state.slots:
@@ -281,6 +283,7 @@ def respond_with_payment_list(
     total = 0
     prev = slot.start_pay_index
     for pay_index, entry_amount in pairs:
+        ensure_u64(pay_index, "list entry payment index")
         ensure_u64(entry_amount, "list entry amount")
         if pay_index <= prev:
             raise InvalidParameter("payment indexes must be strictly increasing in range")
@@ -293,7 +296,7 @@ def respond_with_payment_list(
         total += entry_amount
     if total != slot.amount:
         raise InvalidParameter(f"list sums to {total}, claim is {slot.amount}")
-    slot.challenge_list = tuple((int(i), int(a)) for i, a in pairs)
+    slot.challenge_list = tuple((i, a) for i, a in pairs)
     _apply(state, "respond", slot)
     state.log.append(ListResponded(delegate_id, slot_id, slot.challenge_list))
 
@@ -303,6 +306,9 @@ def select_payment(
 ) -> None:
     """Challenger singles out one disclosed entry for proof."""
     slot = _check(state, "select", delegate_id, slot_id)
+    # 1.0 == 1, so a float would pass the membership test and corrupt the slot.
+    ensure_u64(pay_index, "selected payment index")
+    ensure_u64(amount, "selected amount")
     if (pay_index, amount) not in slot.challenge_list:
         raise InvalidParameter(f"({pay_index}, {amount}) is not in the disclosed list")
     slot.challenged_entry = (pay_index, amount)

@@ -13,8 +13,10 @@ payment whose window lapsed can only be refunded. Because a payment can
 enter a collect range only after its window has elapsed, the status seen
 by a collect is final: committed payments stay committed, and stuck locked
 payments can only move to refunded, with zero entitlement either way.
-A locked payment sits in ``state.open_locks`` from registration until its
-unlock or refund, so the unlock window bounds that index.
+
+The lock's rules are one table, ``MOVES``, read by ``legal`` as the collect
+game's are. A locked payment sits in ``state.open_locks``, the one record of
+which payments are locked, until a move takes it out of LOCKED.
 """
 
 from __future__ import annotations
@@ -23,9 +25,20 @@ import hashlib
 
 from .chainlog import PaymentRegistered, Refunded, Unlocked
 from .codec import pay_data_extent
+from .collect import AT_OR_AFTER, BEFORE
 from .errors import IllegalMove, InvalidParameter, Unauthorized
 from .state import Payment, PaymentStatus, ProtocolState, ensure_u64
 from .wire import u32
+
+# (move, status it is made in) -> (the values of ``block < collectable_from_block``
+# it is legal for, the status it leads to). A move is named as the ``OP`` of the
+# record it logs; a pair not listed here is never legal.
+MOVES: dict[tuple[str, PaymentStatus], tuple[frozenset[bool], PaymentStatus]] = {
+    ("unlock", PaymentStatus.LOCKED): (BEFORE, PaymentStatus.COMMITTED),
+    ("refund", PaymentStatus.LOCKED): (AT_OR_AFTER, PaymentStatus.REFUNDED),
+}
+# Every legal (move, status, block < collectable_from_block), for one lookup.
+_LEGAL = frozenset((*key, before) for key, (when, _) in MOVES.items() for before in when)
 
 
 def locking_key_hash(unlocker_id: int, key: bytes) -> bytes:
@@ -100,44 +113,44 @@ def register_payment(
     return payment.pay_index
 
 
-def unlockable(payment: Payment, now: int) -> bool:
-    """Whether its key may be revealed at block ``now``: locked, inside its window."""
-    return payment.status == PaymentStatus.LOCKED and now < payment.collectable_from_block
+def legal(move: str, payment: Payment, now: int) -> bool:
+    """Whether the lock lets ``move`` be made on ``payment`` at block ``now``."""
+    return (move, payment.status, now < payment.collectable_from_block) in _LEGAL
 
 
-def refundable(payment: Payment, now: int) -> bool:
-    """Whether it may be refunded at block ``now``: locked, its window lapsed."""
-    return payment.status == PaymentStatus.LOCKED and now >= payment.collectable_from_block
+def _check(state: ProtocolState, move: str, pay_index: int) -> Payment:
+    """The payment ``move`` is made on; IllegalMove if its lock does not allow it now."""
+    payment = state.payment(pay_index)
+    if not legal(move, payment, state.current_block):
+        raise IllegalMove(
+            f"{move} is not legal on payment {pay_index} in {payment.status.name} at block "
+            f"{state.current_block} (unlock window to block {payment.collectable_from_block})"
+        )
+    return payment
+
+
+def _apply(state: ProtocolState, move: str, payment: Payment) -> None:
+    """Move the payment as MOVES says; every move leaves LOCKED, so ``open_locks``."""
+    payment.status = MOVES[move, payment.status][1]
+    del state.open_locks[payment.pay_index]
 
 
 def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -> None:
     """Reveal the key for a locked payment; pays the unlocker fee at once."""
-    payment = state.payment(pay_index)
-    if not unlockable(payment, state.current_block):
-        raise IllegalMove(
-            f"payment {pay_index} ({payment.status.name}, window to block "
-            f"{payment.collectable_from_block}) cannot be unlocked at block {state.current_block}"
-        )
+    payment = _check(state, "unlock", pay_index)
     state.claimed_account(unlocker_id)
     if locking_key_hash(unlocker_id, key) != payment.locking_key_hash:
         raise Unauthorized("key does not match the locking key hash")
     fee = payment.unlocker_fee
     state.transfer([(unlocker_id, fee)], pool=-fee, what="unlocker fee")
-    payment.status = PaymentStatus.COMMITTED
-    del state.open_locks[pay_index]
+    _apply(state, "unlock", payment)
     state.log.append(Unlocked(pay_index, unlocker_id, bytes(key)))
 
 
 def refund_locked_payment(state: ProtocolState, pay_index: int) -> None:
     """Return a timed-out locked payment's whole escrow to the buyer; anyone may call."""
-    payment = state.payment(pay_index)
-    if not refundable(payment, state.current_block):
-        raise IllegalMove(
-            f"payment {pay_index} ({payment.status.name}, refundable from block "
-            f"{payment.collectable_from_block}) cannot be refunded at block {state.current_block}"
-        )
+    payment = _check(state, "refund", pay_index)
     escrow = payment.total_escrow
     state.transfer([(payment.from_id, escrow)], pool=-escrow, what="refund")
-    payment.status = PaymentStatus.REFUNDED
-    del state.open_locks[pay_index]
+    _apply(state, "refund", payment)
     state.log.append(Refunded(pay_index))

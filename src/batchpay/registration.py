@@ -33,6 +33,8 @@ def bulk_register(state: ProtocolState, count: int, root: bytes) -> int:
     Returns the bulk id. The range starts at the next free id; ids inside
     it stay unclaimed (no address) until individually claimed.
     """
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise InvalidParameter(f"bulk count must be an integer, got {count!r}")
     if count < 1:
         raise InvalidParameter("bulk count must be >= 1")
     if len(root) != DIGEST_SIZE:

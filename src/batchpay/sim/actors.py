@@ -26,7 +26,7 @@ A block costs each actor its own traffic, not a rescan of every open slot
 and seller; the order of visits, and with it every generator draw, is what
 a full scan in key order would give.
 
-  * buyer: its own pending locked payments, then one possible batch.
+  * buyer: its own entries in the state's open locks, then one possible batch.
   * unlocker: the jobs in its inbox.
   * delegate: its slots whose deadline has come (a heap of deadlines) and
     its slots in a challenge game (an active set fed by the view's
@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .. import payments
 from ..auth import collect_auth_message, sign_collect
 from ..codec import encode_pay_data
 from ..collect import (
@@ -61,9 +62,7 @@ from ..collect import (
     select_payment,
 )
 from ..errors import InvalidParameter
-from ..payments import (
-    locking_key_hash, refund_locked_payment, refundable, register_payment, unlock, unlockable
-)
+from ..payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from ..state import INSTANT_SLOT_THRESHOLD, SLOT_ID_MAX
 from .oracle import find_inflated_entry, monitor_verdict
 
@@ -106,7 +105,6 @@ class Buyer:
         self.ctx = ctx
         self.account_id = account_id
         self.address = address
-        self.pending_locked: list[int] = []
 
     def step(self) -> None:
         ctx = self.ctx
@@ -120,20 +118,15 @@ class Buyer:
     def _refund_lapsed(self) -> None:
         state = self.ctx.state
         now = state.current_block
-        still = []
-        for pay_index in self.pending_locked:
-            payment = state.payments[pay_index - 1]
-            if refundable(payment, now):
-                # A refund is refused only by a short escrow pool; keep the
-                # claim and retry.
+        mine = [p for p in state.open_locks.values() if p.from_id == self.account_id]
+        for payment in mine:
+            if payments.legal("refund", payment, now):
+                # A refund is refused only by a short escrow pool; the payment
+                # stays locked, and the next step retries it.
                 if state.covers(payment.total_escrow):
-                    refund_locked_payment(state, pay_index)
+                    refund_locked_payment(state, payment.pay_index)
                 else:
                     self.ctx.note_insolvency("refund")
-                    still.append(pay_index)
-            elif unlockable(payment, now):
-                still.append(pay_index)
-        self.pending_locked = still
 
     def _register_batch(self) -> None:
         ctx = self.ctx
@@ -160,7 +153,6 @@ class Buyer:
             unlocker_fee=fee,
         )
         if locked:
-            self.pending_locked.append(pay_index)
             unlocker.inbox.append(
                 UnlockJob(
                     pay_index=pay_index,
@@ -187,7 +179,7 @@ class Unlocker:
         state = self.ctx.state
         for job in jobs:
             payment = state.payments[job.pay_index - 1]
-            if not unlockable(payment, state.current_block):
+            if not payments.legal("unlock", payment, state.current_block):
                 continue
             # Off-chain diligence before revealing the key: the fee, the
             # payee list, and the key binding must all match the handoff.

@@ -30,8 +30,6 @@ every ``CollectOpened``, so a slot's ``open_seq`` is its position there),
 ``challenged`` (the slot key of every ``Challenged``) and ``payees`` (the
 distinct payee ids of every payment, by pay index - 1). An actor holds a
 cursor into each list it follows and reads only what was appended since.
-It also counts the ``locked`` payments, those not yet unlocked or
-refunded, so the drain phase need not scan every payment for them.
 """
 
 from __future__ import annotations
@@ -111,7 +109,6 @@ class LogView:
         self.slots: dict[tuple[int, int], _ViewSlot] = {}
         self.opened: list[tuple[int, int]] = []      # slot key per CollectOpened, by open_seq
         self.challenged: list[tuple[int, int]] = []  # slot key per Challenged
-        self.locked = 0                              # payments still awaiting unlock or refund
         self.collect_stake = 0
         self.challenge_stake = 0
         self.unlock_period = 0
@@ -150,8 +147,6 @@ class LogView:
         ids = decode_pay_data(rec.pay_data)
         escrow = rec.per_destination * len(ids) + rec.unlocker_fee
         self._credit(rec.from_id, -escrow)
-        if rec.locking_key_hash is not None:
-            self.locked += 1
         self.payments.append(
             _ViewPayment(
                 len(ids),
@@ -176,14 +171,12 @@ class LogView:
     def _unlocked(self, rec: Unlocked) -> None:
         p = self.payments[rec.pay_index - 1]
         p.status = "committed"
-        self.locked -= 1
         fee = p.total_escrow - p.per_destination * p.payee_count
         self._credit(rec.unlocker_id, fee)
 
     def _refunded(self, rec: Refunded) -> None:
         p = self.payments[rec.pay_index - 1]
         p.status = "refunded"
-        self.locked -= 1
         self._credit(p.from_id, p.total_escrow)
 
     def _collect_opened(self, rec: CollectOpened) -> None:

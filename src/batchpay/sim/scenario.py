@@ -220,7 +220,7 @@ class SimRun:
     def _drained(self) -> bool:
         if self.state.slots:
             return False
-        if self.view.locked:
+        if self.state.open_locks:
             return False
         if self.view.mature_end() < len(self.view.payments):
             return False

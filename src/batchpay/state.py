@@ -100,6 +100,8 @@ def check_settings(obj) -> None:
 
 def ensure_address(address: str, what: str) -> None:
     """Refuse an empty address, or one a log record cannot carry."""
+    if not isinstance(address, str):
+        raise InvalidParameter(f"{what} must be a string, got {address!r}")
     if not address:
         raise InvalidParameter(f"{what} must be non-empty")
     try:
@@ -317,6 +319,8 @@ class ProtocolState:
         return acct
 
     def payment(self, pay_index: int) -> Payment:
+        if not isinstance(pay_index, int) or isinstance(pay_index, bool):
+            raise UnknownAccount(f"payment index must be an integer, got {pay_index!r}")
         if not 1 <= pay_index <= len(self.payments):
             raise UnknownAccount(f"payment {pay_index} does not exist")
         return self.payments[pay_index - 1]

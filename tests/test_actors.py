@@ -325,11 +325,11 @@ def test_buyer_keeps_an_uncovered_refund_and_retries_it():
     payment = run.state.payments[job.pay_index - 1]
     pool = _short_pool(run, payment.total_escrow)
     buyer._refund_lapsed()
-    assert buyer.pending_locked == [job.pay_index]
+    assert list(run.state.open_locks) == [job.pay_index]
     assert run.insolvency_events == 1
     run.state.escrow_pool = pool
     buyer._refund_lapsed()
-    assert buyer.pending_locked == []
+    assert run.state.open_locks == {}
     assert payment.status == PaymentStatus.REFUNDED
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,67 @@ def test_refund_twice_rejected(world):
     refund_locked_payment(world.state, idx)
     with pytest.raises(IllegalMove):
         refund_locked_payment(world.state, idx)
+
+
+# -- the lock's rules ----------------------------------------------------------
+
+COMMITTED, LOCKED, REFUNDED = PaymentStatus.COMMITTED, PaymentStatus.LOCKED, PaymentStatus.REFUNDED
+BEFORE, AT = "one block before collectable_from_block", "at collectable_from_block"
+
+# (move, status) -> (when it is legal, the status it leads to). Any other
+# pair, or any other time, is refused.
+LOCK_RULES = {
+    ("unlock", LOCKED): ({BEFORE}, COMMITTED),
+    ("refund", LOCKED): ({AT}, REFUNDED),
+}
+
+# Each move with arguments that are valid once the lock allows it.
+LOCK_MOVES = {
+    "unlock": lambda state, idx, unlocker, key: unlock(state, idx, unlocker, key),
+    "refund": lambda state, idx, unlocker, key: refund_locked_payment(state, idx),
+}
+
+
+def _payment_in(status, when):
+    """A world whose one locked payment was taken to ``status``, at block ``when``."""
+    world = World()
+    idx, unlocker, key = locked_payment(world)
+    if status == COMMITTED:
+        unlock(world.state, idx, unlocker, key)
+    if status == REFUNDED:
+        world.advance(world.params.unlock_period)
+        refund_locked_payment(world.state, idx)
+        if when == BEFORE:
+            # A refund is legal only from the window's end, so no refunded
+            # payment is seen before it: wind the clock back to ask anyway.
+            world.state.current_block -= 1
+    else:
+        blocks = world.params.unlock_period
+        world.advance(blocks - 1 if when == BEFORE else blocks)
+    return world, idx, unlocker, key
+
+
+def test_every_payment_move_is_legal_exactly_where_the_rules_say():
+    for (move, make), status, when in itertools.product(
+        LOCK_MOVES.items(), (COMMITTED, LOCKED, REFUNDED), (BEFORE, AT)
+    ):
+        case = f"{move} on {status.name}, {when}"
+        world, idx, unlocker, key = _payment_in(status, when)
+        state, payment = world.state, world.state.payment(idx)
+        assert payment.status == status, case
+        assert payment.collectable_from_block - state.current_block == (when == BEFORE), case
+        rule = LOCK_RULES.get((move, status))
+        before = state.digest(), len(state.log), dict(state.open_locks)
+        try:
+            make(state, idx, unlocker, key)
+        except IllegalMove:
+            assert rule is None or when not in rule[0], case
+            assert (state.digest(), len(state.log), state.open_locks) == before, case
+            continue
+        assert rule is not None and when in rule[0], case
+        assert payment.status == rule[1], case
+        assert len(state.log) == before[1] + 1 and idx not in state.open_locks, case
+        state.check_invariants()
 
 
 # -- the open-lock index ------------------------------------------------------

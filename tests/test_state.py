@@ -602,15 +602,32 @@ def test_state_image_matches_the_reference_after_every_fuzz_op():
     assert seen == set(GameState) - {GameState.EMPTY}
 
 
+def _bench_module(name: str):
+    """``bench/<name>.py``, loaded by path: the benchmark is no package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_state_image_matches_the_reference_on_the_canonical_replay():
     # The end state of the benchmark's replay_canonical workload, rebuilt
     # from its log: 1,002 accounts and 1,000 payments of 1,000 payees.
-    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module("workloads")
     state, _ = replay(ChainLog.load(workloads.build_canonical_log(1).blob))
     assert len(state.payments) == workloads.BATCHES
     assert state.canonical_bytes() == _reference_canonical_bytes(state)
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # The tracer wraps these by name from outside the package, so a rename
+    # here would otherwise surface only in a traced benchmark run.
+    tracer = _bench_module("tracer")
+    for owner, attr, *_ in tracer.OPS + tracer.SPANS + tracer.LEAVES:
+        if isinstance(owner, type):
+            assert attr in vars(owner), (owner.__name__, attr)
+        else:
+            assert hasattr(owner, attr), (owner.__name__, attr)
 
 
 # -- rejections of bad input and of uncovered payouts ------------------------------
@@ -727,6 +744,48 @@ def _world_op(op):
     return build
 
 
+def _looted_op(op):
+    """``op(state, unlocker, key)`` on a ``_looted_world``: two payments, one locked."""
+    def build():
+        world, _, unlocker, key = _looted_world()
+        return world.state, lambda: op(world.state, unlocker, key)
+    return build
+
+
+def _challenged_slot(*disclosed):
+    """Slot 1 claiming the 10 payment 1 owes the seller, challenged; its
+    range is (0, 1]. With ``disclosed`` entries the delegate has responded."""
+    world = World()
+    world.pay([world.seller], per_destination=10)
+    world.mature()
+    world.open_collect(1, end=1, amount=10)
+    challenge(world.state, world.delegate, 1, world.monitor)
+    if disclosed:
+        respond_with_payment_list(world.state, world.delegate, 1, list(disclosed))
+    return world
+
+
+def _rejected_fractional_list_index():
+    world = _challenged_slot()
+    return world.state, lambda: respond_with_payment_list(
+        world.state, world.delegate, 1, [(0.5, 10)]
+    )
+
+
+def _rejected_float_selection():
+    world = _challenged_slot((1, 10))
+    return world.state, lambda: select_payment(world.state, world.delegate, 1, 1.0, 10)
+
+
+def _rejected_float_slot_id():
+    world = World()
+    world.pay([world.seller], per_destination=5)
+    world.mature()
+    return world.state, lambda: collect(
+        world.state, world.delegate, 1.5, world.seller, 1, 5, 0, bytes(32)
+    )
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -766,6 +825,26 @@ def _world_op(op):
          "account 0 balance 1000000 < 1000001"),
         (_world_op(lambda w: w.state.withdraw(w.buyer, 1_000_001, "out", "buyer")),
          InsufficientFunds, "account 0 balance 1000000 < 1000001"),
+        (_rejected_fractional_list_index, InvalidParameter,
+         "list entry payment index must be an integer"),
+        (_rejected_float_selection, InvalidParameter, "selected payment index must be an integer"),
+        (_looted_op(lambda s, u, k: s.payment(1.5)), UnknownAccount,
+         "payment index must be an integer, got 1.5"),
+        (_looted_op(lambda s, u, k: s.payment(True)), UnknownAccount,
+         "payment index must be an integer, got True"),
+        (_looted_op(lambda s, u, k: unlock(s, 1.5, u, k)), UnknownAccount,
+         "payment index must be an integer, got 1.5"),
+        (_looted_op(lambda s, u, k: refund_locked_payment(s, 1.5)), UnknownAccount,
+         "payment index must be an integer, got 1.5"),
+        (_rejected_float_slot_id, InvalidParameter, "slot id must be an integer, got 1.5"),
+        (_world_op(lambda w: bulk_register(w.state, 1.5, bytes(32))), InvalidParameter,
+         "bulk count must be an integer, got 1.5"),
+        (_world_op(lambda w: register(w.state, 5)), InvalidParameter,
+         "address must be a string, got 5"),
+        (_world_op(lambda w: w.state.withdraw(w.buyer, 1, 5, "buyer")), InvalidParameter,
+         "withdrawal address must be a string, got 5"),
+        (_world_op(lambda w: w.state.deposit(w.buyer, 1, 5)), InvalidParameter,
+         "depositor address must be a string, got 5"),
     ],
     ids=["key-hash-length", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
          "register-no-address", "claim-no-address", "register-long-address",
@@ -774,7 +853,10 @@ def _world_op(op):
          "collect-long-destination",
          "amount-not-int", "account-id-not-int", "withdraw-zero",
          "challenge-unstaked", "instant-advance-uncovered", "payment-past-balance",
-         "withdraw-past-balance"],
+         "withdraw-past-balance", "list-index-fractional", "selection-float",
+         "payment-index-float", "payment-index-bool", "unlock-index-float",
+         "refund-index-float", "collect-slot-id-float", "bulk-count-float",
+         "register-address-not-str", "withdraw-address-not-str", "deposit-address-not-str"],
 )
 def test_rejection_names_its_cause_and_writes_nothing(build, error, message):
     state, op = build()
