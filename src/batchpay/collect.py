@@ -115,9 +115,7 @@ def _apply(state: ProtocolState, move: str, slot: CollectSlot) -> None:
     """Move the slot as MOVES says; an emptied slot leaves the map and its index."""
     _, leads_to, period = MOVES[move, slot.game_state]
     if leads_to == GameState.EMPTY:
-        del state.slots[(slot.delegate_id, slot.slot_id)]
-        if not slot.instant:
-            del state.pending_collects[slot.recipient_id]
+        state.close_slot(slot)
     else:
         slot.game_state = leads_to
         slot.deadline_block = state.current_block + getattr(state.params, period)
@@ -199,8 +197,7 @@ def collect(
         recipient.last_collected_pay_index = last_payment_index
     else:
         state.transfer([(delegate_id, -stake)])
-        state.pending_collects[recipient_id] = (delegate_id, slot_id)
-    state.slots[(delegate_id, slot_id)] = CollectSlot(
+    state.open_slot(CollectSlot(
         delegate_id=delegate_id,
         slot_id=slot_id,
         recipient_id=recipient_id,
@@ -213,7 +210,7 @@ def collect(
         game_state=GameState.WAITING_CHALLENGE,
         deadline_block=state.current_block + state.params.challenge_period,
         held_funds=stake,
-    )
+    ))
     state.log.append(
         CollectOpened(
             delegate_id,

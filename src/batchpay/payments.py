@@ -46,6 +46,14 @@ def locking_key_hash(unlocker_id: int, key: bytes) -> bytes:
     return hashlib.sha256(u32(unlocker_id) + key).digest()
 
 
+def _bytes_like(value, what: str) -> bytes:
+    """``value``'s bytes; InvalidParameter if it is not a bytes-like object."""
+    try:
+        return memoryview(value).tobytes()
+    except TypeError:
+        raise InvalidParameter(f"{what} must be bytes-like, got {type(value).__name__}") from None
+
+
 def register_payment(
     state: ProtocolState,
     from_id: int,
@@ -66,8 +74,12 @@ def register_payment(
     if locking_key_hash is None:
         if unlocker_fee != 0:
             raise InvalidParameter("unlocker fee requires a locking key hash")
-    elif len(locking_key_hash) != 32:
-        raise InvalidParameter("locking key hash must be 32 bytes")
+    else:
+        locking_key_hash = _bytes_like(locking_key_hash, "locking key hash")
+        if len(locking_key_hash) != 32:
+            raise InvalidParameter("locking key hash must be 32 bytes")
+    if type(pay_data) is not bytes:
+        pay_data = _bytes_like(pay_data, "pay data")
     count, last = pay_data_extent(pay_data)
     if not count:
         raise InvalidParameter("empty payee list")
@@ -92,7 +104,7 @@ def register_payment(
         total_escrow=total_escrow,
         unlocker_fee=unlocker_fee,
         status=PaymentStatus.LOCKED if locking_key_hash is not None else PaymentStatus.COMMITTED,
-        locking_key_hash=bytes(locking_key_hash) if locking_key_hash is not None else None,
+        locking_key_hash=locking_key_hash,
         registered_at_block=state.current_block,
         collectable_from_block=state.current_block + state.params.unlock_period,
     )
@@ -107,7 +119,7 @@ def register_payment(
             unlocker_fee,
             payment.locking_key_hash,
             sender,
-            bytes(pay_data),
+            pay_data,
         )
     )
     return payment.pay_index

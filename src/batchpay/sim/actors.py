@@ -36,10 +36,12 @@ a full scan in key order would give.
     payment names it (the view's ``payees``), its slot was freed or lost,
     its last examination found the delegate short of funds, or draining
     has just begun.
-  * monitor: its own games, then its candidates in key order: slots opened
-    since it last looked (the view's ``opened`` list) and slots it judged
-    overstated, until they are gone or their window closes. Each slot is
-    judged once.
+  * monitor: its games that can move, in key order: those whose deadline
+    has come (a heap of deadlines) and those the delegate has answered
+    (the view's ``responded`` list); then its candidates in key order:
+    slots opened since it last looked (the view's ``opened`` list) and
+    slots it judged overstated, until they are gone or their window
+    closes. Each slot is judged once.
 """
 
 from __future__ import annotations
@@ -444,6 +446,15 @@ class Monitor:
     looked (read from ``LogView.opened``), plus judged-overstated slots it
     may still challenge. A candidate is dropped once judged not overstated,
     once gone, or once its window has closed unchallenged.
+
+    A game waits until it can move. Its challenger moves in two places: a
+    ``select`` once the delegate's list arrives (``LogView.responded``),
+    and a ``challenge_success`` at the deadline its own ``challenge`` or
+    ``select`` set (a heap of ``(deadline, key)``). Only the delegate moves
+    the game in between, and it answers within the deadline or not at all,
+    so the games woken in a step are the ones a visit to every game would
+    move; a waking that finds the game lost, resolved or still in the
+    delegate's hands drops it or does nothing.
     """
 
     def __init__(self, ctx, account_id: int, address: str, lazy: bool):
@@ -454,7 +465,9 @@ class Monitor:
         self._verdicts: dict[int, str | None] = {}   # open_seq -> verdict, None if unwatched
         self._candidates: dict[tuple[int, int], int] = {}   # slot key -> open_seq
         self._opened_seen = 0                        # cursor into view.opened
-        self.games: dict[tuple[int, int], int] = {}
+        self.games: dict[tuple[int, int], int] = {}  # slot key -> open_seq
+        self._deadlines: list[tuple[int, tuple[int, int]]] = []   # heap of waiting games
+        self._responded_seen = 0                     # cursor into view.responded
 
     def step(self) -> None:
         self.ctx.sync()
@@ -462,21 +475,36 @@ class Monitor:
         self._scan_for_new()
 
     def _advance_games(self) -> None:
+        games = self.games
+        now = self.ctx.state.current_block
+        woken = set()
+        responded = self.ctx.view.responded
+        for i in range(self._responded_seen, len(responded)):
+            if responded[i] in games:
+                woken.add(responded[i])
+        self._responded_seen = len(responded)
+        heap = self._deadlines
+        while heap and heap[0][0] <= now:
+            key = heappop(heap)[1]
+            if key in games:
+                woken.add(key)
+        for key in sorted(woken):
+            self._visit(key, now)
+
+    def _visit(self, key: tuple[int, int], now: int) -> None:
+        """Make this monitor's move in the game on ``key``, if it has one."""
         ctx = self.ctx
         state = ctx.state
-        now = state.current_block
-        for key in sorted(self.games):
-            slot = state.slots.get(key)
-            if slot is None or slot.challenger_id != self.account_id:
-                del self.games[key]               # lost or already resolved
-                continue
-            if legal("select", slot, now):
-                pay_index, amount = find_inflated_entry(ctx.view, slot)
-                select_payment(state, key[0], key[1], pay_index, amount)
-            elif legal("challenge_success", slot, now):
-                challenge_success(state, key[0], key[1])
-                ctx.note_monitor_win(self.games[key], slot.instant)
-                del self.games[key]
+        slot = state.slots.get(key)
+        if slot is None or slot.challenger_id != self.account_id:
+            del self.games[key]                   # lost or already resolved
+        elif legal("select", slot, now):
+            pay_index, amount = find_inflated_entry(ctx.view, slot)
+            select_payment(state, key[0], key[1], pay_index, amount)
+            heappush(self._deadlines, (slot.deadline_block, key))
+        elif legal("challenge_success", slot, now):
+            challenge_success(state, key[0], key[1])
+            ctx.note_monitor_win(self.games.pop(key), slot.instant)
 
     def _scan_for_new(self) -> None:
         ctx = self.ctx
@@ -514,3 +542,4 @@ class Monitor:
                 continue
             challenge(state, key[0], key[1], self.account_id)
             self.games[key] = seq
+            heappush(self._deadlines, (slot.deadline_block, key))

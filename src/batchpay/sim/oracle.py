@@ -109,6 +109,7 @@ class LogView:
         self.slots: dict[tuple[int, int], _ViewSlot] = {}
         self.opened: list[tuple[int, int]] = []      # slot key per CollectOpened, by open_seq
         self.challenged: list[tuple[int, int]] = []  # slot key per Challenged
+        self.responded: list[tuple[int, int]] = []   # slot key per ListResponded
         self.collect_stake = 0
         self.challenge_stake = 0
         self.unlock_period = 0
@@ -203,6 +204,9 @@ class LogView:
         key = (rec.delegate_id, rec.slot_id)
         self.slots[key].challenger_id = rec.challenger_id
         self.challenged.append(key)
+
+    def _list_responded(self, rec: ListResponded) -> None:
+        self.responded.append((rec.delegate_id, rec.slot_id))
 
     def _challenge_succeeded(self, rec: ChallengeSucceeded) -> None:
         slot = self.slots.pop((rec.delegate_id, rec.slot_id))
@@ -343,11 +347,12 @@ _APPLY = {
     Refunded: LogView._refunded,
     CollectOpened: LogView._collect_opened,
     Challenged: LogView._challenged,
+    ListResponded: LogView._list_responded,
     ChallengeSucceeded: LogView._challenge_succeeded,
     ChallengeFailed: LogView._challenge_failed,
     SlotFreed: LogView._slot_freed,
     **dict.fromkeys(
-        (Claimed, ListResponded, PaymentSelected, InclusionProved, FinalDigest), lambda view, rec: None
+        (Claimed, PaymentSelected, InclusionProved, FinalDigest), lambda view, rec: None
     ),
 }
 

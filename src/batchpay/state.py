@@ -247,8 +247,21 @@ class GameState(IntEnum):
     PROOF_ACCEPTED = 5
 
 
-@dataclass
-class CollectSlot:
+class _SlotMarks:
+    """What an ``OpenSlot`` keeps beside a collect slot's fields: the mark set
+    of the state whose map holds it, and its key in that map."""
+
+    __slots__ = ("_marks", "_key")
+
+
+@dataclass(eq=False, slots=True)
+class CollectSlot(_SlotMarks):
+    """One collect slot. Slots compare and hash by identity.
+
+    A slot in a state's map is an ``OpenSlot``: ``ProtocolState.open_slot``
+    makes it one, so building a slot marks nothing.
+    """
+
     WIRE = (
         "u32", "u16", "u32", "u64", "u64", "u64", "u64", "str?",
         "u8", "u8", "u64", "u64", "u32?", "pairs?", "pair?",
@@ -270,6 +283,28 @@ class CollectSlot:
     challenged_entry: tuple[int, int] | None = None
 
 
+_store = object.__setattr__    # sets a slot past ``OpenSlot.__setattr__``
+
+
+class OpenSlot(CollectSlot):
+    """A collect slot in a state's map: every write to it marks it on that
+    state, so ``check_invariants`` sees each slot written since its last call."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value) -> None:
+        _store(self, name, value)
+        try:
+            self._marks[self] = None
+        except AttributeError:        # built as an OpenSlot, in no state's map
+            pass
+
+    def __setstate__(self, state) -> None:
+        """Restore a copy's slots, marking nothing."""
+        for name, value in state[1].items():
+            _store(self, name, value)
+
+
 class ProtocolState:
     """One protocol instance: the full on-chain state for a run.
 
@@ -287,13 +322,23 @@ class ProtocolState:
         self.accounts: list[Account] = []
         self.payments: list[Payment] = []
         self.bulks: list[BulkRegistration] = []
-        self.slots: dict[tuple[int, int], CollectSlot] = {}
+        self.slots: dict[tuple[int, int], OpenSlot] = {}
         # recipient id -> key of its one non-instant slot. Derived from
         # ``slots``, so it stays out of canonical_bytes() and the digest.
         self.pending_collects: dict[int, tuple[int, int]] = {}
         # pay index -> payment, for each LOCKED one. Derived from ``payments``;
         # the unlock window bounds it, so per-block checks walk it, not history.
         self.open_locks: dict[int, Payment] = {}
+        # The slots written since check_invariants last ran, and what it saw
+        # then: the map, the index it implies, each slot's (key, held funds,
+        # recipient if not instant) and the held total.
+        # A dict, not a set: deepcopy registers a dict before copying its keys,
+        # so the copied slots' ``_marks`` point back at the copied dict.
+        self._slot_marks: dict[OpenSlot, None] = {}
+        self._seen_slots: dict[tuple[int, int], OpenSlot] = {}
+        self._seen_pending: dict[int, tuple[int, int]] = {}
+        self._seen_terms: dict[OpenSlot, tuple] = {}
+        self._seen_held = 0
         self.escrow_pool = 0
         self.log = ChainLog()
         params_blob = params.canonical_bytes()
@@ -347,6 +392,32 @@ class ProtocolState:
         acct = Account(account_id=len(self.accounts), address=address)
         self.accounts.append(acct)
         return acct
+
+    # -- collect slots ------------------------------------------------------
+
+    def open_slot(self, slot: CollectSlot) -> None:
+        """Put a new slot in the map and, unless instant, the index; mark it,
+        and make it an ``OpenSlot``, whose writes mark it from now on."""
+        key = (slot.delegate_id, slot.slot_id)
+        self.slots[key] = slot
+        if not slot.instant:
+            self.pending_collects[slot.recipient_id] = key
+        # The map's own key object, so the check's whole compares match by identity.
+        slot._key = key
+        slot._marks = self._slot_marks
+        slot.__class__ = OpenSlot
+        self._slot_marks[slot] = None
+
+    def close_slot(self, slot: OpenSlot) -> None:
+        """Take a slot out of the map and the index, marked so the next check
+        drops it; a slot no check has seen leaves no mark."""
+        del self.slots[(slot.delegate_id, slot.slot_id)]
+        if not slot.instant:
+            del self.pending_collects[slot.recipient_id]
+        if slot in self._seen_terms:
+            self._slot_marks[slot] = None
+        else:
+            self._slot_marks.pop(slot, None)
 
     # -- token movement -----------------------------------------------------
 
@@ -439,17 +510,29 @@ class ProtocolState:
     def check_invariants(self) -> None:
         """Full re-summation conservation check plus per-type invariants.
 
-        Every account and slot is inspected, but of the payments only the
-        open locks in ``open_locks``: a payment leaves that index when it is
-        unlocked or refunded, so the check costs what is open, not history.
-        A LOCKED payment missing from the index is the end-of-run scan's to
-        catch (``SimRun._verify_end`` walks every payment once).
+        Every account is inspected, but of the payments only the open locks
+        in ``open_locks``: a payment leaves that index when it is unlocked or
+        refunded, so the check costs what is open, not history. A LOCKED
+        payment missing from the index is the end-of-run scan's to catch
+        (``SimRun._verify_end`` walks every payment once).
 
-        Each slot is checked with one comparison against ``_SLOT_SHAPE``, its
-        game state's challenger, list and selected entry flags with the stake
-        that state holds, and one against its key. Only on a mismatch does
-        ``_check_slot`` run the slot checks one by one, to name the first that
-        fails; a value outside ``GameState`` is a mismatch, and is judged there.
+        Of the slots only those marked since the last call are inspected: a
+        slot is marked when it is opened or closed and by every write to it
+        (``OpenSlot.__setattr__``), so a standing slot costs nothing. Each
+        marked slot still in the map is checked with one comparison against
+        ``_SLOT_SHAPE``, its game state's challenger, list and selected entry
+        flags with the stake that state holds, and one against its key. The
+        held total and the expected ``pending_collects`` index are running
+        values kept from the marked slots; the index and the map's slot
+        identities are compared whole with what the last call saw, so a slot
+        deleted, inserted or swapped without a marked write is a mismatch.
+
+        On any mismatch, including a conservation check that fails against
+        the running total, ``_walk_slots`` runs the full slot walk, which
+        names the first failing check as a walk over every slot would. If
+        the state passes it, the marks disagree with the map (a row swapped
+        in unmarked, or running values drifted), and that fails too
+        ("slot-marks"); the running values are never resynced silently.
 
         Runs after every simulated block, so its plain loops (faster here than
         ``map``/``attrgetter`` passes) read enum members and parameters from
@@ -468,12 +551,101 @@ class ProtocolState:
             balances += balance
         if self.escrow_pool < 0:
             raise InvariantViolation("conservation", "escrow pool negative")
+        held = self._see_marked_slots()
+        walked = held is None or self.adapter.reserve != balances + self.escrow_pool + held
+        if walked:
+            held = self._walk_slots()
+        LOCKED = PaymentStatus.LOCKED
+        for p in self.open_locks.values():
+            if p.status == LOCKED and p.locking_key_hash is None:
+                raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
+        if self.adapter.reserve != balances + self.escrow_pool + held:
+            raise InvariantViolation(
+                "conservation",
+                f"reserve {self.adapter.reserve} != balances {balances} "
+                f"+ pool {self.escrow_pool} + held {held}",
+            )
+        if self.adapter.total() != self.adapter.minted:
+            raise InvariantViolation(
+                "supply",
+                f"adapter holds {self.adapter.total()} != minted {self.adapter.minted}",
+            )
+        if walked:
+            raise InvariantViolation(
+                "slot-marks", "the marked slots disagree with a full walk, which passes"
+            )
+
+    def _slot_shape(self):
+        """``_SLOT_SHAPE``'s flags with the stake each game state holds, as a lookup."""
         collect_stake = self.params.collect_stake
         challenged_stake = collect_stake + self.params.challenge_stake
-        shape = {
+        return {
             game_state: (*flags, challenged_stake if flags[0] else collect_stake)
             for game_state, flags in _SLOT_SHAPE.items()
         }.get
+
+    def _see_marked_slots(self) -> int | None:
+        """Bring the seen slots, index and held total up to the marks; return
+        the total, or None on a mismatch, leaving the marks to a later call.
+
+        Each marked slot's old terms come out first, so a slot freed and a
+        new one opened under its key or for its recipient do not collide. A
+        marked slot that took an unmarked row's place in the map takes its
+        terms out too.
+        """
+        marks = self._slot_marks
+        seen, terms, pending = self._seen_slots, self._seen_terms, self._seen_pending
+        if marks:
+            for slot in marks:
+                if slot in terms:
+                    self._unsee(slot)
+            shape = self._slot_shape()
+            slots = self.slots
+            for slot in marks:
+                key = slot._key
+                if slots.get(key) is not slot:
+                    continue                      # closed; if moved, the map compare fails
+                if key in seen:
+                    self._unsee(seen[key])
+                funds = slot.held_funds
+                recipient = None if slot.instant else slot.recipient_id
+                if shape(slot.game_state) != (
+                    slot.challenger_id is not None,
+                    slot.challenge_list is not None,
+                    slot.challenged_entry is not None,
+                    funds,
+                ) or key != (slot.delegate_id, slot.slot_id) or (
+                    recipient is not None and recipient in pending
+                ):
+                    return None
+                terms[slot] = (key, funds, recipient)
+                seen[key] = slot
+                self._seen_held += funds
+                if recipient is not None:
+                    pending[recipient] = key
+            marks.clear()
+        if self.slots != seen or self.pending_collects != pending:
+            return None
+        return self._seen_held
+
+    def _unsee(self, slot: OpenSlot) -> None:
+        """Take a slot's terms out of the seen slots, index and held total."""
+        key, funds, recipient = self._seen_terms.pop(slot)
+        self._seen_held -= funds
+        del self._seen_slots[key]
+        if recipient is not None:
+            del self._seen_pending[recipient]
+
+    def _walk_slots(self) -> int:
+        """Check every slot and the index in map order; return the held total.
+
+        The full walk behind ``check_invariants``' marks: a slot off its
+        shape or key is judged by ``_check_slot``, which names the first
+        check it fails; a value outside ``GameState`` is a mismatch there.
+        """
+        collect_stake = self.params.collect_stake
+        challenged_stake = collect_stake + self.params.challenge_stake
+        shape = self._slot_shape()
         pending_collects = self.pending_collects
         held = 0
         pending = 0
@@ -496,21 +668,7 @@ class ProtocolState:
                 "pending-collects",
                 f"{len(pending_collects)} indexed, {pending} non-instant slots",
             )
-        LOCKED = PaymentStatus.LOCKED
-        for p in self.open_locks.values():
-            if p.status == LOCKED and p.locking_key_hash is None:
-                raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
-        if self.adapter.reserve != balances + self.escrow_pool + held:
-            raise InvariantViolation(
-                "conservation",
-                f"reserve {self.adapter.reserve} != balances {balances} "
-                f"+ pool {self.escrow_pool} + held {held}",
-            )
-        if self.adapter.total() != self.adapter.minted:
-            raise InvariantViolation(
-                "supply",
-                f"adapter holds {self.adapter.total()} != minted {self.adapter.minted}",
-            )
+        return held
 
     # -- canonical serialization / digest -------------------------------------
 

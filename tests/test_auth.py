@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import itertools
 
 import pytest
 from hypothesis import example, given
@@ -61,3 +62,27 @@ def test_collect_auth_message_matches_the_field_by_field_bytes(
 ):
     fields = (instance, delegate_id, slot_id, recipient_id, last, amount, fee, dest)
     assert collect_auth_message(*fields) == _reference_message(*fields)
+
+
+def _address_of(size: int, wide: bool) -> str:
+    """An address of ``size`` UTF-8 bytes: ASCII, or mostly two- and three-byte characters."""
+    if not wide:
+        return "a" * size
+    text = "é€" * (size // 5) + "é" * (size % 5 // 2)
+    return text + "a" * (size - len(text.encode("utf-8")))
+
+
+def test_cached_key_schedule_gives_the_library_hmac():
+    # The inner and outer states are computed once per address (a key over
+    # one 64-byte block is hashed first); every MAC must still be the one
+    # hmac.digest gives, for keys around and far past the block size.
+    sizes = [*range(131), 1000, 65535]
+    messages = [bytes((i * 7 + j) % 256 for j in range(i)) for i in range(201)]
+    for size, wide in itertools.product(sizes, (False, True)):
+        address = _address_of(size, wide)
+        assert len(address.encode("utf-8")) == size
+        key = address.encode("utf-8")
+        for message in messages:
+            assert sign_collect(address, message) == hmac.digest(key, message, "sha256"), (
+                size, wide, len(message),
+            )

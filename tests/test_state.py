@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib.util
 import itertools
 import re
@@ -13,7 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchpay.chainlog import NEW_ACCOUNT_WIRE, ChainLog, Deposited
+from batchpay.chainlog import (
+    NEW_ACCOUNT_WIRE,
+    ChainLog,
+    ChallengeFailed,
+    Challenged,
+    ChallengeSucceeded,
+    CollectOpened,
+    Deposited,
+    InclusionProved,
+    ListResponded,
+    PaymentSelected,
+    SlotFreed,
+)
 from batchpay.errors import (
     AmountOutOfRange,
     IllegalMove,
@@ -28,6 +41,7 @@ from batchpay.errors import (
 from batchpay.codec import encode_pay_data
 from batchpay.collect import (
     challenge,
+    challenge_success,
     collect,
     free_slot,
     respond_with_payment_list,
@@ -43,6 +57,7 @@ from batchpay.state import (
     MAX_ACCOUNT_ID_SPACE,
     NEW_ACCOUNT,
     U64_MAX,
+    CollectSlot,
     GameState,
     Params,
     PaymentStatus,
@@ -486,6 +501,193 @@ def test_check_invariants_fails_like_the_reference_loop():
     assert len(found) == 12, found
 
 
+def _twin(key, **change):
+    """Swap the slot at ``key`` for a copy written with ``change``: the copy
+    carries its state's marks, so its writes are marked as the original's."""
+    def swap(s):
+        twin = copy.copy(s.slots[key])
+        for name, value in change.items():
+            setattr(twin, name, value)
+        s.slots[key] = twin
+    return swap
+
+
+def _unmarked_twin(key, **change):
+    """Swap the slot at ``key`` for a copy built outside the engine, never marked."""
+    def swap(s):
+        s.slots[key] = dataclasses.replace(s.slots[key], **change)
+    return swap
+
+
+def _foreign_slot(s, key, **change):
+    """A valid slot in WAITING_CHALLENGE that no engine op put in a map."""
+    fields = dict(
+        delegate_id=key[0], slot_id=key[1], recipient_id=1, start_pay_index=0,
+        end_pay_index=1, amount=10, fee=0, destination_address=None,
+        instant=key[1] > s.params.instant_slot_threshold,
+        game_state=GameState.WAITING_CHALLENGE, deadline_block=s.current_block + 1,
+        held_funds=s.params.collect_stake,
+    )
+    fields.update(change)
+    return CollectSlot(**fields)
+
+
+def _moved_pending(s, recipient):
+    """Rebuild the index with ``recipient``'s entry moved to the end, or re-keyed."""
+    index = dict(s.pending_collects)
+    index[recipient] = index.pop(recipient)
+    return index
+
+
+def test_check_invariants_catches_map_tampering_its_marks_cannot_see():
+    # The check reads only the slots written since its last call, plus whole
+    # compares of the map and the index against what it saw. Writes to the
+    # map itself are not slot writes: each must still fail as the reference
+    # loop fails, or pass where the state is still valid.
+    world = _game_world()
+    world.state.check_invariants()
+    d, seller, buyer = world.delegate, world.seller, world.buyer
+    stake = world.params.collect_stake
+    instant = (d, 40000)
+    cases = {
+        "delete pending slot": lambda s: s.slots.pop((d, 0)),
+        "delete instant slot": lambda s: s.slots.pop(instant),
+        "delete slot and its index entry": lambda s: (
+            s.slots.pop((d, 0)), s.pending_collects.pop(seller)
+        ),
+        "insert instant slot": lambda s: s.slots.__setitem__(
+            (d, 40001), _foreign_slot(s, (d, 40001))
+        ),
+        "insert indexed slot": lambda s: (
+            s.slots.__setitem__((d, 7), _foreign_slot(s, (d, 7), recipient_id=buyer)),
+            s.pending_collects.__setitem__(buyer, (d, 7)),
+        ),
+        "insert a slot off its shape": lambda s: s.slots.__setitem__(
+            (d, 8), _foreign_slot(s, (d, 8), held_funds=stake + 1)
+        ),
+        "delete a slot, the engine reopens its key": lambda s: (
+            s.slots.pop((d, 0)), s.pending_collects.pop(seller),
+            collect(s, d, 0, seller, 4, 10, 0, world.authorize(d, 0, seller, 4, 10, 0)),
+        ),
+        "swap for a twin, amount changed": _twin((d, 0), amount=11),
+        "swap for a twin, deadline changed": _twin((d, 2), deadline_block=99),
+        "swap for a twin, held funds changed": _twin((d, 2), held_funds=1),
+        "swap for a twin, key changed": _twin((d, 1), slot_id=9),
+        "swap for a twin, made instant": _twin((d, 0), instant=True),
+        "swap for a twin, proof accepted": _twin((d, 3), game_state=GameState.PROOF_ACCEPTED),
+        "swap for a twin, emptied": _twin((d, 3), game_state=GameState.EMPTY),
+        "swap for an unmarked twin, held funds changed": _unmarked_twin((d, 2), held_funds=1),
+        "swap for an unmarked twin, challenger dropped": _unmarked_twin(
+            (d, 1), challenger_id=None, held_funds=stake
+        ),
+        "swap two slots": lambda s: s.slots.update({(d, 0): s.slots[(d, 1)], (d, 1): s.slots[(d, 0)]}),
+        "rebuild index equal": lambda s: setattr(s, "pending_collects", dict(s.pending_collects)),
+        "rebuild index, one entry moved last": lambda s: setattr(
+            s, "pending_collects", _moved_pending(s, seller)
+        ),
+        "rebuild index, one entry re-keyed": lambda s: setattr(
+            s, "pending_collects",
+            {(buyer if r == seller else r): key for r, key in s.pending_collects.items()},
+        ),
+    }
+    outcomes = {}
+    for name, tamper in cases.items():
+        state = copy.deepcopy(world.state)
+        tamper(state)
+        expected = _failure(_reference_check, state)
+        assert _failure(ProtocolState.check_invariants, state) == expected, name
+        outcomes[name] = expected and expected[0]
+    assert outcomes["swap for a twin, amount changed"] is None
+    assert outcomes["swap for a twin, deadline changed"] is None
+    assert outcomes["swap for a twin, proof accepted"] is None
+    assert outcomes["rebuild index equal"] is None
+    assert outcomes["rebuild index, one entry moved last"] is None
+    assert {"conservation", "pending-collects", "slot-held-funds", "slot-key", "slot-state",
+            "slot-challenger"} <= set(outcomes.values())
+
+
+def test_an_unmarked_valid_twin_fails_as_slot_marks():
+    # A row swapped in by hand with nothing wrong in it passes a full walk,
+    # but its writes would not be marked: the check names it, and does not
+    # adopt it silently.
+    world = _game_world()
+    world.state.check_invariants()
+    key = (world.delegate, 0)
+    _unmarked_twin(key, amount=11)(world.state)
+    assert _failure(_reference_check, world.state) is None
+    with pytest.raises(InvariantViolation, match="disagree with a full walk") as caught:
+        world.state.check_invariants()
+    assert caught.value.invariant == "slot-marks"
+
+
+def test_a_slot_opened_and_closed_between_checks_leaves_no_mark():
+    world = World()
+    world.pay([world.seller], per_destination=10)
+    world.mature()
+    world.state.check_invariants()
+    world.open_collect(1, end=1, amount=10)
+    slot = world.state.slots[(world.delegate, 1)]
+    challenge(world.state, world.delegate, 1, world.monitor)
+    assert list(world.state._slot_marks) == [slot]
+    world.advance(world.params.response_period)
+    challenge_success(world.state, world.delegate, 1)
+    assert not world.state._slot_marks
+    world.state.check_invariants()
+    # A slot a check has seen is marked on its way out, so the next check drops it.
+    world.open_collect(1, end=1, amount=10)
+    world.state.check_invariants()
+    slot = world.state.slots[(world.delegate, 1)]
+    world.advance(world.params.challenge_period)
+    free_slot(world.state, world.delegate, 1)
+    assert list(world.state._slot_marks) == [slot]
+    world.state.check_invariants()
+    assert not world.state._slot_marks and not world.state._seen_slots
+
+
+_SLOT_RECORDS = (
+    CollectOpened, Challenged, ListResponded, PaymentSelected, InclusionProved,
+    ChallengeSucceeded, ChallengeFailed, SlotFreed,
+)
+
+
+def _slot_work(config, monkeypatch) -> list[tuple[int, int, int]]:
+    """Run ``config``; per block, (slots the check examined, distinct slot keys
+    the block's records name, slots open). The keys come from the log alone."""
+    def no_walk(self):
+        raise AssertionError("the full slot walk ran on an untampered run")
+
+    monkeypatch.setattr(ProtocolState, "_walk_slots", no_walk)
+    run = SimRun(config)
+    state, records = run.state, run.log.records
+    check, rows, done = state.check_invariants, [], [len(records)]
+
+    def counted_check():
+        named = {(r.delegate_id, r.slot_id) for r in records[done[0]:] if isinstance(r, _SLOT_RECORDS)}
+        done[0] = len(records)
+        rows.append((len(state._slot_marks), len(named), len(state.slots)))
+        check()
+
+    state.check_invariants = counted_check
+    run.run()
+    assert len(rows) == run.blocks_run
+    return rows
+
+
+def test_check_invariants_examines_only_the_slots_a_block_writes(monkeypatch):
+    rows = _slot_work(load_scenario_config(ADVERSARIAL_CFG), monkeypatch)
+    assert all(examined <= named for examined, named, _ in rows), rows
+    assert sum(examined for examined, _, _ in rows) < sum(open_ for _, _, open_ in rows) / 4
+    # Honest traffic over 200 sellers: a block that writes no slot examines
+    # none, although a challenge window's worth of slots stands open.
+    config = load_scenario_config(REPO / "configs" / "honest.cfg")
+    config.sellers, config.payees_max = 200, 50
+    rows = _slot_work(config, monkeypatch)
+    assert all(examined <= named for examined, named, _ in rows), rows
+    quiet = [(examined, open_) for examined, named, open_ in rows if not named]
+    assert quiet and all(examined == 0 for examined, _ in quiet)
+    assert max(open_ for _, open_ in quiet) >= 100
+
+
 # -- the state image against the hand-written layout --------------------------
 
 
@@ -663,6 +865,20 @@ def _rejected_key_hash_length():
     )
 
 
+def _rejected_payment(**change):
+    """``register_payment`` of one valid locked payment, with ``change`` applied."""
+    def build():
+        world = World()
+        args = dict(
+            pay_data=encode_pay_data([world.seller]), locking_key_hash=b"\x01" * 32, unlocker_fee=1
+        )
+        args.update(change)
+        return world.state, lambda: register_payment(
+            world.state, world.buyer, 1, sender="buyer", **args
+        )
+    return build
+
+
 def _rejected_unlock_fee():
     world, locked, unlocker, key = _looted_world()
     return world.state, lambda: unlock(world.state, locked, unlocker, key)
@@ -790,6 +1006,14 @@ def _rejected_float_slot_id():
     "build, error, message",
     [
         (_rejected_key_hash_length, InvalidParameter, "locking key hash must be 32 bytes"),
+        (_rejected_payment(locking_key_hash="a" * 32), InvalidParameter,
+         "locking key hash must be bytes-like, got str"),
+        (_rejected_payment(locking_key_hash=[1] * 32), InvalidParameter,
+         "locking key hash must be bytes-like, got list"),
+        (_rejected_payment(pay_data=None), InvalidParameter, "pay data must be bytes-like, got NoneType"),
+        (_rejected_payment(pay_data=7), InvalidParameter, "pay data must be bytes-like, got int"),
+        (_rejected_payment(pay_data="\x00" * 8), InvalidParameter,
+         "pay data must be bytes-like, got str"),
         (_rejected_unlock_fee, IllegalMove, "escrow pool cannot cover the unlocker fee"),
         (_rejected_refund, IllegalMove, "escrow pool cannot cover the refund"),
         (_rejected_settlement, IllegalMove, "escrow pool cannot cover the settlement"),
@@ -846,7 +1070,8 @@ def _rejected_float_slot_id():
         (_world_op(lambda w: w.state.deposit(w.buyer, 1, 5)), InvalidParameter,
          "depositor address must be a string, got 5"),
     ],
-    ids=["key-hash-length", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
+    ids=["key-hash-length", "key-hash-str", "key-hash-int-list", "pay-data-none",
+         "pay-data-int", "pay-data-str", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
          "register-no-address", "claim-no-address", "register-long-address",
          "register-long-wide-address", "register-surrogate-address", "claim-long-address", "deposit-new-long-address",
          "deposit-existing-long-address", "withdraw-long-address", "withdraw-no-address",
