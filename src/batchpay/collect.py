@@ -58,6 +58,7 @@ from .state import (
     PaymentStatus,
     ProtocolState,
     ensure_address,
+    ensure_bytes,
     ensure_u64,
 )
 
@@ -181,6 +182,7 @@ def collect(
         fee,
         destination_address,
     )
+    authorization = ensure_bytes(authorization, "collect authorization")
     if len(authorization) != 32 or not verify_collect(
         recipient.address, message, authorization
     ):
@@ -220,7 +222,7 @@ def collect(
             amount,
             fee,
             destination_address,
-            bytes(authorization),
+            authorization,
         )
     )
 
@@ -277,9 +279,13 @@ def respond_with_payment_list(
     the deadline.
     """
     slot = _check(state, "respond", delegate_id, slot_id)
+    try:
+        entries = tuple((i, a) for i, a in pairs)
+    except (TypeError, ValueError):
+        raise InvalidParameter("payment list must be (payment index, amount) pairs") from None
     total = 0
     prev = slot.start_pay_index
-    for pay_index, entry_amount in pairs:
+    for pay_index, entry_amount in entries:
         ensure_u64(pay_index, "list entry payment index")
         ensure_u64(entry_amount, "list entry amount")
         if pay_index <= prev:
@@ -293,7 +299,7 @@ def respond_with_payment_list(
         total += entry_amount
     if total != slot.amount:
         raise InvalidParameter(f"list sums to {total}, claim is {slot.amount}")
-    slot.challenge_list = tuple((i, a) for i, a in pairs)
+    slot.challenge_list = entries
     _apply(state, "respond", slot)
     state.log.append(ListResponded(delegate_id, slot_id, slot.challenge_list))
 
@@ -324,6 +330,7 @@ def prove_payment_inclusion(
     no-op and may be retried until the deadline.
     """
     slot = _check(state, "prove", delegate_id, slot_id)
+    pay_data = ensure_bytes(pay_data, "pay data")
     pay_index, claimed = slot.challenged_entry
     payment = state.payment(pay_index)
     if hashlib.sha256(pay_data).digest() != payment.pay_data_digest:
@@ -337,7 +344,7 @@ def prove_payment_inclusion(
             f"{pay_index}, entry claims {claimed}"
         )
     _apply(state, "prove", slot)
-    state.log.append(InclusionProved(delegate_id, slot_id, bytes(pay_data)))
+    state.log.append(InclusionProved(delegate_id, slot_id, pay_data))
 
 
 def challenge_success(state: ProtocolState, delegate_id: int, slot_id: int) -> None:

@@ -27,7 +27,7 @@ from .chainlog import PaymentRegistered, Refunded, Unlocked
 from .codec import pay_data_extent
 from .collect import AT_OR_AFTER, BEFORE
 from .errors import IllegalMove, InvalidParameter, Unauthorized
-from .state import Payment, PaymentStatus, ProtocolState, ensure_u64
+from .state import Payment, PaymentStatus, ProtocolState, ensure_bytes, ensure_u64
 from .wire import u32
 
 # (move, status it is made in) -> (the values of ``block < collectable_from_block``
@@ -44,14 +44,6 @@ _LEGAL = frozenset((*key, before) for key, (when, _) in MOVES.items() for before
 def locking_key_hash(unlocker_id: int, key: bytes) -> bytes:
     """Digest binding an unlocker id to a secret key."""
     return hashlib.sha256(u32(unlocker_id) + key).digest()
-
-
-def _bytes_like(value, what: str) -> bytes:
-    """``value``'s bytes; InvalidParameter if it is not a bytes-like object."""
-    try:
-        return memoryview(value).tobytes()
-    except TypeError:
-        raise InvalidParameter(f"{what} must be bytes-like, got {type(value).__name__}") from None
 
 
 def register_payment(
@@ -75,11 +67,10 @@ def register_payment(
         if unlocker_fee != 0:
             raise InvalidParameter("unlocker fee requires a locking key hash")
     else:
-        locking_key_hash = _bytes_like(locking_key_hash, "locking key hash")
+        locking_key_hash = ensure_bytes(locking_key_hash, "locking key hash")
         if len(locking_key_hash) != 32:
             raise InvalidParameter("locking key hash must be 32 bytes")
-    if type(pay_data) is not bytes:
-        pay_data = _bytes_like(pay_data, "pay data")
+    pay_data = ensure_bytes(pay_data, "pay data")
     count, last = pay_data_extent(pay_data)
     if not count:
         raise InvalidParameter("empty payee list")
@@ -151,12 +142,13 @@ def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -
     """Reveal the key for a locked payment; pays the unlocker fee at once."""
     payment = _check(state, "unlock", pay_index)
     state.claimed_account(unlocker_id)
+    key = ensure_bytes(key, "unlock key")
     if locking_key_hash(unlocker_id, key) != payment.locking_key_hash:
         raise Unauthorized("key does not match the locking key hash")
     fee = payment.unlocker_fee
     state.transfer([(unlocker_id, fee)], pool=-fee, what="unlocker fee")
     _apply(state, "unlock", payment)
-    state.log.append(Unlocked(pay_index, unlocker_id, bytes(key)))
+    state.log.append(Unlocked(pay_index, unlocker_id, key))
 
 
 def refund_locked_payment(state: ProtocolState, pay_index: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .chainlog import BulkRegistered, Claimed, Registered
 from .errors import BadProof, InvalidParameter, TableFull, UnknownAccount
 from .merkle import DIGEST_SIZE, MerkleProof, merkle_verify
-from .state import BulkRegistration, ProtocolState, ensure_address
+from .state import BulkRegistration, ProtocolState, ensure_address, ensure_bytes
 
 
 def register(state: ProtocolState, address: str) -> int:
@@ -37,6 +37,7 @@ def bulk_register(state: ProtocolState, count: int, root: bytes) -> int:
         raise InvalidParameter(f"bulk count must be an integer, got {count!r}")
     if count < 1:
         raise InvalidParameter("bulk count must be >= 1")
+    root = ensure_bytes(root, "root")
     if len(root) != DIGEST_SIZE:
         raise InvalidParameter("root must be a 32-byte digest")
     if len(state.accounts) + count > state.params.max_account_count:
@@ -50,7 +51,7 @@ def bulk_register(state: ProtocolState, count: int, root: bytes) -> int:
         bulk_id=len(state.bulks),
         first_id=first_id,
         count=count,
-        root=bytes(root),
+        root=root,
         registered_at_block=state.current_block,
     )
     state.bulks.append(bulk)
@@ -66,6 +67,8 @@ def claim_bulk_registration_id(
     proof: MerkleProof,
 ) -> None:
     """Bind an address to a reserved id using its Merkle inclusion proof."""
+    if not isinstance(bulk_id, int) or isinstance(bulk_id, bool):
+        raise UnknownAccount(f"bulk id must be an integer, got {bulk_id!r}")
     if not 0 <= bulk_id < len(state.bulks):
         raise UnknownAccount(f"bulk registration {bulk_id} does not exist")
     ensure_address(address, "address")

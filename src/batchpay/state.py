@@ -98,6 +98,16 @@ def check_settings(obj) -> None:
             raise InvalidParameter(f"{name} must be {bound}, got {value}")
 
 
+def ensure_bytes(value, what: str) -> bytes:
+    """``value``'s bytes; InvalidParameter if it is not a bytes-like object."""
+    if type(value) is bytes:
+        return value
+    try:
+        return memoryview(value).tobytes()
+    except TypeError:
+        raise InvalidParameter(f"{what} must be bytes-like, got {type(value).__name__}") from None
+
+
 def ensure_address(address: str, what: str) -> None:
     """Refuse an empty address, or one a log record cannot carry."""
     if not isinstance(address, str):
@@ -499,6 +509,8 @@ class ProtocolState:
         self.log.append(Withdrawn(account_id, amount, to_address, sender))
 
     def advance_block(self, blocks: int = 1) -> int:
+        if not isinstance(blocks, int) or isinstance(blocks, bool):
+            raise InvalidParameter(f"blocks to advance must be an integer, got {blocks!r}")
         if blocks < 1:
             raise InvalidParameter("must advance by at least one block")
         self.current_block = ensure_u64(self.current_block + blocks, "block number")
@@ -508,7 +520,8 @@ class ProtocolState:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full re-summation conservation check plus per-type invariants.
+        """Check conservation, supply and each row's invariants; raise
+        InvariantViolation naming the first that fails.
 
         Every account is inspected, but of the payments only the open locks
         in ``open_locks``: a payment leaves that index when it is unlocked or
@@ -519,19 +532,18 @@ class ProtocolState:
         Of the slots only those marked since the last call are inspected: a
         slot is marked when it is opened or closed and by every write to it
         (``OpenSlot.__setattr__``), so a standing slot costs nothing. Each
-        marked slot still in the map is checked with one comparison against
-        ``_SLOT_SHAPE``, its game state's challenger, list and selected entry
-        flags with the stake that state holds, and one against its key. The
-        held total and the expected ``pending_collects`` index are running
-        values kept from the marked slots; the index and the map's slot
-        identities are compared whole with what the last call saw, so a slot
-        deleted, inserted or swapped without a marked write is a mismatch.
+        marked slot still in the map must pass ``_check_slot``, the one
+        statement of a slot's rules. The held total and the expected
+        ``pending_collects`` index are running values kept from the marked
+        slots; the index and the map's slot identities are compared whole
+        with what the last call saw, so a slot deleted, inserted or swapped
+        without a marked write is a mismatch.
 
-        On any mismatch, including a conservation check that fails against
-        the running total, ``_walk_slots`` runs the full slot walk, which
-        names the first failing check as a walk over every slot would. If
-        the state passes it, the marks disagree with the map (a row swapped
-        in unmarked, or running values drifted), and that fails too
+        Only on a mismatch, including a conservation check that fails against
+        the running total, does ``_walk_slots`` run ``_check_slot`` over every
+        slot in map order, naming the first failing check as a plain walk
+        would. If the state passes it, the marks disagree with the map (a row
+        swapped in unmarked, or running values drifted), and that fails too
         ("slot-marks"); the running values are never resynced silently.
 
         Runs after every simulated block, so its plain loops (faster here than
@@ -575,15 +587,6 @@ class ProtocolState:
                 "slot-marks", "the marked slots disagree with a full walk, which passes"
             )
 
-    def _slot_shape(self):
-        """``_SLOT_SHAPE``'s flags with the stake each game state holds, as a lookup."""
-        collect_stake = self.params.collect_stake
-        challenged_stake = collect_stake + self.params.challenge_stake
-        return {
-            game_state: (*flags, challenged_stake if flags[0] else collect_stake)
-            for game_state, flags in _SLOT_SHAPE.items()
-        }.get
-
     def _see_marked_slots(self) -> int | None:
         """Bring the seen slots, index and held total up to the marks; return
         the total, or None on a mismatch, leaving the marks to a later call.
@@ -599,7 +602,8 @@ class ProtocolState:
             for slot in marks:
                 if slot in terms:
                     self._unsee(slot)
-            shape = self._slot_shape()
+            collect_stake = self.params.collect_stake
+            challenged_stake = collect_stake + self.params.challenge_stake
             slots = self.slots
             for slot in marks:
                 key = slot._key
@@ -607,16 +611,13 @@ class ProtocolState:
                     continue                      # closed; if moved, the map compare fails
                 if key in seen:
                     self._unsee(seen[key])
+                try:
+                    _check_slot(key, slot, collect_stake, challenged_stake)
+                except InvariantViolation:
+                    return None
                 funds = slot.held_funds
                 recipient = None if slot.instant else slot.recipient_id
-                if shape(slot.game_state) != (
-                    slot.challenger_id is not None,
-                    slot.challenge_list is not None,
-                    slot.challenged_entry is not None,
-                    funds,
-                ) or key != (slot.delegate_id, slot.slot_id) or (
-                    recipient is not None and recipient in pending
-                ):
+                if recipient is not None and recipient in pending:
                     return None
                 terms[slot] = (key, funds, recipient)
                 seen[key] = slot
@@ -639,30 +640,22 @@ class ProtocolState:
     def _walk_slots(self) -> int:
         """Check every slot and the index in map order; return the held total.
 
-        The full walk behind ``check_invariants``' marks: a slot off its
-        shape or key is judged by ``_check_slot``, which names the first
-        check it fails; a value outside ``GameState`` is a mismatch there.
+        The full walk behind ``check_invariants``' marks, run when they
+        disagree with the map: ``_check_slot`` names the first rule a slot
+        breaks, then the index is checked against the non-instant slots.
         """
         collect_stake = self.params.collect_stake
         challenged_stake = collect_stake + self.params.challenge_stake
-        shape = self._slot_shape()
         pending_collects = self.pending_collects
         held = 0
         pending = 0
         for key, slot in self.slots.items():
-            held_funds = slot.held_funds
-            if shape(slot.game_state) != (
-                slot.challenger_id is not None,
-                slot.challenge_list is not None,
-                slot.challenged_entry is not None,
-                held_funds,
-            ) or key != (slot.delegate_id, slot.slot_id):
-                _check_slot(key, slot, collect_stake, challenged_stake)
+            _check_slot(key, slot, collect_stake, challenged_stake)
             if not slot.instant:
                 pending += 1
                 if pending_collects.get(slot.recipient_id) != key:
                     raise InvariantViolation("pending-collects", f"slot {key} not indexed")
-            held += held_funds
+            held += slot.held_funds
         if len(pending_collects) != pending:
             raise InvariantViolation(
                 "pending-collects",
@@ -689,26 +682,31 @@ class ProtocolState:
         return hashlib.sha256(self.canonical_bytes()).digest()
 
 
-# game state -> whether a slot in it has a challenger, a challenge list and
-# a selected entry. EMPTY is left out: an EMPTY slot is never in the map.
-_SLOT_SHAPE = {
-    game_state: (
-        game_state >= GameState.CHALLENGE_STARTED,
-        game_state >= GameState.WAITING_PAYMENT_SELECTION,
-        game_state >= GameState.WAITING_PROOF,
-    )
-    for game_state in GameState
-    if game_state != GameState.EMPTY
-}
+# Read on every marked slot, so bound here as check_invariants binds its locals.
+_GAME_STATES = frozenset(GameState)
+_EMPTY, _CHALLENGE_STARTED, _WAITING_PAYMENT_SELECTION, _WAITING_PROOF = (
+    GameState.EMPTY, GameState.CHALLENGE_STARTED, GameState.WAITING_PAYMENT_SELECTION,
+    GameState.WAITING_PROOF,
+)
 
 
 def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: int) -> None:
-    """``check_invariants``' slot checks in order, for a slot off its shape."""
+    """A slot's rules in order; InvariantViolation names the first it breaks.
+
+    The slot sits under its own key in a game state of ``GameState`` other
+    than EMPTY, holds the collect stake plus the challenge stake if it has a
+    challenger, and has a challenger, a list and a selected entry exactly
+    when its game state has reached the move that sets each.
+    """
     if key != (slot.delegate_id, slot.slot_id):
         raise InvariantViolation("slot-key", f"slot {key} mislabeled")
     game_state = slot.game_state
-    if game_state == GameState.EMPTY:
+    if game_state == _EMPTY:
         raise InvariantViolation("slot-state", "empty slot present in map")
+    if game_state not in _GAME_STATES:
+        raise InvariantViolation(
+            "slot-state", f"slot {key} game state {game_state!r} outside GameState"
+        )
     has_challenger = slot.challenger_id is not None
     expected = challenged_stake if has_challenger else collect_stake
     if slot.held_funds != expected:
@@ -716,11 +714,11 @@ def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: in
             "slot-held-funds",
             f"slot {key} holds {slot.held_funds}, expected {expected}",
         )
-    if has_challenger != (game_state >= GameState.CHALLENGE_STARTED):
+    if has_challenger != (game_state >= _CHALLENGE_STARTED):
         raise InvariantViolation("slot-challenger", f"slot {key}")
-    if (slot.challenge_list is not None) != (game_state >= GameState.WAITING_PAYMENT_SELECTION):
+    if (slot.challenge_list is not None) != (game_state >= _WAITING_PAYMENT_SELECTION):
         raise InvariantViolation("slot-challenge-list", f"slot {key}")
-    if (slot.challenged_entry is not None) != (game_state >= GameState.WAITING_PROOF):
+    if (slot.challenged_entry is not None) != (game_state >= _WAITING_PROOF):
         raise InvariantViolation("slot-challenged-entry", f"slot {key}")
 
 

@@ -1074,7 +1074,8 @@ def test_8_locked_payment_lifecycle(check):
 
 def test_9_report_determinism(check):
     def body():
-        config_text = open(HONEST_CFG).read()
+        with open(HONEST_CFG) as fh:
+            config_text = fh.read()
         digests = set()
         state_digests = set()
         for _ in range(5):

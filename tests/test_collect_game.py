@@ -291,6 +291,17 @@ def test_rejected_response_can_be_retried(world):
     assert slot.game_state == GameState.WAITING_PAYMENT_SELECTION
 
 
+def test_a_response_read_once_is_kept_whole(world):
+    # A list given as an iterator is read once: the entries checked are the
+    # entries the slot keeps and the log carries.
+    world.pay([world.seller], per_destination=5)
+    world.mature()
+    slot = open_and_challenge(world, amount=5)
+    respond_with_payment_list(world.state, world.delegate, 1, iter([(1, 5)]))
+    assert slot.challenge_list == ((1, 5),)
+    assert world.state.log.records[-1].pairs == ((1, 5),)
+
+
 def test_failed_proof_can_be_retried(world):
     payees = [world.seller]
     world.pay(payees, per_destination=5)

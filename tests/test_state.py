@@ -29,6 +29,7 @@ from batchpay.chainlog import (
 )
 from batchpay.errors import (
     AmountOutOfRange,
+    BadSignature,
     IllegalMove,
     InsufficientFunds,
     InvalidParameter,
@@ -44,6 +45,7 @@ from batchpay.collect import (
     challenge_success,
     collect,
     free_slot,
+    prove_payment_inclusion,
     respond_with_payment_list,
     select_payment,
 )
@@ -384,6 +386,10 @@ def _reference_check(state) -> None:
             raise InvariantViolation("slot-key", f"slot {(did, sid)} mislabeled")
         if slot.game_state == GameState.EMPTY:
             raise InvariantViolation("slot-state", "empty slot present in map")
+        if slot.game_state not in frozenset(GameState):
+            raise InvariantViolation(
+                "slot-state", f"slot {(did, sid)} game state {slot.game_state!r} outside GameState"
+            )
         expected = state.params.collect_stake + (
             state.params.challenge_stake if slot.challenger_id is not None else 0
         )
@@ -499,6 +505,36 @@ def test_check_invariants_fails_like_the_reference_loop():
         assert _failure(ProtocolState.check_invariants, state) == expected
         found.add(expected[0])
     assert len(found) == 12, found
+
+
+def test_every_single_slot_write_fails_like_the_reference():
+    # Each slot write is marked, so the check reads the written slot alone:
+    # its rules must still judge it as the reference loop's walk does.
+    world = _game_world()
+    world.state.check_invariants()
+    keys = list(world.state.slots)
+    collect_stake, challenge_stake = world.params.collect_stake, world.params.challenge_stake
+    stakes = (collect_stake, challenge_stake, collect_stake + challenge_stake)
+    writes = [
+        *(("game_state", g) for g in (*GameState, 9)),
+        *(("held_funds", funds) for funds in (0, *stakes, stakes[0] + 1, stakes[2] + 1)),
+        ("challenger_id", world.buyer), ("challenger_id", None),
+        ("challenge_list", ((1, 10),)), ("challenge_list", None),
+        ("challenged_entry", (1, 10)), ("challenged_entry", None),
+        ("instant", "flip"),
+        ("recipient_id", world.buyer),
+    ]
+    outcomes = {}
+    for key, (name, value) in itertools.product(keys, writes):
+        state = copy.deepcopy(world.state)
+        slot = state.slots[key]
+        setattr(slot, name, not slot.instant if value == "flip" else value)
+        expected = _failure(_reference_check, state)
+        assert _failure(ProtocolState.check_invariants, state) == expected, (key, name, value)
+        outcomes[key, name, value] = expected and expected[0]
+    assert len(outcomes) == 105
+    assert all(outcomes[key, "game_state", 9] == "slot-state" for key in keys)
+    assert None in outcomes.values() and len(set(outcomes.values())) > 5
 
 
 def _twin(key, **change):
@@ -915,15 +951,16 @@ def _rejected_instant_advance():
     return world.state, lambda: world.open_collect(40000, end=1, amount=200_000)
 
 
-def _rejected_claim_address(address):
+def _rejected_claim(address="late-0", bulk_id=None):
+    """A claim of the first id of a two-id bulk, as bulk ``bulk_id`` if given."""
     def build():
         world = World()
         addresses = ["late-0", "late-1"]
-        bulk_id = bulk_register(world.state, 2, merkle_root(addresses))
-        first_id = world.state.bulks[bulk_id].first_id
+        registered = bulk_register(world.state, 2, merkle_root(addresses))
+        first_id = world.state.bulks[registered].first_id
         proof = merkle_prove(addresses, 0)
         return world.state, lambda: claim_bulk_registration_id(
-            world.state, bulk_id, first_id, address, proof
+            world.state, registered if bulk_id is None else bulk_id, first_id, address, proof
         )
     return build
 
@@ -993,6 +1030,36 @@ def _rejected_float_selection():
     return world.state, lambda: select_payment(world.state, world.delegate, 1, 1.0, 10)
 
 
+def _rejected_collect_authorization(authorization):
+    def build():
+        world = World()
+        world.pay([world.seller], per_destination=5)
+        world.mature()
+        return world.state, lambda: collect(
+            world.state, world.delegate, 1, world.seller, 1, 5, 0, authorization
+        )
+    return build
+
+
+def _rejected_list(pairs):
+    def build():
+        world = _challenged_slot()
+        return world.state, lambda: respond_with_payment_list(
+            world.state, world.delegate, 1, pairs
+        )
+    return build
+
+
+def _rejected_proof(pay_data):
+    def build():
+        world = _challenged_slot((1, 10))
+        select_payment(world.state, world.delegate, 1, 1, 10)
+        return world.state, lambda: prove_payment_inclusion(
+            world.state, world.delegate, 1, pay_data
+        )
+    return build
+
+
 def _rejected_float_slot_id():
     world = World()
     world.pay([world.seller], per_destination=5)
@@ -1018,14 +1085,14 @@ def _rejected_float_slot_id():
         (_rejected_refund, IllegalMove, "escrow pool cannot cover the refund"),
         (_rejected_settlement, IllegalMove, "escrow pool cannot cover the settlement"),
         (_world_op(lambda w: register(w.state, "")), InvalidParameter, "address must be non-empty"),
-        (_rejected_claim_address(""), InvalidParameter, "address must be non-empty"),
+        (_rejected_claim(""), InvalidParameter, "address must be non-empty"),
         (_world_op(lambda w: register(w.state, LONG_ADDRESS)), InvalidParameter,
          "address is longer than 65535 UTF-8 bytes"),
         (_world_op(lambda w: register(w.state, LONG_WIDE_ADDRESS)), InvalidParameter,
          "address is longer than 65535 UTF-8 bytes"),
         (_world_op(lambda w: register(w.state, "bad-\udc80")), InvalidParameter,
          "address is not encodable as UTF-8"),
-        (_rejected_claim_address(LONG_ADDRESS), InvalidParameter,
+        (_rejected_claim(LONG_ADDRESS), InvalidParameter,
          "address is longer than 65535 UTF-8 bytes"),
         (_rejected_deposit_from_long_address("new"), InvalidParameter,
          "depositor address is longer than 65535 UTF-8 bytes"),
@@ -1069,6 +1136,34 @@ def _rejected_float_slot_id():
          "withdrawal address must be a string, got 5"),
         (_world_op(lambda w: w.state.deposit(w.buyer, 1, 5)), InvalidParameter,
          "depositor address must be a string, got 5"),
+        (_world_op(lambda w: bulk_register(w.state, 3, "r" * 32)), InvalidParameter,
+         "root must be bytes-like, got str"),
+        (_world_op(lambda w: bulk_register(w.state, 3, [1] * 32)), InvalidParameter,
+         "root must be bytes-like, got list"),
+        (_rejected_claim(bulk_id=0.0), UnknownAccount, "bulk id must be an integer, got 0.0"),
+        (_rejected_claim(bulk_id=False), UnknownAccount, "bulk id must be an integer, got False"),
+        (_rejected_collect_authorization("a" * 32), InvalidParameter,
+         "collect authorization must be bytes-like, got str"),
+        (_rejected_collect_authorization(None), InvalidParameter,
+         "collect authorization must be bytes-like, got NoneType"),
+        (_rejected_collect_authorization(bytes(31)), BadSignature,
+         "collect authorization does not verify"),
+        (_looted_op(lambda s, u, k: unlock(s, 2, u, k.decode())), InvalidParameter,
+         "unlock key must be bytes-like, got str"),
+        (_looted_op(lambda s, u, k: unlock(s, 2, u, None)), InvalidParameter,
+         "unlock key must be bytes-like, got NoneType"),
+        (_rejected_proof("\x00" * 8), InvalidParameter, "pay data must be bytes-like, got str"),
+        (_rejected_proof(None), InvalidParameter, "pay data must be bytes-like, got NoneType"),
+        (_rejected_list(None), InvalidParameter, "payment list must be (payment index, amount) pairs"),
+        (_rejected_list([(1,)]), InvalidParameter,
+         "payment list must be (payment index, amount) pairs"),
+        (_rejected_list([(1, 10, 0)]), InvalidParameter,
+         "payment list must be (payment index, amount) pairs"),
+        (_rejected_list([1]), InvalidParameter, "payment list must be (payment index, amount) pairs"),
+        (_world_op(lambda w: w.state.advance_block(True)), InvalidParameter,
+         "blocks to advance must be an integer, got True"),
+        (_world_op(lambda w: w.state.advance_block(1.0)), InvalidParameter,
+         "blocks to advance must be an integer, got 1.0"),
     ],
     ids=["key-hash-length", "key-hash-str", "key-hash-int-list", "pay-data-none",
          "pay-data-int", "pay-data-str", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
@@ -1081,7 +1176,12 @@ def _rejected_float_slot_id():
          "withdraw-past-balance", "list-index-fractional", "selection-float",
          "payment-index-float", "payment-index-bool", "unlock-index-float",
          "refund-index-float", "collect-slot-id-float", "bulk-count-float",
-         "register-address-not-str", "withdraw-address-not-str", "deposit-address-not-str"],
+         "register-address-not-str", "withdraw-address-not-str", "deposit-address-not-str",
+         "bulk-root-str", "bulk-root-int-list", "claim-bulk-id-float", "claim-bulk-id-bool",
+         "collect-auth-str", "collect-auth-none", "collect-auth-short", "unlock-key-str",
+         "unlock-key-none", "prove-pay-data-str", "prove-pay-data-none", "list-none",
+         "list-entry-single", "list-entry-triple", "list-entry-int", "advance-bool",
+         "advance-float"],
 )
 def test_rejection_names_its_cause_and_writes_nothing(build, error, message):
     state, op = build()
