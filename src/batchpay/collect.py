@@ -59,6 +59,7 @@ from .state import (
     ProtocolState,
     ensure_address,
     ensure_bytes,
+    ensure_int,
     ensure_u64,
 )
 
@@ -139,9 +140,7 @@ def collect(
     (exclusive) to ``last_payment_index`` (inclusive), which must not
     exceed the newest payment whose unlock window has elapsed.
     """
-    if not isinstance(slot_id, int) or isinstance(slot_id, bool):
-        raise InvalidParameter(f"slot id must be an integer, got {slot_id!r}")
-    if not 0 <= slot_id <= SLOT_ID_MAX:
+    if not 0 <= ensure_int(slot_id, "slot id") <= SLOT_ID_MAX:
         raise InvalidParameter(f"slot id {slot_id} outside [0, {SLOT_ID_MAX}]")
     if (delegate_id, slot_id) in state.slots:
         raise IllegalMove(f"slot ({delegate_id}, {slot_id}) is occupied")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .chainlog import BulkRegistered, Claimed, Registered
 from .errors import BadProof, InvalidParameter, TableFull, UnknownAccount
 from .merkle import DIGEST_SIZE, MerkleProof, merkle_verify
-from .state import BulkRegistration, ProtocolState, ensure_address, ensure_bytes
+from .state import BulkRegistration, ProtocolState, ensure_address, ensure_bytes, ensure_int
 
 
 def register(state: ProtocolState, address: str) -> int:
@@ -33,9 +33,7 @@ def bulk_register(state: ProtocolState, count: int, root: bytes) -> int:
     Returns the bulk id. The range starts at the next free id; ids inside
     it stay unclaimed (no address) until individually claimed.
     """
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise InvalidParameter(f"bulk count must be an integer, got {count!r}")
-    if count < 1:
+    if ensure_int(count, "bulk count") < 1:
         raise InvalidParameter("bulk count must be >= 1")
     root = ensure_bytes(root, "root")
     if len(root) != DIGEST_SIZE:
@@ -67,9 +65,7 @@ def claim_bulk_registration_id(
     proof: MerkleProof,
 ) -> None:
     """Bind an address to a reserved id using its Merkle inclusion proof."""
-    if not isinstance(bulk_id, int) or isinstance(bulk_id, bool):
-        raise UnknownAccount(f"bulk id must be an integer, got {bulk_id!r}")
-    if not 0 <= bulk_id < len(state.bulks):
+    if not 0 <= ensure_int(bulk_id, "bulk id", UnknownAccount) < len(state.bulks):
         raise UnknownAccount(f"bulk registration {bulk_id} does not exist")
     ensure_address(address, "address")
     bulk = state.bulks[bulk_id]

@@ -108,6 +108,13 @@ def ensure_bytes(value, what: str) -> bytes:
         raise InvalidParameter(f"{what} must be bytes-like, got {type(value).__name__}") from None
 
 
+def ensure_int(value, what: str, error=InvalidParameter) -> int:
+    """``value`` if it is an int and not a bool; else ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ensure_address(address: str, what: str) -> None:
     """Refuse an empty address, or one a log record cannot carry."""
     if not isinstance(address, str):
@@ -509,9 +516,7 @@ class ProtocolState:
         self.log.append(Withdrawn(account_id, amount, to_address, sender))
 
     def advance_block(self, blocks: int = 1) -> int:
-        if not isinstance(blocks, int) or isinstance(blocks, bool):
-            raise InvalidParameter(f"blocks to advance must be an integer, got {blocks!r}")
-        if blocks < 1:
+        if ensure_int(blocks, "blocks to advance") < 1:
             raise InvalidParameter("must advance by at least one block")
         self.current_block = ensure_u64(self.current_block + blocks, "block number")
         self.log.append(Advanced(blocks))
@@ -682,12 +687,8 @@ class ProtocolState:
         return hashlib.sha256(self.canonical_bytes()).digest()
 
 
-# Read on every marked slot, so bound here as check_invariants binds its locals.
+# `x in GameState` warns on 3.10 and 3.11 for a non-member and compares values on 3.12+.
 _GAME_STATES = frozenset(GameState)
-_EMPTY, _CHALLENGE_STARTED, _WAITING_PAYMENT_SELECTION, _WAITING_PROOF = (
-    GameState.EMPTY, GameState.CHALLENGE_STARTED, GameState.WAITING_PAYMENT_SELECTION,
-    GameState.WAITING_PROOF,
-)
 
 
 def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: int) -> None:
@@ -701,7 +702,7 @@ def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: in
     if key != (slot.delegate_id, slot.slot_id):
         raise InvariantViolation("slot-key", f"slot {key} mislabeled")
     game_state = slot.game_state
-    if game_state == _EMPTY:
+    if game_state == GameState.EMPTY:
         raise InvariantViolation("slot-state", "empty slot present in map")
     if game_state not in _GAME_STATES:
         raise InvariantViolation(
@@ -714,11 +715,11 @@ def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: in
             "slot-held-funds",
             f"slot {key} holds {slot.held_funds}, expected {expected}",
         )
-    if has_challenger != (game_state >= _CHALLENGE_STARTED):
+    if has_challenger != (game_state >= GameState.CHALLENGE_STARTED):
         raise InvariantViolation("slot-challenger", f"slot {key}")
-    if (slot.challenge_list is not None) != (game_state >= _WAITING_PAYMENT_SELECTION):
+    if (slot.challenge_list is not None) != (game_state >= GameState.WAITING_PAYMENT_SELECTION):
         raise InvariantViolation("slot-challenge-list", f"slot {key}")
-    if (slot.challenged_entry is not None) != (game_state >= _WAITING_PROOF):
+    if (slot.challenged_entry is not None) != (game_state >= GameState.WAITING_PROOF):
         raise InvariantViolation("slot-challenged-entry", f"slot {key}")
 
 
