@@ -9,8 +9,8 @@ Each record class declares its wire format once, and one generic codec
 is compiled from those declarations when the module loads:
 
 * ``TAG``: the record's type byte;
-* ``WIRE``: the kind of each field (see ``wire.KINDS``), in dataclass
-  order with the subject (``pay_index``) skipped;
+* the kind of each field (see ``wire.KINDS``), in its annotation; the
+  subject, ``pay_index``, is a plain ``int`` and so off the layout;
 * ``OP``: the gas-model operation kind the record is priced as, or None;
 * ``SCALING``: the field whose wire bytes, less any length prefix, are
   the record's gas payload, or None.
@@ -22,8 +22,8 @@ its slot's descriptor instead of the frozen ``object.__setattr__`` path;
 assignment after construction still raises ``FrozenInstanceError``.
 
 Record wire format: tag (u8), subject (u64, the payment index for
-payment-scoped records and zero otherwise), then the WIRE fields in order,
-each laid out as ``wire.py`` lays out its kind. A log file is the magic
+payment-scoped records and zero otherwise), then each field with a kind,
+in order, laid out as ``wire.py`` lays out that kind. A log file is the magic
 header followed by u32-length-prefixed records.
 """
 
@@ -35,7 +35,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import CodecError
-from .wire import KINDS, layout, packer, reader, u32
+from .wire import (
+    B32, KINDS, U16, U32, U64, Bytes, OptB32, OptStr, Pairs, Str, kinds, layout, packer, reader, u32,
+)
 
 FILE_MAGIC = b"BPLOG\x01"
 
@@ -46,10 +48,9 @@ NEW_ACCOUNT_WIRE = 2**32 - 1
 
 @dataclass(frozen=True, slots=True)
 class Record:
-    """Base record; concrete types declare TAG, WIRE, OP and SCALING."""
+    """Base record; concrete types declare TAG, OP and SCALING, and a kind per field."""
 
     TAG = 0
-    WIRE = ()
     OP = None
     SCALING = None
 
@@ -64,96 +65,87 @@ class Record:
 @dataclass(frozen=True, slots=True)
 class Instantiated(Record):
     TAG = 0x01
-    WIRE = ("bytes", "bytes")
-    params_blob: bytes           # canonical params serialization
-    externals_blob: bytes        # canonical initial adapter snapshot
+    params_blob: Bytes           # canonical params serialization
+    externals_blob: Bytes        # canonical initial adapter snapshot
 
 
 @dataclass(frozen=True, slots=True)
 class Registered(Record):
     TAG = 0x02
-    WIRE = ("u32", "str")
     OP = "register"
-    account_id: int
-    address: str
+    account_id: U32
+    address: Str
 
 
 @dataclass(frozen=True, slots=True)
 class BulkRegistered(Record):
     TAG = 0x03
-    WIRE = ("u32", "u32", "u32", "b32")
     OP = "bulk_register"
-    bulk_id: int
-    first_id: int
-    count: int
-    root: bytes
+    bulk_id: U32
+    first_id: U32
+    count: U32
+    root: B32
 
 
 @dataclass(frozen=True, slots=True)
 class Claimed(Record):
     TAG = 0x04
-    WIRE = ("u32", "u32", "str", "bytes")
     OP = "claim"
     SCALING = "proof_blob"
-    bulk_id: int
-    account_id: int
-    address: str
-    proof_blob: bytes
+    bulk_id: U32
+    account_id: U32
+    address: Str
+    proof_blob: Bytes
 
 
 @dataclass(frozen=True, slots=True)
 class Deposited(Record):
     TAG = 0x05
-    WIRE = ("u32", "u32", "u64", "str")
     OP = "deposit"
-    account_ref: int             # NEW_ACCOUNT_WIRE when the deposit opened the account
-    account_id: int              # the id actually credited
-    amount: int
-    from_address: str
+    account_ref: U32             # NEW_ACCOUNT_WIRE when the deposit opened the account
+    account_id: U32              # the id actually credited
+    amount: U64
+    from_address: Str
 
 
 @dataclass(frozen=True, slots=True)
 class Withdrawn(Record):
     TAG = 0x06
-    WIRE = ("u32", "u64", "str", "str")
     OP = "withdraw"
-    account_id: int
-    amount: int
-    to_address: str
-    sender: str
+    account_id: U32
+    amount: U64
+    to_address: Str
+    sender: Str
 
 
 @dataclass(frozen=True, slots=True)
 class Advanced(Record):
     TAG = 0x07
-    WIRE = ("u64",)
-    blocks: int
+    blocks: U64
 
 
 @dataclass(frozen=True, slots=True)
 class PaymentRegistered(Record):
     TAG = 0x08
-    WIRE = ("u32", "u64", "u64", "b32?", "str", "bytes")
     OP = "register_payment"
     SCALING = "pay_data"
     pay_index: int
-    from_id: int
-    per_destination: int
-    unlocker_fee: int
-    locking_key_hash: bytes | None
-    sender: str
-    pay_data: bytes              # exact codec wire bytes
+    from_id: U32
+    per_destination: U64
+    unlocker_fee: U64
+    locking_key_hash: OptB32
+    sender: Str
+    pay_data: Bytes              # exact codec wire bytes
 
 
 @dataclass(frozen=True, slots=True)
 class Unlocked(Record):
     TAG = 0x09
-    WIRE = ("u32", "bytes")
     OP = "unlock"
     SCALING = "key"
     pay_index: int
-    unlocker_id: int
-    key: bytes
+    unlocker_id: U32
+    key: Bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,86 +158,78 @@ class Refunded(Record):
 @dataclass(frozen=True, slots=True)
 class CollectOpened(Record):
     TAG = 0x0B
-    WIRE = ("u32", "u16", "u32", "u64", "u64", "u64", "str?", "b32")
     OP = "collect"
-    delegate_id: int
-    slot_id: int
-    recipient_id: int
-    last_payment_index: int
-    amount: int
-    fee: int
-    destination_address: str | None
-    authorization: bytes
+    delegate_id: U32
+    slot_id: U16
+    recipient_id: U32
+    last_payment_index: U64
+    amount: U64
+    fee: U64
+    destination_address: OptStr
+    authorization: B32
 
 
 @dataclass(frozen=True, slots=True)
 class Challenged(Record):
     TAG = 0x0C
-    WIRE = ("u32", "u16", "u32")
     OP = "challenge"
-    delegate_id: int
-    slot_id: int
-    challenger_id: int
+    delegate_id: U32
+    slot_id: U16
+    challenger_id: U32
 
 
 @dataclass(frozen=True, slots=True)
 class ListResponded(Record):
     TAG = 0x0D
-    WIRE = ("u32", "u16", "pairs")
     OP = "respond"
     SCALING = "pairs"
-    delegate_id: int
-    slot_id: int
-    pairs: tuple[tuple[int, int], ...]   # (pay index, claimed amount)
+    delegate_id: U32
+    slot_id: U16
+    pairs: Pairs                 # (pay index, claimed amount)
 
 
 @dataclass(frozen=True, slots=True)
 class PaymentSelected(Record):
     TAG = 0x0E
-    WIRE = ("u32", "u16", "u64")
     OP = "select"
-    delegate_id: int
-    slot_id: int
+    delegate_id: U32
+    slot_id: U16
     pay_index: int
-    amount: int
+    amount: U64
 
 
 @dataclass(frozen=True, slots=True)
 class InclusionProved(Record):
     TAG = 0x0F
-    WIRE = ("u32", "u16", "bytes")
     OP = "prove"
     SCALING = "pay_data"
-    delegate_id: int
-    slot_id: int
-    pay_data: bytes
+    delegate_id: U32
+    slot_id: U16
+    pay_data: Bytes
 
 
 @dataclass(frozen=True, slots=True)
 class ChallengeSucceeded(Record):
     TAG = 0x10
-    WIRE = ("u32", "u16")
     OP = "challenge_success"
-    delegate_id: int
-    slot_id: int
+    delegate_id: U32
+    slot_id: U16
 
 
 @dataclass(frozen=True, slots=True)
 class ChallengeFailed(Record):
     TAG = 0x11
-    WIRE = ("u32", "u16")
     OP = "challenge_failed"
-    delegate_id: int
-    slot_id: int
+    delegate_id: U32
+    slot_id: U16
 
 
 @dataclass(frozen=True, slots=True)
 class SlotFreed(Record):
     TAG = 0x12
-    WIRE = ("u32", "u16")
     OP = "free_slot"
-    delegate_id: int
-    slot_id: int
+    delegate_id: U32
+    slot_id: U16
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,8 +237,7 @@ class FinalDigest(Record):
     """File trailer written by the run tools; never part of live state."""
 
     TAG = 0x7F
-    WIRE = ("b32",)
-    digest: bytes
+    digest: B32
 
 
 RECORD_TYPES: dict[int, type[Record]] = {
@@ -273,21 +256,21 @@ _LENGTH = struct.Struct("<I")     # a log file's per-record length prefix
 
 
 class _Codec:
-    """Encoder, decoder and gas payload compiled from one record's WIRE."""
+    """Encoder, decoder and gas payload compiled from one record's layout."""
 
     def __init__(self, cls: type[Record]):
         names = [f.name for f in fields(cls)]
         self.cls = cls
         subject = "o.pay_index" if "pay_index" in names else "0"
         self.pack = packer([(str(cls.TAG), "u8"), (subject, "u64"), *layout(cls)])
-        # the reader binds the tag to _0, the subject to _1 and the WIRE
+        # the reader binds the tag to _0, the subject to _1 and the laid-out
         # fields to _2, ...; the subject is the pay_index field or must be zero
-        args = [f"_{i}" for i in range(2, len(cls.WIRE) + 2)]
+        args = [f"_{i}" for i in range(2, len(kinds(cls)) + 2)]
         check = 'if _1: raise _E("subject field does not match record body")'
         if "pay_index" in names:
             args.insert(names.index("pay_index"), "_1")
             check = ""
-        self.decode = reader(("u8", "u64", *cls.WIRE), f"_cls({', '.join(args)})", check, _cls=cls)
+        self.decode = reader(("u8", "u64", *kinds(cls)), f"_cls({', '.join(args)})", check, _cls=cls)
         if cls.SCALING is None:
             self.scaling = lambda rec: b""
         else:

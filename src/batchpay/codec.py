@@ -79,11 +79,10 @@ def encode_pay_data(ids: list[int]) -> bytes:
     return bytes(out)
 
 
-def decode_pay_data(data: bytes, max_id: int = MAX_ID) -> list[int]:
+def decode_pay_data(data: bytes) -> list[int]:
     """Decode wire bytes back to the id list, rejecting malformed input.
 
-    ``max_id`` tightens the id bound (e.g. to the allocated account count);
-    running past it is a delta overflow.
+    An id past ``MAX_ID`` is a delta overflow.
     """
     if len(data) < 4:
         raise CodecError("truncated: count header missing")
@@ -95,13 +94,11 @@ def decode_pay_data(data: bytes, max_id: int = MAX_ID) -> list[int]:
     if len(data) < 8:
         raise CodecError("truncated: first id missing")
     first = int.from_bytes(data[4:8], "little")
-    if first > max_id:
-        raise CodecError(f"first id {first} exceeds bound {max_id}")
     body = data[8:]
     if len(body) == count - 1 and isinstance(body, (bytes, bytearray)) and body.isascii():
         # No byte has the continuation bit, so each delta is one canonical byte.
         ids = list(accumulate(body, initial=first))
-        if ids[-1] <= max_id:
+        if ids[-1] <= MAX_ID:
             return ids
         # Past the bound: the loop below names the first id that overflows.
     ids = [first]
@@ -128,8 +125,8 @@ def decode_pay_data(data: bytes, max_id: int = MAX_ID) -> list[int]:
             if shift > 35:
                 raise CodecError("varint longer than 5 bytes")
         cur += delta
-        if cur > max_id:
-            raise CodecError(f"delta overflow: id {cur} exceeds bound {max_id}")
+        if cur > MAX_ID:
+            raise CodecError(f"delta overflow: id {cur} exceeds bound {MAX_ID}")
         ids.append(cur)
     if pos != end:
         raise CodecError("trailing bytes after last delta")

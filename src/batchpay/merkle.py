@@ -12,7 +12,7 @@ cost: a list whose adjacent even/odd positions hold identical subtrees
 (a repeated address, say) cannot prove the right-hand copy.
 
 Proofs carry the leaf index plus the sibling digests from leaf to root,
-and serialize as their ``WIRE`` kinds: the leaf index as u32, then the
+and serialize as their fields' kinds: the leaf index as u32, then the
 digests as ``b32s`` (a u16 count), in leaf-to-root order.
 """
 
@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .wire import layout, packer, unpack
+from .wire import B32s, U32, kinds, layout, packer, unpack
 
 DIGEST_SIZE = 32
 _LEAF_PREFIX = b"\x00"
@@ -56,9 +56,8 @@ def merkle_root(addresses: list[str]) -> bytes:
 
 @dataclass(frozen=True)
 class MerkleProof:
-    WIRE = ("u32", "b32s")
-    leaf_index: int
-    siblings: tuple[bytes, ...]
+    leaf_index: U32
+    siblings: B32s
 
     def to_bytes(self) -> bytes:
         return _pack_proof(self)
@@ -66,7 +65,7 @@ class MerkleProof:
     @classmethod
     def from_bytes(cls, data: bytes) -> "MerkleProof":
         """Parse a serialized proof; CodecError unless ``data`` is exactly one."""
-        return cls(*unpack(cls.WIRE, data))
+        return cls(*unpack(kinds(cls), data))
 
 
 _pack_proof = packer(layout(MerkleProof))
@@ -107,14 +106,15 @@ def merkle_verify(root: bytes, address: str, proof: MerkleProof) -> bool:
     depth), which makes any bit flip in the index detectable even for a
     single-leaf tree. A right child whose left sibling equals it is
     refused: that pairing is an odd level's duplicated last node, and the
-    index would name a leaf the tree does not have.
+    index would name a leaf the tree does not have. A sibling that is not
+    32 bytes of ``bytes`` fails the proof.
     """
     node = leaf_hash(address)
     idx = proof.leaf_index
     if idx < 0:
         return False
     for sib in proof.siblings:
-        if len(sib) != DIGEST_SIZE:
+        if type(sib) is not bytes or len(sib) != DIGEST_SIZE:
             return False
         if idx & 1 == 0:
             node = node_hash(node, sib)

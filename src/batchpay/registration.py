@@ -68,6 +68,8 @@ def claim_bulk_registration_id(
     if not 0 <= ensure_int(bulk_id, "bulk id", UnknownAccount) < len(state.bulks):
         raise UnknownAccount(f"bulk registration {bulk_id} does not exist")
     ensure_address(address, "address")
+    if not isinstance(proof, MerkleProof):
+        raise InvalidParameter(f"proof must be a MerkleProof, got {type(proof).__name__}")
     bulk = state.bulks[bulk_id]
     if not bulk.first_id <= account_id < bulk.first_id + bulk.count:
         raise BadProof(

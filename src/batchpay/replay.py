@@ -21,7 +21,7 @@ from .chainlog import (
 from .errors import CodecError, InvariantViolation, ProtocolError
 from .merkle import MerkleProof
 from .state import Params, ProtocolState, TokenAdapter
-from .wire import unpack
+from .wire import kinds, unpack
 
 # The engine op each record is replayed through. Each parameter after
 # ``state`` (``self`` for a ProtocolState method) reads the record's field
@@ -94,7 +94,7 @@ def replay(log: ChainLog) -> tuple[ProtocolState, bytes | None]:
     if ops and isinstance(ops[-1], FinalDigest):
         ops, expected = ops[:-1], ops[-1].digest
     state = ProtocolState(
-        Params(*unpack(Params.WIRE, head.params_blob)),
+        Params(*unpack(kinds(Params), head.params_blob)),
         TokenAdapter(dict(unpack(TokenAdapter.WIRE, head.externals_blob, rows=True))),
     )
     emitted = state.log.records

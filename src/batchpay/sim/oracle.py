@@ -79,7 +79,6 @@ class _ViewPayment:
 @dataclass(slots=True)
 class _ViewSlot:
     recipient_id: int
-    start: int
     end: int
     amount: int
     fee: int
@@ -181,7 +180,6 @@ class LogView:
         self._credit(p.from_id, p.total_escrow)
 
     def _collect_opened(self, rec: CollectOpened) -> None:
-        start = self.prefixes.get(rec.recipient_id, 0)
         instant = rec.slot_id > self.instant_slot_threshold
         debit = self.collect_stake
         if instant:
@@ -193,7 +191,7 @@ class LogView:
         self._credit(rec.delegate_id, -debit)
         key = (rec.delegate_id, rec.slot_id)
         self.slots[key] = _ViewSlot(
-            rec.recipient_id, start, rec.last_payment_index,
+            rec.recipient_id, rec.last_payment_index,
             rec.amount, rec.fee, rec.destination_address, instant,
             len(self.opened),
         )

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from functools import cache
 from operator import attrgetter
+from typing import Annotated
 
 from .chainlog import (
     NEW_ACCOUNT_WIRE,
@@ -50,7 +51,10 @@ from .errors import (
     Unauthorized,
     UnknownAccount,
 )
-from .wire import U16_MAX, U64_MAX, layout, pack_rows, packer
+from .wire import (
+    B32, U16, U16_MAX, U32, U64, U64_MAX, OptB32, OptPair, OptPairs, OptStr, OptU32, layout,
+    pack_rows, packer,
+)
 
 # Slot ids above this value are instant-collect slots; the boundary itself
 # is not instant. Fixed by the protocol, independent of configuration.
@@ -133,16 +137,14 @@ def ensure_address(address: str, what: str) -> None:
 class Params:
     """Protocol constants, fixed at instantiation."""
 
-    WIRE = ("u64",) * 8
-
-    max_account_count: int = setting(MAX_ACCOUNT_ID_SPACE, 1, MAX_ACCOUNT_ID_SPACE)
-    unlock_period: int = setting(10, 1, U64_MAX)
-    challenge_period: int = setting(30, 1, U64_MAX)   # collect settlement window (game state 1)
-    response_period: int = setting(10, 1, U64_MAX)    # per-move window inside a challenge
-    collect_stake: int = setting(100, 1, U64_MAX)
-    challenge_stake: int = setting(50, 1, U64_MAX)
-    max_payments_per_batch: int = setting(10000, 1, U64_MAX)
-    instant_slot_threshold: int = setting(
+    max_account_count: U64 = setting(MAX_ACCOUNT_ID_SPACE, 1, MAX_ACCOUNT_ID_SPACE)
+    unlock_period: U64 = setting(10, 1, U64_MAX)
+    challenge_period: U64 = setting(30, 1, U64_MAX)   # collect settlement window (game state 1)
+    response_period: U64 = setting(10, 1, U64_MAX)    # per-move window inside a challenge
+    collect_stake: U64 = setting(100, 1, U64_MAX)
+    challenge_stake: U64 = setting(50, 1, U64_MAX)
+    max_payments_per_batch: U64 = setting(10000, 1, U64_MAX)
+    instant_slot_threshold: U64 = setting(
         INSTANT_SLOT_THRESHOLD, INSTANT_SLOT_THRESHOLD, INSTANT_SLOT_THRESHOLD
     )
 
@@ -210,11 +212,10 @@ class TokenAdapter:
 
 @dataclass
 class Account:
-    WIRE = ("u32", "str?", "u64", "u64")
-    account_id: int
-    address: str | None           # None while reserved via bulk registration
-    balance: int = 0
-    last_collected_pay_index: int = 0
+    account_id: U32
+    address: OptStr               # None while reserved via bulk registration
+    balance: U64 = 0
+    last_collected_pay_index: U64 = 0
 
     @property
     def claimed(self) -> bool:
@@ -229,28 +230,26 @@ class PaymentStatus(IntEnum):
 
 @dataclass
 class Payment:
-    WIRE = ("u32", "u64", "u32", "b32", "u64", "u64", "u8", "b32?", "u64", "u64")
-    pay_index: int
-    from_id: int
-    per_destination: int
-    payee_count: int
-    pay_data_digest: bytes
-    total_escrow: int
-    unlocker_fee: int
-    status: PaymentStatus
-    locking_key_hash: bytes | None
-    registered_at_block: int
-    collectable_from_block: int
+    pay_index: int                # its position in the table, so off the layout
+    from_id: U32
+    per_destination: U64
+    payee_count: U32
+    pay_data_digest: B32
+    total_escrow: U64
+    unlocker_fee: U64
+    status: Annotated[PaymentStatus, "u8"]
+    locking_key_hash: OptB32
+    registered_at_block: U64
+    collectable_from_block: U64
 
 
 @dataclass
 class BulkRegistration:
-    WIRE = ("u32", "u32", "u32", "b32", "u64")
-    bulk_id: int
-    first_id: int
-    count: int
-    root: bytes
-    registered_at_block: int
+    bulk_id: U32
+    first_id: U32
+    count: U32
+    root: B32
+    registered_at_block: U64
 
 
 class GameState(IntEnum):
@@ -279,25 +278,21 @@ class CollectSlot(_SlotMarks):
     makes it one, so building a slot marks nothing.
     """
 
-    WIRE = (
-        "u32", "u16", "u32", "u64", "u64", "u64", "u64", "str?",
-        "u8", "u8", "u64", "u64", "u32?", "pairs?", "pair?",
-    )
-    delegate_id: int
-    slot_id: int
-    recipient_id: int
-    start_pay_index: int          # exclusive
-    end_pay_index: int            # inclusive
-    amount: int
-    fee: int
-    destination_address: str | None
-    instant: bool
-    game_state: GameState
-    deadline_block: int
-    held_funds: int               # stakes currently escrowed in the slot
-    challenger_id: int | None = None
-    challenge_list: tuple[tuple[int, int], ...] | None = None
-    challenged_entry: tuple[int, int] | None = None
+    delegate_id: U32
+    slot_id: U16
+    recipient_id: U32
+    start_pay_index: U64          # exclusive
+    end_pay_index: U64            # inclusive
+    amount: U64
+    fee: U64
+    destination_address: OptStr
+    instant: Annotated[bool, "u8"]
+    game_state: Annotated[GameState, "u8"]
+    deadline_block: U64
+    held_funds: U64               # stakes currently escrowed in the slot
+    challenger_id: OptU32 = None
+    challenge_list: OptPairs = None
+    challenged_entry: OptPair = None
 
 
 _store = object.__setattr__    # sets a slot past ``OpenSlot.__setattr__``

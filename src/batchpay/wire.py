@@ -4,8 +4,10 @@ Every byte image in the package (chain-log records, the state image, the
 params and externals blobs, Merkle proofs) is a sequence of fields, each
 of a kind in ``KINDS``: little-endian integers, u16-length-prefixed utf-8
 strings, u32-length-prefixed blobs, and ``k?``, a flag byte 0x00 (absent)
-or 0x01 (a ``k`` follows). A class declares its layout as ``WIRE``, the
-kind of each dataclass field in field order with ``pay_index`` skipped.
+or 0x01 (a ``k`` follows). A dataclass declares its layout on its fields:
+a field annotated with a kind alias (``U32``, ``OptStr``, ...), or with
+``Annotated[type, kind]``, is laid out in field order, and a field whose
+annotation carries no kind is left off.
 Both directions are compiled from a layout once: ``packer`` builds one
 expression, ``reader`` straight-line code that bounds every read by the
 end of its input, so every format inherits strict bounds checking and
@@ -19,7 +21,7 @@ from dataclasses import fields
 from functools import cache
 from itertools import groupby
 from textwrap import indent
-from typing import Callable, NamedTuple
+from typing import Annotated, Callable, NamedTuple, get_type_hints
 
 from .errors import CodecError
 
@@ -122,16 +124,37 @@ KINDS: dict[str, Kind] = {
 }
 KINDS.update({f"{name}?": _optional(kind) for name, kind in KINDS.items()})
 
+# A field's kind, declared in its annotation beside its Python type.
+U8 = Annotated[int, "u8"]
+U16 = Annotated[int, "u16"]
+U32 = Annotated[int, "u32"]
+U64 = Annotated[int, "u64"]
+B32 = Annotated[bytes, "b32"]
+B32s = Annotated[tuple[bytes, ...], "b32s"]
+Str = Annotated[str, "str"]
+Bytes = Annotated[bytes, "bytes"]
+Pairs = Annotated[tuple[tuple[int, int], ...], "pairs"]
+OptU32 = Annotated[int | None, "u32?"]
+OptStr = Annotated[str | None, "str?"]
+OptB32 = Annotated[bytes | None, "b32?"]
+OptPair = Annotated[tuple[int, int] | None, "pair?"]
+OptPairs = Annotated[tuple[tuple[int, int], ...] | None, "pairs?"]
+
 
 # -- layouts ---------------------------------------------------------------------
 
 
 def layout(cls, prefix: str = "o.") -> list[tuple[str, str]]:
-    """``(prefix + field name, kind)`` per field of a class declaring ``WIRE``."""
-    names = [f.name for f in fields(cls) if f.name != "pay_index"]
-    if len(names) != len(cls.WIRE):
-        raise TypeError(f"{cls.__name__}.WIRE does not match its fields")
-    return [(prefix + name, kind) for name, kind in zip(names, cls.WIRE)]
+    """``(prefix + field name, kind)`` per field of a dataclass whose annotation carries a kind."""
+    hints = get_type_hints(cls, include_extras=True)
+    annotated = ((f.name, getattr(hints[f.name], "__metadata__", ())) for f in fields(cls))
+    return [(prefix + name, meta[0]) for name, meta in annotated if meta]
+
+
+@cache
+def kinds(cls) -> tuple[str, ...]:
+    """The kinds of ``cls``'s layout, in field order."""
+    return tuple(kind for _, kind in layout(cls, ""))
 
 
 def packer(items) -> Callable[[object], bytes]:

@@ -43,8 +43,8 @@ from batchpay.errors import CodecError
 from batchpay.merkle import MerkleProof
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import run_scenario_full
-from batchpay.state import Params, TokenAdapter
-from batchpay.wire import KINDS, layout, packer, reader, unpack
+from batchpay.state import Account, BulkRegistration, CollectSlot, Params, Payment, TokenAdapter
+from batchpay.wire import KINDS, kinds, layout, packer, reader, unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -159,7 +159,7 @@ def _decode_by_reader(data: bytes | memoryview):
         raise CodecError(f"unknown record tag 0x{tag:02x}")
     cls = RECORD_TYPES[tag]
     subject = r.int_("Q")
-    args = [_READS[kind](r) for kind in cls.WIRE]
+    args = [_READS[kind](r) for kind in kinds(cls)]
     r.expect_end()
     names = [f.name for f in dataclasses.fields(cls)]
     if "pay_index" in names:
@@ -287,15 +287,15 @@ def test_encode_rejects_a_string_past_its_u16_length_prefix():
         Registered(3, "x" * 0x10000).encode()
 
 
-def test_layout_refuses_a_wire_declaration_that_misses_a_field():
-    @dataclasses.dataclass
-    class Short:
-        WIRE = ("u32",)
-        account_id: int
-        address: str
-
-    with pytest.raises(TypeError, match="Short.WIRE does not match its fields"):
-        layout(Short)
+def test_every_laid_out_class_leaves_off_only_pay_index():
+    # A field's kind is declared in its annotation; a field declared without
+    # one is left off the layout, which only the subject and row position may be.
+    rows = (Params, Account, Payment, BulkRegistration, CollectSlot, MerkleProof)
+    for cls in (*RECORD_TYPES.values(), *rows):
+        laid_out = dict(layout(cls, ""))
+        left_off = [f.name for f in dataclasses.fields(cls) if f.name not in laid_out]
+        assert left_off in ([], ["pay_index"]), cls
+        assert set(laid_out.values()) <= KINDS.keys(), cls
 
 
 @pytest.mark.parametrize(
@@ -467,8 +467,8 @@ def _compiled_and_reference() -> list:
     cases = [(rec.encode(), decode_record, _decode_by_reader) for rec in SAMPLE_RECORDS]
     cases += [
         (blob, lambda d: ChainLog.load(d).records, _load_by_reader),
-        (proof, lambda d: unpack(MerkleProof.WIRE, d), lambda d: _unpack_by_reader(MerkleProof.WIRE, d)),
-        (head.params_blob, lambda d: unpack(Params.WIRE, d), lambda d: _unpack_by_reader(Params.WIRE, d)),
+        (proof, lambda d: unpack(kinds(MerkleProof), d), lambda d: _unpack_by_reader(kinds(MerkleProof), d)),
+        (head.params_blob, lambda d: unpack(kinds(Params), d), lambda d: _unpack_by_reader(kinds(Params), d)),
     ]
     for rows in (head.externals_blob, TokenAdapter({"a": 1, "bé": 2}).snapshot_bytes()):
         cases.append((

@@ -172,22 +172,19 @@ def near_canonical_blobs(draw):
     return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
 
 
-@given(
-    near_canonical_blobs() | st.binary(max_size=48),
-    st.just(MAX_ID) | st.integers(0, MAX_ID) | st.integers(0, 300),
-)
-@example(bytes(4), MAX_ID)
-@example(bytes(8), MAX_ID)
-@example(_header(2, MAX_ID) + b"\x01", MAX_ID)
+@given(near_canonical_blobs() | st.binary(max_size=48))
+@example(bytes(4))
+@example(bytes(8))
+@example(_header(2, MAX_ID) + b"\x01")
 @settings(max_examples=500, deadline=None)
-def test_decode_matches_reference(blob, max_id):
+def test_decode_matches_reference(blob):
     try:
-        expected = reference_decode(blob, max_id)
+        expected = reference_decode(blob, MAX_ID)
     except CodecError:
         with pytest.raises(CodecError):
-            decode_pay_data(blob, max_id)
+            decode_pay_data(blob)
     else:
-        assert decode_pay_data(blob, max_id) == expected
+        assert decode_pay_data(blob) == expected
 
 
 def test_one_byte_delta_edge():
@@ -206,8 +203,6 @@ def test_one_byte_deltas_past_the_bound_name_the_first_overflowing_id():
     message = f"delta overflow: id {MAX_ID + 1} exceeds bound {MAX_ID}"
     with pytest.raises(CodecError, match=f"^{re.escape(message)}$"):
         decode_pay_data(_header(3, MAX_ID) + b"\x01\x01")
-    with pytest.raises(CodecError, match="^delta overflow: id 12 exceeds bound 10$"):
-        decode_pay_data(_header(4, 5) + b"\x07\x00\x05", max_id=10)
 
 
 def test_count_zero_and_one():

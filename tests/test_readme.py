@@ -11,7 +11,7 @@ precedes the ellipsis.
 
 The tables of docs/formats.md are checked the same way against the code
 they describe: the field kinds against ``wire.KINDS``, the fields of every
-record and state row against its declared ``WIRE`` layout, the report's
+record and state row against the layout its annotations declare, the report's
 fields and rows against ``ScenarioReport`` and the report's row table, and
 the config keys against the loader's sections.
 """

@@ -29,6 +29,7 @@ from batchpay.chainlog import (
 )
 from batchpay.errors import (
     AmountOutOfRange,
+    BadProof,
     BadSignature,
     IllegalMove,
     InsufficientFunds,
@@ -49,7 +50,7 @@ from batchpay.collect import (
     respond_with_payment_list,
     select_payment,
 )
-from batchpay.merkle import merkle_prove, merkle_root
+from batchpay.merkle import MerkleProof, merkle_prove, merkle_root
 from batchpay.payments import locking_key_hash, refund_locked_payment, register_payment, unlock
 from batchpay.registration import bulk_register, claim_bulk_registration_id, register
 from batchpay.replay import replay
@@ -617,6 +618,10 @@ def test_check_invariants_catches_map_tampering_its_marks_cannot_see():
             (d, 1), challenger_id=None, held_funds=stake
         ),
         "swap two slots": lambda s: s.slots.update({(d, 0): s.slots[(d, 1)], (d, 1): s.slots[(d, 0)]}),
+        "two marked slots name one recipient": lambda s: (
+            setattr(s.slots[(d, 0)], "deadline_block", s.slots[(d, 0)].deadline_block),
+            setattr(s.slots[(d, 1)], "recipient_id", s.slots[(d, 0)].recipient_id),
+        ),
         "rebuild index equal": lambda s: setattr(s, "pending_collects", dict(s.pending_collects)),
         "rebuild index, one entry moved last": lambda s: setattr(
             s, "pending_collects", _moved_pending(s, seller)
@@ -638,6 +643,7 @@ def test_check_invariants_catches_map_tampering_its_marks_cannot_see():
     assert outcomes["swap for a twin, proof accepted"] is None
     assert outcomes["rebuild index equal"] is None
     assert outcomes["rebuild index, one entry moved last"] is None
+    assert outcomes["two marked slots name one recipient"] == "pending-collects"
     assert {"conservation", "pending-collects", "slot-held-funds", "slot-key", "slot-state",
             "slot-challenger"} <= set(outcomes.values())
 
@@ -951,14 +957,13 @@ def _rejected_instant_advance():
     return world.state, lambda: world.open_collect(40000, end=1, amount=200_000)
 
 
-def _rejected_claim(address="late-0", bulk_id=None):
+def _rejected_claim(address="late-0", bulk_id=None, proof=merkle_prove(["late-0", "late-1"], 0)):
     """A claim of the first id of a two-id bulk, as bulk ``bulk_id`` if given."""
     def build():
         world = World()
         addresses = ["late-0", "late-1"]
         registered = bulk_register(world.state, 2, merkle_root(addresses))
         first_id = world.state.bulks[registered].first_id
-        proof = merkle_prove(addresses, 0)
         return world.state, lambda: claim_bulk_registration_id(
             world.state, registered if bulk_id is None else bulk_id, first_id, address, proof
         )
@@ -1142,6 +1147,12 @@ def _rejected_float_slot_id():
          "root must be bytes-like, got list"),
         (_rejected_claim(bulk_id=0.0), UnknownAccount, "bulk id must be an integer, got 0.0"),
         (_rejected_claim(bulk_id=False), UnknownAccount, "bulk id must be an integer, got False"),
+        (_rejected_claim(proof=None), InvalidParameter, "proof must be a MerkleProof, got NoneType"),
+        (_rejected_claim(proof=b"xx"), InvalidParameter, "proof must be a MerkleProof, got bytes"),
+        (_rejected_claim(proof=MerkleProof(0, (None,))), BadProof,
+         "inclusion proof does not verify against the bulk root"),
+        (_rejected_claim(proof=MerkleProof(0, ("a" * 32,))), BadProof,
+         "inclusion proof does not verify against the bulk root"),
         (_rejected_collect_authorization("a" * 32), InvalidParameter,
          "collect authorization must be bytes-like, got str"),
         (_rejected_collect_authorization(None), InvalidParameter,
@@ -1178,6 +1189,7 @@ def _rejected_float_slot_id():
          "refund-index-float", "collect-slot-id-float", "bulk-count-float",
          "register-address-not-str", "withdraw-address-not-str", "deposit-address-not-str",
          "bulk-root-str", "bulk-root-int-list", "claim-bulk-id-float", "claim-bulk-id-bool",
+         "claim-proof-none", "claim-proof-bytes", "claim-sibling-none", "claim-sibling-str",
          "collect-auth-str", "collect-auth-none", "collect-auth-short", "unlock-key-str",
          "unlock-key-none", "prove-pay-data-str", "prove-pay-data-none", "list-none",
          "list-entry-single", "list-entry-triple", "list-entry-int", "advance-bool",
