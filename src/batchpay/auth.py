@@ -18,13 +18,15 @@ import hmac
 from functools import lru_cache
 from hashlib import sha256
 
-from .wire import packer
+from .chainlog import CollectOpened
+from .wire import layout, packer
 
 MAC_SIZE = 32
 
 _MESSAGE_TAG = b"BPCOLLECT\x01"
-# The instance id, then every collect parameter in call order.
-_MESSAGE_KINDS = ("b32", "u32", "u16", "u32", "u64", "u64", "u64", "str?")
+# The instance id, then every collect parameter: CollectOpened's fields less its authorization.
+_MESSAGE_KINDS = ("b32", *(kind for name, kind in layout(CollectOpened, "")
+                           if name != "authorization"))
 _pack_message = packer([(f"o[{i}]", kind) for i, kind in enumerate(_MESSAGE_KINDS)])
 
 

@@ -11,7 +11,9 @@ is compiled from those declarations when the module loads:
 * ``TAG``: the record's type byte;
 * the kind of each field (see ``wire.KINDS``), in its annotation; the
   subject, ``pay_index``, is a plain ``int`` and so off the layout;
-* ``OP``: the gas-model operation kind the record is priced as, or None;
+* ``OP``: the gas-model operation kind the record is priced as, or None.
+  It is also the move name that ``collect.MOVES`` and ``payments.MOVES``
+  are keyed by: a game or lock move is named by the record it logs;
 * ``SCALING``: the field whose wire bytes, less any length prefix, are
   the record's gas payload, or None.
 

@@ -19,9 +19,11 @@ game on an instant slot the recipient keeps the advance and the prefix
 stays moved: the delegate alone eats the loss. That asymmetry is the price
 of instant finality and is surfaced in simulation reports.
 
-The game's rules are one table, ``MOVES``, read by ``legal``: every move
-checks its slot through it, and the simulator's actors choose moves with
-it. Checks that are not about the game (sums, proofs) stay with each move.
+The game's rules are one table, ``MOVES``, read by ``legal``; the
+simulator's actors choose moves with it. A move is named by the record it
+logs: it enters through ``_check``, which reads the table for that record's
+``OP``, and leaves through ``_apply``, which moves the slot and logs the
+record. Checks that are not about the game (sums, proofs) stay with each move.
 
 Stakes and instant advances leave balances; settlements leave the escrow
 pool for balances or a destination address. Each move makes them in one
@@ -42,15 +44,11 @@ from .chainlog import (
     InclusionProved,
     ListResponded,
     PaymentSelected,
+    Record,
     SlotFreed,
 )
 from .codec import decode_pay_data
-from .errors import (
-    BadProof,
-    BadSignature,
-    IllegalMove,
-    InvalidParameter,
-)
+from .errors import BadProof, BadSignature, IllegalMove, InvalidParameter, UnknownAccount
 from .state import (
     SLOT_ID_MAX,
     CollectSlot,
@@ -100,27 +98,33 @@ def legal(move: str, slot: CollectSlot, now: int) -> bool:
     return (move, slot.game_state, now < slot.deadline_block) in _LEGAL
 
 
-def _check(state: ProtocolState, move: str, delegate_id: int, slot_id: int) -> CollectSlot:
-    """The slot ``move`` is made on; IllegalMove if the game does not allow it now."""
+def _check(state: ProtocolState, move: type[Record], delegate_id: int, slot_id: int) -> CollectSlot:
+    """The slot ``move.OP`` is made on; IllegalMove if the game does not allow it now."""
+    # Ids are typed first: 2.0 would find slot 2 and log a record no codec encodes.
+    if type(delegate_id) is not int:
+        ensure_int(delegate_id, "account id", UnknownAccount)
+    if type(slot_id) is not int:
+        ensure_int(slot_id, "slot id")
     slot = state.slots.get((delegate_id, slot_id))
     if slot is None:
         raise IllegalMove(f"slot ({delegate_id}, {slot_id}) is empty")
-    if not legal(move, slot, state.current_block):
+    if not legal(move.OP, slot, state.current_block):
         raise IllegalMove(
-            f"{move} is not legal on slot ({delegate_id}, {slot_id}) in {slot.game_state.name} "
+            f"{move.OP} is not legal on slot ({delegate_id}, {slot_id}) in {slot.game_state.name} "
             f"at block {state.current_block} (deadline {slot.deadline_block})"
         )
     return slot
 
 
-def _apply(state: ProtocolState, move: str, slot: CollectSlot) -> None:
-    """Move the slot as MOVES says; an emptied slot leaves the map and its index."""
-    _, leads_to, period = MOVES[move, slot.game_state]
+def _apply(state: ProtocolState, slot: CollectSlot, record: Record) -> None:
+    """Move the slot as MOVES says for ``record.OP`` (an emptied one leaves the map); log it."""
+    _, leads_to, period = MOVES[record.OP, slot.game_state]
     if leads_to == GameState.EMPTY:
         state.close_slot(slot)
     else:
         slot.game_state = leads_to
         slot.deadline_block = state.current_block + getattr(state.params, period)
+    state.log.append(record)
 
 
 def collect(
@@ -232,7 +236,7 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
     A settlement the escrow pool cannot cover is refused with IllegalMove
     and writes nothing; the slot stays, and may settle once the pool can.
     """
-    slot = _check(state, "free_slot", delegate_id, slot_id)
+    slot = _check(state, SlotFreed, delegate_id, slot_id)
     if slot.instant:
         # Reimburse the advance and pay the fee; the recipient was paid at open.
         state.transfer(
@@ -247,13 +251,12 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
         recipient.last_collected_pay_index = max(
             recipient.last_collected_pay_index, slot.end_pay_index
         )
-    _apply(state, "free_slot", slot)
-    state.log.append(SlotFreed(delegate_id, slot_id))
+    _apply(state, slot, SlotFreed(delegate_id, slot_id))
 
 
 def challenge(state: ProtocolState, delegate_id: int, slot_id: int, challenger_id: int) -> None:
     """Stake against a pending collect, opening the verification game."""
-    slot = _check(state, "challenge", delegate_id, slot_id)
+    slot = _check(state, Challenged, delegate_id, slot_id)
     if challenger_id == delegate_id:
         raise IllegalMove("a delegate cannot challenge its own slot")
     state.claimed_account(challenger_id)
@@ -261,8 +264,7 @@ def challenge(state: ProtocolState, delegate_id: int, slot_id: int, challenger_i
     state.transfer([(challenger_id, -stake)])
     slot.held_funds += stake
     slot.challenger_id = challenger_id
-    _apply(state, "challenge", slot)
-    state.log.append(Challenged(delegate_id, slot_id, challenger_id))
+    _apply(state, slot, Challenged(delegate_id, slot_id, challenger_id))
 
 
 def respond_with_payment_list(
@@ -277,7 +279,7 @@ def respond_with_payment_list(
     slot's range. A rejected list is a no-op; the delegate may retry until
     the deadline.
     """
-    slot = _check(state, "respond", delegate_id, slot_id)
+    slot = _check(state, ListResponded, delegate_id, slot_id)
     try:
         entries = tuple((i, a) for i, a in pairs)
     except (TypeError, ValueError):
@@ -299,23 +301,21 @@ def respond_with_payment_list(
     if total != slot.amount:
         raise InvalidParameter(f"list sums to {total}, claim is {slot.amount}")
     slot.challenge_list = entries
-    _apply(state, "respond", slot)
-    state.log.append(ListResponded(delegate_id, slot_id, slot.challenge_list))
+    _apply(state, slot, ListResponded(delegate_id, slot_id, slot.challenge_list))
 
 
 def select_payment(
     state: ProtocolState, delegate_id: int, slot_id: int, pay_index: int, amount: int
 ) -> None:
     """Challenger singles out one disclosed entry for proof."""
-    slot = _check(state, "select", delegate_id, slot_id)
+    slot = _check(state, PaymentSelected, delegate_id, slot_id)
     # 1.0 == 1, so a float would pass the membership test and corrupt the slot.
     ensure_u64(pay_index, "selected payment index")
     ensure_u64(amount, "selected amount")
     if (pay_index, amount) not in slot.challenge_list:
         raise InvalidParameter(f"({pay_index}, {amount}) is not in the disclosed list")
     slot.challenged_entry = (pay_index, amount)
-    _apply(state, "select", slot)
-    state.log.append(PaymentSelected(delegate_id, slot_id, pay_index, amount))
+    _apply(state, slot, PaymentSelected(delegate_id, slot_id, pay_index, amount))
 
 
 def prove_payment_inclusion(
@@ -328,7 +328,7 @@ def prove_payment_inclusion(
     amount must equal the selected amount exactly. A failed proof is a
     no-op and may be retried until the deadline.
     """
-    slot = _check(state, "prove", delegate_id, slot_id)
+    slot = _check(state, InclusionProved, delegate_id, slot_id)
     pay_data = ensure_bytes(pay_data, "pay data")
     pay_index, claimed = slot.challenged_entry
     payment = state.payment(pay_index)
@@ -342,8 +342,7 @@ def prove_payment_inclusion(
             f"recipient {slot.recipient_id} is due {due} from payment "
             f"{pay_index}, entry claims {claimed}"
         )
-    _apply(state, "prove", slot)
-    state.log.append(InclusionProved(delegate_id, slot_id, pay_data))
+    _apply(state, slot, InclusionProved(delegate_id, slot_id, pay_data))
 
 
 def challenge_success(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
@@ -353,10 +352,9 @@ def challenge_success(state: ProtocolState, delegate_id: int, slot_id: int) -> N
     the entitlement stays collectable; an instant slot's advance stays with
     the recipient at the delegate's expense.
     """
-    slot = _check(state, "challenge_success", delegate_id, slot_id)
+    slot = _check(state, ChallengeSucceeded, delegate_id, slot_id)
     state.transfer([(slot.challenger_id, slot.held_funds)])
-    _apply(state, "challenge_success", slot)
-    state.log.append(ChallengeSucceeded(delegate_id, slot_id))
+    _apply(state, slot, ChallengeSucceeded(delegate_id, slot_id))
 
 
 def challenge_failed(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
@@ -365,12 +363,11 @@ def challenge_failed(state: ProtocolState, delegate_id: int, slot_id: int) -> No
     The slot returns to WAITING_CHALLENGE with a full new challenge window,
     open to new challengers.
     """
-    slot = _check(state, "challenge_failed", delegate_id, slot_id)
+    slot = _check(state, ChallengeFailed, delegate_id, slot_id)
     stake = state.params.challenge_stake
     state.transfer([(delegate_id, stake)])
     slot.held_funds -= stake
     slot.challenger_id = None
     slot.challenge_list = None
     slot.challenged_entry = None
-    _apply(state, "challenge_failed", slot)
-    state.log.append(ChallengeFailed(delegate_id, slot_id))
+    _apply(state, slot, ChallengeFailed(delegate_id, slot_id))

@@ -14,16 +14,17 @@ enter a collect range only after its window has elapsed, the status seen
 by a collect is final: committed payments stay committed, and stuck locked
 payments can only move to refunded, with zero entitlement either way.
 
-The lock's rules are one table, ``MOVES``, read by ``legal`` as the collect
-game's are. A locked payment sits in ``state.open_locks``, the one record of
-which payments are locked, until a move takes it out of LOCKED.
+The lock's rules are one table, ``MOVES``, read by ``legal``, ``_check``
+and ``_apply`` as the collect game's are. A locked payment sits in
+``state.open_locks``, the one record of which payments are locked, until
+a move takes it out of LOCKED.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .chainlog import PaymentRegistered, Refunded, Unlocked
+from .chainlog import PaymentRegistered, Record, Refunded, Unlocked
 from .codec import pay_data_extent
 from .collect import AT_OR_AFTER, BEFORE
 from .errors import IllegalMove, InvalidParameter, Unauthorized
@@ -121,40 +122,39 @@ def legal(move: str, payment: Payment, now: int) -> bool:
     return (move, payment.status, now < payment.collectable_from_block) in _LEGAL
 
 
-def _check(state: ProtocolState, move: str, pay_index: int) -> Payment:
-    """The payment ``move`` is made on; IllegalMove if its lock does not allow it now."""
+def _check(state: ProtocolState, move: type[Record], pay_index: int) -> Payment:
+    """The payment ``move.OP`` is made on; IllegalMove if its lock does not allow it now."""
     payment = state.payment(pay_index)
-    if not legal(move, payment, state.current_block):
+    if not legal(move.OP, payment, state.current_block):
         raise IllegalMove(
-            f"{move} is not legal on payment {pay_index} in {payment.status.name} at block "
+            f"{move.OP} is not legal on payment {pay_index} in {payment.status.name} at block "
             f"{state.current_block} (unlock window to block {payment.collectable_from_block})"
         )
     return payment
 
 
-def _apply(state: ProtocolState, move: str, payment: Payment) -> None:
-    """Move the payment as MOVES says; every move leaves LOCKED, so ``open_locks``."""
-    payment.status = MOVES[move, payment.status][1]
+def _apply(state: ProtocolState, payment: Payment, record: Record) -> None:
+    """Move the payment as MOVES says for ``record.OP``, out of ``open_locks``; log it."""
+    payment.status = MOVES[record.OP, payment.status][1]
     del state.open_locks[payment.pay_index]
+    state.log.append(record)
 
 
 def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -> None:
     """Reveal the key for a locked payment; pays the unlocker fee at once."""
-    payment = _check(state, "unlock", pay_index)
+    payment = _check(state, Unlocked, pay_index)
     state.claimed_account(unlocker_id)
     key = ensure_bytes(key, "unlock key")
     if locking_key_hash(unlocker_id, key) != payment.locking_key_hash:
         raise Unauthorized("key does not match the locking key hash")
     fee = payment.unlocker_fee
     state.transfer([(unlocker_id, fee)], pool=-fee, what="unlocker fee")
-    _apply(state, "unlock", payment)
-    state.log.append(Unlocked(pay_index, unlocker_id, key))
+    _apply(state, payment, Unlocked(pay_index, unlocker_id, key))
 
 
 def refund_locked_payment(state: ProtocolState, pay_index: int) -> None:
     """Return a timed-out locked payment's whole escrow to the buyer; anyone may call."""
-    payment = _check(state, "refund", pay_index)
+    payment = _check(state, Refunded, pay_index)
     escrow = payment.total_escrow
     state.transfer([(payment.from_id, escrow)], pool=-escrow, what="refund")
-    _apply(state, "refund", payment)
-    state.log.append(Refunded(pay_index))
+    _apply(state, payment, Refunded(pay_index))

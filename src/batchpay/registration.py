@@ -70,6 +70,12 @@ def claim_bulk_registration_id(
     ensure_address(address, "address")
     if not isinstance(proof, MerkleProof):
         raise InvalidParameter(f"proof must be a MerkleProof, got {type(proof).__name__}")
+    # 0.0 == 0 would pass the offset check, and a one-leaf proof walks no sibling.
+    ensure_int(proof.leaf_index, "proof leaf index")
+    if not isinstance(proof.siblings, (tuple, list)):
+        raise InvalidParameter(
+            f"proof siblings must be a tuple or list, got {type(proof.siblings).__name__}"
+        )
     bulk = state.bulks[bulk_id]
     if not bulk.first_id <= account_id < bulk.first_id + bulk.count:
         raise BadProof(

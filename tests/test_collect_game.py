@@ -653,7 +653,7 @@ def test_every_game_move_is_legal_exactly_where_the_rules_say():
             continue
         assert rule is not None and when in rule[0], case
         _, leads_to, period = rule
-        assert len(state.log) == before[1] + 1, case
+        assert len(state.log) == before[1] + 1 and state.log.records[-1].OP == move, case
         if leads_to is None:
             assert (world.delegate, 3) not in state.slots, case
         else:

@@ -278,6 +278,7 @@ def test_every_payment_move_is_legal_exactly_where_the_rules_say():
         assert rule is not None and when in rule[0], case
         assert payment.status == rule[1], case
         assert len(state.log) == before[1] + 1 and idx not in state.open_locks, case
+        assert state.log.records[-1].OP == move, case
         state.check_invariants()
 
 

@@ -55,8 +55,9 @@ from batchpay.registration import register
 from batchpay.replay import replay, verify_log
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import run_scenario_full
-from batchpay.state import ProtocolState
-from tests.conftest import World
+from batchpay.state import ProtocolState, TokenAdapter
+from batchpay.wire import pack_rows, packer
+from tests.conftest import World, small_params
 
 
 def eventful_world() -> World:
@@ -237,6 +238,21 @@ def test_replay_names_the_record_whose_op_the_engine_refuses():
     log.records.insert(1, log.records[-1])
     with pytest.raises(CodecError, match="^record 1 \\(FinalDigest\\): FinalDigest is not replayable$"):
         replay(log)
+
+
+@pytest.mark.parametrize("rows", [
+    [("b", 2), ("a", 1)],                    # out of address order
+    [("a", 1), ("a", 1), ("b", 2)],          # one address twice
+], ids=["unsorted", "repeated"])
+def test_replay_refuses_an_externals_snapshot_its_op_would_not_write(rows):
+    # Both blobs decode to the adapter {a: 1, b: 2}, which writes its rows once, sorted.
+    state = ProtocolState(small_params(), TokenAdapter({"a": 1, "b": 2}))
+    head = state.log.records[0]
+    state.log.records[0] = Instantiated(
+        head.params_blob, pack_rows(packer([("o[0]", "str"), ("o[1]", "u64")]), rows)
+    )
+    with pytest.raises(CodecError, match="^record 0 \\(Instantiated\\): differs from what its op emits$"):
+        replay(ChainLog.load(state.log.dump()))
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)

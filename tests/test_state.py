@@ -957,12 +957,14 @@ def _rejected_instant_advance():
     return world.state, lambda: world.open_collect(40000, end=1, amount=200_000)
 
 
-def _rejected_claim(address="late-0", bulk_id=None, proof=merkle_prove(["late-0", "late-1"], 0)):
-    """A claim of the first id of a two-id bulk, as bulk ``bulk_id`` if given."""
+def _rejected_claim(
+    address="late-0", bulk_id=None, proof=merkle_prove(["late-0", "late-1"], 0),
+    addresses=("late-0", "late-1"),
+):
+    """A claim of the first id of a bulk of ``addresses``, as bulk ``bulk_id`` if given."""
     def build():
         world = World()
-        addresses = ["late-0", "late-1"]
-        registered = bulk_register(world.state, 2, merkle_root(addresses))
+        registered = bulk_register(world.state, len(addresses), merkle_root(list(addresses)))
         first_id = world.state.bulks[registered].first_id
         return world.state, lambda: claim_bulk_registration_id(
             world.state, registered if bulk_id is None else bulk_id, first_id, address, proof
@@ -1074,9 +1076,55 @@ def _rejected_float_slot_id():
     )
 
 
+def _rejected_slot_key(move, key):
+    """``move`` on slot 1, which the buyer (account 0) delegates, made legal and then
+    named by ``key``: it equals (0, 1), so a lookup that took it untyped finds the slot."""
+    def build():
+        world = World()
+        world.pay([world.seller], per_destination=10)
+        world.mature()
+        world.open_collect(1, end=1, amount=10, delegate=world.buyer)
+        state = world.state
+        if move == "challenge":
+            return state, lambda: challenge(state, *key, world.monitor)
+        if move == "free_slot":
+            world.advance(world.params.challenge_period)
+            return state, lambda: free_slot(state, *key)
+        challenge(state, world.buyer, 1, world.monitor)
+        return state, lambda: respond_with_payment_list(state, *key, [(1, 10)])
+    return build
+
+
+def _rejected_bulk_past_table():
+    # Without the pre-check, allocation stops at the limit only after three new ids.
+    state = instantiate(small_params(max_account_count=3))
+    return state, lambda: bulk_register(state, 5, merkle_root(["a", "b", "c", "d", "e"]))
+
+
+SLOT_KEY_MOVES = ("challenge", "free_slot", "respond")
+ILL_TYPED_SLOT_KEYS = (
+    ("delegate-float", (0.0, 1), UnknownAccount, "account id must be an integer, got 0.0"),
+    ("delegate-bool", (False, 1), UnknownAccount, "account id must be an integer, got False"),
+    ("slot-float", (0, 1.0), InvalidParameter, "slot id must be an integer, got 1.0"),
+    ("slot-bool", (0, True), InvalidParameter, "slot id must be an integer, got True"),
+)
+SIBLINGS = merkle_prove(["late-0", "late-1"], 0).siblings
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
+        *((_rejected_slot_key(move, key), error, message)
+          for move in SLOT_KEY_MOVES for _, key, error, message in ILL_TYPED_SLOT_KEYS),
+        (_rejected_claim(proof=MerkleProof(0.0, ()), addresses=("late-0",)), InvalidParameter,
+         "proof leaf index must be an integer, got 0.0"),
+        (_rejected_claim(proof=MerkleProof(0.0, SIBLINGS)), InvalidParameter,
+         "proof leaf index must be an integer, got 0.0"),
+        (_rejected_claim(proof=MerkleProof(False, SIBLINGS)), InvalidParameter,
+         "proof leaf index must be an integer, got False"),
+        (_rejected_claim(proof=MerkleProof(0, None)), InvalidParameter,
+         "proof siblings must be a tuple or list, got NoneType"),
+        (_rejected_bulk_past_table, TableFull, "bulk of 5 exceeds account limit 3"),
         (_rejected_key_hash_length, InvalidParameter, "locking key hash must be 32 bytes"),
         (_rejected_payment(locking_key_hash="a" * 32), InvalidParameter,
          "locking key hash must be bytes-like, got str"),
@@ -1176,7 +1224,10 @@ def _rejected_float_slot_id():
         (_world_op(lambda w: w.state.advance_block(1.0)), InvalidParameter,
          "blocks to advance must be an integer, got 1.0"),
     ],
-    ids=["key-hash-length", "key-hash-str", "key-hash-int-list", "pay-data-none",
+    ids=[*(f"{move}-{name}" for move in SLOT_KEY_MOVES for name, *_ in ILL_TYPED_SLOT_KEYS),
+         "claim-one-leaf-index-float", "claim-leaf-index-float", "claim-leaf-index-bool",
+         "claim-siblings-none", "bulk-past-table",
+         "key-hash-length", "key-hash-str", "key-hash-int-list", "pay-data-none",
          "pay-data-int", "pay-data-str", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
          "register-no-address", "claim-no-address", "register-long-address",
          "register-long-wide-address", "register-surrogate-address", "claim-long-address", "deposit-new-long-address",
