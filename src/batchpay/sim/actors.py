@@ -248,7 +248,6 @@ class Delegate:
     def step(self) -> None:
         self.ctx.sync()
         self._settle_and_defend()
-        self.ctx.sync()
         self._open_collects()
 
     # -- game moves on slots this delegate owns -----------------------------
@@ -292,7 +291,7 @@ class Delegate:
                     parked[key] = slot.amount
                     continue
                 free_slot(state, delegate_id, slot_id)
-                ctx.note_settled(delegate_id, slot_id)
+                ctx.note_settled(slot)
                 active.discard(key)
                 self._recipients.pop(key, None)
                 self._dirty.add(slot.recipient_id)
@@ -392,7 +391,9 @@ class Delegate:
             if seller_id in state.pending_collects:
                 dirty.discard(seller_id)
                 continue
-            count, entitlement = view.owed(seller_id, view.prefixes.get(seller_id, 0), mature)
+            # The engine's prefix: this step's own settlements moved it past the view's.
+            prefix = state.accounts[seller_id].last_collected_pay_index
+            count, entitlement = view.owed(seller_id, prefix, mature)
             if count < threshold:           # threshold >= 1: nothing owed, no collect
                 dirty.discard(seller_id)
                 continue
@@ -433,10 +434,11 @@ class Delegate:
             # Pending now, or (instant) its prefix moved up to ``mature``.
             dirty.discard(seller_id)
             key = (self.account_id, slot_id)
+            slot = state.slots[key]
             self._recipients[key] = seller_id
-            heappush(self._deadlines, (state.slots[key].deadline_block, key))
+            heappush(self._deadlines, (slot.deadline_block, key))
             if cheat:
-                ctx.note_cheat(self.account_id, slot_id)
+                ctx.note_cheat(slot)
 
 
 class Monitor:
@@ -462,10 +464,10 @@ class Monitor:
         self.account_id = account_id
         self.address = address
         self.lazy = lazy
-        self._verdicts: dict[int, str | None] = {}   # open_seq -> verdict, None if unwatched
-        self._candidates: dict[tuple[int, int], int] = {}   # slot key -> open_seq
+        self._verdicts: dict[int, str | None] = {}   # position in view.opened -> verdict
+        self._candidates: dict[tuple[int, int], int] = {}   # slot key -> position in view.opened
         self._opened_seen = 0                        # cursor into view.opened
-        self.games: dict[tuple[int, int], int] = {}  # slot key -> open_seq
+        self.games: set[tuple[int, int]] = set()     # keys of the slots it challenged
         self._deadlines: list[tuple[int, tuple[int, int]]] = []   # heap of waiting games
         self._responded_seen = 0                     # cursor into view.responded
 
@@ -497,23 +499,24 @@ class Monitor:
         state = ctx.state
         slot = state.slots.get(key)
         if slot is None or slot.challenger_id != self.account_id:
-            del self.games[key]                   # lost or already resolved
+            self.games.remove(key)                # lost or already resolved
         elif legal("select", slot, now):
             pay_index, amount = find_inflated_entry(ctx.view, slot)
             select_payment(state, key[0], key[1], pay_index, amount)
             heappush(self._deadlines, (slot.deadline_block, key))
         elif legal("challenge_success", slot, now):
             challenge_success(state, key[0], key[1])
-            ctx.note_monitor_win(self.games.pop(key), slot.instant)
+            self.games.remove(key)
+            ctx.note_monitor_win(slot)
 
     def _scan_for_new(self) -> None:
         ctx = self.ctx
         state = ctx.state
         candidates = self._candidates
         opened = ctx.view.opened
-        for seq in range(self._opened_seen, len(opened)):
-            if opened[seq][0] != self.account_id:
-                candidates[opened[seq]] = seq     # a reopened key takes its new seq
+        for pos in range(self._opened_seen, len(opened)):
+            if opened[pos][0] != self.account_id:
+                candidates[opened[pos]] = pos     # a reopened key takes its new position
         self._opened_seen = len(opened)
         stake = state.params.challenge_stake
         now = state.current_block
@@ -527,19 +530,19 @@ class Monitor:
                 if legal("free_slot", slot, now):
                     del candidates[key]           # window closed for good
                 continue                          # else in someone's game; may reopen
-            seq = candidates[key]
-            if seq not in self._verdicts:
+            pos = candidates[key]
+            if pos not in self._verdicts:
                 watch = (not self.lazy) or ctx.rng.random() < 0.25
                 # An open slot's verdict never changes (see monitor_verdict).
                 verdict = monitor_verdict(ctx.view, slot) if watch else None
-                self._verdicts[seq] = verdict
+                self._verdicts[pos] = verdict
                 if verdict == "understated":
                     ctx.note_understatement()
-            if self._verdicts[seq] != "overstated":
+            if self._verdicts[pos] != "overstated":
                 del candidates[key]
                 continue
             if state.accounts[self.account_id].balance < stake:
                 continue
             challenge(state, key[0], key[1], self.account_id)
-            self.games[key] = seq
+            self.games.add(key)
             heappush(self._deadlines, (slot.deadline_block, key))

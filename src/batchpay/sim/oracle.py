@@ -25,11 +25,11 @@ are all matured, through ``owed``; ``dues`` and ``entitlement`` step
 through the postings and stay for ranges that may reach past maturity.
 
 For the simulator's actors, which react to changes instead of rescanning,
-the view also keeps three append-only lists: ``opened`` (the slot key of
-every ``CollectOpened``, so a slot's ``open_seq`` is its position there),
-``challenged`` (the slot key of every ``Challenged``) and ``payees`` (the
-distinct payee ids of every payment, by pay index - 1). An actor holds a
-cursor into each list it follows and reads only what was appended since.
+the view also keeps four append-only lists: ``opened``, ``challenged`` and
+``responded`` (the slot key of every ``CollectOpened``, ``Challenged`` and
+``ListResponded``) and ``payees`` (the distinct payee ids of every payment,
+by pay index - 1). An actor holds a cursor into each list it follows and
+reads only what was appended since.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class _ViewSlot:
     fee: int
     destination: str | None
     instant: bool
-    open_seq: int                 # ordinal of the CollectOpened record
     challenger_id: int | None = None
 
 
@@ -106,7 +105,7 @@ class LogView:
         self.payees: list[tuple[int, ...]] = []      # distinct payee ids, by pay index - 1
         self.prefixes: dict[int, int] = {}
         self.slots: dict[tuple[int, int], _ViewSlot] = {}
-        self.opened: list[tuple[int, int]] = []      # slot key per CollectOpened, by open_seq
+        self.opened: list[tuple[int, int]] = []      # slot key per CollectOpened
         self.challenged: list[tuple[int, int]] = []  # slot key per Challenged
         self.responded: list[tuple[int, int]] = []   # slot key per ListResponded
         self.collect_stake = 0
@@ -193,7 +192,6 @@ class LogView:
         self.slots[key] = _ViewSlot(
             rec.recipient_id, rec.last_payment_index,
             rec.amount, rec.fee, rec.destination_address, instant,
-            len(self.opened),
         )
         self.opened.append(key)
 

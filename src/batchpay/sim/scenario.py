@@ -9,9 +9,10 @@ balance exactly; at the end, the log-derived oracle balance must equal the
 ledger balance for every account.
 
 Cheat accounting is mechanical: every overstated collect a cheating
-delegate opens is recorded when opened and must later be popped either by
-a monitor win or by an unchallenged settlement. If any cheat settles
-unchallenged while an attentive monitor was configured, the run fails.
+delegate opens is recorded, by its engine slot, when opened and must later
+be popped either by a monitor win or by an unchallenged settlement. If any
+cheat settles unchallenged while an attentive monitor was configured, the
+run fails.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ..merkle import merkle_proofs, merkle_root
 from ..registration import bulk_register, claim_bulk_registration_id, register
 from ..state import (
     NEW_ACCOUNT,
+    CollectSlot,
     GameState,
     PaymentStatus,
     ProtocolState,
@@ -71,7 +73,7 @@ class SimRun:
         self.understatements = 0
         self.instant_losses = 0
         self.insolvency_events = 0
-        self.pending_cheats: set[int] = set()        # open_seq of each unresolved cheat
+        self.pending_cheats: set[CollectSlot] = set()   # unresolved; by identity, never iterated
         self.gap_notes: set[str] = set()
         self.insolvent_kinds: set[str] = set()       # ops the pool could not cover
 
@@ -144,28 +146,26 @@ class SimRun:
     def sync(self) -> None:
         self.view.feed(self.log)
 
-    def note_cheat(self, delegate_id: int, slot_id: int) -> None:
-        self.sync()
-        self.pending_cheats.add(self.view.slots[(delegate_id, slot_id)].open_seq)
+    def note_cheat(self, slot: CollectSlot) -> None:
+        self.pending_cheats.add(slot)
         self.cheats_attempted += 1
 
-    def _resolve_cheat(self, seq: int) -> bool:
-        """Close the cheat opened as ``seq``; False if that slot was no cheat."""
-        if seq not in self.pending_cheats:
+    def _resolve_cheat(self, slot: CollectSlot) -> bool:
+        """Close the cheat opened as ``slot``; False if that slot was no cheat."""
+        if slot not in self.pending_cheats:
             return False
-        self.pending_cheats.remove(seq)
+        self.pending_cheats.remove(slot)
         return True
 
-    def note_settled(self, delegate_id: int, slot_id: int) -> None:
-        """A slot settled unchallenged (the view holds it until the next sync)."""
-        seq = self.view.slots[(delegate_id, slot_id)].open_seq
-        if self._resolve_cheat(seq):
+    def note_settled(self, slot: CollectSlot) -> None:
+        """A slot settled unchallenged."""
+        if self._resolve_cheat(slot):
             self.cheats_escaped += 1
 
-    def note_monitor_win(self, seq: int, was_instant: bool) -> None:
-        if self._resolve_cheat(seq):
+    def note_monitor_win(self, slot: CollectSlot) -> None:
+        if self._resolve_cheat(slot):
             self.cheats_caught += 1
-        if was_instant:
+        if slot.instant:
             self.instant_losses += 1
 
     def note_understatement(self) -> None:
@@ -280,8 +280,7 @@ class SimRun:
                     "drain-stalled", f"insolvent run left slots mid-game: {mid_game}"
                 )
             for key in stranded_slots:
-                seq = self.view.slots[key].open_seq
-                if self._resolve_cheat(seq):
+                if self._resolve_cheat(self.state.slots[key]):
                     self.cheats_stranded += 1
             self.gap_notes.add(
                 f"insolvency stranded {len(stranded_slots)} uncoverable collects "

@@ -525,8 +525,9 @@ class ProtocolState:
 
         Every account is inspected, but of the payments only the open locks
         in ``open_locks``: a payment leaves that index when it is unlocked or
-        refunded, so the check costs what is open, not history. A LOCKED
-        payment missing from the index is the end-of-run scan's to catch
+        refunded, so the check costs what is open, not history. An indexed
+        payment must be LOCKED and carry its key hash. A LOCKED payment
+        missing from the index is the end-of-run scan's to catch
         (``SimRun._verify_end`` walks every payment once).
 
         Of the slots only those marked since the last call are inspected: a
@@ -569,7 +570,7 @@ class ProtocolState:
             held = self._walk_slots()
         LOCKED = PaymentStatus.LOCKED
         for p in self.open_locks.values():
-            if p.status == LOCKED and p.locking_key_hash is None:
+            if p.status != LOCKED or p.locking_key_hash is None:
                 raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
         if self.adapter.reserve != balances + self.escrow_pool + held:
             raise InvariantViolation(

@@ -132,7 +132,7 @@ def test_event_bookkeeping_matches_full_scans(variant):
             if key in monitor._candidates:
                 continue
             seen["non-candidates"] += 1
-            seq = view.slots[key].open_seq
+            seq = len(view.opened) - 1 - view.opened[::-1].index(key)
             assert seq in monitor._verdicts, (now, key)
             assert monitor._verdicts[seq] != "overstated", (now, key)
 

@@ -86,6 +86,14 @@ def test_decode_rejects_oversized_varint():
         decode_pay_data(blob)
 
 
+def test_six_continuation_bytes_name_the_varint_length():
+    # refused at the sixth byte, before the delta could reach the id bound
+    blob = bytes.fromhex("02000000") + bytes.fromhex("05000000") + b"\x80" * 6 + b"\x01"
+    for read in (decode_pay_data, pay_data_extent):
+        with pytest.raises(CodecError, match="^varint longer than 5 bytes$"):
+            read(blob)
+
+
 def test_decode_rejects_id_overflow():
     # delta pushes the running id past the 32-bit ceiling
     header = bytes.fromhex("02000000") + MAX_ID.to_bytes(4, "little")

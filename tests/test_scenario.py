@@ -378,7 +378,7 @@ def _finished(config: ScenarioConfig) -> SimRun:
 
 
 def _cheat_left_open(run):
-    run.pending_cheats.add(len(run.view.opened))
+    run.pending_cheats.add(object())
 
 
 def _cheat_counted_twice(run):
@@ -447,3 +447,22 @@ def test_drain_cap_leaves_out_the_quiet_window(monkeypatch):
     run = SimRun(config)
     run.run()
     assert run.blocks_run - config.blocks > config.drain_window()
+
+
+def test_a_block_feeds_the_view_once_and_once_per_step_that_reads_it(monkeypatch):
+    # Actors read the present from the engine. The view is fed at set-up,
+    # at each block's end, and at the start of each delegate's and monitor's
+    # step, which read the log's history; buyers and unlockers never read it.
+    calls = 0
+    sync = SimRun.sync
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        sync(self)
+
+    monkeypatch.setattr(SimRun, "sync", counted)
+    run = SimRun(load_scenario_config(str(ROOT / "configs" / "adversarial.cfg")))
+    run.run()
+    cfg = run.config
+    assert calls == 1 + run.blocks_run * (1 + cfg.delegates + cfg.monitors) == 586

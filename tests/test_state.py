@@ -368,7 +368,7 @@ def test_deposit_withdraw_conserves_supply(amounts):
 
 
 def _reference_check(state) -> None:
-    """check_invariants as a plain loop over accounts, slots and payments."""
+    """check_invariants as a plain loop over accounts, slots and open locks."""
     balances = 0
     for acct in state.accounts:
         if acct.balance < 0 or acct.balance > U64_MAX:
@@ -418,8 +418,8 @@ def _reference_check(state) -> None:
             "pending-collects",
             f"{len(state.pending_collects)} indexed, {pending} non-instant slots",
         )
-    for p in state.payments:
-        if p.status == PaymentStatus.LOCKED and p.locking_key_hash is None:
+    for p in state.open_locks.values():
+        if p.status != PaymentStatus.LOCKED or p.locking_key_hash is None:
             raise InvariantViolation("payment-lock", f"payment {p.pay_index}")
     if state.adapter.reserve != balances + state.escrow_pool + held:
         raise InvariantViolation(
@@ -476,6 +476,7 @@ def _tamperings(world: World) -> list:
         lambda s: s.pending_collects.pop(world.seller),
         lambda s: s.pending_collects.__setitem__(world.buyer, (d, 0)),
         lambda s: setattr(s.payments[-1], "locking_key_hash", None),
+        lambda s: setattr(s.payments[-1], "status", PaymentStatus.COMMITTED),
         lambda s: setattr(s.adapter, "reserve", s.adapter.reserve - 1),
         lambda s: s.adapter.external.__setitem__("buyer", s.adapter.external["buyer"] + 1),
     ]
@@ -932,6 +933,24 @@ def _rejected_refund():
     return world.state, lambda: refund_locked_payment(world.state, locked)
 
 
+def _rejected_refund_past_u64():
+    # The buyer's balance is raised to the top behind the engine's back, so
+    # crediting the 4-token refund would leave it past the u64 range.
+    world = World()
+    locked = world.pay(
+        [world.seller], per_destination=3, unlocker_fee=1, locking_key_hash=b"\x07" * 32
+    )
+    world.mature()
+    world.state.accounts[world.buyer].balance = U64_MAX
+    return world.state, lambda: refund_locked_payment(world.state, locked)
+
+
+def _rejected_payment_past_pool():
+    world = World()
+    world.state.escrow_pool = U64_MAX
+    return world.state, lambda: world.pay([world.seller])
+
+
 def _rejected_settlement():
     world = World()
     world.pay([world.seller], per_destination=5)
@@ -1136,6 +1155,10 @@ SIBLINGS = merkle_prove(["late-0", "late-1"], 0).siblings
          "pay data must be bytes-like, got str"),
         (_rejected_unlock_fee, IllegalMove, "escrow pool cannot cover the unlocker fee"),
         (_rejected_refund, IllegalMove, "escrow pool cannot cover the refund"),
+        (_rejected_refund_past_u64, AmountOutOfRange,
+         "balance of account 0 18446744073709551619 outside unsigned 64-bit range"),
+        (_rejected_payment_past_pool, AmountOutOfRange,
+         "escrow pool 18446744073709551616 outside unsigned 64-bit range"),
         (_rejected_settlement, IllegalMove, "escrow pool cannot cover the settlement"),
         (_world_op(lambda w: register(w.state, "")), InvalidParameter, "address must be non-empty"),
         (_rejected_claim(""), InvalidParameter, "address must be non-empty"),
@@ -1228,7 +1251,8 @@ SIBLINGS = merkle_prove(["late-0", "late-1"], 0).siblings
          "claim-one-leaf-index-float", "claim-leaf-index-float", "claim-leaf-index-bool",
          "claim-siblings-none", "bulk-past-table",
          "key-hash-length", "key-hash-str", "key-hash-int-list", "pay-data-none",
-         "pay-data-int", "pay-data-str", "unlock-fee-uncovered", "refund-uncovered", "settlement-uncovered",
+         "pay-data-int", "pay-data-str", "unlock-fee-uncovered", "refund-uncovered",
+         "refund-balance-past-u64", "payment-pool-past-u64", "settlement-uncovered",
          "register-no-address", "claim-no-address", "register-long-address",
          "register-long-wide-address", "register-surrogate-address", "claim-long-address", "deposit-new-long-address",
          "deposit-existing-long-address", "withdraw-long-address", "withdraw-no-address",
