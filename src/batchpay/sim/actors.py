@@ -291,7 +291,6 @@ class Delegate:
                     parked[key] = slot.amount
                     continue
                 free_slot(state, delegate_id, slot_id)
-                ctx.note_settled(slot)
                 active.discard(key)
                 self._recipients.pop(key, None)
                 self._dirty.add(slot.recipient_id)
@@ -431,14 +430,13 @@ class Delegate:
                 authorization,
                 destination_address=destination,
             )
+            ctx.cheats_attempted += cheat
             # Pending now, or (instant) its prefix moved up to ``mature``.
             dirty.discard(seller_id)
             key = (self.account_id, slot_id)
             slot = state.slots[key]
             self._recipients[key] = seller_id
             heappush(self._deadlines, (slot.deadline_block, key))
-            if cheat:
-                ctx.note_cheat(slot)
 
 
 class Monitor:
@@ -507,7 +505,6 @@ class Monitor:
         elif legal("challenge_success", slot, now):
             challenge_success(state, key[0], key[1])
             self.games.remove(key)
-            ctx.note_monitor_win(slot)
 
     def _scan_for_new(self) -> None:
         ctx = self.ctx

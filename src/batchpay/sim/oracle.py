@@ -30,6 +30,12 @@ the view also keeps four append-only lists: ``opened``, ``challenged`` and
 ``ListResponded``) and ``payees`` (the distinct payee ids of every payment,
 by pay index - 1). An actor holds a cursor into each list it follows and
 reads only what was appended since.
+
+Each collect claim is classified once, at its ``CollectOpened``, as
+overstated or not: its range is matured by then, so the verdict never
+changes (see ``monitor_verdict``). ``cheats`` counts overstated claims
+opened, ``caught`` by a challenger and settled unchallenged (``escaped``);
+``instant_losses`` counts instant slots lost to a challenger.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ class _ViewSlot:
     fee: int
     destination: str | None
     instant: bool
+    overstated: bool              # claims more than the log owes over its range
     challenger_id: int | None = None
 
 
@@ -108,6 +115,8 @@ class LogView:
         self.opened: list[tuple[int, int]] = []      # slot key per CollectOpened
         self.challenged: list[tuple[int, int]] = []  # slot key per Challenged
         self.responded: list[tuple[int, int]] = []   # slot key per ListResponded
+        self.cheats: Counter[str] = Counter()        # overstated claims: attempted, caught, escaped
+        self.instant_losses = 0                      # instant slots lost to a challenger
         self.collect_stake = 0
         self.challenge_stake = 0
         self.unlock_period = 0
@@ -179,6 +188,7 @@ class LogView:
         self._credit(p.from_id, p.total_escrow)
 
     def _collect_opened(self, rec: CollectOpened) -> None:
+        start = self.prefixes.get(rec.recipient_id, 0)   # before an instant open moves it
         instant = rec.slot_id > self.instant_slot_threshold
         debit = self.collect_stake
         if instant:
@@ -188,10 +198,13 @@ class LogView:
                 self._credit(rec.recipient_id, advance)
             self.prefixes[rec.recipient_id] = rec.last_payment_index
         self._credit(rec.delegate_id, -debit)
+        self.mature_end()
+        overstated = rec.amount > self.owed(rec.recipient_id, start, rec.last_payment_index)[1]
+        self.cheats["attempted"] += overstated
         key = (rec.delegate_id, rec.slot_id)
         self.slots[key] = _ViewSlot(
             rec.recipient_id, rec.last_payment_index,
-            rec.amount, rec.fee, rec.destination_address, instant,
+            rec.amount, rec.fee, rec.destination_address, instant, overstated,
         )
         self.opened.append(key)
 
@@ -207,6 +220,8 @@ class LogView:
     def _challenge_succeeded(self, rec: ChallengeSucceeded) -> None:
         slot = self.slots.pop((rec.delegate_id, rec.slot_id))
         self._credit(slot.challenger_id, self.collect_stake + self.challenge_stake)
+        self.cheats["caught"] += slot.overstated
+        self.instant_losses += slot.instant
 
     def _challenge_failed(self, rec: ChallengeFailed) -> None:
         slot = self.slots[(rec.delegate_id, rec.slot_id)]
@@ -215,6 +230,7 @@ class LogView:
 
     def _slot_freed(self, rec: SlotFreed) -> None:
         slot = self.slots.pop((rec.delegate_id, rec.slot_id))
+        self.cheats["escaped"] += slot.overstated
         if slot.instant:
             self._credit(rec.delegate_id, slot.amount + self.collect_stake)
         else:

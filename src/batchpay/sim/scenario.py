@@ -8,11 +8,13 @@ re-checked and the chain-log shadow ledger must mirror every settled
 balance exactly; at the end, the log-derived oracle balance must equal the
 ledger balance for every account.
 
-Cheat accounting is mechanical: every overstated collect a cheating
-delegate opens is recorded, by its engine slot, when opened and must later
-be popped either by a monitor win or by an unchallenged settlement. If any
-cheat settles unchallenged while an attentive monitor was configured, the
-run fails.
+Cheat accounting is read from the chain log: the log-derived view
+classifies each collect claim when it opens, and counts an overstated one
+caught when a challenger wins its game and escaped when it settles
+unchallenged (see ``LogView.cheats``); one still open at the end was
+stranded. The delegates count the overstated collects they mean to open,
+and the run fails if the log shows another number, or if any cheat
+settles unchallenged while an attentive monitor was configured.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from ..merkle import merkle_proofs, merkle_root
 from ..registration import bulk_register, claim_bulk_registration_id, register
 from ..state import (
     NEW_ACCOUNT,
-    CollectSlot,
     GameState,
     PaymentStatus,
     ProtocolState,
@@ -66,14 +67,9 @@ class SimRun:
         self.draining = False
         self.blocks_run = 0
 
-        self.cheats_attempted = 0
-        self.cheats_caught = 0
-        self.cheats_escaped = 0
-        self.cheats_stranded = 0
+        self.cheats_attempted = 0                    # overstated collects delegates opened
         self.understatements = 0
-        self.instant_losses = 0
         self.insolvency_events = 0
-        self.pending_cheats: set[CollectSlot] = set()   # unresolved; by identity, never iterated
         self.gap_notes: set[str] = set()
         self.insolvent_kinds: set[str] = set()       # ops the pool could not cover
 
@@ -145,28 +141,6 @@ class SimRun:
 
     def sync(self) -> None:
         self.view.feed(self.log)
-
-    def note_cheat(self, slot: CollectSlot) -> None:
-        self.pending_cheats.add(slot)
-        self.cheats_attempted += 1
-
-    def _resolve_cheat(self, slot: CollectSlot) -> bool:
-        """Close the cheat opened as ``slot``; False if that slot was no cheat."""
-        if slot not in self.pending_cheats:
-            return False
-        self.pending_cheats.remove(slot)
-        return True
-
-    def note_settled(self, slot: CollectSlot) -> None:
-        """A slot settled unchallenged."""
-        if self._resolve_cheat(slot):
-            self.cheats_escaped += 1
-
-    def note_monitor_win(self, slot: CollectSlot) -> None:
-        if self._resolve_cheat(slot):
-            self.cheats_caught += 1
-        if slot.instant:
-            self.instant_losses += 1
 
     def note_understatement(self) -> None:
         self.understatements += 1
@@ -279,9 +253,6 @@ class SimRun:
                 raise InvariantViolation(
                     "drain-stalled", f"insolvent run left slots mid-game: {mid_game}"
                 )
-            for key in stranded_slots:
-                if self._resolve_cheat(self.state.slots[key]):
-                    self.cheats_stranded += 1
             self.gap_notes.add(
                 f"insolvency stranded {len(stranded_slots)} uncoverable collects "
                 f"and {len(stranded_locked)} locked payments"
@@ -294,27 +265,21 @@ class SimRun:
                 f"{leftover} tokens of entitlement were never collected "
                 "(no solvent delegate reached them)"
             )
-        if self.pending_cheats:
-            raise InvariantViolation(
-                "cheat-tracking", "a recorded cheat neither settled nor resolved"
-            )
-        if self.cheats_attempted != (
-            self.cheats_caught + self.cheats_escaped + self.cheats_stranded
-        ):
+        logged = self.view.cheats["attempted"]
+        if self.cheats_attempted != logged:
             raise InvariantViolation(
                 "cheat-tracking",
-                f"attempted {self.cheats_attempted} != caught {self.cheats_caught} "
-                f"+ escaped {self.cheats_escaped} + stranded {self.cheats_stranded}",
+                f"delegates overstated {self.cheats_attempted} collects, the log {logged}",
             )
         # A monitor that cannot afford the challenge stake watches in vain.
         attentive = self.config.monitor_deposit >= self.config.params.challenge_stake and any(
             not m.lazy for m in self.monitor_actors
         )
-        if attentive and self.cheats_escaped:
+        escaped = self.view.cheats["escaped"]
+        if attentive and escaped:
             raise InvariantViolation(
                 "cheat-escaped",
-                f"{self.cheats_escaped} overstated collects settled despite an "
-                "attentive monitor",
+                f"{escaped} overstated collects settled despite an attentive monitor",
             )
 
     def _tally(self) -> tuple[dict, dict, int]:
@@ -369,14 +334,15 @@ class SimRun:
             "unlocked": event_counts.get("Unlocked", 0),
             "refunded": event_counts.get("Refunded", 0),
         }
+        cheats = self.view.cheats
         report.cheats = {
-            "attempted": self.cheats_attempted,
-            "caught": self.cheats_caught,
-            "escaped": self.cheats_escaped,
-            "stranded": self.cheats_stranded,
+            "attempted": cheats["attempted"],
+            "caught": cheats["caught"],
+            "escaped": cheats["escaped"],
+            "stranded": cheats["attempted"] - cheats["caught"] - cheats["escaped"],
         }
         report.understatements = self.understatements
-        report.instant_advance_losses = self.instant_losses
+        report.instant_advance_losses = self.view.instant_losses
 
         total_gas = sum(row["gas"] for row in gas_rows.values())
         report.gas_by_op = gas_rows
@@ -405,12 +371,12 @@ class SimRun:
                 "bulk-registration roots are never challenged on-chain; "
                 "a wrong root strands its reserved ids"
             )
-        if self.cheats_escaped:
+        if cheats["escaped"]:
             self.gap_notes.add(
-                f"{self.cheats_escaped} overstated collects settled unchallenged "
+                f"{cheats['escaped']} overstated collects settled unchallenged "
                 "(no attentive monitor saw them)"
             )
-        if self.instant_losses:
+        if self.view.instant_losses:
             self.gap_notes.add(
                 "instant-collect advances stay with recipients when the delegate "
                 "loses the game; the delegate absorbs the difference"

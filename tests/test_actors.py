@@ -457,9 +457,9 @@ def test_monitor_visits_a_game_only_when_it_can_move(monkeypatch):
     assert moves <= len(visits) <= moves + games
 
 
-def test_monitor_drops_a_game_someone_else_ended_and_the_run_fails_its_cheat_check():
+def test_monitor_drops_a_game_someone_else_ended_and_the_log_counts_the_cheat_caught():
     # Anyone may end a timed-out game. The monitor must let go of it, and
-    # since no actor saw the cheat resolved, the end-of-run check fails.
+    # the log shows the claim lost, not which actor ended its game.
     run = SimRun(load_scenario_config(str(CONFIGS / "adversarial.cfg")))
     state = run.state
     delegate_moves = (GameState.CHALLENGE_STARTED, GameState.WAITING_PROOF)
@@ -478,5 +478,6 @@ def test_monitor_drops_a_game_someone_else_ended_and_the_run_fails_its_cheat_che
     challenge_success(state, *key)
     run.run_block()
     assert key not in monitor.games
-    with pytest.raises(InvariantViolation, match="cheat-tracking.*neither settled nor resolved"):
-        run.run()
+    run.run()
+    cheats = run.view.cheats
+    assert cheats["caught"] == cheats["attempted"] == run.cheats_attempted > 0

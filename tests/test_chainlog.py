@@ -44,7 +44,7 @@ from batchpay.merkle import MerkleProof
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import run_scenario_full
 from batchpay.state import Account, BulkRegistration, CollectSlot, Params, Payment, TokenAdapter
-from batchpay.wire import KINDS, kinds, layout, packer, reader, unpack
+from batchpay.wire import KINDS, U32_MAX, kinds, layout, pack_bytes, packer, reader, unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -285,6 +285,16 @@ def test_encode_rejects_a_string_past_its_u16_length_prefix():
     assert Registered(3, "x" * 0xFFFF).encode()
     with pytest.raises(CodecError, match="string too long for u16 length prefix"):
         Registered(3, "x" * 0x10000).encode()
+
+
+def test_pack_bytes_rejects_a_blob_past_its_u32_length_prefix():
+    # a 4 GiB blob is out of reach, so the blob only reports that length
+    class Huge(bytes):
+        def __len__(self):
+            return U32_MAX + 1
+
+    with pytest.raises(CodecError, match="^blob too long for u32 length prefix$"):
+        pack_bytes(Huge(b"x"))
 
 
 def test_every_laid_out_class_leaves_off_only_pay_index():

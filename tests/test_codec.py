@@ -54,6 +54,16 @@ def test_max_id_boundary():
         encode_pay_data([-1])
 
 
+def test_encode_rejects_more_payees_than_a_u32_counts():
+    # four billion ids are out of reach, so the list only reports that length
+    class Huge(list):
+        def __len__(self):
+            return 2**32
+
+    with pytest.raises(CodecError, match="^payee count exceeds u32$"):
+        encode_pay_data(Huge([1]))
+
+
 def test_encode_rejects_decreasing():
     with pytest.raises(CodecError):
         encode_pay_data([7, 5])
@@ -79,11 +89,14 @@ def test_decode_rejects_padded_varint():
         decode_pay_data(blob)
 
 
-def test_decode_rejects_oversized_varint():
-    # six continuation bytes exceed the widest encoding a 32-bit delta needs
+def test_five_continuation_bytes_overflow_the_id_bound():
+    # a five-byte varint passes the length check; its delta of 2**35 does not
     blob = bytes.fromhex("02000000") + bytes.fromhex("05000000") + b"\x80" * 5 + b"\x01"
-    with pytest.raises(CodecError):
-        decode_pay_data(blob)
+    for read in (decode_pay_data, pay_data_extent):
+        with pytest.raises(
+            CodecError, match="^delta overflow: id 34359738373 exceeds bound 4294967295$"
+        ):
+            read(blob)
 
 
 def test_six_continuation_bytes_name_the_varint_length():

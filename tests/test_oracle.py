@@ -284,6 +284,35 @@ def test_monitor_verdict_classifies_claims():
         assert monitor_verdict(view, slot) == expected
 
 
+@pytest.mark.parametrize("instant", [False, True])
+def test_view_counts_an_overstated_claim_once_and_how_it_ends(instant):
+    # Each claim is judged once, at open: only the overstated one is a
+    # cheat, and losing its game counts it caught, not escaped.
+    world = World()
+    exact, under = register(world.state, "exact"), register(world.state, "under")
+    world.pay([world.seller, exact, under], per_destination=10)
+    world.pay([world.seller], per_destination=3)              # seller owed 13
+    world.mature()
+    first = 40000 if instant else 1
+    for offset, recipient, amount in ((0, world.seller, 18), (1, exact, 10), (2, under, 9)):
+        world.open_collect(first + offset, end=2, amount=amount, recipient=recipient)
+    view = view_of(world.state.log)
+    assert [view.slots[(world.delegate, first + i)].overstated for i in range(3)] == [
+        True, False, False,
+    ]
+    assert view.cheats["attempted"] == 1
+
+    challenge(world.state, world.delegate, first, world.monitor)
+    world.advance(world.params.response_period)
+    challenge_success(world.state, world.delegate, first)
+    world.advance(world.params.challenge_period)
+    for offset in (1, 2):
+        free_slot(world.state, world.delegate, first + offset)
+    view.feed(world.state.log)
+    assert [view.cheats[k] for k in ("attempted", "caught", "escaped")] == [1, 1, 0]
+    assert view.instant_losses == instant
+
+
 def test_find_inflated_entry_pigeonholes_the_lie(world):
     other = register(world.state, "other")
     world.pay([world.seller, other], per_destination=4)      # seller due 4

@@ -113,6 +113,25 @@ def test_lazy_monitors_let_some_cheats_escape():
     assert report.conservation_ok
 
 
+@pytest.mark.parametrize(
+    "path, setting, value, cheats, instant_losses",
+    [
+        ("configs/adversarial.cfg", "lazy_monitor_fraction", 1.0, (16, 6, 10, 0), 1),
+        ("bench/adversarial_bulk.cfg", "monitor_deposit", 0, (489, 0, 455, 34), 0),
+    ],
+    ids=["all-lazy", "unstaked"],
+)
+def test_cheat_table_reaches_every_outcome(path, setting, value, cheats, instant_losses):
+    # Together these runs have cheats caught, escaped and stranded, and an
+    # instant loss.
+    config = load_scenario_config(str(ROOT / path))
+    config.seed = 1
+    setattr(config, setting, value)
+    report = run_scenario(config)
+    assert tuple(report.cheats.values()) == cheats
+    assert report.instant_advance_losses == instant_losses
+
+
 def no_monitor_config() -> ScenarioConfig:
     """One cheating delegate and no monitor: the looted pool strands collects."""
     return ScenarioConfig(
@@ -377,17 +396,16 @@ def _finished(config: ScenarioConfig) -> SimRun:
     return run
 
 
-def _cheat_left_open(run):
-    run.pending_cheats.add(object())
-
-
 def _cheat_counted_twice(run):
     run.cheats_attempted += 1
 
 
+def _cheat_logged_twice(run):
+    run.view.cheats["attempted"] += 1
+
+
 def _cheat_escaped(run):
-    run.cheats_attempted += 1
-    run.cheats_escaped += 1
+    run.view.cheats["escaped"] += 1
 
 
 def _payment_left_locked(run):
@@ -406,13 +424,13 @@ def _stranded_slot_mid_game(run):
 @pytest.mark.parametrize(
     "config, tamper, invariant, message",
     [
-        ("adversarial", _cheat_left_open, "cheat-tracking", "a recorded cheat neither settled nor resolved"),
-        ("adversarial", _cheat_counted_twice, "cheat-tracking", "attempted 25 != caught 24 + escaped 0 + stranded 0"),
+        ("adversarial", _cheat_counted_twice, "cheat-tracking", "delegates overstated 25 collects, the log 24"),
+        ("adversarial", _cheat_logged_twice, "cheat-tracking", "delegates overstated 24 collects, the log 25"),
         ("adversarial", _cheat_escaped, "cheat-escaped", "1 overstated collects settled despite an attentive monitor"),
         ("honest", _payment_left_locked, "drain-stalled", "open slots or locked payments survived the drain"),
         ("no-monitor", _stranded_slot_mid_game, "drain-stalled", "insolvent run left slots mid-game: [(11, 42)]"),
     ],
-    ids=["cheat-open", "cheat-count", "cheat-escaped", "locked-left", "mid-game"],
+    ids=["cheat-count", "cheat-logged", "cheat-escaped", "locked-left", "mid-game"],
 )
 def test_end_of_run_checks_catch_a_tampered_run(config, tamper, invariant, message):
     if config == "no-monitor":
