@@ -157,10 +157,10 @@ def collect(
         raise InvalidParameter(f"fee {fee} exceeds amount {amount}")
     if destination_address is not None:
         ensure_address(destination_address, "destination address")
-    if last_payment_index <= recipient.last_collected_pay_index:
+    start_pay_index = state.collected[recipient_id]
+    if last_payment_index <= start_pay_index:
         raise IllegalMove(
-            f"range end {last_payment_index} not past collected prefix "
-            f"{recipient.last_collected_pay_index}"
+            f"range end {last_payment_index} not past collected prefix {start_pay_index}"
         )
     mature = state.latest_collectable_pay_index()
     if last_payment_index > mature:
@@ -192,14 +192,13 @@ def collect(
         raise BadSignature("collect authorization does not verify")
     instant = slot_id > state.params.instant_slot_threshold
     stake = state.params.collect_stake
-    start_pay_index = recipient.last_collected_pay_index
     if instant:
         advance = amount - fee
         state.transfer([
             (delegate_id, -(stake + advance)),
             (destination_address or recipient_id, advance),
         ])
-        recipient.last_collected_pay_index = last_payment_index
+        state.set_collected(recipient_id, last_payment_index)
     else:
         state.transfer([(delegate_id, -stake)])
     state.open_slot(CollectSlot(
@@ -247,10 +246,8 @@ def free_slot(state: ProtocolState, delegate_id: int, slot_id: int) -> None:
             (slot.destination_address or slot.recipient_id, slot.amount - slot.fee),
             (delegate_id, slot.fee + slot.held_funds),
         ], pool=-slot.amount, what="settlement")
-        recipient = state.accounts[slot.recipient_id]
-        recipient.last_collected_pay_index = max(
-            recipient.last_collected_pay_index, slot.end_pay_index
-        )
+        recipient_id = slot.recipient_id
+        state.set_collected(recipient_id, max(state.collected[recipient_id], slot.end_pay_index))
     _apply(state, slot, SlotFreed(delegate_id, slot_id))
 
 

@@ -142,7 +142,7 @@ class Buyer:
         unlocker = rng.choice(ctx.unlockers) if locked else None
         fee = cfg.unlocker_fee if locked else 0
         total = per_destination * count + fee
-        if ctx.state.accounts[self.account_id].balance < total:
+        if ctx.state.balances[self.account_id] < total:
             return
         pay_data = encode_pay_data(ids)
         pay_index = register_payment(
@@ -391,7 +391,7 @@ class Delegate:
                 dirty.discard(seller_id)
                 continue
             # The engine's prefix: this step's own settlements moved it past the view's.
-            prefix = state.accounts[seller_id].last_collected_pay_index
+            prefix = state.collected[seller_id]
             count, entitlement = view.owed(seller_id, prefix, mature)
             if count < threshold:           # threshold >= 1: nothing owed, no collect
                 dirty.discard(seller_id)
@@ -405,7 +405,7 @@ class Delegate:
             destination = f"payout-{seller_id}" if external else None
             advance = amount - fee if instant else 0
             stake = state.params.collect_stake
-            if state.accounts[self.account_id].balance < stake + advance:
+            if state.balances[self.account_id] < stake + advance:
                 continue
             slot_id = self._alloc_slot_id(instant)
             message = collect_auth_message(
@@ -538,7 +538,7 @@ class Monitor:
             if self._verdicts[pos] != "overstated":
                 del candidates[key]
                 continue
-            if state.accounts[self.account_id].balance < stake:
+            if state.balances[self.account_id] < stake:
                 continue
             challenge(state, key[0], key[1], self.account_id)
             self.games.add(key)

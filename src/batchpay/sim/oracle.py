@@ -4,7 +4,10 @@ LogView replays the record stream into a shadow ledger that never touches
 the engine's state objects. It exists to double-check the engine: settled
 balances reconstructed here must match the ledger at every block boundary,
 and the entitlement computation is what honest monitors trust when
-deciding whether a collect claim is inflated.
+deciding whether a collect claim is inflated. ``balances`` is a list by
+account id, opened at 0 by each record that allocates ids, so the
+simulator's per-block mirror is one list compare with the engine's
+balance column.
 
 Entitlement queries read a posting index instead of scanning payments:
 for every account, the ascending pay indices of the payments that name it,
@@ -104,7 +107,7 @@ class LogView:
 
     def __init__(self) -> None:
         self.block = 0
-        self.balances: dict[int, int] = {}
+        self.balances: list[int] = []                # settled balance by account id
         self.payments: list[_ViewPayment] = []
         # account -> (pay indices naming it, ascending; occurrences in each;
         # running committed counts and dues over its matured postings)
@@ -136,7 +139,15 @@ class LogView:
         self._consumed = len(log.records)
 
     def _credit(self, account_id: int, amount: int) -> None:
-        self.balances[account_id] = self.balances.get(account_id, 0) + amount
+        if account_id >= len(self.balances):
+            self._open(account_id)
+        self.balances[account_id] += amount
+
+    def _open(self, account_id: int) -> None:
+        """Open every id up to ``account_id`` not yet in ``balances``, at 0."""
+        balances = self.balances
+        while len(balances) <= account_id:
+            balances.append(0)
 
     def _instantiated(self, rec: Instantiated) -> None:
         # the params blob: table bound, unlock period, two game periods,
@@ -145,8 +156,7 @@ class LogView:
          self.instant_slot_threshold) = unpack(("u64",) * 8, rec.params_blob)
 
     def _bulk_registered(self, rec: BulkRegistered) -> None:
-        for i in range(rec.first_id, rec.first_id + rec.count):
-            self.balances.setdefault(i, 0)
+        self._open(rec.first_id + rec.count - 1)
 
     def _advanced(self, rec: Advanced) -> None:
         self.block += rec.blocks
@@ -331,7 +341,7 @@ class LogView:
         return self._mature
 
     def settled_balance(self, account_id: int) -> int:
-        return self.balances.get(account_id, 0)
+        return self.balances[account_id] if 0 <= account_id < len(self.balances) else 0
 
     def collectable(self, account_id: int) -> int:
         """Matured entitlement past the account's settled prefix.
@@ -349,7 +359,7 @@ class LogView:
 # The records that move no balance the view tracks map to a no-op.
 _APPLY = {
     Instantiated: LogView._instantiated,
-    Registered: lambda view, rec: view.balances.setdefault(rec.account_id, 0),
+    Registered: lambda view, rec: view._open(rec.account_id),
     BulkRegistered: LogView._bulk_registered,
     Deposited: lambda view, rec: view._credit(rec.account_id, rec.amount),
     Withdrawn: lambda view, rec: view._credit(rec.account_id, -rec.amount),

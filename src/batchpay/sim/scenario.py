@@ -181,14 +181,18 @@ class SimRun:
         self._assert_mirror()
 
     def _assert_mirror(self) -> None:
-        shadows = self.view.balances
-        for acct in self.state.accounts:
-            shadow = shadows.get(acct.account_id, 0)
-            if shadow != acct.balance:
+        """The log-derived balances equal the ledger's column, in one compare;
+        on a mismatch, a walk names the first account that differs."""
+        ledger, shadows = self.state.balances, self.view.balances
+        if ledger == shadows:
+            return
+        for account_id, balance in enumerate(ledger):
+            shadow = self.view.settled_balance(account_id)
+            if shadow != balance:
                 raise InvariantViolation(
                     "oracle-mirror",
-                    f"account {acct.account_id}: log-derived balance {shadow} "
-                    f"!= ledger {acct.balance} at block {self.state.current_block}",
+                    f"account {account_id}: log-derived balance {shadow} "
+                    f"!= ledger {balance} at block {self.state.current_block}",
                 )
 
     def _drained(self) -> bool:

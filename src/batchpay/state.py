@@ -1,9 +1,12 @@
 """Core protocol state: parameters, accounts, token custody, block clock.
 
 Accounts are rows in a flat table addressed by 32-bit ids; an id is
-allocated once and never reused. Token custody is a single reserve held
-against an external balance map (the token adapter). All token quantities
-are unsigned 64-bit integers and leaving that range anywhere is a hard error.
+allocated once and never reused. A row's balance and collected prefix are
+cells of two list columns by id, which the per-block check compares whole
+with shadows the engine's write sites keep. Token custody is a single
+reserve held against an external balance map (the token adapter). All
+token quantities are unsigned 64-bit integers and leaving that range
+anywhere is a hard error.
 
 Money inside the protocol lives in exactly three places, and the
 conservation invariant ties them to the reserve after every operation:
@@ -222,6 +225,43 @@ class Account:
         return self.address is not None
 
 
+class AccountRow(Account):
+    """An account in a state's table. Its balance and collected prefix are
+    the cells at its id in that state's ``balances`` and ``collected``
+    columns, so a write through the row reaches the live column only, and
+    the shadow compare in ``check_invariants`` sees it.
+
+    The row holds the two columns, not the state, so a state forms no
+    reference cycle and is freed by reference counting alone.
+    """
+
+    __slots__ = ("_balances", "_collected")
+
+    def __init__(
+        self, account_id: int, address: str | None, balances: list[int], collected: list[int]
+    ):
+        self.account_id = account_id
+        self.address = address
+        self._balances = balances
+        self._collected = collected
+
+    @property
+    def balance(self) -> int:
+        return self._balances[self.account_id]
+
+    @balance.setter
+    def balance(self, value: int) -> None:
+        self._balances[self.account_id] = value
+
+    @property
+    def last_collected_pay_index(self) -> int:
+        return self._collected[self.account_id]
+
+    @last_collected_pay_index.setter
+    def last_collected_pay_index(self, value: int) -> None:
+        self._collected[self.account_id] = value
+
+
 class PaymentStatus(IntEnum):
     COMMITTED = 0
     LOCKED = 1
@@ -331,7 +371,19 @@ class ProtocolState:
         self.params = params
         self.adapter = adapter
         self.current_block = 0       # the only notion of time in a run
-        self.accounts: list[Account] = []
+        self.accounts: list[AccountRow] = []
+        # Each account's balance and collected prefix, by id; its row reads
+        # and writes these cells. Beside each column, a shadow that only the
+        # engine's write sites write, storing the same int object in both, so
+        # one compare in C shows whether a cell was written behind its back.
+        # The shadows' balance total and highest prefix are kept as they go.
+        self.balances: list[int] = []
+        self.collected: list[int] = []
+        self._balances_shadow: list[int] = []
+        self._collected_shadow: list[int] = []
+        self._accounts_shadow: list[AccountRow] = []
+        self._balance_total = 0
+        self._collected_top = 0
         self.payments: list[Payment] = []
         self.bulks: list[BulkRegistration] = []
         self.slots: dict[tuple[int, int], OpenSlot] = {}
@@ -398,12 +450,23 @@ class ProtocolState:
 
     # -- account table -----------------------------------------------------
 
-    def allocate_account(self, address: str | None) -> Account:
+    def allocate_account(self, address: str | None) -> AccountRow:
         if len(self.accounts) >= self.params.max_account_count:
             raise TableFull(f"account table at limit {self.params.max_account_count}")
-        acct = Account(account_id=len(self.accounts), address=address)
+        acct = AccountRow(len(self.accounts), address, self.balances, self.collected)
         self.accounts.append(acct)
+        self._accounts_shadow.append(acct)
+        self.balances.append(0)
+        self._balances_shadow.append(0)
+        self.collected.append(0)
+        self._collected_shadow.append(0)
         return acct
+
+    def set_collected(self, account_id: int, pay_index: int) -> None:
+        """Move an account's collected prefix: the engine's one prefix write."""
+        self.collected[account_id] = self._collected_shadow[account_id] = pay_index
+        if pay_index > self._collected_top:
+            self._collected_top = pay_index
 
     # -- collect slots ------------------------------------------------------
 
@@ -448,13 +511,14 @@ class ProtocolState:
         if not self.covers(-pool):
             raise IllegalMove(f"escrow pool cannot cover the {what}")
         pool += self.escrow_pool
+        column = self.balances
         balances: dict[int, int] = {}
         for to, amount in moves:
             if isinstance(to, str):
                 if amount:
                     self.adapter.check_withdraw(to, amount)
                 continue
-            before = balances[to] if to in balances else self.accounts[to].balance
+            before = balances[to] if to in balances else column[to]
             balance = before + amount
             if balance < 0:
                 raise InsufficientFunds(f"account {to} balance {before} < {-amount}")
@@ -465,8 +529,13 @@ class ProtocolState:
             balances[to] = balance
         if pool > U64_MAX:
             raise AmountOutOfRange(f"escrow pool {pool} outside unsigned 64-bit range")
+        # One int object in the column and its shadow, as ``deposit`` writes;
+        # the shadow's total moves by what the shadow held.
+        shadow, total = self._balances_shadow, self._balance_total
         for account_id, balance in balances.items():
-            self.accounts[account_id].balance = balance
+            total += balance - shadow[account_id]
+            column[account_id] = shadow[account_id] = balance
+        self._balance_total = total
         for to, amount in moves:
             if isinstance(to, str) and amount:
                 self.adapter.withdraw(to, amount)
@@ -488,15 +557,16 @@ class ProtocolState:
             if len(self.accounts) >= self.params.max_account_count:
                 raise TableFull(f"account table at limit {self.params.max_account_count}")
             self.adapter.deposit(from_address, amount)
-            acct = self.allocate_account(from_address)
-            acct.balance = amount
+            account_id = self.allocate_account(from_address).account_id
+            balance = amount
         else:
-            acct = self.claimed_account(account_ref)
-            ensure_u64(acct.balance + amount, "account balance")
+            account_id = self.claimed_account(account_ref).account_id
+            balance = ensure_u64(self.balances[account_id] + amount, "account balance")
             self.adapter.deposit(from_address, amount)
-            acct.balance += amount
-        self.log.append(Deposited(account_ref, acct.account_id, amount, from_address))
-        return acct.account_id
+        self._balance_total += balance - self._balances_shadow[account_id]
+        self.balances[account_id] = self._balances_shadow[account_id] = balance
+        self.log.append(Deposited(account_ref, account_id, amount, from_address))
+        return account_id
 
     def withdraw(self, account_id: int, amount: int, to_address: str, sender: str) -> None:
         """Move balance out to an external address; only the owner may call."""
@@ -523,12 +593,21 @@ class ProtocolState:
         """Check conservation, supply and each row's invariants; raise
         InvariantViolation naming the first that fails.
 
-        Every account is inspected, but of the payments only the open locks
-        in ``open_locks``: a payment leaves that index when it is unlocked or
-        refunded, so the check costs what is open, not history. An indexed
-        payment must be LOCKED and carry its key hash. A LOCKED payment
-        missing from the index is the end-of-run scan's to catch
-        (``SimRun._verify_end`` walks every payment once).
+        No account is read one by one while the engine alone has written the
+        table. The balance and collected-prefix columns, and the list of
+        rows, are each compared whole, in C, with the shadow the engine's
+        write sites keep (``transfer``, ``deposit``, ``set_collected`` and
+        ``allocate_account`` store one int object in a column and its shadow).
+        Every value those sites store is in range when stored, so when the
+        compares match, the shadows' running balance total stands for the sum
+        and their highest prefix for every prefix.
+
+        Of the payments only the open locks in ``open_locks`` are inspected:
+        a payment leaves that index when it is unlocked or refunded, so the
+        check costs what is open, not history. An indexed payment must be
+        LOCKED and carry its key hash. A LOCKED payment missing from the
+        index is the end-of-run scan's to catch (``SimRun._verify_end`` walks
+        every payment once).
 
         Of the slots only those marked since the last call are inspected: a
         slot is marked when it is opened or closed and by every write to it
@@ -540,28 +619,26 @@ class ProtocolState:
         with what the last call saw, so a slot deleted, inserted or swapped
         without a marked write is a mismatch.
 
-        Only on a mismatch, including a conservation check that fails against
-        the running total, does ``_walk_slots`` run ``_check_slot`` over every
-        slot in map order, naming the first failing check as a plain walk
-        would. If the state passes it, the marks disagree with the map (a row
-        swapped in unmarked, or running values drifted), and that fails too
-        ("slot-marks"); the running values are never resynced silently.
+        Only on a mismatch does a full walk run: ``_walk_accounts`` when a
+        column or the rows differ from their shadows, ``_walk_slots`` when the
+        marks disagree with the map or conservation fails against the running
+        held total. Each names the first failing check as a plain walk would.
+        If the state passes the walk, the shadows or marks disagree with it (a
+        cell written or a row swapped outside the engine, or running values
+        drifted), and that fails too ("account-marks", "slot-marks"); the
+        running values are never resynced silently.
 
-        Runs after every simulated block, so its plain loops (faster here than
-        ``map``/``attrgetter`` passes) read enum members and parameters from
-        locals; the account loop sums the balances as it checks them.
+        The adapter's total is summed over every external address each call:
+        a dict sum in C, so a tampered external balance still fails "supply".
         """
         payment_count = len(self.payments)
-        balances = 0
-        for acct in self.accounts:
-            balance = acct.balance
-            if balance < 0 or balance > U64_MAX:
-                raise InvariantViolation("balance-range", f"account {acct.account_id}")
-            if acct.last_collected_pay_index > payment_count:
-                raise InvariantViolation(
-                    "collected-prefix", f"account {acct.account_id} past log end"
-                )
-            balances += balance
+        walked_accounts = not (
+            self.balances == self._balances_shadow
+            and self.collected == self._collected_shadow
+            and self.accounts == self._accounts_shadow
+            and self._collected_top <= payment_count
+        )
+        balances = self._walk_accounts(payment_count) if walked_accounts else self._balance_total
         if self.escrow_pool < 0:
             raise InvariantViolation("conservation", "escrow pool negative")
         held = self._see_marked_slots()
@@ -583,10 +660,34 @@ class ProtocolState:
                 "supply",
                 f"adapter holds {self.adapter.total()} != minted {self.adapter.minted}",
             )
+        if walked_accounts:
+            raise InvariantViolation(
+                "account-marks",
+                "the account columns or rows disagree with their shadows; a full walk passes",
+            )
         if walked:
             raise InvariantViolation(
                 "slot-marks", "the marked slots disagree with a full walk, which passes"
             )
+
+    def _walk_accounts(self, payment_count: int) -> int:
+        """Check every account row in id order; return the balance total.
+
+        The full walk behind ``check_invariants``' shadow compares, run when
+        they disagree: it names the first row whose balance leaves the u64
+        range or whose collected prefix passes the last payment.
+        """
+        balances = 0
+        for acct in self.accounts:
+            balance = acct.balance
+            if balance < 0 or balance > U64_MAX:
+                raise InvariantViolation("balance-range", f"account {acct.account_id}")
+            if acct.last_collected_pay_index > payment_count:
+                raise InvariantViolation(
+                    "collected-prefix", f"account {acct.account_id} past log end"
+                )
+            balances += balance
+        return balances
 
     def _see_marked_slots(self) -> int | None:
         """Bring the seen slots, index and held total up to the marks; return

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -55,11 +57,14 @@ from batchpay.payments import locking_key_hash, refund_locked_payment, register_
 from batchpay.registration import bulk_register, claim_bulk_registration_id, register
 from batchpay.replay import replay
 from batchpay.sim.config import load_scenario_config
+from batchpay.sim.oracle import LogView
 from batchpay.sim.scenario import SimRun
 from batchpay.state import (
     MAX_ACCOUNT_ID_SPACE,
     NEW_ACCOUNT,
     U64_MAX,
+    Account,
+    AccountRow,
     CollectSlot,
     GameState,
     Params,
@@ -663,6 +668,71 @@ def test_an_unmarked_valid_twin_fails_as_slot_marks():
     assert caught.value.invariant == "slot-marks"
 
 
+def test_cells_written_outside_the_engine_fail_as_account_marks():
+    # Each write here leaves a state a full walk passes, but not one the
+    # engine's write sites made: the columns or rows then disagree with the
+    # shadows those sites keep, and the check names that instead of adopting
+    # the write silently.
+    world = _game_world()
+    world.state.check_invariants()
+    seller = world.seller
+
+    def deposit_around_the_engine(s):
+        # Tokens enter the reserve at the adapter and the balance is raised
+        # by as much, so conservation and supply both still hold.
+        s.adapter.mint("buyer", 7)
+        s.adapter.deposit("buyer", 7)
+        s.accounts[world.buyer].balance += 7
+
+    def foreign_row(s):
+        row = s.accounts[seller]
+        s.accounts[seller] = Account(
+            row.account_id, row.address, row.balance, row.last_collected_pay_index
+        )
+
+    cases = {
+        "deposit around the engine": deposit_around_the_engine,
+        "prefix moved in range": lambda s: setattr(s.accounts[seller], "last_collected_pay_index", 1),
+        "row swapped for an equal one built outside the engine": foreign_row,
+    }
+    for name, tamper in cases.items():
+        state = copy.deepcopy(world.state)
+        state.check_invariants()
+        tamper(state)
+        assert _failure(_reference_check, state) is None, name
+        with pytest.raises(InvariantViolation, match="disagree with their shadows") as caught:
+            state.check_invariants()
+        assert caught.value.invariant == "account-marks", name
+
+
+def test_a_prefix_past_a_shortened_payment_list_is_named_without_a_cell_write():
+    # Every cell still matches its shadow, but the payments under the
+    # instant collect's prefix are gone: the check still walks and names the
+    # prefix, as the reference loop does.
+    world = _game_world()
+    world.state.check_invariants()
+    del world.state.payments[-2:]
+    expected = _failure(_reference_check, world.state)
+    assert expected is not None and expected[0] == "collected-prefix"
+    assert _failure(ProtocolState.check_invariants, world.state) == expected
+
+
+def test_a_state_is_freed_by_reference_counting_alone():
+    # A row holds its state's columns, not the state, so no state sits in a
+    # reference cycle: with the collector off, as the benchmark's timed
+    # phases run, dropping the last reference frees it.
+    gc.disable()
+    try:
+        world = _game_world()
+        replayed, _ = replay(world.state.log)
+        assert replayed.digest() == world.state.digest()
+        refs = [weakref.ref(world.state), weakref.ref(replayed)]
+        del world, replayed
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_a_slot_opened_and_closed_between_checks_leaves_no_mark():
     world = World()
     world.pay([world.seller], per_destination=10)
@@ -729,6 +799,54 @@ def test_check_invariants_examines_only_the_slots_a_block_writes(monkeypatch):
     quiet = [(examined, open_) for examined, named, open_ in rows if not named]
     assert quiet and all(examined == 0 for examined, _ in quiet)
     assert max(open_ for _, open_ in quiet) >= 100
+
+
+def test_the_per_block_checks_read_no_account_row_one_by_one(monkeypatch):
+    # Bulk registration makes the account table grow with the payees, not
+    # the traffic. Over the bench's adversarial_bulk config (410 accounts),
+    # neither check_invariants nor the oracle mirror reads a row or a
+    # log-derived balance one by one on any block: each compares whole
+    # columns. A tampered balance still makes both walk and name it.
+    reading, reads = [False], [0]
+
+    def counted(get):
+        def read(*args):
+            reads[0] += reading[0]
+            return get(*args)
+        return read
+
+    for name in ("balance", "last_collected_pay_index"):
+        prop = getattr(AccountRow, name)
+        monkeypatch.setattr(AccountRow, name, property(counted(prop.fget), prop.fset))
+    monkeypatch.setattr(LogView, "settled_balance", counted(LogView.settled_balance))
+    per_call = []
+
+    def during(check):
+        def run_check(self):
+            reading[0], reads[0] = True, 0
+            try:
+                return check(self)
+            finally:
+                reading[0] = False
+                per_call.append(reads[0])
+        return run_check
+
+    monkeypatch.setattr(ProtocolState, "check_invariants", during(ProtocolState.check_invariants))
+    monkeypatch.setattr(SimRun, "_assert_mirror", during(SimRun._assert_mirror))
+    run = SimRun(load_scenario_config(REPO / "bench" / "adversarial_bulk.cfg"))
+    run.run()
+    assert len(run.state.accounts) > 400
+    assert len(per_call) == 2 * run.blocks_run and not any(per_call)
+
+    tampered = run.seller_ids[len(run.seller_ids) // 2]
+    run.state.accounts[tampered].balance += 1
+    with pytest.raises(InvariantViolation) as caught:
+        run.state.check_invariants()
+    assert caught.value.invariant == "conservation"
+    with pytest.raises(InvariantViolation, match=f"account {tampered}: ") as caught:
+        run._assert_mirror()
+    assert caught.value.invariant == "oracle-mirror"
+    assert per_call[-2] > 400 and per_call[-1] > tampered      # both walked, and were counted
 
 
 # -- the state image against the hand-written layout --------------------------
