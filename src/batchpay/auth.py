@@ -19,7 +19,7 @@ from functools import lru_cache
 from hashlib import sha256
 
 from .chainlog import CollectOpened
-from .wire import layout, packer
+from .wire import layout, values_packer
 
 MAC_SIZE = 32
 
@@ -27,7 +27,7 @@ _MESSAGE_TAG = b"BPCOLLECT\x01"
 # The instance id, then every collect parameter: CollectOpened's fields less its authorization.
 _MESSAGE_KINDS = ("b32", *(kind for name, kind in layout(CollectOpened, "")
                            if name != "authorization"))
-_pack_message = packer([(f"o[{i}]", kind) for i, kind in enumerate(_MESSAGE_KINDS)])
+_pack_message = values_packer(_MESSAGE_KINDS)
 
 
 def collect_auth_message(
@@ -41,8 +41,8 @@ def collect_auth_message(
     destination_address: str | None,
 ) -> bytes:
     return _MESSAGE_TAG + _pack_message(
-        (instance_id, delegate_id, slot_id, recipient_id, last_payment_index, amount, fee,
-         destination_address)
+        instance_id, delegate_id, slot_id, recipient_id, last_payment_index, amount, fee,
+        destination_address,
     )
 
 

@@ -146,10 +146,12 @@ def collect(
     """
     if not 0 <= ensure_int(slot_id, "slot id") <= SLOT_ID_MAX:
         raise InvalidParameter(f"slot id {slot_id} outside [0, {SLOT_ID_MAX}]")
+    # The delegate is looked up first, as ``_check`` types ids first: 2.0 is
+    # refused as no id whether or not slot (2, ...) is occupied.
+    state.owner(delegate_id)
     if (delegate_id, slot_id) in state.slots:
         raise IllegalMove(f"slot ({delegate_id}, {slot_id}) is occupied")
-    state.claimed_account(delegate_id)
-    recipient = state.claimed_account(recipient_id)
+    recipient_address = state.owner(recipient_id)
     ensure_u64(amount, "collect amount")
     ensure_u64(fee, "collect fee")
     ensure_u64(last_payment_index, "last payment index")
@@ -186,9 +188,7 @@ def collect(
         destination_address,
     )
     authorization = ensure_bytes(authorization, "collect authorization")
-    if len(authorization) != 32 or not verify_collect(
-        recipient.address, message, authorization
-    ):
+    if len(authorization) != 32 or not verify_collect(recipient_address, message, authorization):
         raise BadSignature("collect authorization does not verify")
     instant = slot_id > state.params.instant_slot_threshold
     stake = state.params.collect_stake
@@ -256,7 +256,7 @@ def challenge(state: ProtocolState, delegate_id: int, slot_id: int, challenger_i
     slot = _check(state, Challenged, delegate_id, slot_id)
     if challenger_id == delegate_id:
         raise IllegalMove("a delegate cannot challenge its own slot")
-    state.claimed_account(challenger_id)
+    state.owner(challenger_id)
     stake = state.params.challenge_stake
     state.transfer([(challenger_id, -stake)])
     slot.held_funds += stake

@@ -57,8 +57,7 @@ def register_payment(
     unlocker_fee: int = 0,
 ) -> int:
     """Escrow and record a batch payment; returns its payment index."""
-    buyer = state.claimed_account(from_id)
-    if buyer.address != sender:
+    if state.owner(from_id) != sender:
         raise Unauthorized(f"{sender!r} does not own account {from_id}")
     ensure_u64(per_destination, "per-destination amount")
     if per_destination < 1:
@@ -79,9 +78,9 @@ def register_payment(
         raise InvalidParameter(
             f"{count} payees exceeds batch limit {state.params.max_payments_per_batch}"
         )
-    if last >= len(state.accounts):
+    if last >= len(state.addresses):
         raise InvalidParameter(
-            f"payee id {last} >= allocated account count {len(state.accounts)}"
+            f"payee id {last} >= allocated account count {len(state.addresses)}"
         )
     total_escrow = ensure_u64(
         per_destination * count + unlocker_fee, "payment escrow"
@@ -143,7 +142,7 @@ def _apply(state: ProtocolState, payment: Payment, record: Record) -> None:
 def unlock(state: ProtocolState, pay_index: int, unlocker_id: int, key: bytes) -> None:
     """Reveal the key for a locked payment; pays the unlocker fee at once."""
     payment = _check(state, Unlocked, pay_index)
-    state.claimed_account(unlocker_id)
+    state.owner(unlocker_id)
     key = ensure_bytes(key, "unlock key")
     if locking_key_hash(unlocker_id, key) != payment.locking_key_hash:
         raise Unauthorized("key does not match the locking key hash")

@@ -22,9 +22,9 @@ from .state import BulkRegistration, ProtocolState, ensure_address, ensure_bytes
 def register(state: ProtocolState, address: str) -> int:
     """Open a fresh account owned by ``address``; returns the new id."""
     ensure_address(address, "address")
-    acct = state.allocate_account(address)
-    state.log.append(Registered(acct.account_id, address))
-    return acct.account_id
+    account_id = state.allocate_account(address)
+    state.log.append(Registered(account_id, address))
+    return account_id
 
 
 def bulk_register(state: ProtocolState, count: int, root: bytes) -> int:
@@ -38,11 +38,11 @@ def bulk_register(state: ProtocolState, count: int, root: bytes) -> int:
     root = ensure_bytes(root, "root")
     if len(root) != DIGEST_SIZE:
         raise InvalidParameter("root must be a 32-byte digest")
-    if len(state.accounts) + count > state.params.max_account_count:
+    if len(state.addresses) + count > state.params.max_account_count:
         raise TableFull(
             f"bulk of {count} exceeds account limit {state.params.max_account_count}"
         )
-    first_id = len(state.accounts)
+    first_id = len(state.addresses)
     for _ in range(count):
         state.allocate_account(None)
     bulk = BulkRegistration(
@@ -82,8 +82,7 @@ def claim_bulk_registration_id(
             f"account {account_id} is not inside bulk range "
             f"[{bulk.first_id}, {bulk.first_id + bulk.count})"
         )
-    acct = state.account(account_id)
-    if acct.claimed:
+    if state.address(account_id) is not None:
         raise BadProof(f"account {account_id} already claimed")
     # The proof must sit at the id's offset inside the reserved range;
     # a valid proof for a different leaf cannot move an id.
@@ -93,5 +92,5 @@ def claim_bulk_registration_id(
         )
     if not merkle_verify(bulk.root, address, proof):
         raise BadProof("inclusion proof does not verify against the bulk root")
-    acct.address = address
+    state.addresses[account_id] = address
     state.log.append(Claimed(bulk_id, account_id, address, proof.to_bytes()))

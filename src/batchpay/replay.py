@@ -20,7 +20,7 @@ from .chainlog import (
 )
 from .errors import CodecError, InvariantViolation, ProtocolError
 from .merkle import MerkleProof
-from .state import Params, ProtocolState, TokenAdapter
+from .state import External, Params, ProtocolState, TokenAdapter
 from .wire import kinds, unpack
 
 # The engine op each record is replayed through. Each parameter after
@@ -95,7 +95,7 @@ def replay(log: ChainLog) -> tuple[ProtocolState, bytes | None]:
         ops, expected = ops[:-1], ops[-1].digest
     state = ProtocolState(
         Params(*unpack(kinds(Params), head.params_blob)),
-        TokenAdapter(dict(unpack(TokenAdapter.WIRE, head.externals_blob, rows=True))),
+        TokenAdapter(dict(unpack(kinds(External), head.externals_blob, rows=True))),
     )
     emitted = state.log.records
     if emitted != [head]:

@@ -418,7 +418,7 @@ class Delegate:
                 fee,
                 destination,
             )
-            authorization = sign_collect(ctx.address_of[seller_id], message)
+            authorization = sign_collect(state.addresses[seller_id], message)
             collect(
                 state,
                 self.account_id,

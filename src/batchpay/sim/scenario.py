@@ -73,16 +73,11 @@ class SimRun:
         self.gap_notes: set[str] = set()
         self.insolvent_kinds: set[str] = set()       # ops the pool could not cover
 
-        self.address_of: dict[int, str] = {}
         self.role_of: dict[int, str] = {}
         self._setup_actors()
         self.sync()
 
     # -- setup ----------------------------------------------------------------
-
-    def _name(self, account_id: int, role: str, address: str) -> None:
-        self.address_of[account_id] = address
-        self.role_of[account_id] = role
 
     def _open_account(self, role: str, i: int, deposit: int = 0) -> tuple[int, str]:
         """Open ``{role}-{i}``'s account: by a deposit if it brings funds."""
@@ -91,7 +86,7 @@ class SimRun:
             account_id = self.state.deposit(NEW_ACCOUNT, deposit, address)
         else:
             account_id = register(self.state, address)
-        self._name(account_id, role, address)
+        self.role_of[account_id] = role
         return account_id, address
 
     def _setup_actors(self) -> None:
@@ -109,7 +104,7 @@ class SimRun:
             first_id = state.bulks[bulk_id].first_id
             for i, proof in enumerate(merkle_proofs(addresses)):
                 claim_bulk_registration_id(state, bulk_id, first_id + i, addresses[i], proof)
-                self._name(first_id + i, "seller", addresses[i])
+                self.role_of[first_id + i] = "seller"
             self.seller_ids = list(range(first_id, first_id + cfg.sellers))
         else:
             self.seller_ids = [self._open_account("seller", i)[0] for i in range(cfg.sellers)]
@@ -182,18 +177,25 @@ class SimRun:
 
     def _assert_mirror(self) -> None:
         """The log-derived balances equal the ledger's column, in one compare;
-        on a mismatch, a walk names the first account that differs."""
+        on a mismatch, a walk names the first account that differs, or else
+        both tables' lengths."""
         ledger, shadows = self.state.balances, self.view.balances
         if ledger == shadows:
             return
+        block = self.state.current_block
         for account_id, balance in enumerate(ledger):
             shadow = self.view.settled_balance(account_id)
             if shadow != balance:
                 raise InvariantViolation(
                     "oracle-mirror",
                     f"account {account_id}: log-derived balance {shadow} "
-                    f"!= ledger {balance} at block {self.state.current_block}",
+                    f"!= ledger {balance} at block {block}",
                 )
+        raise InvariantViolation(
+            "oracle-mirror",
+            f"the log derives {len(shadows)} balances, the ledger holds {len(ledger)} "
+            f"at block {block}",
+        )
 
     def _drained(self) -> bool:
         if self.state.slots:
@@ -202,9 +204,7 @@ class SimRun:
             return False
         if self.view.mature_end() < len(self.view.payments):
             return False
-        return all(
-            self.view.collectable(acct.account_id) == 0 for acct in self.state.accounts
-        )
+        return not any(map(self.view.collectable, range(len(self.state.addresses))))
 
     def run(self) -> None:
         for _ in range(self.config.blocks):
@@ -261,9 +261,7 @@ class SimRun:
                 f"insolvency stranded {len(stranded_slots)} uncoverable collects "
                 f"and {len(stranded_locked)} locked payments"
             )
-        leftover = sum(
-            self.view.collectable(acct.account_id) for acct in self.state.accounts
-        )
+        leftover = sum(map(self.view.collectable, range(len(self.state.addresses))))
         if leftover:
             self.gap_notes.add(
                 f"{leftover} tokens of entitlement were never collected "
@@ -311,11 +309,11 @@ class SimRun:
 
         report.balances = [
             {
-                "account": acct.account_id,
-                "role": self.role_of.get(acct.account_id, "other"),
-                "balance": acct.balance,
+                "account": account_id,
+                "role": self.role_of.get(account_id, "other"),
+                "balance": balance,
             }
-            for acct in state.accounts
+            for account_id, balance in enumerate(state.balances)
         ]
         report.externals = [
             {"address": address, "balance": balance}
@@ -360,13 +358,13 @@ class SimRun:
         }
 
         report.oracle_diffs = [
-            {"account": acct.account_id, "ledger": acct.balance, "oracle": oracle}
-            for acct in state.accounts
-            if acct.balance != (oracle := self.view.oracle_balance(acct.account_id))
+            {"account": account_id, "ledger": balance, "oracle": oracle}
+            for account_id, balance in enumerate(state.balances)
+            if balance != (oracle := self.view.oracle_balance(account_id))
         ]
         # A monitor's only flows are its challenge stakes and its winnings.
         report.monitor_net = {
-            str(m.account_id): state.accounts[m.account_id].balance - self.config.monitor_deposit
+            str(m.account_id): state.balances[m.account_id] - self.config.monitor_deposit
             for m in self.monitor_actors
         }
 

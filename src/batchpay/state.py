@@ -1,12 +1,12 @@
 """Core protocol state: parameters, accounts, token custody, block clock.
 
-Accounts are rows in a flat table addressed by 32-bit ids; an id is
-allocated once and never reused. A row's balance and collected prefix are
-cells of two list columns by id, which the per-block check compares whole
-with shadows the engine's write sites keep. Token custody is a single
-reserve held against an external balance map (the token adapter). All
-token quantities are unsigned 64-bit integers and leaving that range
-anywhere is a hard error.
+The account table is three list columns by 32-bit id: each account's
+owner address (None while reserved by a bulk registration), balance and
+collected prefix. An id is allocated once and never reused. The per-block
+check compares the two value columns whole with shadows the engine's write
+sites keep. Token custody is a single reserve held against an external
+balance map (the token adapter). All token quantities are unsigned 64-bit
+integers and leaving that range anywhere is a hard error.
 
 Money inside the protocol lives in exactly three places, and the
 conservation invariant ties them to the reserve after every operation:
@@ -55,8 +55,8 @@ from .errors import (
     UnknownAccount,
 )
 from .wire import (
-    B32, U16, U16_MAX, U32, U64, U64_MAX, OptB32, OptPair, OptPairs, OptStr, OptU32, layout,
-    pack_rows, packer,
+    B32, U16, U16_MAX, U32, U64, U64_MAX, OptB32, OptPair, OptPairs, OptStr, OptU32, Str, kinds,
+    layout, pack_rows, packer, values_packer,
 )
 
 # Slot ids above this value are instant-collect slots; the boundary itself
@@ -158,6 +158,14 @@ class Params:
         return _pack_params(self)
 
 
+@dataclass
+class External:
+    """A row of the adapter's snapshot: an external address and its balance."""
+
+    address: Str
+    balance: U64
+
+
 class TokenAdapter:
     """External token balances plus the protocol's custody reserve.
 
@@ -165,10 +173,8 @@ class TokenAdapter:
     run the only flows are deposit and withdraw, which preserve the
     adapter's total. ``minted`` is everything ever minted, so
     ``check_invariants`` can tell a flow that created or lost tokens.
-    Its snapshot is one ``WIRE`` row per address, sorted by address.
+    Its snapshot is one ``External`` row per address, sorted by address.
     """
-
-    WIRE = ("str", "u64")        # address, external balance
 
     def __init__(self, balances: dict[str, int] | None = None):
         self.external: dict[str, int] = {}
@@ -210,56 +216,18 @@ class TokenAdapter:
         return self.reserve + sum(self.external.values())
 
     def snapshot_bytes(self) -> bytes:
-        return pack_rows(_pack_external, sorted(self.external.items()))
+        addresses = sorted(self.external)
+        return pack_rows(_pack_external, addresses, map(self.external.__getitem__, addresses))
 
 
 @dataclass
 class Account:
+    """The state image's account row, packed from the table's columns by id."""
+
     account_id: U32
     address: OptStr               # None while reserved via bulk registration
-    balance: U64 = 0
-    last_collected_pay_index: U64 = 0
-
-    @property
-    def claimed(self) -> bool:
-        return self.address is not None
-
-
-class AccountRow(Account):
-    """An account in a state's table. Its balance and collected prefix are
-    the cells at its id in that state's ``balances`` and ``collected``
-    columns, so a write through the row reaches the live column only, and
-    the shadow compare in ``check_invariants`` sees it.
-
-    The row holds the two columns, not the state, so a state forms no
-    reference cycle and is freed by reference counting alone.
-    """
-
-    __slots__ = ("_balances", "_collected")
-
-    def __init__(
-        self, account_id: int, address: str | None, balances: list[int], collected: list[int]
-    ):
-        self.account_id = account_id
-        self.address = address
-        self._balances = balances
-        self._collected = collected
-
-    @property
-    def balance(self) -> int:
-        return self._balances[self.account_id]
-
-    @balance.setter
-    def balance(self, value: int) -> None:
-        self._balances[self.account_id] = value
-
-    @property
-    def last_collected_pay_index(self) -> int:
-        return self._collected[self.account_id]
-
-    @last_collected_pay_index.setter
-    def last_collected_pay_index(self, value: int) -> None:
-        self._collected[self.account_id] = value
+    balance: U64
+    last_collected_pay_index: U64
 
 
 class PaymentStatus(IntEnum):
@@ -371,17 +339,17 @@ class ProtocolState:
         self.params = params
         self.adapter = adapter
         self.current_block = 0       # the only notion of time in a run
-        self.accounts: list[AccountRow] = []
-        # Each account's balance and collected prefix, by id; its row reads
-        # and writes these cells. Beside each column, a shadow that only the
-        # engine's write sites write, storing the same int object in both, so
-        # one compare in C shows whether a cell was written behind its back.
-        # The shadows' balance total and highest prefix are kept as they go.
+        # The account table, by id: each account's owner address (None while
+        # reserved by a bulk registration), balance and collected prefix.
+        # Beside each value column, a shadow that only the engine's write
+        # sites write, storing the same int object in both, so one compare in
+        # C shows whether a cell was written behind its back. The shadows'
+        # balance total and highest prefix are kept as they go.
+        self.addresses: list[str | None] = []
         self.balances: list[int] = []
         self.collected: list[int] = []
         self._balances_shadow: list[int] = []
         self._collected_shadow: list[int] = []
-        self._accounts_shadow: list[AccountRow] = []
         self._balance_total = 0
         self._collected_top = 0
         self.payments: list[Payment] = []
@@ -414,18 +382,20 @@ class ProtocolState:
 
     # -- lookups -----------------------------------------------------------
 
-    def account(self, account_id: int) -> Account:
+    def address(self, account_id: int) -> str | None:
+        """The account's owner address; None while a bulk registration reserves it."""
         if not isinstance(account_id, int) or isinstance(account_id, bool):
             raise UnknownAccount(f"account id must be an integer, got {account_id!r}")
-        if not 0 <= account_id < len(self.accounts):
+        if not 0 <= account_id < len(self.addresses):
             raise UnknownAccount(f"account {account_id} does not exist")
-        return self.accounts[account_id]
+        return self.addresses[account_id]
 
-    def claimed_account(self, account_id: int) -> Account:
-        acct = self.account(account_id)
-        if not acct.claimed:
+    def owner(self, account_id: int) -> str:
+        """The claimed account's owner address; UnknownAccount while it is reserved."""
+        address = self.address(account_id)
+        if address is None:
             raise UnknownAccount(f"account {account_id} is reserved but unclaimed")
-        return acct
+        return address
 
     def payment(self, pay_index: int) -> Payment:
         if not isinstance(pay_index, int) or isinstance(pay_index, bool):
@@ -450,17 +420,17 @@ class ProtocolState:
 
     # -- account table -----------------------------------------------------
 
-    def allocate_account(self, address: str | None) -> AccountRow:
-        if len(self.accounts) >= self.params.max_account_count:
+    def allocate_account(self, address: str | None) -> int:
+        """Open the next id, owned by ``address``, at balance and prefix 0; return it."""
+        account_id = len(self.addresses)
+        if account_id >= self.params.max_account_count:
             raise TableFull(f"account table at limit {self.params.max_account_count}")
-        acct = AccountRow(len(self.accounts), address, self.balances, self.collected)
-        self.accounts.append(acct)
-        self._accounts_shadow.append(acct)
+        self.addresses.append(address)
         self.balances.append(0)
         self._balances_shadow.append(0)
         self.collected.append(0)
         self._collected_shadow.append(0)
-        return acct
+        return account_id
 
     def set_collected(self, account_id: int, pay_index: int) -> None:
         """Move an account's collected prefix: the engine's one prefix write."""
@@ -554,13 +524,14 @@ class ProtocolState:
             raise InvalidParameter("deposit amount must be positive")
         ensure_address(from_address, "depositor address")
         if account_ref == NEW_ACCOUNT and type(account_ref) is int:  # a float equal to it is no id
-            if len(self.accounts) >= self.params.max_account_count:
+            if len(self.addresses) >= self.params.max_account_count:
                 raise TableFull(f"account table at limit {self.params.max_account_count}")
             self.adapter.deposit(from_address, amount)
-            account_id = self.allocate_account(from_address).account_id
+            account_id = self.allocate_account(from_address)
             balance = amount
         else:
-            account_id = self.claimed_account(account_ref).account_id
+            self.owner(account_ref)
+            account_id = account_ref
             balance = ensure_u64(self.balances[account_id] + amount, "account balance")
             self.adapter.deposit(from_address, amount)
         self._balance_total += balance - self._balances_shadow[account_id]
@@ -574,8 +545,7 @@ class ProtocolState:
         if amount < 1:
             raise InvalidParameter("withdraw amount must be positive")
         ensure_address(to_address, "withdrawal address")
-        acct = self.claimed_account(account_id)
-        if acct.address != sender:
+        if self.owner(account_id) != sender:
             raise Unauthorized(f"{sender!r} does not own account {account_id}")
         self.transfer([(account_id, -amount), (to_address, amount)])
         self.log.append(Withdrawn(account_id, amount, to_address, sender))
@@ -590,17 +560,18 @@ class ProtocolState:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Check conservation, supply and each row's invariants; raise
-        InvariantViolation naming the first that fails.
+        """Check conservation, supply and each account's and slot's
+        invariants; raise InvariantViolation naming the first that fails.
 
         No account is read one by one while the engine alone has written the
-        table. The balance and collected-prefix columns, and the list of
-        rows, are each compared whole, in C, with the shadow the engine's
-        write sites keep (``transfer``, ``deposit``, ``set_collected`` and
-        ``allocate_account`` store one int object in a column and its shadow).
-        Every value those sites store is in range when stored, so when the
-        compares match, the shadows' running balance total stands for the sum
-        and their highest prefix for every prefix.
+        table. The balance and collected-prefix columns are each compared
+        whole, in C, with the shadow the engine's write sites keep
+        (``transfer``, ``deposit``, ``set_collected`` and ``allocate_account``
+        store one int object in a column and its shadow), and the three
+        columns must have one length. Every value those sites store is in
+        range when stored, so when the compares match, the shadows' running
+        balance total stands for the sum and their highest prefix for every
+        prefix.
 
         Of the payments only the open locks in ``open_locks`` are inspected:
         a payment leaves that index when it is unlocked or refunded, so the
@@ -620,13 +591,14 @@ class ProtocolState:
         without a marked write is a mismatch.
 
         Only on a mismatch does a full walk run: ``_walk_accounts`` when a
-        column or the rows differ from their shadows, ``_walk_slots`` when the
-        marks disagree with the map or conservation fails against the running
-        held total. Each names the first failing check as a plain walk would.
-        If the state passes the walk, the shadows or marks disagree with it (a
-        cell written or a row swapped outside the engine, or running values
-        drifted), and that fails too ("account-marks", "slot-marks"); the
-        running values are never resynced silently.
+        value column differs from its shadow or a column's length from the
+        others, ``_walk_slots`` when the marks disagree with the map or
+        conservation fails against the running held total. Each names the
+        first failing check as a plain walk would. If the state passes the
+        walk, the shadows or marks disagree with it (a cell written or a
+        column grown outside the engine, or running values drifted), and
+        that fails too ("account-marks", "slot-marks"); the running values
+        are never resynced silently.
 
         The adapter's total is summed over every external address each call:
         a dict sum in C, so a tampered external balance still fails "supply".
@@ -635,7 +607,7 @@ class ProtocolState:
         walked_accounts = not (
             self.balances == self._balances_shadow
             and self.collected == self._collected_shadow
-            and self.accounts == self._accounts_shadow
+            and len(self.addresses) == len(self.balances) == len(self.collected)
             and self._collected_top <= payment_count
         )
         balances = self._walk_accounts(payment_count) if walked_accounts else self._balance_total
@@ -663,7 +635,7 @@ class ProtocolState:
         if walked_accounts:
             raise InvariantViolation(
                 "account-marks",
-                "the account columns or rows disagree with their shadows; a full walk passes",
+                "the account columns disagree with their shadows; a full walk passes",
             )
         if walked:
             raise InvariantViolation(
@@ -671,21 +643,18 @@ class ProtocolState:
             )
 
     def _walk_accounts(self, payment_count: int) -> int:
-        """Check every account row in id order; return the balance total.
+        """Check every account in id order; return the balance total.
 
         The full walk behind ``check_invariants``' shadow compares, run when
-        they disagree: it names the first row whose balance leaves the u64
-        range or whose collected prefix passes the last payment.
+        they disagree: it names the first account whose balance leaves the
+        u64 range or whose collected prefix passes the last payment.
         """
         balances = 0
-        for acct in self.accounts:
-            balance = acct.balance
+        for account_id, (balance, prefix) in enumerate(zip(self.balances, self.collected)):
             if balance < 0 or balance > U64_MAX:
-                raise InvariantViolation("balance-range", f"account {acct.account_id}")
-            if acct.last_collected_pay_index > payment_count:
-                raise InvariantViolation(
-                    "collected-prefix", f"account {acct.account_id} past log end"
-                )
+                raise InvariantViolation("balance-range", f"account {account_id}")
+            if prefix > payment_count:
+                raise InvariantViolation("collected-prefix", f"account {account_id} past log end")
             balances += balance
         return balances
 
@@ -769,12 +738,13 @@ class ProtocolState:
 
     def canonical_bytes(self) -> bytes:
         """The state image: magic, header, externals, then four row lists."""
-        slots = self.slots
+        slots, addresses = self.slots, self.addresses
+        ids = range(len(addresses))
         return b"".join((
             b"BPSTATE\x01",
             _pack_header(self),
             self.adapter.snapshot_bytes(),
-            pack_rows(_pack_account, self.accounts),
+            pack_rows(_pack_account, ids, addresses, self.balances, self.collected),
             pack_rows(_pack_payment, self.payments),
             pack_rows(_pack_bulk, self.bulks),
             pack_rows(_pack_slot, [slots[key] for key in sorted(slots)]),
@@ -820,10 +790,11 @@ def _check_slot(key, slot: CollectSlot, collect_stake: int, challenged_stake: in
         raise InvariantViolation("slot-challenged-entry", f"slot {key}")
 
 
-_pack_params, _pack_account, _pack_payment, _pack_bulk, _pack_slot = (
-    packer(layout(cls)) for cls in (Params, Account, Payment, BulkRegistration, CollectSlot)
+_pack_params, _pack_payment, _pack_bulk, _pack_slot = (
+    packer(layout(cls)) for cls in (Params, Payment, BulkRegistration, CollectSlot)
 )
-_pack_external = packer(zip(("o[0]", "o[1]"), TokenAdapter.WIRE))
+# The rows packed from columns, one positional value per field.
+_pack_account, _pack_external = (values_packer(kinds(cls)) for cls in (Account, External))
 # every params field, then the instance id, block, reserve and escrow pool
 _pack_header = packer([
     *layout(Params, "o.params."), ("o.instance_id", "b32"), ("o.current_block", "u64"),

@@ -157,8 +157,8 @@ def kinds(cls) -> tuple[str, ...]:
     return tuple(kind for _, kind in layout(cls, ""))
 
 
-def packer(items) -> Callable[[object], bytes]:
-    """Compile ``(expression over o, kind)`` items into ``pack(o) -> bytes``.
+def packer(items, params: str = "o") -> Callable[..., bytes]:
+    """Compile ``(expression over params, kind)`` items into ``pack(params) -> bytes``.
 
     Each run of integer kinds is one struct call; every other field calls
     its kind's packer.
@@ -175,13 +175,20 @@ def packer(items) -> Callable[[object], bytes]:
         for fn, args in calls:
             scope[f"_{len(scope)}"] = fn
             parts.append(f"_{len(scope) - 1}({args})")
-    exec(f"def pack(o):\n    return {' + '.join(parts)}\n", scope)
+    exec(f"def pack({params}):\n    return {' + '.join(parts)}\n", scope)
     return scope["pack"]
 
 
-def pack_rows(pack: Callable[[object], bytes], rows) -> bytes:
-    """A u32 row count, then each row packed."""
-    return u32(len(rows)) + b"".join(map(pack, rows))
+def values_packer(kinds) -> Callable[..., bytes]:
+    """Compile ``kinds`` into ``pack(*values) -> bytes``, one positional value per kind."""
+    names = [f"v{i}" for i in range(len(kinds))]
+    return packer(zip(names, kinds), ", ".join(names))
+
+
+def pack_rows(pack: Callable[..., bytes], rows, *columns) -> bytes:
+    """A u32 count of ``rows``, then each row packed: ``pack(row)``, or with
+    ``columns``, ``pack(row, its cell of each column)``."""
+    return u32(len(rows)) + b"".join(map(pack, rows, *columns))
 
 
 @cache

@@ -97,7 +97,7 @@ class World:
             fee,
             destination,
         )
-        return sign_collect(self.state.accounts[recipient_id].address, message)
+        return sign_collect(self.state.addresses[recipient_id], message)
 
     def open_collect(
         self,
@@ -125,7 +125,7 @@ class World:
         )
 
     def balance(self, account_id: int) -> int:
-        return self.state.accounts[account_id].balance
+        return self.state.balances[account_id]
 
 
 @pytest.fixture

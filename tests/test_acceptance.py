@@ -279,7 +279,7 @@ class GameBoard:
     def stage(self, vector: tuple[int, ...], per_dest: int) -> tuple[int, int, list[int]]:
         """Register one payment per vector entry; entry = seller occurrences."""
         world, state = self.world, self.state
-        start = state.accounts[world.seller].last_collected_pay_index
+        start = state.collected[world.seller]
         assert start == state.latest_pay_index, "previous batch did not settle"
         for occurrences in vector:
             payees = [world.seller] * occurrences if occurrences else [self.filler]
@@ -299,7 +299,7 @@ class GameBoard:
         monitor_before = world.balance(world.monitor)
         seller_before = world.balance(world.seller)
         pool_before = state.escrow_pool
-        prefix_before = state.accounts[world.seller].last_collected_pay_index
+        prefix_before = state.collected[world.seller]
 
         world.open_collect(0, end, claim)
         challenge(state, world.delegate, 0, world.monitor)
@@ -324,7 +324,7 @@ class GameBoard:
         assert world.balance(world.seller) == seller_before
         assert state.escrow_pool == pool_before
         assert (
-            state.accounts[world.seller].last_collected_pay_index == prefix_before
+            state.collected[world.seller] == prefix_before
         ), "a lost claim must not consume the range"
         self.games += 1
 
@@ -344,7 +344,7 @@ class GameBoard:
         assert world.balance(world.seller) - seller_before == claim
         assert world.balance(world.delegate) == delegate_before
         assert state.escrow_pool == pool_before - claim
-        assert state.accounts[world.seller].last_collected_pay_index == end
+        assert state.collected[world.seller] == end
         self.games += 1
 
 
@@ -540,7 +540,7 @@ class FuzzDriver:
     def _deposit_amount(self) -> int:
         return self.rng.randint(1, 20_000)
 
-    def _per_destination(self, buyer, count: int) -> int:
+    def _per_destination(self, buyer_id: int, count: int) -> int:
         return self.rng.randint(1, 9)
 
     def _proof_data(self, pay_index: int) -> bytes:
@@ -549,7 +549,7 @@ class FuzzDriver:
     # -- argument pickers -------------------------------------------------
 
     def _any_account(self) -> int:
-        return self.rng.randrange(len(self.state.accounts))
+        return self.rng.randrange(len(self.state.addresses))
 
     def _slot_key(self):
         if not self.state.slots:
@@ -580,7 +580,7 @@ class FuzzDriver:
     def op_deposit(self):
         rng = self.rng
         wallet = f"wallet-{rng.randrange(6)}"
-        if len(self.state.accounts) < 40 and rng.random() < 0.3:
+        if len(self.state.addresses) < 40 and rng.random() < 0.3:
             self.state.deposit(NEW_ACCOUNT, self._deposit_amount(), wallet)
         else:
             self.state.deposit(self._any_account(), self._deposit_amount(), wallet)
@@ -588,10 +588,11 @@ class FuzzDriver:
 
     def op_withdraw(self):
         rng = self.rng
-        account = self.state.accounts[self._any_account()]
-        sender = account.address if rng.random() < 0.9 else "mallory"
-        amount = rng.randint(1, max(1, int(account.balance * 1.2) + 1))
-        self.state.withdraw(account.account_id, amount, f"wallet-{rng.randrange(6)}", sender)
+        state = self.state
+        account_id = self._any_account()
+        sender = state.addresses[account_id] if rng.random() < 0.9 else "mallory"
+        amount = rng.randint(1, max(1, int(state.balances[account_id] * 1.2) + 1))
+        state.withdraw(account_id, amount, f"wallet-{rng.randrange(6)}", sender)
         return "withdraw"
 
     def op_register(self):
@@ -628,19 +629,19 @@ class FuzzDriver:
     def op_register_payment(self):
         rng = self.rng
         state = self.state
-        buyer = state.accounts[self._any_account()]
+        buyer = self._any_account()
         count = rng.randint(1, 6)
-        payees = sorted(rng.randrange(len(state.accounts)) for _ in range(count))
+        payees = sorted(rng.randrange(len(state.addresses)) for _ in range(count))
         per_dest = self._per_destination(buyer, count)
         locked = rng.random() < 0.35
         key = rng.randbytes(8) if locked else b""
         unlocker_id = self._any_account() if locked else None
         fee = rng.randint(0, 3) if locked else 0
-        sender = buyer.address if rng.random() < 0.9 else "mallory"
+        sender = state.addresses[buyer] if rng.random() < 0.9 else "mallory"
         pay_data = encode_pay_data(payees)
         pay_index = register_payment(
             state,
-            buyer.account_id,
+            buyer,
             per_dest,
             pay_data,
             sender,
@@ -655,24 +656,24 @@ class FuzzDriver:
     def op_collect(self):
         rng = self.rng
         state = self.state
-        recipient = state.accounts[self._any_account()]
-        prefix = recipient.last_collected_pay_index
+        recipient = self._any_account()
+        prefix = state.collected[recipient]
         latest = state.latest_pay_index
         if latest <= prefix:
             return self.op_advance()
         end = rng.randint(prefix + 1, latest)
-        amount = payment_entitlement(state, self.pay_data, recipient.account_id, prefix, end)
+        amount = payment_entitlement(state, self.pay_data, recipient, prefix, end)
         fee = rng.randint(0, min(3, amount))
-        delegate = state.accounts[self._any_account()]
+        delegate = self._any_account()
         slot_id = rng.randint(0, 5) if rng.random() < 0.8 else rng.randint(32769, 32774)
-        signer = recipient.address if rng.random() < 0.95 else "mallory"
+        signer = state.addresses[recipient] if rng.random() < 0.95 else "mallory"
         from batchpay.auth import collect_auth_message, sign_collect
 
         message = collect_auth_message(
             state.instance_id,
-            delegate.account_id,
+            delegate,
             slot_id,
-            recipient.account_id,
+            recipient,
             end,
             amount,
             fee,
@@ -680,9 +681,9 @@ class FuzzDriver:
         )
         collect(
             state,
-            delegate.account_id,
+            delegate,
             slot_id,
-            recipient.account_id,
+            recipient,
             end,
             amount,
             fee,
@@ -853,10 +854,10 @@ class NearLimitDriver(FuzzDriver):
     def _deposit_amount(self) -> int:
         return U64_MAX >> self.rng.randint(0, 8)
 
-    def _per_destination(self, buyer, count: int) -> int:
+    def _per_destination(self, buyer_id: int, count: int) -> int:
         rng = self.rng
         if rng.random() < 0.7:
-            spend = buyer.balance >> rng.randint(0, 3)
+            spend = self.state.balances[buyer_id] >> rng.randint(0, 3)
         else:
             spend = U64_MAX >> rng.randint(0, 2)
         return max(1, spend // count + rng.randint(0, 1))

@@ -218,22 +218,47 @@ def test_sim_delegate_wins_a_challenge_of_an_honest_slot():
 
 
 def test_mirror_check_names_the_first_account_that_differs():
-    run = SimRun(load_scenario_config(str(CONFIGS / "honest.cfg")))
-    for _ in range(5):
-        run.run_block()
-    run._assert_mirror()
-    accounts = run.state.accounts
+    def fresh_run() -> SimRun:
+        run = SimRun(load_scenario_config(str(CONFIGS / "honest.cfg")))
+        for _ in range(5):
+            run.run_block()
+        run._assert_mirror()
+        return run
+
+    run = fresh_run()
+    balances = run.state.balances
     # The last account first, then one before it, which the message must name.
-    for tampered in (len(accounts) - 1, 2):
-        accounts[tampered].balance += 1
+    for tampered in (len(balances) - 1, 2):
+        balances[tampered] += 1
         message = (
             f"account {tampered}: log-derived balance {run.view.settled_balance(tampered)} "
-            f"!= ledger {accounts[tampered].balance} at block {run.state.current_block}"
+            f"!= ledger {balances[tampered]} at block {run.state.current_block}"
         )
         with pytest.raises(InvariantViolation) as excinfo:
             run._assert_mirror()
         assert excinfo.value.invariant == "oracle-mirror"
         assert message in str(excinfo.value)
+
+    # Tables of two lengths that agree on every id they share: the walk names
+    # no account, so the check names both lengths.
+    def view_grown(run):
+        run.view.balances.append(0)
+
+    def ledger_grown(run):
+        run.state.balances.append(0)
+        run.state._balances_shadow.append(0)
+
+    for grow, derived, held in ((view_grown, 1, 0), (ledger_grown, 0, 1)):
+        run = fresh_run()
+        accounts = len(run.state.balances)
+        grow(run)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run._assert_mirror()
+        assert excinfo.value.invariant == "oracle-mirror"
+        assert (
+            f"the log derives {accounts + derived} balances, the ledger holds {accounts + held} "
+            f"at block {run.state.current_block}"
+        ) in str(excinfo.value)
 
 
 def test_payee_draws_match_random_choice():
@@ -348,7 +373,7 @@ def test_buyer_keeps_an_uncovered_refund_and_retries_it():
 def test_buyer_without_funds_registers_nothing():
     run = SimRun(ScenarioConfig(seed=3, blocks=0, buyers=1, sellers=3, payment_probability=1.0,
                                 buyer_deposit=0, delegate_deposit=0, monitor_deposit=0))
-    assert [run.state.accounts[buyer.account_id].balance for buyer in run.buyers] == [0]
+    assert [run.state.balances[buyer.account_id] for buyer in run.buyers] == [0]
     records = len(run.log)
     run.buyers[0].step()
     assert len(run.log) == records
@@ -401,7 +426,7 @@ def _open_by_hand(run: SimRun, amount_of) -> tuple[int, int]:
     assert owed[seller] >= 2
     delegate, slot_id, amount = run.buyers[0].account_id, 7, amount_of(owed[seller])
     message = collect_auth_message(state.instance_id, delegate, slot_id, seller, end, amount, 0, None)
-    authorization = sign_collect(run.address_of[seller], message)
+    authorization = sign_collect(run.state.addresses[seller], message)
     collect(state, delegate, slot_id, seller, end, amount, 0, authorization)
     return delegate, slot_id
 

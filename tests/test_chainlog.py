@@ -43,7 +43,9 @@ from batchpay.errors import CodecError
 from batchpay.merkle import MerkleProof
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim.scenario import run_scenario_full
-from batchpay.state import Account, BulkRegistration, CollectSlot, Params, Payment, TokenAdapter
+from batchpay.state import (
+    Account, BulkRegistration, CollectSlot, External, Params, Payment, TokenAdapter,
+)
 from batchpay.wire import KINDS, U32_MAX, kinds, layout, pack_bytes, packer, reader, unpack
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -300,7 +302,7 @@ def test_pack_bytes_rejects_a_blob_past_its_u32_length_prefix():
 def test_every_laid_out_class_leaves_off_only_pay_index():
     # A field's kind is declared in its annotation; a field declared without
     # one is left off the layout, which only the subject and row position may be.
-    rows = (Params, Account, Payment, BulkRegistration, CollectSlot, MerkleProof)
+    rows = (Params, External, Account, Payment, BulkRegistration, CollectSlot, MerkleProof)
     for cls in (*RECORD_TYPES.values(), *rows):
         laid_out = dict(layout(cls, ""))
         left_off = [f.name for f in dataclasses.fields(cls) if f.name not in laid_out]
@@ -483,8 +485,8 @@ def _compiled_and_reference() -> list:
     for rows in (head.externals_blob, TokenAdapter({"a": 1, "bé": 2}).snapshot_bytes()):
         cases.append((
             rows,
-            lambda d: unpack(TokenAdapter.WIRE, d, rows=True),
-            lambda d: _unpack_by_reader(TokenAdapter.WIRE, d, rows=True),
+            lambda d: unpack(kinds(External), d, rows=True),
+            lambda d: _unpack_by_reader(kinds(External), d, rows=True),
         ))
     return cases
 

@@ -58,7 +58,7 @@ def test_settle_unchallenged_collect(world):
     assert world.balance(world.seller) == 8
     assert world.balance(world.delegate) == delegate_before + 2
     assert world.state.escrow_pool == 0
-    assert world.state.accounts[world.seller].last_collected_pay_index == 1
+    assert world.state.collected[world.seller] == 1
     assert (world.delegate, 7) not in world.state.slots
     world.state.check_invariants()
 
@@ -235,7 +235,7 @@ def test_overstating_delegate_loses_on_bad_proof(world):
     assert (world.delegate, 1) not in world.state.slots
     assert world.balance(world.monitor) == monitor_before + STAKE
     # the prefix never moved, so the entitlement is still collectable
-    assert world.state.accounts[world.seller].last_collected_pay_index == 0
+    assert world.state.collected[world.seller] == 0
     world.state.check_invariants()
 
     world.open_collect(2, end=1, amount=5)
@@ -349,7 +349,7 @@ def test_zero_amount_claim_defended_with_empty_list(world):
     world.advance(world.params.challenge_period)
     free_slot(world.state, world.delegate, 1)
     assert world.balance(world.seller) == 0
-    assert world.state.accounts[world.seller].last_collected_pay_index == 1
+    assert world.state.collected[world.seller] == 1
     world.state.check_invariants()
 
 
@@ -404,7 +404,7 @@ def test_instant_collect_pays_at_open_and_reimburses(world):
     world.open_collect(40000, end=1, amount=10, fee=2)
     assert world.balance(world.seller) == 8
     assert world.balance(world.delegate) == delegate_before - STAKE - 8
-    assert world.state.accounts[world.seller].last_collected_pay_index == 1
+    assert world.state.collected[world.seller] == 1
     world.state.check_invariants()
 
     world.advance(world.params.challenge_period)
@@ -437,7 +437,7 @@ def test_lost_instant_collect_keeps_prefix_advanced(world):
     assert world.balance(world.seller) == 14
     assert world.balance(world.delegate) == delegate_before - STAKE - 14
     assert world.balance(world.monitor) == monitor_before + STAKE
-    assert world.state.accounts[world.seller].last_collected_pay_index == 1
+    assert world.state.collected[world.seller] == 1
     assert world.state.escrow_pool == 10
     with pytest.raises(IllegalMove):
         world.open_collect(2, end=1, amount=10)

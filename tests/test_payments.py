@@ -75,7 +75,7 @@ def test_register_payment_respects_batch_limit():
 def test_register_payment_rejections_keep_their_errors_and_write_nothing():
     world = World(small_params(max_payments_per_batch=3))
     sellers = [register(world.state, f"s{i}") for i in range(4)]
-    accounts = len(world.state.accounts)
+    accounts = len(world.state.addresses)
     header = (3).to_bytes(4, "little") + sellers[0].to_bytes(4, "little")
     cases = [
         (encode_pay_data([]), InvalidParameter, "empty payee list"),

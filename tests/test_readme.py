@@ -127,7 +127,10 @@ def test_formats_doc_lists_the_merkle_proof_as_declared():
 
 
 def test_formats_doc_lists_every_state_row_as_declared():
-    rows = (state.Params, state.Account, state.Payment, state.BulkRegistration, state.CollectSlot)
+    rows = (
+        state.Params, state.External, state.Account, state.Payment, state.BulkRegistration,
+        state.CollectSlot,
+    )
     documented = {row[0]: _fields(row[1]) for row in _table_rows("## State digest")}
     assert documented == {cls.__name__: layout(cls, "") for cls in rows}
 

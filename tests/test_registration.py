@@ -27,8 +27,8 @@ def test_register_assigns_ids_in_order():
     a = register(state, "alice")
     b = register(state, "bob")
     assert (a, b) == (0, 1)
-    assert state.accounts[a].claimed
-    assert state.accounts[a].balance == 0
+    assert state.addresses[a] is not None
+    assert state.balances[a] == 0
 
 
 def test_register_same_address_twice_gets_two_accounts():
@@ -52,7 +52,7 @@ def test_bulk_register_reserves_unclaimed_span():
     assert bulk.first_id == 0
     assert bulk.count == 5
     for i in range(5):
-        assert not state.accounts[i].claimed
+        assert state.addresses[i] is None
     # reserved rows cannot receive deposits until claimed
     with pytest.raises(UnknownAccount):
         state.deposit(2, 10, "funder")
@@ -75,10 +75,10 @@ def test_claim_with_valid_proof():
     bulk_id = bulk_register(state, 5, merkle_root(addresses))
     for i, address in enumerate(addresses):
         claim_bulk_registration_id(state, bulk_id, i, address, merkle_prove(addresses, i))
-        assert state.accounts[i].address == address
+        assert state.addresses[i] == address
     # once claimed, the account behaves like a registered one
     state.deposit(2, 10, "funder")
-    assert state.accounts[2].balance == 10
+    assert state.balances[2] == 10
 
 
 def test_claim_rejects_wrong_address():
@@ -137,4 +137,4 @@ def test_interleaved_direct_and_bulk_spans():
     assert state.bulks[bulk_a].first_id == 1
     assert state.bulks[bulk_b].first_id == 5
     claim_bulk_registration_id(state, bulk_b, 6, "y-1", merkle_prove(second_bulk, 1))
-    assert state.accounts[6].address == "y-1"
+    assert state.addresses[6] == "y-1"

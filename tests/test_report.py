@@ -191,7 +191,7 @@ def _prove_one_honest_collect(run):
     buyer, delegate = run.buyers[0].account_id, run.delegate_actors[0].account_id
     seller = register(state, "late-seller")
     pay_data = encode_pay_data([seller])
-    end = register_payment(state, buyer, 5, pay_data, run.address_of[buyer])
+    end = register_payment(state, buyer, 5, pay_data, run.state.addresses[buyer])
     state.advance_block(state.params.unlock_period)
     slot_id = min(i for i in range(100) if (delegate, i) not in state.slots)
     message = collect_auth_message(state.instance_id, delegate, slot_id, seller, end, 5, 0, None)

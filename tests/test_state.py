@@ -63,8 +63,6 @@ from batchpay.state import (
     MAX_ACCOUNT_ID_SPACE,
     NEW_ACCOUNT,
     U64_MAX,
-    Account,
-    AccountRow,
     CollectSlot,
     GameState,
     Params,
@@ -172,8 +170,8 @@ def test_deposit_new_account_assigns_sequential_ids():
     first = state.deposit(NEW_ACCOUNT, 30, "a")
     second = state.deposit(NEW_ACCOUNT, 40, "b")
     assert (first, second) == (0, 1)
-    assert state.accounts[first].balance == 30
-    assert state.accounts[first].address == "a"
+    assert state.balances[first] == 30
+    assert state.addresses[first] == "a"
     assert state.adapter.reserve == 70
     assert state.adapter.balance_of("a") == 70
     # the API's NEW_ACCOUNT is the wire sentinel, logged as it was passed
@@ -188,7 +186,7 @@ def test_deposit_existing_account_any_sender():
     acct = state.deposit(NEW_ACCOUNT, 10, "a")
     # anyone can top up an existing account
     state.deposit(acct, 25, "b")
-    assert state.accounts[acct].balance == 35
+    assert state.balances[acct] == 35
 
 
 def test_deposit_zero_or_negative_rejected():
@@ -217,7 +215,7 @@ def test_deposit_unknown_account_rejected():
     for ref in (True, float(NEW_ACCOUNT), str(NEW_ACCOUNT)):
         with pytest.raises(UnknownAccount, match=re.escape(f"account id must be an integer, got {ref!r}")):
             state.deposit(ref, 10, "a")
-    assert state.accounts == [] and len(state.log) == 1
+    assert state.addresses == [] and len(state.log) == 1
 
 
 def test_deposit_needs_sender_funds():
@@ -232,7 +230,7 @@ def test_withdraw_only_owner():
     with pytest.raises(Unauthorized):
         state.withdraw(acct, 10, "elsewhere", sender="mallory")
     state.withdraw(acct, 10, "elsewhere", sender="a")
-    assert state.accounts[acct].balance == 50
+    assert state.balances[acct] == 50
     assert state.adapter.balance_of("elsewhere") == 10
     with pytest.raises(InsufficientFunds):
         state.withdraw(acct, 51, "elsewhere", sender="a")
@@ -297,7 +295,7 @@ def test_check_invariants_passes_on_fresh_state():
 def test_conservation_detects_tampering():
     state = fresh(funding=[("a", 100)])
     acct = state.deposit(NEW_ACCOUNT, 40, "a")
-    state.accounts[acct].balance += 1
+    state.balances[acct] += 1
     with pytest.raises(InvariantViolation):
         state.check_invariants()
 
@@ -334,7 +332,7 @@ def test_tampered_reserve_breaks_supply():
     state = fresh(funding=[("a", 100)])
     acct = state.deposit(NEW_ACCOUNT, 40, "a")
     state.adapter.reserve += 1
-    state.accounts[acct].balance += 1
+    state.balances[acct] += 1
     with pytest.raises(InvariantViolation) as caught:
         state.check_invariants()
     assert caught.value.invariant == "supply"
@@ -375,14 +373,12 @@ def test_deposit_withdraw_conserves_supply(amounts):
 def _reference_check(state) -> None:
     """check_invariants as a plain loop over accounts, slots and open locks."""
     balances = 0
-    for acct in state.accounts:
-        if acct.balance < 0 or acct.balance > U64_MAX:
-            raise InvariantViolation("balance-range", f"account {acct.account_id}")
-        if acct.last_collected_pay_index > len(state.payments):
-            raise InvariantViolation(
-                "collected-prefix", f"account {acct.account_id} past log end"
-            )
-        balances += acct.balance
+    for account_id, (balance, prefix) in enumerate(zip(state.balances, state.collected)):
+        if balance < 0 or balance > U64_MAX:
+            raise InvariantViolation("balance-range", f"account {account_id}")
+        if prefix > len(state.payments):
+            raise InvariantViolation("collected-prefix", f"account {account_id} past log end")
+        balances += balance
     if state.escrow_pool < 0:
         raise InvariantViolation("conservation", "escrow pool negative")
     held = 0
@@ -462,10 +458,10 @@ def _game_world() -> World:
 def _tamperings(world: World) -> list:
     d = world.delegate
     return [
-        lambda s: setattr(s.accounts[1], "balance", -1),
-        lambda s: setattr(s.accounts[2], "balance", U64_MAX + 1),
-        lambda s: setattr(s.accounts[3], "last_collected_pay_index", len(s.payments) + 1),
-        lambda s: setattr(s.accounts[0], "balance", s.accounts[0].balance + 1),
+        lambda s: s.balances.__setitem__(1, -1),
+        lambda s: s.balances.__setitem__(2, U64_MAX + 1),
+        lambda s: s.collected.__setitem__(3, len(s.payments) + 1),
+        lambda s: s.balances.__setitem__(0, s.balances[0] + 1),
         lambda s: setattr(s, "escrow_pool", -1),
         lambda s: setattr(s.slots[(d, 1)], "slot_id", 9),
         lambda s: setattr(s.slots[(d, 0)], "game_state", GameState.EMPTY),
@@ -670,9 +666,9 @@ def test_an_unmarked_valid_twin_fails_as_slot_marks():
 
 def test_cells_written_outside_the_engine_fail_as_account_marks():
     # Each write here leaves a state a full walk passes, but not one the
-    # engine's write sites made: the columns or rows then disagree with the
-    # shadows those sites keep, and the check names that instead of adopting
-    # the write silently.
+    # engine's write sites made: a value column then disagrees with the
+    # shadow those sites keep, or one column's length with the others', and
+    # the check names that instead of adopting the write silently.
     world = _game_world()
     world.state.check_invariants()
     seller = world.seller
@@ -682,18 +678,15 @@ def test_cells_written_outside_the_engine_fail_as_account_marks():
         # by as much, so conservation and supply both still hold.
         s.adapter.mint("buyer", 7)
         s.adapter.deposit("buyer", 7)
-        s.accounts[world.buyer].balance += 7
-
-    def foreign_row(s):
-        row = s.accounts[seller]
-        s.accounts[seller] = Account(
-            row.account_id, row.address, row.balance, row.last_collected_pay_index
-        )
+        s.balances[world.buyer] += 7
 
     cases = {
         "deposit around the engine": deposit_around_the_engine,
-        "prefix moved in range": lambda s: setattr(s.accounts[seller], "last_collected_pay_index", 1),
-        "row swapped for an equal one built outside the engine": foreign_row,
+        "prefix moved in range": lambda s: s.collected.__setitem__(seller, 1),
+        # An id opened in one column alone, at a value the walk passes.
+        "address column grown": lambda s: s.addresses.append("stray"),
+        "balance column grown": lambda s: s.balances.append(0),
+        "prefix column grown": lambda s: s.collected.append(0),
     }
     for name, tamper in cases.items():
         state = copy.deepcopy(world.state)
@@ -718,9 +711,10 @@ def test_a_prefix_past_a_shortened_payment_list_is_named_without_a_cell_write():
 
 
 def test_a_state_is_freed_by_reference_counting_alone():
-    # A row holds its state's columns, not the state, so no state sits in a
-    # reference cycle: with the collector off, as the benchmark's timed
-    # phases run, dropping the last reference frees it.
+    # The account table is plain lists, and nothing a state holds refers
+    # back to it, so no state sits in a reference cycle: with the collector
+    # off, as the benchmark's timed phases run, dropping the last reference
+    # frees it.
     gc.disable()
     try:
         world = _game_world()
@@ -804,8 +798,8 @@ def test_check_invariants_examines_only_the_slots_a_block_writes(monkeypatch):
 def test_the_per_block_checks_read_no_account_row_one_by_one(monkeypatch):
     # Bulk registration makes the account table grow with the payees, not
     # the traffic. Over the bench's adversarial_bulk config (410 accounts),
-    # neither check_invariants nor the oracle mirror reads a row or a
-    # log-derived balance one by one on any block: each compares whole
+    # neither check_invariants nor the oracle mirror reads an account cell
+    # or a log-derived balance one by one on any block: each compares whole
     # columns. A tampered balance still makes both walk and name it.
     reading, reads = [False], [0]
 
@@ -815,9 +809,17 @@ def test_the_per_block_checks_read_no_account_row_one_by_one(monkeypatch):
             return get(*args)
         return read
 
-    for name in ("balance", "last_collected_pay_index"):
-        prop = getattr(AccountRow, name)
-        monkeypatch.setattr(AccountRow, name, property(counted(prop.fget), prop.fset))
+    class CountedColumn(list):
+        """An account column that counts the cells read from it, by index or
+        by walking it; a whole compare reads none through Python."""
+
+        __getitem__ = counted(list.__getitem__)
+
+        def __iter__(self):
+            for cell in list.__iter__(self):
+                reads[0] += reading[0]
+                yield cell
+
     monkeypatch.setattr(LogView, "settled_balance", counted(LogView.settled_balance))
     per_call = []
 
@@ -834,12 +836,14 @@ def test_the_per_block_checks_read_no_account_row_one_by_one(monkeypatch):
     monkeypatch.setattr(ProtocolState, "check_invariants", during(ProtocolState.check_invariants))
     monkeypatch.setattr(SimRun, "_assert_mirror", during(SimRun._assert_mirror))
     run = SimRun(load_scenario_config(REPO / "bench" / "adversarial_bulk.cfg"))
+    for name in ("addresses", "balances", "collected"):
+        setattr(run.state, name, CountedColumn(getattr(run.state, name)))
     run.run()
-    assert len(run.state.accounts) > 400
+    assert len(run.state.addresses) > 400
     assert len(per_call) == 2 * run.blocks_run and not any(per_call)
 
     tampered = run.seller_ids[len(run.seller_ids) // 2]
-    run.state.accounts[tampered].balance += 1
+    run.state.balances[tampered] += 1
     with pytest.raises(InvariantViolation) as caught:
         run.state.check_invariants()
     assert caught.value.invariant == "conservation"
@@ -884,11 +888,11 @@ def _reference_canonical_bytes(state) -> bytes:
     out += u32(len(state.adapter.external))
     for addr in sorted(state.adapter.external):
         out += pack_str(addr) + u64(state.adapter.external[addr])
-    out += u32(len(state.accounts))
-    for a in state.accounts:
-        out += u32(a.account_id)
-        out += b"\x01" + pack_str(a.address) if a.address is not None else b"\x00"
-        out += u64(a.balance) + u64(a.last_collected_pay_index)
+    out += u32(len(state.addresses))
+    for account_id, address in enumerate(state.addresses):
+        out += u32(account_id)
+        out += b"\x01" + pack_str(address) if address is not None else b"\x00"
+        out += u64(state.balances[account_id]) + u64(state.collected[account_id])
     out += u32(len(state.payments))
     for p in state.payments:
         out += u32(p.from_id) + u64(p.per_destination) + u32(p.payee_count)
@@ -1059,7 +1063,7 @@ def _rejected_refund_past_u64():
         [world.seller], per_destination=3, unlocker_fee=1, locking_key_hash=b"\x07" * 32
     )
     world.mature()
-    world.state.accounts[world.buyer].balance = U64_MAX
+    world.state.balances[world.buyer] = U64_MAX
     return world.state, lambda: refund_locked_payment(world.state, locked)
 
 
@@ -1214,8 +1218,9 @@ def _rejected_float_slot_id():
 
 
 def _rejected_slot_key(move, key):
-    """``move`` on slot 1, which the buyer (account 0) delegates, made legal and then
-    named by ``key``: it equals (0, 1), so a lookup that took it untyped finds the slot."""
+    """``move`` on slot 1, which the buyer (account 0) delegates, made legal (a
+    ``collect`` finds it occupied) and then named by ``key``: it equals (0, 1), so
+    a lookup that took it untyped finds the slot."""
     def build():
         world = World()
         world.pay([world.seller], per_destination=10)
@@ -1227,6 +1232,8 @@ def _rejected_slot_key(move, key):
         if move == "free_slot":
             world.advance(world.params.challenge_period)
             return state, lambda: free_slot(state, *key)
+        if move == "collect":
+            return state, lambda: collect(state, *key, world.seller, 1, 10, 0, bytes(32))
         challenge(state, world.buyer, 1, world.monitor)
         return state, lambda: respond_with_payment_list(state, *key, [(1, 10)])
     return build
@@ -1238,7 +1245,7 @@ def _rejected_bulk_past_table():
     return state, lambda: bulk_register(state, 5, merkle_root(["a", "b", "c", "d", "e"]))
 
 
-SLOT_KEY_MOVES = ("challenge", "free_slot", "respond")
+SLOT_KEY_MOVES = ("challenge", "free_slot", "respond", "collect")
 ILL_TYPED_SLOT_KEYS = (
     ("delegate-float", (0.0, 1), UnknownAccount, "account id must be an integer, got 0.0"),
     ("delegate-bool", (False, 1), UnknownAccount, "account id must be an integer, got False"),
