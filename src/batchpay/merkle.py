@@ -14,6 +14,28 @@ cost: a list whose adjacent even/odd positions hold identical subtrees
 Proofs carry the leaf index plus the sibling digests from leaf to root,
 and serialize as their fields' kinds: the leaf index as u32, then the
 digests as ``b32s`` (a u16 count), in leaf-to-root order.
+
+Claims of one bulk arrive mostly in id order, and consecutive proofs share
+every level above the node where their paths meet. So ``merkle_verify``
+may carry a ``VerifiedPath``: the last path it accepted against a root,
+as the leaf index, the node at each level and the sibling at each level.
+A proof against that root is then hashed from the leaf only up to level
+``k = (index ^ last index).bit_length()``, where the two leaves' paths
+meet: both indexes agree on every bit from k up. There it is accepted
+without further hashing when the node it reached is the remembered node
+at level k and every sibling from level k up is of type ``bytes`` and
+equal to the remembered one (so both proofs have as many siblings).
+Otherwise it walks in full.
+The early stop is taken only when the rest of the walk would hash exactly
+the inputs that the remembered, accepted walk hashed: the same node, the
+same siblings, the same orientation (the index bits from k up), and the
+same index bits beyond the depth. So that rest would compute the same
+nodes, pass the same duplicate-pairing checks and end at the same root;
+the accepted and refused proofs are those of the full walk, and the
+argument does not rest on sha256's collision resistance. The remembered
+path changes only when a proof is accepted. Claiming all n ids of one
+bulk in id order hashes at most 2n + depth interior nodes, not n times
+the depth.
 """
 
 from __future__ import annotations
@@ -89,17 +111,36 @@ def merkle_prove(addresses: list[str], leaf_index: int) -> MerkleProof:
     return _path(_levels(addresses), leaf_index)
 
 
-def merkle_proofs(addresses: list[str]) -> list[MerkleProof]:
-    """Every leaf's proof, in leaf order, from one build of the tree.
+def merkle_tree(addresses: list[str]) -> tuple[bytes, list[MerkleProof]]:
+    """The root and every leaf's proof, in leaf order, from one build of the tree.
 
-    ``merkle_proofs(a)[i] == merkle_prove(a, i)``; proving all n leaves
-    one by one would hash the whole tree n times.
+    ``merkle_tree(a) == (merkle_root(a), [merkle_prove(a, i) for i in ...])``;
+    proving all n leaves one by one would hash the whole tree n times.
     """
     levels = _levels(addresses)
-    return [_path(levels, i) for i in range(len(addresses))]
+    return levels[-1][0], [_path(levels, i) for i in range(len(addresses))]
 
 
-def merkle_verify(root: bytes, address: str, proof: MerkleProof) -> bool:
+class VerifiedPath:
+    """The last path ``merkle_verify`` accepted against ``root``.
+
+    ``nodes[l]`` is the node the walk reached at level ``l`` (the leaf
+    digest at 0, ``root`` at the depth) and ``siblings[l]`` the sibling it
+    was paired with there. A fresh one has no root and remembers nothing.
+    """
+
+    __slots__ = ("root", "leaf_index", "nodes", "siblings")
+
+    def __init__(self) -> None:
+        self.root: bytes | None = None
+        self.leaf_index = 0
+        self.nodes: list[bytes] = []
+        self.siblings: list[bytes] = []
+
+
+def merkle_verify(
+    root: bytes, address: str, proof: MerkleProof, path: VerifiedPath | None = None
+) -> bool:
     """Check a proof against a root; orientation comes from the index bits.
 
     The index must be fully consumed by the walk (no bits beyond the tree
@@ -108,19 +149,45 @@ def merkle_verify(root: bytes, address: str, proof: MerkleProof) -> bool:
     refused: that pairing is an odd level's duplicated last node, and the
     index would name a leaf the tree does not have. A sibling that is not
     32 bytes of ``bytes`` fails the proof.
+
+    With ``path``, the walk stops where the proof's path meets the one
+    ``path`` remembers (see the module docstring), and an accepted proof
+    becomes the remembered one. The answer is the same as without it.
     """
-    node = leaf_hash(address)
     idx = proof.leaf_index
     if idx < 0:
         return False
-    for sib in proof.siblings:
+    siblings = proof.siblings
+    depth = stop = len(siblings)
+    if path is not None and path.root == root:
+        meet = (idx ^ path.leaf_index).bit_length()
+        if meet < depth:
+            upper = siblings[meet:]
+            if all(type(sib) is bytes for sib in upper) and path.siblings[meet:] == [*upper]:
+                stop = meet
+    node = leaf_hash(address)
+    nodes = [node]
+    bits = idx
+    for sib in siblings[:stop]:
         if type(sib) is not bytes or len(sib) != DIGEST_SIZE:
             return False
-        if idx & 1 == 0:
+        if bits & 1 == 0:
             node = node_hash(node, sib)
         elif sib == node:
             return False
         else:
             node = node_hash(sib, node)
-        idx >>= 1
-    return idx == 0 and node == root
+        nodes.append(node)
+        bits >>= 1
+    if stop < depth:
+        if node != path.nodes[stop]:
+            return False
+        path.nodes[: stop + 1] = nodes
+        path.siblings[:stop] = siblings[:stop]
+    elif bits or node != root:
+        return False
+    elif path is not None:
+        path.nodes, path.siblings = nodes, [*siblings]
+    if path is not None:
+        path.root, path.leaf_index = root, idx
+    return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .chainlog import BulkRegistered, Claimed, Registered
 from .errors import BadProof, InvalidParameter, TableFull, UnknownAccount
-from .merkle import DIGEST_SIZE, MerkleProof, merkle_verify
+from .merkle import DIGEST_SIZE, MerkleProof, VerifiedPath, merkle_verify
 from .state import BulkRegistration, ProtocolState, ensure_address, ensure_bytes, ensure_int
 
 
@@ -90,7 +90,10 @@ def claim_bulk_registration_id(
         raise BadProof(
             f"leaf index {proof.leaf_index} != id offset {account_id - bulk.first_id}"
         )
-    if not merkle_verify(bulk.root, address, proof):
+    # A refused proof leaves the bulk's remembered path as it was.
+    path = state.claim_paths.get(bulk_id) or VerifiedPath()
+    if not merkle_verify(bulk.root, address, proof, path):
         raise BadProof("inclusion proof does not verify against the bulk root")
+    state.claim_paths[bulk_id] = path
     state.addresses[account_id] = address
     state.log.append(Claimed(bulk_id, account_id, address, proof.to_bytes()))

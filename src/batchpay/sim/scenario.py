@@ -25,7 +25,7 @@ from collections import Counter
 from ..chainlog import ChainLog, PaymentRegistered, scaling_payload
 from ..costmodel import calldata_gas, tx_cost, usd_cost
 from ..errors import InvariantViolation
-from ..merkle import merkle_proofs, merkle_root
+from ..merkle import merkle_tree
 from ..registration import bulk_register, claim_bulk_registration_id, register
 from ..state import (
     NEW_ACCOUNT,
@@ -100,9 +100,10 @@ class SimRun:
 
         if cfg.sellers and cfg.bulk_register_sellers:
             addresses = [f"seller-{i}" for i in range(cfg.sellers)]
-            bulk_id = bulk_register(state, cfg.sellers, merkle_root(addresses))
+            root, proofs = merkle_tree(addresses)
+            bulk_id = bulk_register(state, cfg.sellers, root)
             first_id = state.bulks[bulk_id].first_id
-            for i, proof in enumerate(merkle_proofs(addresses)):
+            for i, proof in enumerate(proofs):
                 claim_bulk_registration_id(state, bulk_id, first_id + i, addresses[i], proof)
                 self.role_of[first_id + i] = "seller"
             self.seller_ids = list(range(first_id, first_id + cfg.sellers))

@@ -54,6 +54,7 @@ from .errors import (
     Unauthorized,
     UnknownAccount,
 )
+from .merkle import VerifiedPath
 from .wire import (
     B32, U16, U16_MAX, U32, U64, U64_MAX, OptB32, OptPair, OptPairs, OptStr, OptU32, Str, kinds,
     layout, pack_rows, packer, values_packer,
@@ -331,7 +332,8 @@ class ProtocolState:
     Two indexes are derived from the rows and kept beside them, outside
     ``canonical_bytes()`` and the digest: ``pending_collects`` (recipient id
     -> key of its one non-instant slot) and ``open_locks`` (pay index -> each
-    LOCKED payment, in pay-index order).
+    LOCKED payment, in pay-index order). So is ``claim_paths``, each bulk's
+    last accepted claim proof, a cache for the next claim's check.
     """
 
     def __init__(self, params: Params, adapter: TokenAdapter):
@@ -361,6 +363,10 @@ class ProtocolState:
         # pay index -> payment, for each LOCKED one. Derived from ``payments``;
         # the unlock window bounds it, so per-block checks walk it, not history.
         self.open_locks: dict[int, Payment] = {}
+        # bulk id -> the last claim proof accepted against its root, so the
+        # next claim hashes only up to where their paths meet. Written only
+        # by an accepted claim; outside canonical_bytes() and the digest.
+        self.claim_paths: dict[int, VerifiedPath] = {}
         # The slots written since check_invariants last ran, and what it saw
         # then: the map, the index it implies, each slot's (key, held funds,
         # recipient if not instant) and the held total.

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchpay import merkle
 from batchpay.errors import CodecError, InvalidParameter
 from batchpay.merkle import (
     MerkleProof,
+    VerifiedPath,
     leaf_hash,
     merkle_prove,
-    merkle_proofs,
     merkle_root,
+    merkle_tree,
     merkle_verify,
     node_hash,
 )
@@ -63,8 +66,8 @@ def test_prove_and_verify_all_positions():
 def test_proofs_of_every_leaf_match_one_by_one_proofs():
     for n in range(1, 71):
         leaves = addresses(n)
-        root = merkle_root(leaves)
-        proofs = merkle_proofs(leaves)
+        root, proofs = merkle_tree(leaves)
+        assert root == merkle_root(leaves)
         assert len(proofs) == n
         for i, proof in enumerate(proofs):
             assert proof == merkle_prove(leaves, i), (n, i)
@@ -73,7 +76,7 @@ def test_proofs_of_every_leaf_match_one_by_one_proofs():
 
 def test_proofs_of_an_empty_list_rejected():
     with pytest.raises(InvalidParameter):
-        merkle_proofs([])
+        merkle_tree([])
 
 
 def test_proof_bound_to_position():
@@ -168,3 +171,122 @@ def test_bit_flip_in_proof_rejected(n, data):
     except CodecError:
         return
     assert not merkle_verify(root, leaves[i], mutated)
+
+
+# -- the remembered path -------------------------------------------------------
+
+
+def _remembered(path: VerifiedPath) -> tuple:
+    return path.root, path.leaf_index, list(path.nodes), list(path.siblings)
+
+
+def _mutations(root, leaves, proof, path):
+    """Proofs near ``proof``, each as ``(address, proof)``: a bit flip at each
+    level, truncated and extended siblings, wrong and negative indexes, the
+    neighbour's address, and, at each level from where the path meets the
+    remembered one, an equal-content sibling that is not ``bytes``."""
+    i, sibs = proof.leaf_index, proof.siblings
+    address = leaves[i]
+    depth = len(sibs)
+    out = []
+    for level in range(depth):
+        flipped = bytes([sibs[level][0] ^ 1]) + sibs[level][1:]
+        out.append((address, MerkleProof(i, sibs[:level] + (flipped,) + sibs[level + 1:])))
+    if depth:
+        out.append((address, MerkleProof(i, sibs[:-1])))
+        out.append((address, MerkleProof(i, sibs + (sibs[-1],))))
+    out.append((address, MerkleProof(i, sibs + (root,))))
+    for wrong in (i ^ 1, i + 1, i - 1, i + (1 << depth), -1, -1 - i, path.leaf_index):
+        out.append((address, MerkleProof(wrong, sibs)))
+    out.append((leaves[i ^ 1] if i ^ 1 < len(leaves) else "elsewhere", proof))
+    meet = (i ^ path.leaf_index).bit_length()
+    for level in range(min(meet, depth), depth):
+        for kind in (bytearray, memoryview):
+            out.append((address, MerkleProof(i, sibs[:level] + (kind(sibs[level]),) + sibs[level + 1:])))
+    return out
+
+
+@given(
+    n=st.integers(1, 70),
+    repeats=st.lists(st.integers(1, 69), max_size=4),
+    order=st.sampled_from(["in order", "reversed", "shuffled"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_remembered_path_never_changes_the_answer(n, repeats, order, seed):
+    # A memo-carrying verify against a fresh one, on identical inputs, over
+    # every proof of a tree and the mutations of each, claimed in order,
+    # reversed or shuffled. Repeated addresses make adjacent equal leaves.
+    leaves = addresses(n)
+    for j in repeats:
+        if j < n:
+            leaves[j] = leaves[j - 1]
+    root, proofs = merkle_tree(leaves)
+    ids = list(range(n))
+    if order == "reversed":
+        ids.reverse()
+    elif order == "shuffled":
+        random.Random(seed).shuffle(ids)
+    path = VerifiedPath()
+    for i in ids:
+        for address, proof in _mutations(root, leaves, proofs[i], path) + [(leaves[i], proofs[i])]:
+            before = _remembered(path)
+            accepted = merkle_verify(root, address, proof, path)
+            assert accepted == merkle_verify(root, address, proof), (n, i, proof)
+            if accepted:
+                # The memo is the path a full walk of this proof remembers.
+                fresh = VerifiedPath()
+                assert merkle_verify(root, address, proof, fresh)
+                assert _remembered(path) == _remembered(fresh)
+            else:
+                assert _remembered(path) == before
+
+
+def test_a_remembered_path_is_kept_per_root():
+    # A path remembered against one root never shortens a walk against another.
+    left, right = addresses(8), [f"other-{i}" for i in range(8)]
+    (root_l, proofs_l), (root_r, proofs_r) = merkle_tree(left), merkle_tree(right)
+    path = VerifiedPath()
+    assert merkle_verify(root_l, left[0], proofs_l[0], path)
+    assert not merkle_verify(root_r, left[1], proofs_l[1], path)
+    assert merkle_verify(root_r, right[1], proofs_r[1], path)
+    assert path.root == root_r and path.leaf_index == 1
+
+
+def _counted_node_hash(monkeypatch) -> list[int]:
+    calls = [0]
+    node_hash = merkle.node_hash
+
+    def counted(left, right):
+        calls[0] += 1
+        return node_hash(left, right)
+
+    monkeypatch.setattr(merkle, "node_hash", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 1000])
+def test_claims_in_id_order_hash_each_interior_node_about_twice(monkeypatch, n):
+    # n proofs walked in full would hash n * depth nodes; remembering the last
+    # accepted path, the walk from leaf i stops where it meets leaf i - 1's.
+    leaves = addresses(n)
+    root, proofs = merkle_tree(leaves)
+    depth = len(proofs[0].siblings)
+    calls = _counted_node_hash(monkeypatch)
+    path = VerifiedPath()
+    for address, proof in zip(leaves, proofs):
+        assert merkle_verify(root, address, proof, path)
+    assert calls[0] <= 2 * n + depth
+
+
+def test_claims_in_any_order_hash_no_more_than_full_walks(monkeypatch):
+    leaves = addresses(300)
+    root, proofs = merkle_tree(leaves)
+    calls = _counted_node_hash(monkeypatch)
+    path = VerifiedPath()
+    order = list(range(300))
+    random.Random(7).shuffle(order)
+    for i in order:
+        before = calls[0]
+        assert merkle_verify(root, leaves[i], proofs[i], path)
+        assert calls[0] - before <= len(proofs[i].siblings)

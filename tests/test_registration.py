@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
 from batchpay.errors import (
@@ -10,8 +13,13 @@ from batchpay.errors import (
     TableFull,
     UnknownAccount,
 )
-from batchpay.merkle import MerkleProof, merkle_prove, merkle_root
+from batchpay import merkle
+from batchpay.chainlog import ChainLog
+from batchpay.merkle import MerkleProof, merkle_prove, merkle_root, merkle_tree
 from batchpay.registration import bulk_register, claim_bulk_registration_id, register
+from batchpay.replay import replay
+from batchpay.sim import scenario
+from batchpay.sim.config import load_scenario_config
 from batchpay.state import NEW_ACCOUNT, TokenAdapter, instantiate
 from tests.conftest import small_params
 
@@ -138,3 +146,105 @@ def test_interleaved_direct_and_bulk_spans():
     assert state.bulks[bulk_b].first_id == 5
     claim_bulk_registration_id(state, bulk_b, 6, "y-1", merkle_prove(second_bulk, 1))
     assert state.addresses[6] == "y-1"
+
+
+def _remembered(state) -> dict:
+    return {
+        bulk_id: (path.root, path.leaf_index, list(path.nodes), list(path.siblings))
+        for bulk_id, path in state.claim_paths.items()
+    }
+
+
+def _with_top(proof: MerkleProof, top) -> MerkleProof:
+    return MerkleProof(proof.leaf_index, proof.siblings[:-1] + (top,))
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda addrs, proofs: (5, "impostor", proofs[5]),
+        lambda addrs, proofs: (5, addrs[6], proofs[6]),                 # wrong offset
+        lambda addrs, proofs: (5, addrs[5], MerkleProof(5, proofs[4].siblings)),
+        lambda addrs, proofs: (5, addrs[5], _with_top(proofs[5], bytes(32))),
+        lambda addrs, proofs: (5, addrs[5], _with_top(proofs[5], bytearray(proofs[5].siblings[-1]))),
+        lambda addrs, proofs: (4, addrs[4], proofs[4]),                 # already claimed
+    ],
+    ids=["wrong-address", "wrong-offset", "siblings-of-the-last-claim", "tampered-upper-sibling",
+         "bytearray-upper-sibling", "double-claim"],
+)
+def test_a_refused_claim_after_an_accepted_one_changes_nothing(refused):
+    # The claim right after an accepted one meets its path low in the tree,
+    # so every refusal here is reached with the bulk's path remembered.
+    state = fresh()
+    addrs = [f"seller-{i}" for i in range(11)]
+    root, proofs = merkle_tree(addrs)
+    bulk_id = bulk_register(state, len(addrs), root)
+    for i in range(5):
+        claim_bulk_registration_id(state, bulk_id, i, addrs[i], proofs[i])
+    before = state.digest(), state.log.dump(), _remembered(state)
+    assert before[2][bulk_id][1] == 4
+    account_id, address, proof = refused(addrs, proofs)
+    with pytest.raises(BadProof):
+        claim_bulk_registration_id(state, bulk_id, account_id, address, proof)
+    assert (state.digest(), state.log.dump(), _remembered(state)) == before
+    claim_bulk_registration_id(state, bulk_id, 5, addrs[5], proofs[5])
+    assert state.addresses[5] == addrs[5]
+
+
+def test_a_refused_first_claim_remembers_no_path():
+    state = fresh()
+    addrs = ["p", "q", "r"]
+    bulk_id = bulk_register(state, 3, merkle_root(addrs))
+    with pytest.raises(BadProof):
+        claim_bulk_registration_id(state, bulk_id, 1, "impostor", merkle_prove(addrs, 1))
+    assert state.claim_paths == {}
+
+
+def test_claims_of_two_bulks_interleaved_out_of_order_replay_to_the_live_digest():
+    state = fresh()
+    a_addrs = [f"a-{i}" for i in range(37)]
+    b_addrs = [f"b-{i}" for i in range(21)]
+    a_root, a_proofs = merkle_tree(a_addrs)
+    b_root, b_proofs = merkle_tree(b_addrs)
+    bulk_a = bulk_register(state, len(a_addrs), a_root)
+    register(state, "between")
+    bulk_b = bulk_register(state, len(b_addrs), b_root)
+    claims = [(bulk_a, i, a_addrs, a_proofs) for i in range(len(a_addrs))]
+    claims += [(bulk_b, i, b_addrs, b_proofs) for i in range(len(b_addrs))]
+    random.Random(3).shuffle(claims)
+    for bulk_id, i, addrs, proofs in claims:
+        first_id = state.bulks[bulk_id].first_id
+        claim_bulk_registration_id(state, bulk_id, first_id + i, addrs[i], proofs[i])
+    assert None not in state.addresses
+    rebuilt, _ = replay(ChainLog.load(state.log.dump()))
+    assert rebuilt.digest() == state.digest()
+    assert _remembered(rebuilt) == _remembered(state)
+
+
+def test_bulk_set_up_claims_hash_about_twice_per_id(monkeypatch):
+    # The bench's adversarial_bulk config claims its 400 sellers' ids in id
+    # order at set-up. Walked in full, each claim would hash its whole path
+    # (400 * 9 nodes); remembering the bulk's last accepted path, the claims
+    # together hash at most 2n + depth.
+    claiming, calls = [False], [0]
+    node_hash, claim = merkle.node_hash, scenario.claim_bulk_registration_id
+
+    def counted_node_hash(left, right):
+        calls[0] += claiming[0]
+        return node_hash(left, right)
+
+    def counted_claim(*args):
+        claiming[0] = True
+        try:
+            return claim(*args)
+        finally:
+            claiming[0] = False
+
+    monkeypatch.setattr(merkle, "node_hash", counted_node_hash)
+    monkeypatch.setattr(scenario, "claim_bulk_registration_id", counted_claim)
+    config = load_scenario_config(Path(__file__).resolve().parent.parent / "bench" / "adversarial_bulk.cfg")
+    run = scenario.SimRun(config)
+    n = config.sellers
+    depth = (n - 1).bit_length()
+    assert n == 400 and None not in run.state.addresses
+    assert 0 < calls[0] <= 2 * n + depth
