@@ -15,6 +15,13 @@ Proofs carry the leaf index plus the sibling digests from leaf to root,
 and serialize as their fields' kinds: the leaf index as u32, then the
 digests as ``b32s`` (a u16 count), in leaf-to-root order.
 
+``merkle_prove`` walks one leaf's path up the tree. ``merkle_tree`` builds
+every leaf's proof at once, a level at a time: the level's siblings in
+node order (each pair swapped, an odd tail paired with itself), each
+repeated once per leaf below its node, so that column holds every leaf's
+sibling at that level. The columns are lazy iterators, zipped in C into
+each leaf's sibling tuple; no level is walked once per leaf.
+
 Claims of one bulk arrive mostly in id order, and consecutive proofs share
 every level above the node where their paths meet. So ``merkle_verify``
 may carry a ``VerifiedPath``: the last path it accepted against a root,
@@ -42,6 +49,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import countOf
 
 from .errors import InvalidParameter
 from .wire import B32s, U32, kinds, layout, packer, unpack
@@ -118,7 +127,15 @@ def merkle_tree(addresses: list[str]) -> tuple[bytes, list[MerkleProof]]:
     proving all n leaves one by one would hash the whole tree n times.
     """
     levels = _levels(addresses)
-    return levels[-1][0], [_path(levels, i) for i in range(len(addresses))]
+    columns = []
+    for height, level in enumerate(levels[:-1]):
+        if len(level) % 2:
+            level = level + [level[-1]]
+        # Each node's sibling, in node order, then repeated once per leaf below it.
+        column = chain.from_iterable(zip(level[1::2], level[::2]))
+        columns.append(chain.from_iterable(map(repeat, column, repeat(1 << height))))
+    paths = zip(*columns) if columns else repeat(())
+    return levels[-1][0], list(map(MerkleProof, range(len(addresses)), paths))
 
 
 class VerifiedPath:
@@ -135,7 +152,7 @@ class VerifiedPath:
         self.root: bytes | None = None
         self.leaf_index = 0
         self.nodes: list[bytes] = []
-        self.siblings: list[bytes] = []
+        self.siblings: tuple[bytes, ...] = ()
 
 
 def merkle_verify(
@@ -162,8 +179,9 @@ def merkle_verify(
     if path is not None and path.root == root:
         meet = (idx ^ path.leaf_index).bit_length()
         if meet < depth:
-            upper = siblings[meet:]
-            if all(type(sib) is bytes for sib in upper) and path.siblings[meet:] == [*upper]:
+            # A tuple: a list's slice never equals the remembered tuple's.
+            upper = tuple(siblings[meet:])
+            if countOf(map(type, upper), bytes) == depth - meet and upper == path.siblings[meet:]:
                 stop = meet
     node = leaf_hash(address)
     nodes = [node]
@@ -183,11 +201,13 @@ def merkle_verify(
         if node != path.nodes[stop]:
             return False
         path.nodes[: stop + 1] = nodes
-        path.siblings[:stop] = siblings[:stop]
     elif bits or node != root:
         return False
-    elif path is not None:
-        path.nodes, path.siblings = nodes, [*siblings]
-    if path is not None:
-        path.root, path.leaf_index = root, idx
+    elif path is None:
+        return True
+    else:
+        path.nodes = nodes
+    # Every sibling is now known to be 32 bytes of ``bytes``: those below
+    # ``stop`` were checked above, and those from it up equal the remembered ones.
+    path.root, path.leaf_index, path.siblings = root, idx, tuple(siblings)
     return True

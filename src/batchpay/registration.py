@@ -17,6 +17,7 @@ from .chainlog import BulkRegistered, Claimed, Registered
 from .errors import BadProof, InvalidParameter, TableFull, UnknownAccount
 from .merkle import DIGEST_SIZE, MerkleProof, VerifiedPath, merkle_verify
 from .state import BulkRegistration, ProtocolState, ensure_address, ensure_bytes, ensure_int
+from .wire import U16_MAX
 
 
 def register(state: ProtocolState, address: str) -> int:
@@ -65,31 +66,46 @@ def claim_bulk_registration_id(
     proof: MerkleProof,
 ) -> None:
     """Bind an address to a reserved id using its Merkle inclusion proof."""
-    if not 0 <= ensure_int(bulk_id, "bulk id", UnknownAccount) < len(state.bulks):
+    if type(bulk_id) is not int:
+        ensure_int(bulk_id, "bulk id", UnknownAccount)
+    if not 0 <= bulk_id < len(state.bulks):
         raise UnknownAccount(f"bulk registration {bulk_id} does not exist")
     ensure_address(address, "address")
     if not isinstance(proof, MerkleProof):
         raise InvalidParameter(f"proof must be a MerkleProof, got {type(proof).__name__}")
+    leaf_index = proof.leaf_index
     # 0.0 == 0 would pass the offset check, and a one-leaf proof walks no sibling.
-    ensure_int(proof.leaf_index, "proof leaf index")
-    if not isinstance(proof.siblings, (tuple, list)):
+    if type(leaf_index) is not int:
+        ensure_int(leaf_index, "proof leaf index")
+    siblings = proof.siblings
+    if not isinstance(siblings, (tuple, list)):
         raise InvalidParameter(
-            f"proof siblings must be a tuple or list, got {type(proof.siblings).__name__}"
+            f"proof siblings must be a tuple or list, got {type(siblings).__name__}"
         )
+    # Read the siblings once, into a plain tuple: the walk, the remembered
+    # path and the record then see the same digests, whatever a subclass does.
+    if type(proof) is not MerkleProof or type(siblings) is not tuple:
+        siblings = tuple(siblings)
+        proof = MerkleProof(leaf_index, siblings)
+    # "1" would fail the range test below with a bare TypeError.
+    if type(account_id) is not int:
+        ensure_int(account_id, "account id", UnknownAccount)
     bulk = state.bulks[bulk_id]
-    if not bulk.first_id <= account_id < bulk.first_id + bulk.count:
+    offset = account_id - bulk.first_id
+    if not 0 <= offset < bulk.count:
         raise BadProof(
             f"account {account_id} is not inside bulk range "
             f"[{bulk.first_id}, {bulk.first_id + bulk.count})"
         )
-    if state.address(account_id) is not None:
+    if state.addresses[account_id] is not None:
         raise BadProof(f"account {account_id} already claimed")
     # The proof must sit at the id's offset inside the reserved range;
     # a valid proof for a different leaf cannot move an id.
-    if proof.leaf_index != account_id - bulk.first_id:
-        raise BadProof(
-            f"leaf index {proof.leaf_index} != id offset {account_id - bulk.first_id}"
-        )
+    if leaf_index != offset:
+        raise BadProof(f"leaf index {leaf_index} != id offset {offset}")
+    # A registrant picks any root, so a longer proof can verify, but no record carries it.
+    if len(siblings) > U16_MAX:
+        raise BadProof(f"proof has {len(siblings)} siblings, more than {U16_MAX}")
     # A refused proof leaves the bulk's remembered path as it was.
     path = state.claim_paths.get(bulk_id) or VerifiedPath()
     if not merkle_verify(bulk.root, address, proof, path):

@@ -20,6 +20,7 @@ import struct
 from dataclasses import fields
 from functools import cache
 from itertools import groupby
+from operator import countOf
 from textwrap import indent
 from typing import Annotated, Callable, NamedTuple, get_type_hints
 
@@ -90,6 +91,14 @@ def _pack_b32(value: bytes) -> bytes:
     return value
 
 
+def _pack_b32s(values) -> bytes:
+    # One C-level count of the 32-byte items; only a miss walks them to name the first.
+    if countOf(map(len, values), 32) != len(values):
+        for value in values:
+            _pack_b32(value)
+    return u16(len(values)) + b"".join(values)
+
+
 def _pack_pairs(pairs) -> bytes:
     return u32(len(pairs)) + b"".join(_PAIR.pack(idx, amount) for idx, amount in pairs)
 
@@ -114,7 +123,7 @@ KINDS: dict[str, Kind] = {
     "u64": Kind(_fixed("Q"), u64, code="Q"),
     "b32": Kind(f"q = pos + 32\nif q > end: {_TRUNCATED}\n{{v}} = data[pos:q]\npos = q", _pack_b32),
     "b32s": Kind(_counted("H", 32, "{v} = tuple(data[i:i + 32] for i in range(p, q, 32))"),
-                 lambda v: u16(len(v)) + b"".join(map(_pack_b32, v)), 2),
+                 _pack_b32s, 2),
     "str": Kind(_counted("H", 1, 'try: {v} = str(data[p:q], "utf-8")\n'
                          'except UnicodeDecodeError: raise _E("string is not valid utf-8") from None'),
                 pack_str, 2),

@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchpay.errors import (
     BadProof,
@@ -14,13 +16,22 @@ from batchpay.errors import (
     UnknownAccount,
 )
 from batchpay import merkle
-from batchpay.chainlog import ChainLog
-from batchpay.merkle import MerkleProof, merkle_prove, merkle_root, merkle_tree
+from batchpay.chainlog import ChainLog, Claimed
+from batchpay.merkle import (
+    MerkleProof,
+    leaf_hash,
+    merkle_prove,
+    merkle_root,
+    merkle_tree,
+    merkle_verify,
+    node_hash,
+)
 from batchpay.registration import bulk_register, claim_bulk_registration_id, register
 from batchpay.replay import replay
 from batchpay.sim import scenario
 from batchpay.sim.config import load_scenario_config
 from batchpay.state import NEW_ACCOUNT, TokenAdapter, instantiate
+from batchpay.wire import U16_MAX
 from tests.conftest import small_params
 
 
@@ -189,6 +200,127 @@ def test_a_refused_claim_after_an_accepted_one_changes_nothing(refused):
     assert (state.digest(), state.log.dump(), _remembered(state)) == before
     claim_bulk_registration_id(state, bulk_id, 5, addrs[5], proofs[5])
     assert state.addresses[5] == addrs[5]
+
+
+@given(
+    n=st.integers(1, 70),
+    repeats=st.lists(st.integers(1, 69), max_size=4),
+    as_list=st.booleans(),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_claim_logs_the_bytes_of_the_proof_it_accepted(n, repeats, as_list, shuffled, seed):
+    # Repeated addresses make adjacent equal leaves, some of which no proof
+    # can claim. Before each claim, its proof with one sibling swapped for a
+    # bytes-like or wrong-length value, below and from the level where its
+    # path meets the last accepted one, is refused and changes nothing.
+    addrs = [f"seller-{i}" for i in range(n)]
+    for j in repeats:
+        if j < n:
+            addrs[j] = addrs[j - 1]
+    root, proofs = merkle_tree(addrs)
+    state = fresh()
+    bulk_id = bulk_register(state, n, root)
+    first_id = state.bulks[bulk_id].first_id
+    rng = random.Random(seed)
+    ids = list(range(n))
+    if shuffled:
+        rng.shuffle(ids)
+    for i in ids:
+        proof = proofs[i]
+        siblings = list(proof.siblings) if as_list else proof.siblings
+        depth = len(siblings)
+        path = state.claim_paths.get(bulk_id)
+        meet = min((i ^ path.leaf_index).bit_length() if path else 0, depth)
+        for levels in (range(meet), range(meet, depth)):
+            if not levels:
+                continue
+            level = rng.choice(levels)
+            good = siblings[level]
+            for bad in (bytearray(good), memoryview(good), good[:31], good + b"\x00"):
+                tampered = [*siblings[:level], bad, *siblings[level + 1:]]
+                before = state.digest(), list(state.log.records), _remembered(state)
+                with pytest.raises(BadProof):
+                    claim_bulk_registration_id(
+                        state, bulk_id, first_id + i, addrs[i],
+                        MerkleProof(i, tampered if as_list else tuple(tampered)),
+                    )
+                assert (state.digest(), state.log.records, _remembered(state)) == before
+        if not merkle_verify(root, addrs[i], proof):
+            with pytest.raises(BadProof):
+                claim_bulk_registration_id(state, bulk_id, first_id + i, addrs[i], proof)
+            continue
+        claim_bulk_registration_id(state, bulk_id, first_id + i, addrs[i], MerkleProof(i, siblings))
+        record = state.log.records[-1]
+        assert record == Claimed(bulk_id, first_id + i, addrs[i], proof.to_bytes())
+        assert MerkleProof.from_bytes(record.proof_blob) == proof
+    rebuilt, _ = replay(ChainLog.load(state.log.dump()))
+    assert rebuilt.digest() == state.digest()
+
+
+class _TwoFaced(list):
+    """A sibling list whose iteration yields other digests than its items."""
+
+    def __init__(self, items, iterated):
+        super().__init__(items)
+        self.iterated = iterated
+
+    def __iter__(self):
+        return iter(self.iterated)
+
+
+def test_a_claim_reads_a_list_subclass_of_siblings_once():
+    state = fresh()
+    addrs = [f"seller-{i}" for i in range(8)]
+    root, proofs = merkle_tree(addrs)
+    bulk_id = bulk_register(state, len(addrs), root)
+    for i in range(3):
+        claim_bulk_registration_id(state, bulk_id, i, addrs[i], proofs[i])
+    good = proofs[3].siblings
+    forged = (bytes(32),) * len(good)
+    # Items that verify, iterated as others: refused, nothing written.
+    before = state.digest(), state.log.dump(), _remembered(state)
+    with pytest.raises(BadProof):
+        claim_bulk_registration_id(state, bulk_id, 3, addrs[3], MerkleProof(3, _TwoFaced(good, forged)))
+    assert (state.digest(), state.log.dump(), _remembered(state)) == before
+    # Forged items, iterated as the true siblings: the walk, the remembered
+    # path and the record all hold what iteration gave.
+    claim_bulk_registration_id(state, bulk_id, 3, addrs[3], MerkleProof(3, _TwoFaced(forged, good)))
+    assert state.log.records[-1].proof_blob == proofs[3].to_bytes()
+    assert state.claim_paths[bulk_id].siblings == good
+    for i in range(4, len(addrs)):
+        claim_bulk_registration_id(state, bulk_id, i, addrs[i], proofs[i])
+    rebuilt, _ = replay(ChainLog.load(state.log.dump()))
+    assert rebuilt.digest() == state.digest()
+
+
+def _chosen_root(address: str, depth: int) -> tuple[bytes, MerkleProof]:
+    """A root ``depth`` levels above ``address``'s leaf, and leaf 0's proof for it."""
+    siblings = (bytes(32),) * depth
+    node = leaf_hash(address)
+    for sibling in siblings:
+        node = node_hash(node, sibling)
+    return node, MerkleProof(0, siblings)
+
+
+def test_a_proof_longer_than_a_record_carries_is_refused_before_its_walk():
+    # A registrant picks any root, so a proof of any depth can verify; a
+    # Claimed record counts its siblings in a u16.
+    root, proof = _chosen_root("p", U16_MAX + 1)
+    assert merkle_verify(root, "p", proof)
+    state = fresh()
+    bulk_id = bulk_register(state, 1, root)
+    before = state.digest(), state.log.dump()
+    with pytest.raises(BadProof, match=f"proof has {U16_MAX + 1} siblings, more than {U16_MAX}"):
+        claim_bulk_registration_id(state, bulk_id, 0, "p", proof)
+    assert (state.digest(), state.log.dump(), state.claim_paths) == (*before, {})
+    root, proof = _chosen_root("p", U16_MAX)
+    bulk_id = bulk_register(state, 1, root)
+    claim_bulk_registration_id(state, bulk_id, 1, "p", proof)
+    assert MerkleProof.from_bytes(state.log.records[-1].proof_blob) == proof
+    rebuilt, _ = replay(ChainLog.load(state.log.dump()))
+    assert rebuilt.digest() == state.digest()
 
 
 def test_a_refused_first_claim_remembers_no_path():

@@ -1098,17 +1098,22 @@ def _rejected_instant_advance():
     return world.state, lambda: world.open_collect(40000, end=1, amount=200_000)
 
 
+_FIRST_ID = object()
+
+
 def _rejected_claim(
     address="late-0", bulk_id=None, proof=merkle_prove(["late-0", "late-1"], 0),
-    addresses=("late-0", "late-1"),
+    addresses=("late-0", "late-1"), account_id=_FIRST_ID,
 ):
-    """A claim of the first id of a bulk of ``addresses``, as bulk ``bulk_id`` if given."""
+    """A claim of the first id of a bulk of ``addresses``, as bulk ``bulk_id``
+    and as account ``account_id`` if given."""
     def build():
         world = World()
         registered = bulk_register(world.state, len(addresses), merkle_root(list(addresses)))
         first_id = world.state.bulks[registered].first_id
         return world.state, lambda: claim_bulk_registration_id(
-            world.state, registered if bulk_id is None else bulk_id, first_id, address, proof
+            world.state, registered if bulk_id is None else bulk_id,
+            first_id if account_id is _FIRST_ID else account_id, address, proof,
         )
     return build
 
@@ -1371,6 +1376,11 @@ SIBLINGS = merkle_prove(["late-0", "late-1"], 0).siblings
          "blocks to advance must be an integer, got True"),
         (_world_op(lambda w: w.state.advance_block(1.0)), InvalidParameter,
          "blocks to advance must be an integer, got 1.0"),
+        *((_rejected_claim(account_id=account_id), UnknownAccount,
+           f"account id must be an integer, got {account_id!r}")
+          for account_id in ("1", None, [1], {1: 1}, b"\x01", 1.0)),
+        (_rejected_claim(proof=MerkleProof(0, (bytes(32),) * 65_536)), BadProof,
+         "proof has 65536 siblings, more than 65535"),
     ],
     ids=[*(f"{move}-{name}" for move in SLOT_KEY_MOVES for name, *_ in ILL_TYPED_SLOT_KEYS),
          "claim-one-leaf-index-float", "claim-leaf-index-float", "claim-leaf-index-bool",
@@ -1393,7 +1403,9 @@ SIBLINGS = merkle_prove(["late-0", "late-1"], 0).siblings
          "collect-auth-str", "collect-auth-none", "collect-auth-short", "unlock-key-str",
          "unlock-key-none", "prove-pay-data-str", "prove-pay-data-none", "list-none",
          "list-entry-single", "list-entry-triple", "list-entry-int", "advance-bool",
-         "advance-float"],
+         "advance-float", "claim-account-id-str", "claim-account-id-none", "claim-account-id-list",
+         "claim-account-id-dict", "claim-account-id-bytes", "claim-account-id-float",
+         "claim-proof-past-u16"],
 )
 def test_rejection_names_its_cause_and_writes_nothing(build, error, message):
     state, op = build()
