@@ -103,10 +103,10 @@ def draw_payees(rng, sellers: list[int], count: int) -> list[int]:
 
 
 class Buyer:
-    def __init__(self, ctx, account_id: int, address: str):
+    def __init__(self, ctx, account_id: int):
         self.ctx = ctx
         self.account_id = account_id
-        self.address = address
+        self.address = ctx.state.addresses[account_id]
 
     def step(self) -> None:
         ctx = self.ctx
@@ -167,10 +167,9 @@ class Buyer:
 
 
 class Unlocker:
-    def __init__(self, ctx, account_id: int, address: str, withholding: bool):
+    def __init__(self, ctx, account_id: int, withholding: bool):
         self.ctx = ctx
         self.account_id = account_id
-        self.address = address
         self.withholding = withholding
         self.inbox: list[UnlockJob] = []
 
@@ -228,10 +227,9 @@ class Delegate:
     moves, draws and insolvency count are those of a visit to every slot.
     """
 
-    def __init__(self, ctx, account_id: int, address: str, cheating: bool, sellers: list[int]):
+    def __init__(self, ctx, account_id: int, cheating: bool, sellers: list[int]):
         self.ctx = ctx
         self.account_id = account_id
-        self.address = address
         self.cheating = cheating
         self.sellers = sorted(sellers)
         self._next_slot = [0, 0]                      # probe counters, by instant
@@ -457,10 +455,9 @@ class Monitor:
     delegate's hands drops it or does nothing.
     """
 
-    def __init__(self, ctx, account_id: int, address: str, lazy: bool):
+    def __init__(self, ctx, account_id: int, lazy: bool):
         self.ctx = ctx
         self.account_id = account_id
-        self.address = address
         self.lazy = lazy
         self._verdicts: dict[int, str | None] = {}   # position in view.opened -> verdict
         self._candidates: dict[tuple[int, int], int] = {}   # slot key -> position in view.opened
@@ -533,8 +530,6 @@ class Monitor:
                 # An open slot's verdict never changes (see monitor_verdict).
                 verdict = monitor_verdict(ctx.view, slot) if watch else None
                 self._verdicts[pos] = verdict
-                if verdict == "understated":
-                    ctx.note_understatement()
             if self._verdicts[pos] != "overstated":
                 del candidates[key]
                 continue

@@ -38,7 +38,8 @@ Each collect claim is classified once, at its ``CollectOpened``, as
 overstated or not: its range is matured by then, so the verdict never
 changes (see ``monitor_verdict``). ``cheats`` counts overstated claims
 opened, ``caught`` by a challenger and settled unchallenged (``escaped``);
-``instant_losses`` counts instant slots lost to a challenger.
+``understated`` counts claims opened for less than the log owes, and
+``instant_losses`` instant slots lost to a challenger.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class LogView:
         self.challenged: list[tuple[int, int]] = []  # slot key per Challenged
         self.responded: list[tuple[int, int]] = []   # slot key per ListResponded
         self.cheats: Counter[str] = Counter()        # overstated claims: attempted, caught, escaped
+        self.understated = 0                         # claims opened for less than owed
         self.instant_losses = 0                      # instant slots lost to a challenger
         self.collect_stake = 0
         self.challenge_stake = 0
@@ -209,8 +211,10 @@ class LogView:
             self.prefixes[rec.recipient_id] = rec.last_payment_index
         self._credit(rec.delegate_id, -debit)
         self.mature_end()
-        overstated = rec.amount > self.owed(rec.recipient_id, start, rec.last_payment_index)[1]
+        owed = self.owed(rec.recipient_id, start, rec.last_payment_index)[1]
+        overstated = rec.amount > owed
         self.cheats["attempted"] += overstated
+        self.understated += rec.amount < owed
         key = (rec.delegate_id, rec.slot_id)
         self.slots[key] = _ViewSlot(
             rec.recipient_id, rec.last_payment_index,
@@ -385,11 +389,6 @@ def view_of(log: ChainLog) -> LogView:
     return view
 
 
-def oracle_balance(log: ChainLog, account_id: int) -> int:
-    """One-shot convenience over a full log."""
-    return view_of(log).oracle_balance(account_id)
-
-
 # -- canonical monitor strategy ------------------------------------------------
 
 def monitor_verdict(view: LogView, slot) -> str:
@@ -397,7 +396,8 @@ def monitor_verdict(view: LogView, slot) -> str:
 
     Returns "overstated" when the claim exceeds the true entitlement over
     the slot's range (the winnable case), "understated" when it falls short
-    (protocol-legal but seller-harming, flagged only), and "ok" otherwise.
+    (protocol-legal but seller-harming: left alone, counted in
+    ``LogView.understated``), and "ok" otherwise.
     Costs two bisections of the running totals (``owed``), after
     ``mature_end()`` brings them up to the view's block.
 

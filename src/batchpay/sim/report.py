@@ -1,4 +1,5 @@
-"""Scenario report: the result structure, serialization, and digesting.
+"""Scenario report: the result structure, how a run builds it from what a
+replay of its log gives back (scenario_report), serialization, and digesting.
 
 Two interchangeable formats carry the same values:
 
@@ -15,9 +16,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
+from ..chainlog import PaymentRegistered, scaling_payload
+from ..costmodel import calldata_gas, tx_cost, usd_cost
 from ..errors import InvalidParameter
+from ..state import ProtocolState
+from .config import ScenarioConfig
+from .oracle import LogView
 
 REPORT_VERSION = 1
 
@@ -27,16 +35,16 @@ class ScenarioReport:
     version: int = REPORT_VERSION
     seed: int = 0
     blocks_requested: int = 0
-    blocks_run: int = 0                      # including the drain phase
+    blocks_run: int = 0                      # the final block, drain phase included
     generated_at: str = ""                   # excluded from the digest
     state_digest: str = ""
-    conservation_ok: bool = True
+    conservation_ok: bool = True             # a failed check raises before a run ends
     balances: list = field(default_factory=list)        # {account, role, balance}
     externals: list = field(default_factory=list)       # {address, balance}
     games: dict = field(default_factory=dict)
     payments: dict = field(default_factory=dict)
     cheats: dict = field(default_factory=dict)
-    understatements: int = 0
+    understatements: int = 0                 # claims opened for less than owed
     instant_advance_losses: int = 0
     event_counts: dict = field(default_factory=dict)
     gas_by_op: dict = field(default_factory=dict)       # op -> {count, gas}
@@ -44,6 +52,134 @@ class ScenarioReport:
     oracle_diffs: list = field(default_factory=list)    # {account, ledger, oracle}
     monitor_net: dict = field(default_factory=dict)     # account id (str) -> net stake
     known_gaps: list = field(default_factory=list)
+
+
+# A run opens its i-th account of a role at "{role}-{i}", so the log
+# names every actor's role.
+_ACTOR_ADDRESS = re.compile(r"(buyer|seller|delegate|monitor|unlocker)-(?:0|[1-9][0-9]*)")
+
+
+def actor_address(role: str, i: int) -> str:
+    return f"{role}-{i}"
+
+
+def role_of(address: str | None) -> str:
+    """The role an actor's address names; ``other`` for any other address."""
+    match = _ACTOR_ADDRESS.fullmatch(address or "")
+    return match[1] if match else "other"
+
+
+def scenario_report(
+    config: ScenarioConfig, state: ProtocolState, view: LogView, blocked: set[str]
+) -> ScenarioReport:
+    """The report of a run that ended in ``state``, with ``view`` fed its
+    whole log. ``blocked`` holds the op kinds the escrow pool refused, which
+    were never tried and so left no record."""
+    counts, gas_by_op, locked = _tally(state.log.records)
+    total_gas = sum(row["gas"] for row in gas_by_op.values())
+    cheats = view.cheats
+    balances = [
+        {"account": account_id, "role": role_of(address), "balance": balance}
+        for account_id, (address, balance) in enumerate(zip(state.addresses, state.balances))
+    ]
+    return ScenarioReport(
+        seed=config.seed,
+        blocks_requested=config.blocks,
+        blocks_run=state.current_block,
+        state_digest=state.digest().hex(),
+        balances=balances,
+        externals=[
+            {"address": address, "balance": balance}
+            for address, balance in sorted(state.adapter.external.items())
+            if balance
+        ],
+        games={
+            "opened": counts.get("CollectOpened", 0),
+            "challenged": counts.get("Challenged", 0),
+            "won_by_monitor": counts.get("ChallengeSucceeded", 0),
+            "won_by_delegate": counts.get("ChallengeFailed", 0),
+        },
+        payments={
+            "registered": counts.get("PaymentRegistered", 0),
+            "locked": locked,
+            "unlocked": counts.get("Unlocked", 0),
+            "refunded": counts.get("Refunded", 0),
+        },
+        cheats={
+            "attempted": cheats["attempted"],
+            "caught": cheats["caught"],
+            "escaped": cheats["escaped"],
+            "stranded": cheats["attempted"] - cheats["caught"] - cheats["escaped"],
+        },
+        understatements=view.understated,
+        instant_advance_losses=view.instant_losses,
+        event_counts=counts,
+        gas_by_op=gas_by_op,
+        cost={
+            "total_gas": total_gas,
+            "gas_price_gwei": config.gas_price_gwei,
+            "eth_usd": config.eth_usd,
+            "total_usd": str(usd_cost(total_gas, config.gas_price_gwei, config.eth_usd)),
+        },
+        oracle_diffs=[
+            {"account": account_id, "ledger": balance, "oracle": oracle}
+            for account_id, balance in enumerate(state.balances)
+            if balance != (oracle := view.oracle_balance(account_id))
+        ],
+        # A monitor's only flows are its challenge stakes and its winnings.
+        monitor_net={
+            str(row["account"]): row["balance"] - config.monitor_deposit
+            for row in balances
+            if row["role"] == "monitor"
+        },
+        known_gaps=sorted(_gaps(config, state, view, blocked)),
+    )
+
+
+def _tally(records) -> tuple[dict, dict, int]:
+    """Record counts by type, ``{count, gas}`` by op, and locked payments;
+    only records that declare ``SCALING`` are walked, to price their payload."""
+    by_type = Counter(map(type, records))
+    rows = {c.OP: {"count": n, "gas": n * tx_cost(c.OP)} for c, n in by_type.items() if c.OP}
+    locked = 0
+    for rec in records:
+        if rec.SCALING is not None:
+            rows[rec.OP]["gas"] += calldata_gas(scaling_payload(rec))
+            if type(rec) is PaymentRegistered and rec.locking_key_hash is not None:
+                locked += 1
+    return {cls.__name__: n for cls, n in by_type.items()}, rows, locked
+
+
+def _gaps(config: ScenarioConfig, state: ProtocolState, view: LogView, blocked: set[str]):
+    """A note per op kind in ``blocked``; the rest follow from the final
+    state, the log and the config."""
+    for what in blocked:
+        yield (
+            f"escrow pool insolvency blocked a {what}: an inflated settlement "
+            "drained funds that backed other claims"
+        )
+    if state.slots or state.open_locks:         # the run allows this only when insolvent
+        yield (
+            f"insolvency stranded {len(state.slots)} uncoverable collects "
+            f"and {len(state.open_locks)} locked payments"
+        )
+    if leftover := sum(map(view.collectable, range(len(state.addresses)))):
+        yield (
+            f"{leftover} tokens of entitlement were never collected "
+            "(no solvent delegate reached them)"
+        )
+    if config.bulk_register_sellers and config.sellers:
+        yield (
+            "bulk-registration roots are never challenged on-chain; "
+            "a wrong root strands its reserved ids"
+        )
+    if escaped := view.cheats["escaped"]:
+        yield f"{escaped} overstated collects settled unchallenged (no attentive monitor saw them)"
+    if view.instant_losses:
+        yield (
+            "instant-collect advances stay with recipients when the delegate "
+            "loses the game; the delegate absorbs the difference"
+        )
 
 
 # The "lines" layout: after one "meta" row of every field not named here,

@@ -15,15 +15,17 @@ unchallenged (see ``LogView.cheats``); one still open at the end was
 stranded. The delegates count the overstated collects they mean to open,
 and the run fails if the log shows another number, or if any cheat
 settles unchallenged while an attentive monitor was configured.
+
+The report reads only the final state, the view, the config and the op
+kinds the escrow pool refused (``scenario_report``), so a replay of the log
+and a fresh view of it give back the same report.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 
-from ..chainlog import ChainLog, PaymentRegistered, scaling_payload
-from ..costmodel import calldata_gas, tx_cost, usd_cost
+from ..chainlog import ChainLog
 from ..errors import InvariantViolation
 from ..merkle import merkle_tree
 from ..registration import bulk_register, claim_bulk_registration_id, register
@@ -38,7 +40,7 @@ from ..state import (
 from .actors import Buyer, Delegate, Monitor, Unlocker
 from .config import DRAIN_HARD_CAP, ScenarioConfig
 from .oracle import LogView
-from .report import ScenarioReport
+from .report import ScenarioReport, actor_address, scenario_report
 
 
 def _headcount(fraction: float, total: int) -> int:
@@ -60,61 +62,53 @@ class SimRun:
         ):
             if deposit:
                 for i in range(count):
-                    adapter.mint(f"{role}-{i}", deposit)
+                    adapter.mint(actor_address(role, i), deposit)
         self.state: ProtocolState = instantiate(config.params, adapter)
         self.log: ChainLog = self.state.log
         self.view = LogView()
         self.draining = False
-        self.blocks_run = 0
 
         self.cheats_attempted = 0                    # overstated collects delegates opened
-        self.understatements = 0
         self.insolvency_events = 0
-        self.gap_notes: set[str] = set()
         self.insolvent_kinds: set[str] = set()       # ops the pool could not cover
 
-        self.role_of: dict[int, str] = {}
         self._setup_actors()
         self.sync()
 
     # -- setup ----------------------------------------------------------------
 
-    def _open_account(self, role: str, i: int, deposit: int = 0) -> tuple[int, str]:
+    def _open_account(self, role: str, i: int, deposit: int = 0) -> int:
         """Open ``{role}-{i}``'s account: by a deposit if it brings funds."""
-        address = f"{role}-{i}"
+        address = actor_address(role, i)
         if deposit:
-            account_id = self.state.deposit(NEW_ACCOUNT, deposit, address)
-        else:
-            account_id = register(self.state, address)
-        self.role_of[account_id] = role
-        return account_id, address
+            return self.state.deposit(NEW_ACCOUNT, deposit, address)
+        return register(self.state, address)
 
     def _setup_actors(self) -> None:
         cfg = self.config
         state = self.state
 
         self.buyers = [
-            Buyer(self, *self._open_account("buyer", i, cfg.buyer_deposit))
+            Buyer(self, self._open_account("buyer", i, cfg.buyer_deposit))
             for i in range(cfg.buyers)
         ]
 
         if cfg.sellers and cfg.bulk_register_sellers:
-            addresses = [f"seller-{i}" for i in range(cfg.sellers)]
+            addresses = [actor_address("seller", i) for i in range(cfg.sellers)]
             root, proofs = merkle_tree(addresses)
             bulk_id = bulk_register(state, cfg.sellers, root)
             first_id = state.bulks[bulk_id].first_id
             for i, proof in enumerate(proofs):
                 claim_bulk_registration_id(state, bulk_id, first_id + i, addresses[i], proof)
-                self.role_of[first_id + i] = "seller"
             self.seller_ids = list(range(first_id, first_id + cfg.sellers))
         else:
-            self.seller_ids = [self._open_account("seller", i)[0] for i in range(cfg.sellers)]
+            self.seller_ids = [self._open_account("seller", i) for i in range(cfg.sellers)]
 
         cheaters = _headcount(cfg.cheating_delegate_fraction, cfg.delegates)
         self.delegate_actors = [
             Delegate(
                 self,
-                *self._open_account("delegate", i, cfg.delegate_deposit),
+                self._open_account("delegate", i, cfg.delegate_deposit),
                 cheating=i < cheaters,
                 sellers=self.seller_ids[i :: cfg.delegates],
             )
@@ -123,13 +117,13 @@ class SimRun:
 
         lazies = _headcount(cfg.lazy_monitor_fraction, cfg.monitors)
         self.monitor_actors = [
-            Monitor(self, *self._open_account("monitor", i, cfg.monitor_deposit), lazy=i < lazies)
+            Monitor(self, self._open_account("monitor", i, cfg.monitor_deposit), lazy=i < lazies)
             for i in range(cfg.monitors)
         ]
 
         withholders = _headcount(cfg.withholding_unlocker_fraction, cfg.unlockers)
         self.unlockers = [
-            Unlocker(self, *self._open_account("unlocker", i), withholding=i < withholders)
+            Unlocker(self, self._open_account("unlocker", i), withholding=i < withholders)
             for i in range(cfg.unlockers)
         ]
 
@@ -137,9 +131,6 @@ class SimRun:
 
     def sync(self) -> None:
         self.view.feed(self.log)
-
-    def note_understatement(self) -> None:
-        self.understatements += 1
 
     def note_insolvency(self, what: str) -> None:
         """An op was not tried because the escrow pool cannot cover it.
@@ -151,27 +142,16 @@ class SimRun:
         The run winds down by stagnation.
         """
         self.insolvency_events += 1
-        if what not in self.insolvent_kinds:
-            self.insolvent_kinds.add(what)
-            self.gap_notes.add(
-                f"escrow pool insolvency blocked a {what}: an inflated settlement "
-                "drained funds that backed other claims"
-            )
+        self.insolvent_kinds.add(what)
 
     # -- the loop ----------------------------------------------------------------
 
     def run_block(self) -> None:
         # Sellers have no moves of their own, so they are not stepped.
-        for group in (
-            self.buyers,
-            self.unlockers,
-            self.delegate_actors,
-            self.monitor_actors,
-        ):
+        for group in (self.buyers, self.unlockers, self.delegate_actors, self.monitor_actors):
             for actor in group:
                 actor.step()
         self.state.advance_block(1)
-        self.blocks_run += 1
         self.sync()
         self.state.check_invariants()
         self._assert_mirror()
@@ -199,13 +179,10 @@ class SimRun:
         )
 
     def _drained(self) -> bool:
-        if self.state.slots:
+        state, view = self.state, self.view
+        if state.slots or state.open_locks or view.mature_end() < len(view.payments):
             return False
-        if self.state.open_locks:
-            return False
-        if self.view.mature_end() < len(self.view.payments):
-            return False
-        return not any(map(self.view.collectable, range(len(self.state.addresses))))
+        return not any(map(view.collectable, range(len(state.addresses))))
 
     def run(self) -> None:
         for _ in range(self.config.blocks):
@@ -258,16 +235,6 @@ class SimRun:
                 raise InvariantViolation(
                     "drain-stalled", f"insolvent run left slots mid-game: {mid_game}"
                 )
-            self.gap_notes.add(
-                f"insolvency stranded {len(stranded_slots)} uncoverable collects "
-                f"and {len(stranded_locked)} locked payments"
-            )
-        leftover = sum(map(self.view.collectable, range(len(self.state.addresses))))
-        if leftover:
-            self.gap_notes.add(
-                f"{leftover} tokens of entitlement were never collected "
-                "(no solvent delegate reached them)"
-            )
         logged = self.view.cheats["attempted"]
         if self.cheats_attempted != logged:
             raise InvariantViolation(
@@ -285,107 +252,8 @@ class SimRun:
                 f"{escaped} overstated collects settled despite an attentive monitor",
             )
 
-    def _tally(self) -> tuple[dict, dict, int]:
-        """Record counts by type, ``{count, gas}`` by op, and locked payments;
-        only records that declare ``SCALING`` are walked, to price their payload."""
-        records = self.log.records
-        by_type = Counter(map(type, records))
-        rows = {c.OP: {"count": n, "gas": n * tx_cost(c.OP)} for c, n in by_type.items() if c.OP}
-        locked = 0
-        for rec in records:
-            if rec.SCALING is not None:
-                rows[rec.OP]["gas"] += calldata_gas(scaling_payload(rec))
-                if type(rec) is PaymentRegistered and rec.locking_key_hash is not None:
-                    locked += 1
-        return {cls.__name__: n for cls, n in by_type.items()}, rows, locked
-
     def build_report(self) -> ScenarioReport:
-        state = self.state
-        report = ScenarioReport()
-        report.seed = self.config.seed
-        report.blocks_requested = self.config.blocks
-        report.blocks_run = self.blocks_run
-        report.state_digest = state.digest().hex()
-        report.conservation_ok = True     # a failed check raises before this point
-
-        report.balances = [
-            {
-                "account": account_id,
-                "role": self.role_of.get(account_id, "other"),
-                "balance": balance,
-            }
-            for account_id, balance in enumerate(state.balances)
-        ]
-        report.externals = [
-            {"address": address, "balance": balance}
-            for address, balance in sorted(state.adapter.external.items())
-            if balance
-        ]
-
-        event_counts, gas_rows, locked = self._tally()
-        report.event_counts = event_counts
-
-        report.games = {
-            "opened": event_counts.get("CollectOpened", 0),
-            "challenged": event_counts.get("Challenged", 0),
-            "won_by_monitor": event_counts.get("ChallengeSucceeded", 0),
-            "won_by_delegate": event_counts.get("ChallengeFailed", 0),
-        }
-        report.payments = {
-            "registered": event_counts.get("PaymentRegistered", 0),
-            "locked": locked,
-            "unlocked": event_counts.get("Unlocked", 0),
-            "refunded": event_counts.get("Refunded", 0),
-        }
-        cheats = self.view.cheats
-        report.cheats = {
-            "attempted": cheats["attempted"],
-            "caught": cheats["caught"],
-            "escaped": cheats["escaped"],
-            "stranded": cheats["attempted"] - cheats["caught"] - cheats["escaped"],
-        }
-        report.understatements = self.understatements
-        report.instant_advance_losses = self.view.instant_losses
-
-        total_gas = sum(row["gas"] for row in gas_rows.values())
-        report.gas_by_op = gas_rows
-        report.cost = {
-            "total_gas": total_gas,
-            "gas_price_gwei": self.config.gas_price_gwei,
-            "eth_usd": self.config.eth_usd,
-            "total_usd": str(
-                usd_cost(total_gas, self.config.gas_price_gwei, self.config.eth_usd)
-            ),
-        }
-
-        report.oracle_diffs = [
-            {"account": account_id, "ledger": balance, "oracle": oracle}
-            for account_id, balance in enumerate(state.balances)
-            if balance != (oracle := self.view.oracle_balance(account_id))
-        ]
-        # A monitor's only flows are its challenge stakes and its winnings.
-        report.monitor_net = {
-            str(m.account_id): state.balances[m.account_id] - self.config.monitor_deposit
-            for m in self.monitor_actors
-        }
-
-        if self.config.bulk_register_sellers and self.config.sellers:
-            self.gap_notes.add(
-                "bulk-registration roots are never challenged on-chain; "
-                "a wrong root strands its reserved ids"
-            )
-        if cheats["escaped"]:
-            self.gap_notes.add(
-                f"{cheats['escaped']} overstated collects settled unchallenged "
-                "(no attentive monitor saw them)"
-            )
-        if self.view.instant_losses:
-            self.gap_notes.add(
-                "instant-collect advances stay with recipients when the delegate "
-                "loses the game; the delegate absorbs the difference"
-            )
-        report.known_gaps = sorted(self.gap_notes)
-        return report
+        return scenario_report(self.config, self.state, self.view, self.insolvent_kinds)
 
 
 def run_scenario_full(config: ScenarioConfig) -> tuple[ScenarioReport, SimRun]:
@@ -396,5 +264,4 @@ def run_scenario_full(config: ScenarioConfig) -> tuple[ScenarioReport, SimRun]:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    report, _ = run_scenario_full(config)
-    return report
+    return run_scenario_full(config)[0]

@@ -24,7 +24,7 @@ from batchpay.registration import register
 from batchpay.sim import SimRun, view_of
 from batchpay.sim.config import load_scenario_config
 from batchpay.sim import oracle
-from batchpay.sim.oracle import LogView, find_inflated_entry, monitor_verdict, oracle_balance
+from batchpay.sim.oracle import LogView, find_inflated_entry, monitor_verdict
 from batchpay.state import GameState
 from tests.conftest import World
 
@@ -154,7 +154,7 @@ def test_entry_due_zero_while_locked(world):
 def test_oracle_balance_one_shot_helper(world):
     world.pay([world.seller], per_destination=4)
     world.mature()
-    assert oracle_balance(world.state.log, world.seller) == 4
+    assert view_of(world.state.log).oracle_balance(world.seller) == 4
 
 
 # -- posting-index queries against a reference read straight off the log -------

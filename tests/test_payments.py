@@ -302,14 +302,14 @@ def test_open_locks_track_every_block_of_an_adversarial_run():
 
     def checked_block():
         step()
-        assert state.open_locks == _scanned_locks(state), run.blocks_run
+        assert state.open_locks == _scanned_locks(state), run.state.current_block
         # the block just played is current_block - 1; its window reaches back
         recent = sum(
             p.locking_key_hash is not None
             and p.registered_at_block >= state.current_block - period
             for p in state.payments
         )
-        assert len(state.open_locks) <= recent, run.blocks_run
+        assert len(state.open_locks) <= recent, run.state.current_block
         sizes.append(len(state.open_locks))
 
     run.run_block = checked_block

@@ -10,10 +10,20 @@ from pathlib import Path
 import pytest
 
 from batchpay import collect, payments, registration
+from batchpay.chainlog import ChainLog
 from batchpay.codec import encode_pay_data
 from batchpay.errors import InvariantViolation, ProtocolError
 from batchpay.payments import register_payment
-from batchpay.sim import ScenarioConfig, SimRun, run_scenario, run_scenario_full
+from batchpay.replay import replay
+from batchpay.sim import (
+    ScenarioConfig,
+    SimRun,
+    report_digest,
+    run_scenario,
+    run_scenario_full,
+    scenario_report,
+    view_of,
+)
 from batchpay.sim import config as sim_config
 from batchpay.sim import scenario
 from batchpay.sim.actors import Delegate
@@ -301,6 +311,17 @@ def test_headcount_rounds_to_nearest():
     assert _headcount(1.0, 0) == 0
 
 
+def _committed_config(name: str, seed: int = 42) -> ScenarioConfig:
+    """``configs/{name}.cfg`` at ``seed``; ``adversarial_all_lazy`` is
+    adversarial.cfg with every monitor lazy, which runs insolvent."""
+    all_lazy = name.endswith("_all_lazy")
+    config = load_scenario_config(str(ROOT / "configs" / f"{name.removesuffix('_all_lazy')}.cfg"))
+    config.seed = seed
+    if all_lazy:
+        config.lazy_monitor_fraction = 1.0
+    return config
+
+
 def _golden_chain_logs() -> dict[str, str]:
     golden = {}
     for line in (ROOT / "tests/golden/chain_log_sha256.txt").read_text().splitlines():
@@ -316,17 +337,33 @@ def _golden_chain_logs() -> dict[str, str]:
 def test_chain_log_matches_golden(name):
     # Byte-for-byte pin of the public log: any change to what the actors do,
     # in what order, or to how records are encoded moves this hash.
-    all_lazy = name.endswith("_all_lazy")
-    config = load_scenario_config(str(ROOT / "configs" / f"{name.removesuffix('_all_lazy')}.cfg"))
-    config.seed = 42
-    if all_lazy:
-        config.lazy_monitor_fraction = 1.0
-    report, run = run_scenario_full(config)
+    report, run = run_scenario_full(_committed_config(name))
     assert hashlib.sha256(run.log.dump()).hexdigest() == _golden_chain_logs()[name]
     if name == "adversarial":
         assert report.games["won_by_monitor"] == 24
-    if all_lazy:
+    if name == "adversarial_all_lazy":
         assert run.insolvency_events == 165
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        (name, seed)
+        for name in ("honest", "adversarial", "scaled_honest", "scaled_adversarial")
+        for seed in (1, 7, 42)
+    ]
+    + [("adversarial_all_lazy", 42)],
+)
+def test_report_rebuilt_from_the_dumped_log_has_the_live_digest(name, seed):
+    # The report reads the final state, the log's view and the config, which
+    # a published log gives back through replay and a fresh view, and the op
+    # kinds the pool refused, which only the run knows.
+    config = _committed_config(name, seed)
+    report, run = run_scenario_full(config)
+    assert bool(run.insolvent_kinds) == (name == "adversarial_all_lazy")
+    log = ChainLog.load(run.log.dump())
+    rebuilt = scenario_report(config, replay(log)[0], view_of(log), run.insolvent_kinds)
+    assert report_digest(rebuilt) == report_digest(report)
 
 
 # The public engine ops: module functions, then ProtocolState methods.
@@ -372,18 +409,13 @@ def test_actors_make_no_move_the_engine_refuses(name, monkeypatch):
     # its deadline, so each is looked at once, however long it waits.
     for owner, op in ((SimRun, "note_insolvency"), (Delegate, "_try_prove")):
         monkeypatch.setattr(owner, op, wrap(getattr(owner, op), op))
-    all_lazy = name.endswith("_all_lazy")
-    config = load_scenario_config(str(ROOT / "configs" / f"{name.removesuffix('_all_lazy')}.cfg"))
-    config.seed = 42
-    if all_lazy:
-        config.lazy_monitor_fraction = 1.0
-    _, run = run_scenario_full(config)
+    _, run = run_scenario_full(_committed_config(name))
     assert refused == Counter()
     assert {"deposit", "register_payment", "collect", "free_slot", "advance_block"} <= set(calls)
     if name != "honest":
         assert {"challenge", "respond_with_payment_list", "challenge_success", "unlock"} <= set(calls)
     assert calls["_try_prove"] == calls["select_payment"]
-    if all_lazy:
+    if name == "adversarial_all_lazy":
         assert run.insolvency_events == 165
         assert calls["note_insolvency"] == len(run.state.slots) == calls["_try_prove"] == 3
 
@@ -450,7 +482,7 @@ def test_drain_stops_at_its_hard_cap(monkeypatch):
     run = SimRun(load_scenario_config(str(ROOT / "configs" / "honest.cfg")))
     with pytest.raises(InvariantViolation, match="hard block cap exceeded"):
         run.run()
-    assert run.blocks_run == run.config.blocks
+    assert run.state.current_block == run.config.blocks
 
 
 def test_drain_cap_leaves_out_the_quiet_window(monkeypatch):
@@ -464,7 +496,7 @@ def test_drain_cap_leaves_out_the_quiet_window(monkeypatch):
     config.validate()
     run = SimRun(config)
     run.run()
-    assert run.blocks_run - config.blocks > config.drain_window()
+    assert run.state.current_block - config.blocks > config.drain_window()
 
 
 def test_a_block_feeds_the_view_once_and_once_per_step_that_reads_it(monkeypatch):
@@ -483,4 +515,4 @@ def test_a_block_feeds_the_view_once_and_once_per_step_that_reads_it(monkeypatch
     run = SimRun(load_scenario_config(str(ROOT / "configs" / "adversarial.cfg")))
     run.run()
     cfg = run.config
-    assert calls == 1 + run.blocks_run * (1 + cfg.delegates + cfg.monitors) == 586
+    assert calls == 1 + run.state.current_block * (1 + cfg.delegates + cfg.monitors) == 586

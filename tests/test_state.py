@@ -776,7 +776,7 @@ def _slot_work(config, monkeypatch) -> list[tuple[int, int, int]]:
 
     state.check_invariants = counted_check
     run.run()
-    assert len(rows) == run.blocks_run
+    assert len(rows) == run.state.current_block
     return rows
 
 
@@ -840,7 +840,7 @@ def test_the_per_block_checks_read_no_account_row_one_by_one(monkeypatch):
         setattr(run.state, name, CountedColumn(getattr(run.state, name)))
     run.run()
     assert len(run.state.addresses) > 400
-    assert len(per_call) == 2 * run.blocks_run and not any(per_call)
+    assert len(per_call) == 2 * run.state.current_block and not any(per_call)
 
     tampered = run.seller_ids[len(run.seller_ids) // 2]
     run.state.balances[tampered] += 1
@@ -940,13 +940,13 @@ def test_state_image_matches_the_reference_at_every_block(all_lazy):
     def checked_block():
         step()
         image = run.state.canonical_bytes()
-        assert image == _reference_canonical_bytes(run.state), run.blocks_run
+        assert image == _reference_canonical_bytes(run.state), run.state.current_block
         images.add(image)
 
     assert run.state.canonical_bytes() == _reference_canonical_bytes(run.state)
     run.run_block = checked_block
     run.run()
-    assert len(images) == run.blocks_run > config.blocks
+    assert len(images) == run.state.current_block > config.blocks
     assert run.state.bulks and run.state.payments
     if all_lazy:
         assert run.insolvency_events > 0
